@@ -5,6 +5,7 @@ loop, and a CLI of named experiments."""
 
 from .engine import Mode, RunResult, StepRecord, run, validate_stream, verdict
 from .errors import (
+    AdversaryRepeat,
     BudgetViolation,
     IndexBoundExceeded,
     LimitGenError,

@@ -54,6 +54,11 @@ def _load_configs(path: str) -> list[dict]:
     return expanded
 
 
+def _check_horizon(value: object, origin: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{origin} must be a positive integer, got {value!r}")
+
+
 def _write_traces(directory: str, subruns: list[SubRun]) -> None:
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -88,6 +93,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print("nothing to do: pass --experiment, --config, --list, or --describe")
             return 2
+        if args.horizon is not None:
+            _check_horizon(args.horizon, "--horizon")
+        for entry in entries:
+            if "horizon" in entry:
+                _check_horizon(entry["horizon"], f"horizon of {entry['id']}")
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

@@ -24,5 +24,9 @@ class BudgetViolation(LimitGenError):
     """A query-budgeted generator issued more queries than declared."""
 
 
+class AdversaryRepeat(LimitGenError):
+    """An adaptive source emitted the same element twice."""
+
+
 class ModeMismatch(LimitGenError):
     """Generator, source, and mode are not compatible."""

@@ -817,7 +817,7 @@ def run_experiment(
     params: dict | None = None,
 ) -> tuple[list[SummaryRow], list[SubRun]]:
     exp = EXPERIMENTS[ident]
-    horizon = horizon or exp.default_horizon
+    horizon = exp.default_horizon if horizon is None else horizon
     started = time.perf_counter()
     rows: list[SummaryRow] = []
     all_subs: list[SubRun] = []

@@ -420,7 +420,10 @@ class ChainSpec(CollectionSpec):
     """A monotone chain C_0 within C_1 within ..., given by an index rule.
 
     Links and their intersections are memoized: chains are consumed one link
-    per step by strategies, often across many runs.
+    per step by strategies, often across many runs. The memo keeps every link
+    reached, so a rule should build links of bounded size (closed-form
+    oracles, not materialized members) for memory to stay linear in the
+    number of steps.
     """
 
     rule: Callable[[int], CollectionSpec]
@@ -543,17 +546,12 @@ def sensitivity_collection() -> UnionSpec:
     return UnionSpec((ray_family(), neg_union()))
 
 
-_RAY_POOL: list[ClosedFormLanguage] = []
-
-
-def _rays_upto(n: int) -> tuple[ClosedFormLanguage, ...]:
-    while len(_RAY_POOL) <= n:
-        _RAY_POOL.append(suffix_from(len(_RAY_POOL)))
-    return tuple(_RAY_POOL[: n + 1])
-
-
 def ray_prefix_chain(index_bound: int = DEFAULT_INDEX_BOUND) -> ChainSpec:
-    """C_t = {P_0, ..., P_t}: the canonical growing chain of ray families."""
+    """C_t = {P_0, ..., P_t}: the canonical growing chain of ray families.
+
+    Link t is the rule k -> P_k below index t + 1, answered in closed form,
+    so it holds no rays and costs the same at every t.
+    """
 
     def link(t: int) -> ExplicitCountable:
         def closure_fn(sample: frozenset[int]) -> ClosureResult:
@@ -563,9 +561,11 @@ def ray_prefix_chain(index_bound: int = DEFAULT_INDEX_BOUND) -> ChainSpec:
             return ClosureResult.infinite(suffix_from(cap))
 
         return ExplicitCountable(
-            languages=_rays_upto(t),
+            rule=suffix_from,
+            index_bound=t + 1,
             consistent_fn=lambda sample: all(x >= 0 for x in sample),
             closure_fn=closure_fn,
+            declared_dimension=-1,  # every consistent sample closes to a ray
         )
 
     return ChainSpec(link, index_bound=index_bound, rule_name="ray-prefixes")

@@ -182,9 +182,17 @@ class DecisionTreeMonitor:
 class StripQueries(Generator):
     """Simulates a query-budgeted strategy without an oracle.
 
-    Each step replays the strategy from scratch on the revealed prefix,
-    answering every replayed query \"Yes\" exactly when the queried element
-    has been revealed so far, and emits the replay's final output.
+    Keeps one live replay of the strategy on the revealed prefix, answering
+    every replayed query \"Yes\" exactly when the queried element has been
+    revealed so far, and emits the replay's latest output. Revealed sets only
+    grow, so a past answer can only flip from \"No\" to \"Yes\", and only on
+    the step that reveals the queried element. Exactly then the replay
+    restarts from scratch on the whole prefix. A strategy's state is a pure
+    function of its transcript, so every output and decision-tree record
+    equals that of a from-scratch replay of the prefix. Each restart strictly
+    raises the replay's preorder position in the decision tree, so the number
+    of restarts is bounded by the tree's size, not by the horizon; a budget-1
+    strategy restarts at most once.
     """
 
     def __init__(self, base: FeedbackGenerator) -> None:
@@ -195,6 +203,31 @@ class StripQueries(Generator):
         self.revealed: list[int] = []
         self.seen: set[int] = set()
         self.t = -1
+        self._start_replay()
+
+    def _start_replay(self) -> None:
+        self._replay = self.base.fresh()
+        self._query_times: list[int] = []
+        self._queries: list[int] = []
+        self._answers: list[bool] = []
+        self._refused: set[int] = set()  # queries the live replay heard "No" to
+
+    def _feed(self, j: int, xj: int) -> int:
+        y = self._replay.step_query(xj)
+        if y is None:
+            a = None
+        else:
+            a = y in self.seen
+            self._query_times.append(j)
+            self._queries.append(y)
+            self._answers.append(a)
+            if not a:
+                self._refused.add(y)
+            if len(self._queries) > self.base.budget:
+                raise BudgetViolation(
+                    f"replay asked {len(self._queries)} queries, budget {self.base.budget}"
+                )
+        return self._replay.step_output(a)
 
     def step(self, revealed: int | None) -> int:
         if revealed is None:
@@ -202,26 +235,12 @@ class StripQueries(Generator):
         self.t += 1
         self.revealed.append(revealed)
         self.seen.add(revealed)
-        replay = self.base.fresh()
-        query_times: list[int] = []
-        queries: list[int] = []
-        answers: list[bool] = []
-        z = 0
-        for j, xj in enumerate(self.revealed):
-            y = replay.step_query(xj)
-            if y is None:
-                a = None
-            else:
-                a = y in self.seen
-                query_times.append(j)
-                queries.append(y)
-                answers.append(a)
-                if len(queries) > self.base.budget:
-                    raise BudgetViolation(
-                        f"replay asked {len(queries)} queries, budget {self.base.budget}"
-                    )
-            z = replay.step_output(a)
-        self.monitor.record(self.t, query_times, queries, answers)
+        if revealed in self._refused:
+            self._start_replay()
+            for j in range(self.t):
+                self._feed(j, self.revealed[j])
+        z = self._feed(self.t, revealed)
+        self.monitor.record(self.t, self._query_times, self._queries, self._answers)
         return z
 
     def fresh(self) -> "StripQueries":
@@ -301,26 +320,34 @@ class IndexIdentifier(FeedbackGenerator):
         self.positive: set[int] = set()
         self.negative: set[int] = set()
         self.t = -1
+        self._revealed: int | None = None
         self._failed = [False] * len(self.languages)
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
         self.positive.add(revealed)
+        self._revealed = revealed
         return self.t
 
     def step_output(self, answer: bool | None) -> int:
-        if answer is YES:
-            self.positive.add(self.t)
+        t = self.t
+        yes = answer is YES
+        if yes:
+            self.positive.add(t)
         else:
-            self.negative.add(self.t)
-        for i, lang in enumerate(self.languages):
-            if i > self.t or self._failed[i]:
-                continue
-            if any(v not in lang for v in self.positive) or any(
-                v in lang for v in self.negative
-            ):
+            self.negative.add(t)
+        # a failure is permanent, so a language admitted earlier is tested
+        # only against this step's evidence; one admitted now against all
+        for i in range(min(t, len(self.languages))):
+            lang = self.languages[i]
+            if not self._failed[i] and (self._revealed not in lang or (t in lang) != yes):
                 self._failed[i] = True
-        for i in range(min(self.t + 1, len(self.languages))):
+        if t < len(self.languages):
+            lang = self.languages[t]
+            self._failed[t] = any(v not in lang for v in self.positive) or any(
+                v in lang for v in self.negative
+            )
+        for i in range(min(t + 1, len(self.languages))):
             if not self._failed[i]:
                 return i
         return 0

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
+from .errors import AdversaryRepeat
 from .langs import (
     NEGATIVES,
     ClosedFormLanguage,
@@ -263,7 +264,7 @@ class StagedAdversary(Source):
 
     def _record_emit(self, v: int, is_truth: bool) -> None:
         if v in self.emitted_set:
-            raise AssertionError(f"adversary repeated {v}")
+            raise AdversaryRepeat(f"adversary repeated {v}")
         self.emitted.append(v)
         self.emitted_set.add(v)
         if is_truth:

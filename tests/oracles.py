@@ -15,18 +15,26 @@ Two levels:
 
 Both are deliberately separate code paths from the analytic oracles they
 check.
+
+The last section keeps the straightforward, superlinear versions of three
+incremental paths (query elimination, index identification and the
+ray-prefix chain links) as references for differential tests.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from limitgen.errors import BudgetViolation
 from limitgen.families import (
+    ClosureResult,
     ExplicitCountable,
     NegFamily,
     SuffixFamily,
     UnionSpec,
 )
+from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier
+from limitgen.langs import suffix_from
 
 TINY_LO, TINY_HI = -6, 6
 
@@ -82,13 +90,14 @@ def literal_traces(spec, lo: int = TINY_LO, hi: int = TINY_HI) -> list[frozenset
 def _listed(spec: ExplicitCountable, hi: int):
     """Languages of an explicit collection relevant to a window check.
 
-    For rule-based collections the first hi+2 members are materialized; this
-    is exact for the ray family (later rays trace identically to ray hi+1 on
-    the window and cannot contain window samples).
+    For rule-based collections the first hi+2 members (at most index_bound of
+    them) are materialized; this is exact for the ray family and its prefixes
+    (later rays trace identically to ray hi+1 on the window and cannot
+    contain window samples).
     """
     if spec.languages is not None:
         return spec.languages
-    return tuple(spec.rule(k) for k in range(hi + 2))
+    return tuple(spec.rule(k) for k in range(min(hi + 2, spec.index_bound)))
 
 
 def brute_consistent(traces, sample) -> bool:
@@ -161,3 +170,89 @@ def brute_closure_window(spec, sample, lo: int, hi: int):
     for trace in traces[1:]:
         out &= trace
     return frozenset(out)
+
+
+# --- from-scratch references for the incremental strategies -----------------
+
+
+class NaiveStripQueries:
+    """Query elimination by replaying the strategy from scratch on the whole
+    revealed prefix at every step (quadratic in the horizon)."""
+
+    def __init__(self, base) -> None:
+        if base.budget is None:
+            raise ValueError("base strategy must declare a finite query budget")
+        self.base = base
+        self.monitor = DecisionTreeMonitor(depth=base.budget)
+        self.revealed: list[int] = []
+        self.seen: set[int] = set()
+        self.t = -1
+
+    def step(self, revealed: int) -> int:
+        self.t += 1
+        self.revealed.append(revealed)
+        self.seen.add(revealed)
+        replay = self.base.fresh()
+        query_times: list[int] = []
+        queries: list[int] = []
+        answers: list[bool] = []
+        z = 0
+        for j, xj in enumerate(self.revealed):
+            y = replay.step_query(xj)
+            if y is None:
+                a = None
+            else:
+                a = y in self.seen
+                query_times.append(j)
+                queries.append(y)
+                answers.append(a)
+                if len(queries) > self.base.budget:
+                    raise BudgetViolation(
+                        f"replay asked {len(queries)} queries, budget {self.base.budget}"
+                    )
+            z = replay.step_output(a)
+        self.monitor.record(self.t, query_times, queries, answers)
+        return z
+
+
+class NaiveIndexIdentifier(IndexIdentifier):
+    """Index identification that re-tests every admitted, surviving language
+    against all positive and negative examples at every step."""
+
+    def step_query(self, revealed: int) -> int | None:
+        self.t += 1
+        self.positive.add(revealed)
+        return self.t
+
+    def step_output(self, answer: bool | None) -> int:
+        if answer is YES:
+            self.positive.add(self.t)
+        else:
+            self.negative.add(self.t)
+        for i, lang in enumerate(self.languages):
+            if i > self.t or self._failed[i]:
+                continue
+            if any(v not in lang for v in self.positive) or any(
+                v in lang for v in self.negative
+            ):
+                self._failed[i] = True
+        for i in range(min(self.t + 1, len(self.languages))):
+            if not self._failed[i]:
+                return i
+        return 0
+
+
+def naive_ray_prefix_link(t: int) -> ExplicitCountable:
+    """Link t of the ray-prefix chain with its rays P_0..P_t materialized."""
+
+    def closure_fn(sample: frozenset[int]) -> ClosureResult:
+        if any(x < 0 for x in sample):
+            return ClosureResult.no_consistent()
+        cap = min([t] + ([min(sample)] if sample else []))
+        return ClosureResult.infinite(suffix_from(cap))
+
+    return ExplicitCountable(
+        languages=tuple(suffix_from(k) for k in range(t + 1)),
+        consistent_fn=lambda sample: all(x >= 0 for x in sample),
+        closure_fn=closure_fn,
+    )

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+from limitgen import experiments
 from limitgen.cli import main
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
+from limitgen.langs import suffix_from
+from limitgen.sources import StagedAdversary, StagePlan
 
 SPEC_IDS = [
     "thm3.1",
@@ -92,6 +95,34 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(config)]) == 2
     config.write_text("not json")
     assert main(["--config", str(config)]) == 2
+
+
+@pytest.mark.parametrize("horizon", ["0", "-5"])
+def test_non_positive_horizon_flag_exits_2(horizon, capsys):
+    assert main(["--experiment", "alg3-chain", "--horizon", horizon]) == 2
+    assert "--horizon must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", [0, -5, 2.5, "100", True, None])
+def test_non_positive_integer_config_horizon_exits_2(horizon, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [{"id": "alg3-chain", "horizon": horizon}]}))
+    assert main(["--config", str(config)]) == 2
+    assert "horizon of alg3-chain must be a positive integer" in capsys.readouterr().err
+
+
+def test_adversary_repeat_exits_3(monkeypatch, capsys):
+    def repeating_adversary():
+        return StagedAdversary(
+            stage0_value=lambda k: k,
+            stage0_language=suffix_from(0),
+            next_stage=lambda z, _m: StagePlan(tail_start=z + 2),
+            prefix=(4, 4),
+        )
+
+    monkeypatch.setattr(experiments, "staged_union_adversary", repeating_adversary)
+    assert main(["--experiment", "thm3.1"]) == 3
+    assert "adversary repeated 4" in capsys.readouterr().err
 
 
 def test_failed_assertion_exits_1(tmp_path, capsys):

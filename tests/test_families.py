@@ -33,6 +33,7 @@ from oracles import (
     brute_closure,
     brute_consistent,
     literal_traces,
+    naive_ray_prefix_link,
     window,
 )
 
@@ -211,6 +212,29 @@ def test_chain_links_shrink_and_stay_infinite():
         if previous is not None:
             assert members <= previous
         previous = members
+
+
+LINK_LO, LINK_HI = -3, 15
+
+
+@given(
+    t=st.integers(0, 11),
+    sample=st.frozensets(st.integers(LINK_LO, LINK_HI), max_size=3),
+)
+def test_chain_links_match_materialized_rays(t, sample):
+    link = ray_prefix_chain().at(t)
+    naive = naive_ray_prefix_link(t)
+    pts = window(LINK_LO, LINK_HI)
+    traces = literal_traces(naive, LINK_LO, LINK_HI)
+    assert link.consistent(sample) == naive.consistent(sample) == brute_consistent(traces, sample)
+    got, want = link.closure(sample), naive.closure(sample)
+    assert got.kind == want.kind
+    assert got.members_in(pts) == want.members_in(pts)
+    if want.kind != NO_CONSISTENT:
+        assert got.members_in(pts) == brute_closure(traces, sample)
+    assert link.intersection() == naive.intersection()
+    assert link.closure_dimension() == naive.closure_dimension()
+    assert literal_traces(link, LINK_LO, LINK_HI) == traces
 
 
 def test_chain_consistency_search():

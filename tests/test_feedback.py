@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from limitgen.errors import BudgetViolation
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_family
 from limitgen.feedback import (
+    YES,
+    FeedbackGenerator,
     IndexIdentifier,
     OneShotProbeGenerator,
     PlainAsFeedback,
@@ -10,8 +13,11 @@ from limitgen.feedback import (
     UnionFeedbackGenerator,
     preorder_index,
 )
-from limitgen.generators import baseline
-from limitgen.langs import ClosedFormLanguage, suffix_from
+from limitgen.generators import FollowSuffix, baseline
+from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
+from limitgen.sources import ScriptedSource, ScriptedSpec
+
+from oracles import NaiveIndexIdentifier, NaiveStripQueries
 
 
 def drive(gen, reveals, truth):
@@ -122,6 +128,123 @@ def test_monitor_moves_no_to_yes_once():
     assert stripped.monitor.non_decreasing()
 
 
+class TwoProbes(FeedbackGenerator):
+    """Budget-2 fixture: asks `first` at step 0 and, at step 2, `second` or
+    `second + 1` depending on the first answer; outputs encode both answers."""
+
+    budget = 2
+
+    def __init__(self, first: int, second: int) -> None:
+        self.first = first
+        self.second = second
+        self.t = -1
+        self.top = 0
+        self.answers: list[bool] = []
+
+    def step_query(self, revealed):
+        self.t += 1
+        self.top = max(self.top, revealed, self.t)
+        if self.t == 0:
+            return self.first
+        if self.t == 2:
+            return self.second if self.answers[0] is YES else self.second + 1
+        return None
+
+    def step_output(self, answer):
+        if answer is not None:
+            self.answers.append(answer)
+        code = sum(2**k for k, a in enumerate(self.answers) if a)
+        self.top += 1 + code
+        return self.top
+
+    def fresh(self):
+        return TwoProbes(self.first, self.second)
+
+
+class AsksAgainOnYes(OneShotProbeGenerator):
+    """Declares budget 1 but asks again every step once its probe came back
+    Yes, so a replay breaks the budget once the probe has been revealed."""
+
+    def step_query(self, revealed):
+        self.t += 1
+        self._absorb(revealed)
+        return self.probe if self.t == 0 or self.answer is YES else None
+
+    def fresh(self):
+        return AsksAgainOnYes(self.probe)
+
+
+PROBES = st.integers(-6, 6)
+BASES = st.one_of(
+    PROBES.map(lambda p: lambda: OneShotProbeGenerator(probe=p)),
+    st.just(lambda: PlainAsFeedback(baseline("max_plus_one"))),
+    st.just(lambda: PlainAsFeedback(FollowSuffix())),
+    st.tuples(PROBES, PROBES).map(lambda ps: lambda: TwoProbes(*ps)),
+    PROBES.map(lambda p: lambda: AsksAgainOnYes(probe=p)),
+)
+
+
+def _strip_play(stripped, reveals):
+    outputs = []
+    for x in reveals:
+        try:
+            outputs.append(stripped.step(x))
+        except BudgetViolation:
+            outputs.append("budget violation")
+            break
+    return outputs, stripped.monitor.records
+
+
+@given(make=BASES, reveals=st.lists(st.integers(-6, 6), max_size=30))
+def test_strip_queries_matches_from_scratch_replay(make, reveals):
+    fast = _strip_play(StripQueries(make()), reveals)
+    naive = _strip_play(NaiveStripQueries(make()), reveals)
+    assert fast == naive
+
+
+def test_strip_queries_restarts_on_each_flipped_answer():
+    # -1 flips the first answer (so the second query moves from -2 to -3),
+    # then -3 flips the second
+    reveals = [5, 6, 7, -1, 8, -3, 9]
+    fast = _strip_play(StripQueries(TwoProbes(-1, -3)), reveals)
+    assert fast == _strip_play(NaiveStripQueries(TwoProbes(-1, -3)), reveals)
+    assert [r.preorder_index for r in fast[1]] == [1, 1, 2, 5, 5, 6, 6]
+    assert fast[1][-1].queries == (-1, -3)
+
+
+class _CountingProbe(OneShotProbeGenerator):
+    def __init__(self, probe, calls):
+        super().__init__(probe)
+        self.calls = calls
+
+    def step_query(self, revealed):
+        self.calls[0] += 1
+        return super().step_query(revealed)
+
+    def fresh(self):
+        return _CountingProbe(self.probe, self.calls)
+
+
+ALG5_TRUTHS = [
+    ClosedFormLanguage(frozenset({5}), None, True),
+    suffix_from(3),
+    ClosedFormLanguage(frozenset({-3, 7}), 0, False),
+    NEGATIVES,
+]
+
+
+@pytest.mark.parametrize("truth", ALG5_TRUTHS)
+def test_strip_queries_replay_work_is_linear(truth):
+    steps = 2_000
+    calls = [0]
+    stripped = StripQueries(_CountingProbe(-1, calls))
+    source = ScriptedSource(ScriptedSpec(truth))
+    for t in range(steps):
+        stripped.step(source.emit(t))
+    # one pass, plus one restart when the probe -1 is revealed
+    assert calls[0] <= 2 * steps
+
+
 def test_preorder_index_full_depth_two_tree():
     no, yes = False, True
     assert preorder_index([], 2) == 0
@@ -178,3 +301,56 @@ def test_identifier_never_backslides():
     outputs = [z for (_, _, _, z) in steps]
     settled = outputs.index(2)
     assert all(z == 2 for z in outputs[settled:])
+
+
+class _CountingLanguage:
+    def __init__(self, lang, calls):
+        self.lang = lang
+        self.calls = calls
+
+    def __contains__(self, x):
+        self.calls[0] += 1
+        return x in self.lang
+
+
+LANGS = st.builds(
+    lambda fin, tail, negs: ClosedFormLanguage(fin, tail, negs or tail is None),
+    st.frozensets(st.integers(-4, 12), max_size=3),
+    st.one_of(st.none(), st.integers(-2, 12)),
+    st.booleans(),
+)
+
+
+@given(
+    langs=st.lists(LANGS, min_size=1, max_size=5),
+    k=st.integers(0, 4),
+    steps=st.lists(st.tuples(st.integers(-4, 14), st.integers(0, 9)), max_size=30),
+)
+def test_identifier_matches_full_retest(langs, k, steps):
+    # mostly honest play against one listed truth, with occasional foreign
+    # reveals (noise 0) and wrong answers (noise 1), so that some languages
+    # survive for a while and others fail late
+    truth = langs[k % len(langs)]
+    fast = make_identifier(langs)
+    naive = NaiveIndexIdentifier(ExplicitCountable(languages=tuple(langs)))
+    for x, noise in steps:
+        if noise != 0 and x not in truth:
+            continue
+        y = fast.step_query(x)
+        assert naive.step_query(x) == y
+        answer = (y in truth) != (noise == 1)
+        assert fast.step_output(answer) == naive.step_output(answer)
+
+
+def test_identifier_membership_work_is_linear():
+    steps = 4_000
+    calls = [0]
+    listed = [suffix_from(0), suffix_from(5), suffix_from(9)]
+    gen = make_identifier(_CountingLanguage(lang, calls) for lang in listed)
+    truth = suffix_from(9)
+    outputs = [z for (_, _, _, z) in drive(gen, range(9, 9 + steps), truth)]
+    assert outputs[-1] == 2
+    n = len(listed)
+    # two tests (reveal, step number) per admitted language and step, plus
+    # one full test of at most 2(n + 1) examples per admission
+    assert calls[0] <= 2 * n * steps + 2 * n * (n + 1)
