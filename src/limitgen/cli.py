@@ -13,7 +13,14 @@ from pathlib import Path
 
 from . import engine
 from .errors import LimitGenError
-from .experiments import EXPERIMENTS, SubRun, SummaryRow, emit_summary, run_experiment
+from .experiments import (
+    EXPERIMENTS,
+    SubRun,
+    SummaryRow,
+    emit_summary,
+    run_experiment,
+    union_generator,
+)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -33,24 +40,47 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _load_configs(path: str) -> list[dict]:
+    """Read and check a config file, expanding matrix params into one entry
+    per value, so that no bad entry is found after experiments have run."""
     with open(path) as fp:
         data = json.load(fp)
-    entries = data.get("experiments")
+    entries = data.get("experiments") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ValueError("config must contain a non-empty 'experiments' list")
     expanded: list[dict] = []
     for entry in entries:
-        if "id" not in entry or entry["id"] not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment id in config: {entry.get('id')!r}")
-        params = dict(entry.get("params", {}))
-        key = EXPERIMENTS[entry["id"]].matrix_key
-        if key is not None and isinstance(params.get(key), list):
-            for value in params[key]:
-                sub = dict(entry)
-                sub["params"] = {**params, key: value}
-                expanded.append(sub)
-        else:
+        if not isinstance(entry, dict):
+            raise ValueError(f"config entry must be an object, got {entry!r}")
+        ident = entry.get("id")
+        if not isinstance(ident, str) or ident not in EXPERIMENTS:
+            raise ValueError(f"unknown experiment id in config: {ident!r}")
+        if "horizon" in entry:
+            _check_horizon(entry["horizon"], f"horizon of {ident}")
+        seed = entry.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int):
+            raise ValueError(f"seed of {ident} must be an integer, got {seed!r}")
+        params = entry.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params of {ident} must be an object, got {params!r}")
+        if ident == "thm3.1" and "generators" in params:
+            names = params["generators"]
+            if not isinstance(names, list) or not names:
+                raise ValueError(f"generators of {ident} must be a non-empty list, got {names!r}")
+            for name in names:
+                if not isinstance(name, str):
+                    raise ValueError(f"generator name must be a string, got {name!r}")
+                union_generator(name)
+        key = EXPERIMENTS[ident].matrix_key
+        if key is None or key not in params:
             expanded.append(entry)
+            continue
+        values = params[key] if isinstance(params[key], list) else [params[key]]
+        if not values:
+            raise ValueError(f"{key} of {ident} is an empty list")
+        for value in values:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ValueError(f"{key} of {ident} must be a non-negative integer, got {value!r}")
+            expanded.append({**entry, "params": {**params, key: value}})
     return expanded
 
 
@@ -59,9 +89,7 @@ def _check_horizon(value: object, origin: str) -> None:
         raise ValueError(f"{origin} must be a positive integer, got {value!r}")
 
 
-def _write_traces(directory: str, subruns: list[SubRun]) -> None:
-    root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
+def _write_traces(root: Path, subruns: list[SubRun]) -> None:
     for sub in subruns:
         safe = sub.name.replace("/", "_").replace(" ", "")
         with open(root / f"{safe}.trace", "w") as fp:
@@ -95,25 +123,27 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         if args.horizon is not None:
             _check_horizon(args.horizon, "--horizon")
-        for entry in entries:
-            if "horizon" in entry:
-                _check_horizon(entry["horizon"], f"horizon of {entry['id']}")
+        trace_root = None
+        if args.trace:
+            trace_root = Path(args.trace)
+            trace_root.mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 
     rows: list[SummaryRow] = []
-    subruns: list[SubRun] = []
     try:
         for entry in entries:
-            entry_rows, entry_subs = run_experiment(
+            entry_rows, subruns = run_experiment(
                 entry["id"],
                 horizon=entry.get("horizon", args.horizon),
                 seed=entry.get("seed", args.seed),
                 params=entry.get("params"),
             )
             rows.extend(entry_rows)
-            subruns.extend(entry_subs)
+            if trace_root is not None:
+                _write_traces(trace_root, subruns)
+            del subruns  # free this experiment's records before the next one runs
     except LimitGenError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
@@ -124,8 +154,6 @@ def main(argv: list[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         return 2
     print(table)
-    if args.trace:
-        _write_traces(args.trace, subruns)
     if args.summary:
         with open(args.summary, "w") as fp:
             json.dump(

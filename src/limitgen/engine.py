@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable
+from typing import IO, Iterable, NamedTuple
 
 from .errors import ModeMismatch
 from .feedback import FeedbackGenerator
@@ -86,18 +86,13 @@ class Mode:
         }
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     t: int
     x: int | None
     y: int | None
     a: bool | None
     z: int
     verdict: str
-
-    def to_record(self) -> dict:
-        answer = None if self.a is None else ("Yes" if self.a else "No")
-        return {"t": self.t, "x": self.x, "y": self.y, "a": answer, "z": self.z, "verdict": self.verdict}
 
 
 @dataclass(frozen=True)
@@ -292,16 +287,29 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+_ANSWER = {None: "null", True: '"Yes"', False: '"No"'}
+
+
 def write_trace(
     fp: IO[str],
     header: dict,
     records: Iterable[StepRecord],
     result: RunResult,
 ) -> None:
-    fp.write(_dump({"header": header}) + "\n")
-    for record in records:
-        fp.write(_dump(record.to_record()) + "\n")
-    fp.write(_dump({"summary": result.to_record()}) + "\n")
+    """One JSON object per line: the header, every step, the summary.
+
+    Step lines are formatted by hand, byte for byte what `_dump` gives for
+    the step's dict: sorted keys, no spaces, `null` for None, the answer as
+    "Yes"/"No".
+    """
+    lines = [_dump({"header": header}) + "\n"]
+    lines += [
+        f'{{"a":{_ANSWER[a]},"t":{t},"verdict":"{v}",'
+        f'"x":{"null" if x is None else x},"y":{"null" if y is None else y},"z":{z}}}\n'
+        for t, x, y, a, z, v in records
+    ]
+    lines.append(_dump({"summary": result.to_record()}) + "\n")
+    fp.write("".join(lines))
 
 
 def truth_record(truth) -> dict:

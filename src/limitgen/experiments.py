@@ -165,14 +165,21 @@ def _check_defeat(result: RunResult, failures: list[str], label: str, minimum: i
 # --- experiment runners -----------------------------------------------------
 
 
+def union_generator(name: str):
+    """The strategy `thm3.1` plays for one of its `generators` names: a
+    baseline name or `omission:<level>`. Raises ValueError on any other."""
+    if name.startswith("omission:"):
+        level = name.removeprefix("omission:")
+        if not (level.isascii() and level.isdecimal()):
+            raise ValueError(f"omission level must be a non-negative integer, got {name!r}")
+        return OmissionTolerantGenerator(int(level))
+    return baseline(name)
+
+
 def _run_union_defeat(horizon: int, seed: int, params: dict):
     name = params.get("generator", "max_plus_one")
-    if name.startswith("omission:"):
-        gen = OmissionTolerantGenerator(int(name.split(":")[1]))
-    else:
-        gen = baseline(name)
     adversary = staged_union_adversary()
-    sub = _run_subrun(f"thm3.1[{name}]", gen, adversary, Mode.standard(), horizon)
+    sub = _run_subrun(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
     failures: list[str] = []
     certified = len(sub.result.certified_mistake_times)
     if certified < MIN_CERTIFIED:

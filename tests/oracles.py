@@ -16,14 +16,16 @@ Two levels:
 Both are deliberately separate code paths from the analytic oracles they
 check.
 
-The last section keeps the straightforward, superlinear versions of three
+The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
-ray-prefix chain links) as references for differential tests.
+ray-prefix chain links), and the dict-per-step trace writer, as references
+for differential tests.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 
 from limitgen.errors import BudgetViolation
 from limitgen.families import (
@@ -256,3 +258,20 @@ def naive_ray_prefix_link(t: int) -> ExplicitCountable:
         consistent_fn=lambda sample: all(x >= 0 for x in sample),
         closure_fn=closure_fn,
     )
+
+
+# --- dict-per-step reference for the trace writer ----------------------------
+
+
+def _dump(record: dict) -> str:
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def naive_write_trace(fp, header: dict, records, result) -> None:
+    """The trace writer that serializes one dict per step with `json.dumps`."""
+    fp.write(_dump({"header": header}) + "\n")
+    for r in records:
+        answer = None if r.a is None else ("Yes" if r.a else "No")
+        step = {"t": r.t, "x": r.x, "y": r.y, "a": answer, "z": r.z, "verdict": r.verdict}
+        fp.write(_dump(step) + "\n")
+    fp.write(_dump({"summary": result.to_record()}) + "\n")

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from limitgen import experiments
+from limitgen import cli, experiments
 from limitgen.cli import main
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
 from limitgen.langs import suffix_from
@@ -111,16 +111,17 @@ def test_non_positive_integer_config_horizon_exits_2(horizon, tmp_path, capsys):
     assert "horizon of alg3-chain must be a positive integer" in capsys.readouterr().err
 
 
-def test_adversary_repeat_exits_3(monkeypatch, capsys):
-    def repeating_adversary():
-        return StagedAdversary(
-            stage0_value=lambda k: k,
-            stage0_language=suffix_from(0),
-            next_stage=lambda z, _m: StagePlan(tail_start=z + 2),
-            prefix=(4, 4),
-        )
+def _repeating_adversary():
+    return StagedAdversary(
+        stage0_value=lambda k: k,
+        stage0_language=suffix_from(0),
+        next_stage=lambda z, _m: StagePlan(tail_start=z + 2),
+        prefix=(4, 4),
+    )
 
-    monkeypatch.setattr(experiments, "staged_union_adversary", repeating_adversary)
+
+def test_adversary_repeat_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "staged_union_adversary", _repeating_adversary)
     assert main(["--experiment", "thm3.1"]) == 3
     assert "adversary repeated 4" in capsys.readouterr().err
 
@@ -154,3 +155,51 @@ def test_emit_summary_requires_rows():
     lines = table.splitlines()
     assert lines[1].startswith("a") and "FAIL" in lines[1] and "boom" in lines[1]
     assert lines[2].startswith("b") and "PASS" in lines[2]
+
+
+def test_traces_are_written_as_each_experiment_finishes(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(experiments, "staged_union_adversary", _repeating_adversary)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [{"id": "alg3-chain"}, {"id": "thm3.1"}]}))
+    trace_dir = tmp_path / "traces"
+    assert main(["--config", str(config), "--trace", str(trace_dir)]) == 3
+    names = sorted(p.name for p in trace_dir.iterdir())
+    assert names and all(name.startswith("alg3") for name in names)
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("an experiment ran")
+
+
+def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    not_a_dir = tmp_path / "traces"
+    not_a_dir.write_text("")
+    assert main(["--experiment", "alg3-chain", "--trace", str(not_a_dir)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("thm3.1", "config entry must be an object"),
+        ({"id": "thm4.8-omit-i", "params": {"i": "x"}}, "i of thm4.8-omit-i must be a non-negative integer"),
+        ({"id": "thm4.8-omit-i", "params": {"i": -3}}, "i of thm4.8-omit-i must be a non-negative integer"),
+        ({"id": "thm5.2-noise-i", "params": {"i": [0, True]}}, "i of thm5.2-noise-i must be a non-negative integer"),
+        ({"id": "thm5.4-sensitivity", "params": {"i": []}}, "i of thm5.4-sensitivity is an empty list"),
+        ({"id": "thm3.1", "params": {"generators": ["nope"]}}, "unknown baseline 'nope'"),
+        ({"id": "thm3.1", "params": {"generators": ["omission:x"]}}, "omission level must be"),
+        ({"id": "thm3.1", "params": {"generators": []}}, "generators of thm3.1 must be a non-empty list"),
+        ({"id": "alg3-chain", "params": [1]}, "params of alg3-chain must be an object"),
+        ({"id": "alg3-chain", "seed": "abc"}, "seed of alg3-chain must be an integer"),
+        ({"id": "alg3-chain", "horizon": 0}, "horizon of alg3-chain must be a positive integer"),
+    ],
+)
+def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [{"id": "alg3-chain"}, entry]}))
+    trace_dir = tmp_path / "traces"
+    assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not trace_dir.exists()
