@@ -62,25 +62,26 @@ def _load_configs(path: str) -> list[dict]:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"params of {ident} must be an object, got {params!r}")
-        if ident == "thm3.1" and "generators" in params:
-            names = params["generators"]
-            if not isinstance(names, list) or not names:
-                raise ValueError(f"generators of {ident} must be a non-empty list, got {names!r}")
-            for name in names:
-                if not isinstance(name, str):
-                    raise ValueError(f"generator name must be a string, got {name!r}")
-                union_generator(name)
         key = EXPERIMENTS[ident].matrix_key
         if key is None or key not in params:
             expanded.append(entry)
             continue
-        values = params[key] if isinstance(params[key], list) else [params[key]]
-        if not values:
-            raise ValueError(f"{key} of {ident} is an empty list")
-        for value in values:
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"{key} of {ident} must be a non-negative integer, got {value!r}")
-            expanded.append({**entry, "params": {**params, key: value}})
+        values = params[key]
+        if key == "generators":
+            if not isinstance(values, list) or not values:
+                raise ValueError(f"generators of {ident} must be a non-empty list, got {values!r}")
+            for name in values:
+                if not isinstance(name, str):
+                    raise ValueError(f"generator name must be a string, got {name!r}")
+                union_generator(name)
+        else:
+            values = values if isinstance(values, list) else [values]
+            if not values:
+                raise ValueError(f"{key} of {ident} is an empty list")
+            for value in values:
+                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                    raise ValueError(f"{key} of {ident} must be a non-negative integer, got {value!r}")
+        expanded += [{**entry, "params": {**params, key: value}} for value in values]
     return expanded
 
 
@@ -127,6 +128,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.trace:
             trace_root = Path(args.trace)
             trace_root.mkdir(parents=True, exist_ok=True)
+        if args.summary:
+            open(args.summary, "a").close()  # a bad path fails before anything runs
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2

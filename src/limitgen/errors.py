@@ -30,3 +30,8 @@ class AdversaryRepeat(LimitGenError):
 
 class ModeMismatch(LimitGenError):
     """Generator, source, and mode are not compatible."""
+
+
+class DuplicateSubRun(LimitGenError):
+    """Two sub-runs of one experiment share a name, so one trace would
+    overwrite the other."""

@@ -1,19 +1,23 @@
-"""Named experiments: wire a generator, a source, and a mode; run; assert.
+"""Named experiments: one table of rows, each a lazy list of cases.
 
 Each registered id reproduces one separation or construction at desk scale
-and asserts its finite-horizon witness: positive directions assert zero
-mistakes past an analytic step, negative directions assert enough certified
-(or final-stage) mistakes. Experiment ids are stable config keys.
+and asserts its finite-horizon witness. A case is one engine run: a positive
+case asserts zero mistakes from an analytic step t* on, a defeat case (one
+against an adaptive adversary) asserts enough certified (or final-stage)
+mistakes, and the row may add its own checks of the finished run.
+`run_experiment` is the one loop that runs, checks and drops the cases one
+at a time. Experiment ids are stable config keys.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Generator, Iterator, NamedTuple
 
 from . import engine
 from .engine import Mode, RunResult, StepRecord
+from .errors import DuplicateSubRun
 from .families import (
     ExplicitCountable,
     marked_neg_union,
@@ -46,7 +50,7 @@ from .generators import (
     SamplelessFromNoisy,
 )
 from .langs import NEGATIVES, ClosedFormLanguage, suffix_from
-from .sources import ScriptedSource, ScriptedSpec
+from .sources import ScriptedSource, ScriptedSpec, Source
 from .sources import (
     noise_prefix_adversary,
     omission_adversary,
@@ -87,82 +91,73 @@ class SummaryRow:
         }
 
 
+class Case(NamedTuple):
+    """One engine run and what it must show: against an adaptive adversary,
+    at least MIN_CERTIFIED certified or final-stage mistakes; otherwise, with
+    `t_star` set, no mistake from step t_star on."""
+
+    name: str
+    generator: object
+    source: Source
+    mode: Mode
+    horizon: int
+    t_star: int | None = None
+
+
 @dataclass(frozen=True)
 class Experiment:
+    """One table row. `cases(horizon, seed, params)` is a generator: it yields
+    each Case lazily and is sent back the finished SubRun, so that it can
+    check that run, and it yields the message of every check that fails.
+    With a matrix key, each of its values (the config's, else
+    `matrix_default`) makes its own summary row."""
+
     ident: str
     description: str
     default_horizon: int
-    runner: Callable[[int, int, dict], tuple[list[str], list[SubRun]]]
+    cases: Callable[[int, int, dict], Generator[Case | str, SubRun | None, None]]
     matrix_key: str | None = None  # config param that may carry a value list
+    matrix_default: tuple = ()
 
 
 def _scripted(
     truth: ClosedFormLanguage,
     order: str = "canonical",
     omissions=frozenset(),
-    noise: Sequence[tuple[int, int]] = (),
+    noise=(),
     repeat_seed: int | None = None,
 ) -> ScriptedSource:
     return ScriptedSource(ScriptedSpec(truth, order, omissions, tuple(noise), repeat_seed))
 
 
-def _run_subrun(
-    name: str,
-    generator,
-    source,
-    mode: Mode,
-    horizon: int,
-    extra_header: dict | None = None,
-) -> SubRun:
-    records, result = engine.run(generator, source, mode, horizon)
-    header = {
-        "run": name,
-        "mode": mode.to_record(),
-        "horizon": horizon,
-        "truth": engine.truth_record(source.truth_view()),
-    }
-    if isinstance(source, ScriptedSource):
-        header["source"] = source.spec.to_record()
-    if extra_header:
-        header.update(extra_header)
-    return SubRun(name, header, records, result)
-
-
-def _mistakes_from(records: list[StepRecord], start: int) -> list[int]:
-    return [r.t for r in records if r.t >= start and r.verdict == engine.MISTAKE]
-
-
-def _defeated(result: RunResult) -> int:
-    """Certified mistakes plus every step of a never-triggered final stage."""
-    return len(result.certified_mistake_times) + result.final_stage_mistakes
-
-
-def _first_reveal(source: ScriptedSource, horizon: int, want: Callable[[set[int]], bool]) -> int | None:
+def _first_reveal(source: ScriptedSource, horizon: int, want: Callable[[set[int]], bool]) -> int:
+    """First step whose reveal makes `want` hold, or `horizon` if none does.
+    `emit` is memoised, so the run that follows replays the same stream."""
     seen: set[int] = set()
     for t in range(horizon):
         seen.add(source.emit(t))
         if want(seen):
             return t
-    return None
+    return horizon
 
 
-# --- positive/negative checks shared by several experiments ----------------
+# --- positive/negative checks shared by every experiment -------------------
 
 
-def _check_zero_mistakes_from(records, t_star: int, failures: list[str], label: str) -> None:
-    bad = _mistakes_from(records, t_star)
-    if bad:
-        failures.append(f"{label}: mistakes at {bad[:5]} despite t*={t_star}")
+def _check_zero_mistakes_from(records, t_star: int, label: str) -> list[str]:
+    bad = [r.t for r in records if r.t >= t_star and r.verdict == engine.MISTAKE]
+    return [f"{label}: mistakes at {bad[:5]} despite t*={t_star}"] if bad else []
 
 
-def _check_defeat(result: RunResult, failures: list[str], label: str, minimum: int = MIN_CERTIFIED) -> None:
-    if _defeated(result) < minimum:
-        failures.append(
-            f"{label}: only {_defeated(result)} certified/stage mistakes (< {minimum})"
-        )
+def _check_defeat(result: RunResult, label: str) -> list[str]:
+    """Certified mistakes plus every step of a never-triggered final stage."""
+    defeated = len(result.certified_mistake_times) + result.final_stage_mistakes
+    if defeated < MIN_CERTIFIED:
+        return [f"{label}: only {defeated} certified/stage mistakes (< {MIN_CERTIFIED})"]
+    return []
 
 
-# --- experiment runners -----------------------------------------------------
+# --- cases of each experiment ----------------------------------------------
 
 
 def union_generator(name: str):
@@ -176,31 +171,23 @@ def union_generator(name: str):
     return baseline(name)
 
 
-def _run_union_defeat(horizon: int, seed: int, params: dict):
-    name = params.get("generator", "max_plus_one")
+def _union_defeat_cases(horizon: int, seed: int, params: dict):
+    name = params["generators"]
     adversary = staged_union_adversary()
-    sub = _run_subrun(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
-    failures: list[str] = []
-    certified = len(sub.result.certified_mistake_times)
-    if certified < MIN_CERTIFIED:
-        failures.append(f"{name}: only {certified} certified mistakes")
+    sub = yield Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
     if sub.result.validity_violations:
-        failures.append(f"stream violations: {sub.result.validity_violations[:3]}")
-    emitted = set(adversary.emitted)
-    missing = [v for v in range(-1, -11, -1) if v not in emitted]
+        yield f"stream violations: {sub.result.validity_violations[:3]}"
+    missing = [v for v in range(-1, -11, -1) if v not in adversary.emitted_set]
     if missing:
-        failures.append(f"negatives not all emitted: {missing}")
+        yield f"negatives not all emitted: {missing}"
     if name == "max_plus_one":
         expect = tuple(range(0, 2 * MIN_CERTIFIED, 2))
         got = sub.result.certified_mistake_times[: len(expect)]
         if got != expect:
-            failures.append(f"mistake prefix {got} != {expect}")
-    return failures, [sub]
+            yield f"mistake prefix {got} != {expect}"
 
 
-def _run_follow_suffix_positive(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _follow_suffix_cases(horizon: int, seed: int, params: dict):
     cases = [
         (frozenset(), 0),
         (frozenset({-3}), 2),
@@ -214,17 +201,12 @@ def _run_follow_suffix_positive(horizon: int, seed: int, params: dict):
         bound = j + len([v for v in a_part if -20 <= v <= 20])
         for order in orders:
             src = _scripted(truth, order=order)
-            sub = _run_subrun(
-                f"thm3.1-pos[j={j},{order}]", FollowSuffix(), src, Mode.standard(), horizon
+            yield Case(
+                f"thm3.1-pos[j={j},{order}]", FollowSuffix(), src, Mode.standard(), horizon, bound
             )
-            subs.append(sub)
-            _check_zero_mistakes_from(sub.records, bound, failures, sub.name)
-    return failures, subs
 
 
-def _run_noisy_sampleless_equiv(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _noisy_sampleless_cases(horizon: int, seed: int, params: dict):
     # skip-seen play over the negatives stream, against noisy enumerations
     neg_cases = [
         (ClosedFormLanguage(frozenset({7}), None, True), ((0, 3), (2, 12))),
@@ -236,11 +218,7 @@ def _run_noisy_sampleless_equiv(horizon: int, seed: int, params: dict):
     for idx, (truth, noise) in enumerate(neg_cases):
         gen = noisy_from_sampleless(intersection_generator(neg_union()))
         src = _scripted(truth, noise=noise)
-        sub = _run_subrun(
-            f"alg1[C2,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon
-        )
-        subs.append(sub)
-        _check_zero_mistakes_from(sub.records, 20, failures, sub.name)
+        yield Case(f"alg1[C2,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon, 20)
     # the same play over the chain stream, against ray targets
     chain = ray_prefix_chain()
     ray_cases = [
@@ -253,34 +231,24 @@ def _run_noisy_sampleless_equiv(horizon: int, seed: int, params: dict):
     for idx, (truth, noise) in enumerate(ray_cases):
         gen = noisy_from_sampleless(ChainGenerator(chain))
         src = _scripted(truth, noise=noise)
-        sub = _run_subrun(
-            f"alg1[chain,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon
-        )
-        subs.append(sub)
-        _check_zero_mistakes_from(sub.records, 20, failures, sub.name)
+        yield Case(f"alg1[chain,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon, 20)
     # round trip: rebuild a sampleless stream from the skip-seen strategy
     base = noisy_from_sampleless(intersection_generator(neg_union()))
     roundtrip = SamplelessFromNoisy(base, integer_universe=True)
     outputs = [roundtrip.step(None) for _ in range(10_000)]
     if len(set(outputs)) != len(outputs):
-        failures.append("round-trip stream is not injective")
+        yield "round-trip stream is not injective"
     late = [z for z in outputs[21:] if z >= 0]
     if late:
-        failures.append(f"round-trip stream leaves the common core: {late[:5]}")
-    return failures, subs
+        yield f"round-trip stream leaves the common core: {late[:5]}"
 
 
-def _run_chain(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
+def _chain_cases(horizon: int, seed: int, params: dict):
     target = int(params.get("target_ray", 7))
     gen = ChainGenerator(ray_prefix_chain())
     src = _scripted(suffix_from(target))
-    sub = _run_subrun(f"alg3[P{target}]", gen, src, Mode.sampleless(), horizon)
-    if sub.result.observed_convergence > target:
-        failures.append(
-            f"convergence {sub.result.observed_convergence} exceeds {target}"
-        )
-    return failures, [sub]
+    # converging by the target's index is having no mistake from it on
+    yield Case(f"alg3[P{target}]", gen, src, Mode.sampleless(), horizon, target)
 
 
 _CLASSIFIED_COLLECTIONS: list[tuple[str, Callable[[], object], bool]] = [
@@ -297,18 +265,14 @@ _CLASSIFIED_COLLECTIONS: list[tuple[str, Callable[[], object], bool]] = [
 ]
 
 
-def _run_core_check(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
+def _core_check_cases(horizon: int, seed: int, params: dict):
     for name, build, expected in _CLASSIFIED_COLLECTIONS:
         got = uniform_without_samples_check(build())
         if got != expected:
-            failures.append(f"{name}: infinite-core check returned {got}, expected {expected}")
-    return failures, []
+            yield f"{name}: infinite-core check returned {got}, expected {expected}"
 
 
-def _run_omission_insensitivity(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _omission_insensitivity_cases(horizon: int, seed: int, params: dict):
     truths = [
         ClosedFormLanguage(frozenset({7}), None, True),
         ClosedFormLanguage(frozenset({-3, 4}), None, True),
@@ -330,26 +294,19 @@ def _run_omission_insensitivity(horizon: int, seed: int, params: dict):
                 gen = noisy_from_sampleless(intersection_generator(neg_union()))
                 src = _scripted(truth, order=order, omissions=omissions)
                 name = f"thm4.5[stream,{variant},{order},{truth.to_record()['finite_part']}]"
-                sub = _run_subrun(name, gen, src, mode, horizon)
-                subs.append(sub)
-                _check_zero_mistakes_from(sub.records, 0, failures, name)
+                yield Case(name, gen, src, mode, horizon, 0)
                 fgen = UnionFeedbackGenerator([neg_union()])
                 fsrc = _scripted(truth, order=order, omissions=omissions)
-                fname = name.replace("stream", "union1")
-                fsub = _run_subrun(fname, fgen, fsrc, Mode.feedback(), horizon)
-                subs.append(fsub)
-                _check_zero_mistakes_from(fsub.records, 0, failures, fname)
-    return failures, subs
+                yield Case(name.replace("stream", "union1"), fgen, fsrc, Mode.feedback(), horizon, 0)
 
 
 def _marked_suffix_truth(level: int, a_part: frozenset[int], j: int) -> ClosedFormLanguage:
     return ClosedFormLanguage(frozenset(range(level + 1)) | a_part, j, False)
 
 
-def _omission_sources(level: int, seed: int) -> list[tuple[ScriptedSource, int]]:
+def _omission_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
     """(source, analytic t*) pairs for play with <= level omissions."""
     markers = frozenset(range(level + 1))
-    cases: list[tuple[ScriptedSource, int]] = []
     suffix_shapes = [
         (frozenset(), level + 1),
         (frozenset({-4}), level + 3),
@@ -367,9 +324,7 @@ def _omission_sources(level: int, seed: int) -> list[tuple[ScriptedSource, int]]
                 omission_sets.append(frozenset({min(a_part)}))
         for omissions in omission_sets:
             src = _scripted(truth, omissions=omissions)
-            t_marker = _first_reveal(src, horizon_probe, lambda s: bool(s & markers))
-            src = _scripted(truth, omissions=omissions)  # replay from the start
-            cases.append((src, max(j, horizon_probe if t_marker is None else t_marker)))
+            yield src, max(j, _first_reveal(src, horizon_probe, lambda s: bool(s & markers)))
     neg_shapes = [
         frozenset({level + 5}),
         frozenset({-6, level + 2}),
@@ -380,40 +335,27 @@ def _omission_sources(level: int, seed: int) -> list[tuple[ScriptedSource, int]]
     for a_part in neg_shapes:
         truth = ClosedFormLanguage(a_part, None, True)
         omissions = frozenset({min(a_part)}) if a_part and level >= 1 else frozenset()
-        cases.append((_scripted(truth, omissions=omissions), 0))
-    return cases
+        yield _scripted(truth, omissions=omissions), 0
 
 
-def _run_omission_hierarchy(horizon: int, seed: int, params: dict):
-    level = int(params["i"])
-    failures: list[str] = []
-    subs: list[SubRun] = []
-    for idx, (src, t_star) in enumerate(_omission_sources(level, seed)):
+def _omission_hierarchy_cases(horizon: int, seed: int, params: dict):
+    level = params["i"]
+    for idx, (src, t_star) in enumerate(_omission_sources(level)):
         gen = OmissionTolerantGenerator(level)
         n_omit = len(src.spec.omissions)
-        sub = _run_subrun(
-            f"thm4.8[i={level},src{idx}]", gen, src, Mode.lossy(n_omit), min(horizon, 2000)
+        yield Case(
+            f"thm4.8[i={level},src{idx}]", gen, src, Mode.lossy(n_omit), min(horizon, 2000), t_star
         )
-        subs.append(sub)
-        _check_zero_mistakes_from(sub.records, t_star, failures, sub.name)
     adversary = omission_adversary(level)
-    sub = _run_subrun(
-        f"thm4.8-adv[i={level}]",
-        OmissionTolerantGenerator(level),
-        adversary,
-        Mode.standard(),
-        horizon,
-    )
-    subs.append(sub)
-    _check_defeat(sub.result, failures, sub.name)
+    gen = OmissionTolerantGenerator(level)
+    yield Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
     if any(v in adversary.emitted_set for v in range(level + 1)):
-        failures.append(f"adversary emitted an omitted marker (i={level})")
-    return failures, subs
+        yield f"adversary emitted an omitted marker (i={level})"
 
 
-def _noise_sources(level: int, seed: int) -> list[tuple[ScriptedSource, int]]:
+def _noise_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
+    """(source, analytic t*) pairs for play with noise level <= level."""
     markers = frozenset(range(level + 1))
-    cases: list[tuple[ScriptedSource, int]] = []
     horizon_probe = 4000
     one_if_noisy = 1 if level >= 1 else 0
     suffix_shapes = [
@@ -424,11 +366,8 @@ def _noise_sources(level: int, seed: int) -> list[tuple[ScriptedSource, int]]:
         (frozenset({-5, level + 7}), level + 3, tuple((2 * k + 1, -30 - k) for k in range(level))),
     ]
     for a_part, j, noise in suffix_shapes:
-        truth = _marked_suffix_truth(level, a_part, j)
-        src = _scripted(truth, noise=noise)
-        t_marked = _first_reveal(src, horizon_probe, lambda s: markers <= s)
-        src = _scripted(truth, noise=noise)
-        cases.append((src, max(j, horizon_probe if t_marked is None else t_marked)))
+        src = _scripted(_marked_suffix_truth(level, a_part, j), noise=noise)
+        yield src, max(j, _first_reveal(src, horizon_probe, lambda s: markers <= s))
     neg_shapes = [
         (frozenset({level + 5}), ()),
         (frozenset(), tuple((2 * k, k) for k in range(level))),  # markers as noise
@@ -438,46 +377,30 @@ def _noise_sources(level: int, seed: int) -> list[tuple[ScriptedSource, int]]:
     ]
     for a_part, noise in neg_shapes:
         truth = ClosedFormLanguage(a_part, None, True)
-        cases.append((_scripted(truth, noise=noise), 0))
-    return cases
+        yield _scripted(truth, noise=noise), 0
 
 
-def _run_noise_hierarchy(horizon: int, seed: int, params: dict):
-    level = int(params["i"])
-    failures: list[str] = []
-    subs: list[SubRun] = []
-    for idx, (src, t_star) in enumerate(_noise_sources(level, seed)):
+def _noise_hierarchy_cases(horizon: int, seed: int, params: dict):
+    level = params["i"]
+    for idx, (src, t_star) in enumerate(_noise_sources(level)):
         gen = NoiseTolerantGenerator(level)
-        sub = _run_subrun(
+        yield Case(
             f"thm5.2[i={level},src{idx}]",
             gen,
             src,
             Mode.noisy(src.spec.noise_count),
             min(horizon, 2000),
+            t_star,
         )
-        subs.append(sub)
-        _check_zero_mistakes_from(sub.records, t_star, failures, sub.name)
     adversary = noise_prefix_adversary(level)
-    sub = _run_subrun(
-        f"thm5.2-adv[i={level}]",
-        NoiseTolerantGenerator(level),
-        adversary,
-        Mode.standard(),
-        horizon,
-    )
-    subs.append(sub)
-    _check_defeat(sub.result, failures, sub.name)
+    gen = NoiseTolerantGenerator(level)
+    yield Case(f"thm5.2-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
     if adversary.noise_count() != level + 1:
-        failures.append(
-            f"adversary emitted {adversary.noise_count()} non-members, wanted {level + 1}"
-        )
-    return failures, subs
+        yield f"adversary emitted {adversary.noise_count()} non-members, wanted {level + 1}"
 
 
-def _run_sensitivity(horizon: int, seed: int, params: dict):
-    level = int(params["i"])
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _sensitivity_cases(horizon: int, seed: int, params: dict):
+    level = params["i"]
     horizon_probe = 4000
     # ray targets: the strategy stays on the high branch throughout
     for idx, (j, noise) in enumerate(
@@ -485,42 +408,28 @@ def _run_sensitivity(horizon: int, seed: int, params: dict):
     ):
         src = _scripted(suffix_from(j), noise=noise)
         gen = SensitivityGenerator(level)
-        sub = _run_subrun(
-            f"thm5.4[i={level},ray{idx}]", gen, src, Mode.noisy(len(noise)), min(horizon, 2000)
+        yield Case(
+            f"thm5.4[i={level},ray{idx}]", gen, src, Mode.noisy(len(noise)), min(horizon, 2000), j
         )
-        subs.append(sub)
-        _check_zero_mistakes_from(sub.records, j, failures, sub.name)
     # negative-side targets: correct once all the probe negatives have shown up
     probes = frozenset(range(-1, -(level + 2), -1))
     for idx, a_part in enumerate([frozenset(), frozenset({4}), frozenset({11, 6})]):
-        truth = ClosedFormLanguage(a_part, None, True)
-        src = _scripted(truth)
+        src = _scripted(ClosedFormLanguage(a_part, None, True))
         t_probe = _first_reveal(src, horizon_probe, lambda s: probes <= s)
-        src = _scripted(truth)
         gen = SensitivityGenerator(level)
-        sub = _run_subrun(
-            f"thm5.4[i={level},neg{idx}]", gen, src, Mode.noisy(0), min(horizon, 2000)
+        yield Case(
+            f"thm5.4[i={level},neg{idx}]", gen, src, Mode.noisy(0), min(horizon, 2000), t_probe
         )
-        subs.append(sub)
-        _check_zero_mistakes_from(sub.records, t_probe, failures, sub.name)
     adversary = sensitivity_adversary()
-    sub = _run_subrun(
-        f"thm5.4-adv[i={level}]",
-        SensitivityGenerator(level),
-        adversary,
-        Mode.standard(),
-        horizon,
-    )
-    subs.append(sub)
-    _check_defeat(sub.result, failures, sub.name)
+    gen = SensitivityGenerator(level)
+    yield Case(f"thm5.4-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
     for stage in adversary.stages[1:]:
         prev = adversary.stages[stage.index - 1]
         if prev.trigger_time is not None and stage.declared_noise_level != prev.trigger_time + 2:
-            failures.append(
+            yield (
                 f"stage {stage.index} declared noise {stage.declared_noise_level}, "
                 f"expected {prev.trigger_time + 2}"
             )
-    return failures, subs
 
 
 def _feedback_parts() -> list:
@@ -534,9 +443,7 @@ def _first_part_index(truth: ClosedFormLanguage) -> int:
     return norm.tail_start + 1
 
 
-def _run_feedback_union(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _feedback_union_cases(horizon: int, seed: int, params: dict):
     truths = [
         ClosedFormLanguage(frozenset({3}), None, True),
         NEGATIVES,
@@ -550,46 +457,24 @@ def _run_feedback_union(horizon: int, seed: int, params: dict):
         ClosedFormLanguage(frozenset({-30}), 5, False),
     ]
     orders = ["canonical", f"blocks:{seed + 1}"]
-    for truth in truths:
+    for idx, truth in enumerate(truths):
+        limit = _first_part_index(truth)
         for order in orders:
             gen = UnionFeedbackGenerator(_feedback_parts())
             src = _scripted(truth, order=order)
-            name = f"alg4[{_first_part_index(truth)}:{order}]"
-            sub = _run_subrun(name, gen, src, Mode.feedback(), horizon)
-            subs.append(sub)
-            limit = _first_part_index(truth)
+            name = f"alg4[case{idx},{limit}:{order}]"
+            sub = yield Case(name, gen, src, Mode.feedback(), horizon)
             if gen.part_idx > limit:
-                failures.append(
-                    f"{name}: reached part {gen.part_idx}, first fit is {limit}"
-                )
-            # locate the last part switch by replaying the transcript
-            switch_steps = [
-                r.t
-                for r, part_before, part_after in _part_trajectory(sub.records)
-                if part_after != part_before
-            ]
-            last_switch = max(switch_steps, default=-1) + 1
-            _check_zero_mistakes_from(sub.records, last_switch, failures, name)
+                yield f"{name}: reached part {gen.part_idx}, first fit is {limit}"
+            # no mistake once the strategy has settled on its last part
+            yield from _check_zero_mistakes_from(sub.records, gen.last_part_move + 1, name)
             for r in sub.records:
                 if r.y is not None and r.a != (r.y in truth):
-                    failures.append(f"{name}: oracle answer mismatch at t={r.t}")
+                    yield f"{name}: oracle answer mismatch at t={r.t}"
                     break
-    return failures, subs
 
 
-def _part_trajectory(records: list[StepRecord]):
-    """Replay the union strategy over a transcript, yielding per-step part moves."""
-    probe = UnionFeedbackGenerator(_feedback_parts())
-    for r in records:
-        before = probe.part_idx
-        probe.step_query(r.x)
-        probe.step_output(r.a)
-        yield r, before, probe.part_idx
-
-
-def _run_query_elimination(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _query_elimination_cases(horizon: int, seed: int, params: dict):
     truths = [
         ClosedFormLanguage(frozenset({5}), None, True),
         suffix_from(3),
@@ -598,14 +483,13 @@ def _run_query_elimination(horizon: int, seed: int, params: dict):
     ]
     for idx, truth in enumerate(truths):
         oracle_gen = OneShotProbeGenerator(probe=-1)
-        oracle_sub = _run_subrun(
+        oracle_sub = yield Case(
             f"alg5-oracle[{idx}]", oracle_gen, _scripted(truth), Mode.feedback(budget=1), horizon
         )
         stripped = StripQueries(OneShotProbeGenerator(probe=-1))
-        plain_sub = _run_subrun(
+        plain_sub = yield Case(
             f"alg5-stripped[{idx}]", stripped, _scripted(truth), Mode.standard(), horizon
         )
-        subs.extend([oracle_sub, plain_sub])
         tail = horizon // 2
         oracle_tail = [r.verdict for r in oracle_sub.records[tail:]]
         plain_tail = [r.verdict for r in plain_sub.records[tail:]]
@@ -613,15 +497,12 @@ def _run_query_elimination(horizon: int, seed: int, params: dict):
             first = next(
                 t for t, (a, b) in enumerate(zip(oracle_tail, plain_tail)) if a != b
             )
-            failures.append(f"alg5[{idx}]: tail verdicts diverge at offset {first}")
+            yield f"alg5[{idx}]: tail verdicts diverge at offset {first}"
         if not stripped.monitor.non_decreasing():
-            failures.append(f"alg5[{idx}]: decision-tree position regressed")
-    return failures, subs
+            yield f"alg5[{idx}]: decision-tree position regressed"
 
 
-def _run_identification(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _identification_cases(horizon: int, seed: int, params: dict):
     listed = (suffix_from(0), suffix_from(5), suffix_from(9))
     collection = ExplicitCountable(languages=listed)
     for k, truth in enumerate(listed):
@@ -638,19 +519,13 @@ def _run_identification(horizon: int, seed: int, params: dict):
             ]
         )
         gen = IndexIdentifier(collection)
-        sub = _run_subrun(
-            f"alg6[k={k}]", gen, _scripted(truth), Mode.identification(), horizon
+        # an identification step is a mistake exactly when z is not k
+        yield Case(
+            f"alg6[k={k}]", gen, _scripted(truth), Mode.identification(), horizon, t_bound
         )
-        subs.append(sub)
-        bad = [r.t for r in sub.records if r.t >= t_bound and r.z != k]
-        if bad:
-            failures.append(f"alg6[k={k}]: wrong index at {bad[:5]} despite t*={t_bound}")
-    return failures, subs
 
 
-def _run_repetition(horizon: int, seed: int, params: dict):
-    failures: list[str] = []
-    subs: list[SubRun] = []
+def _repetition_cases(horizon: int, seed: int, params: dict):
     cases = [
         ("follow_suffix", lambda: FollowSuffix(), ClosedFormLanguage(frozenset({-3}), 4, False)),
         (
@@ -660,161 +535,160 @@ def _run_repetition(horizon: int, seed: int, params: dict):
         ),
     ]
     for label, make, truth in cases:
-        plain = _run_subrun(
-            f"appendixA-base[{label}]",
-            make(),
-            _scripted(truth),
-            Mode.standard(),
-            horizon,
-        )
-        base_convergence = plain.result.observed_convergence
+        runs = []
         for rep_seed in range(seed, seed + 10):
             wrapped = DedupWrapper(make())
             src = _scripted(truth, repeat_seed=rep_seed)
-            sub = _run_subrun(
-                f"appendixA[{label},seed={rep_seed}]",
-                wrapped,
-                src,
-                Mode.repetition(),
-                horizon,
-            )
-            subs.append(sub)
-            distinct: set[int] = set()
-            for r in sub.records:
-                distinct.add(r.x)
-                if len(distinct) >= base_convergence + 1 and r.verdict != engine.CORRECT:
-                    failures.append(f"{sub.name}: mistake at t={r.t} after convergence length")
-                    break
-        subs.append(plain)
-    return failures, subs
+            name = f"appendixA[{label},seed={rep_seed}]"
+            runs.append((yield Case(name, wrapped, src, Mode.repetition(), horizon)))
+        # the base run is checked against, but comes after the runs it checks
+        name = f"appendixA-base[{label}]"
+        plain = yield Case(name, make(), _scripted(truth), Mode.standard(), horizon)
+        for sub in runs:
+            # no mistake once more distinct samples came than the base run needed
+            if sub.result.distinct_at_convergence > plain.result.observed_convergence:
+                yield (
+                    f"{sub.name}: mistake at t={sub.result.observed_convergence - 1} "
+                    "after convergence length"
+                )
 
 
-# --- registry ---------------------------------------------------------------
+# --- the table --------------------------------------------------------------
 
 
-def _matrix(values: Iterable[int], key: str, horizon: int, seed: int, params: dict, runner):
+EXPERIMENTS: dict[str, Experiment] = {
+    exp.ident: exp
+    for exp in [
+        Experiment(
+            "thm3.1",
+            "staged union adversary certifies unboundedly many mistakes against "
+            "fixed strategies for the suffix+negatives union",
+            10_000,
+            _union_defeat_cases,
+            matrix_key="generators",
+            matrix_default=("max_plus_one", "follow_suffix", "omission:0"),
+        ),
+        Experiment(
+            "thm3.1-pos",
+            "the ascending baseline converges on every suffix-family target",
+            1_000,
+            _follow_suffix_cases,
+        ),
+        Experiment(
+            "alg1-2-equiv",
+            "noisy play from a sampleless stream, and the sampleless stream "
+            "recovered from noisy play (round trip stays in the common core)",
+            1_000,
+            _noisy_sampleless_cases,
+        ),
+        Experiment(
+            "alg3-chain",
+            "sampleless play along a growing chain of ray families converges at the "
+            "target's index",
+            500,
+            _chain_cases,
+        ),
+        Experiment(
+            "thm4.3-check",
+            "infinite-common-core test classifies every registered collection",
+            1,
+            _core_check_cases,
+        ),
+        Experiment(
+            "thm4.5-omissions",
+            "strategies that converge on full enumerations stay converged under "
+            "finite and infinite omissions",
+            300,
+            _omission_insensitivity_cases,
+        ),
+        Experiment(
+            "thm4.8-omit-i",
+            "marker strategies tolerate their declared omission budget and fail one "
+            "past it",
+            10_000,
+            _omission_hierarchy_cases,
+            matrix_key="i",
+            matrix_default=(0, 1, 2),
+        ),
+        Experiment(
+            "thm5.2-noise-i",
+            "marker strategies tolerate their declared noise level and fail one past it",
+            10_000,
+            _noise_hierarchy_cases,
+            matrix_key="i",
+            matrix_default=(0, 1, 2),
+        ),
+        Experiment(
+            "thm5.4-sensitivity",
+            "every fixed-noise-level strategy for rays+negatives is defeated when "
+            "the level is unknown",
+            10_000,
+            _sensitivity_cases,
+            matrix_key="i",
+            matrix_default=(0, 1, 2, 3, 4),
+        ),
+        Experiment(
+            "alg4-feedback",
+            "membership queries let one strategy cover a countable union of "
+            "uniformly generatable parts",
+            400,
+            _feedback_union_cases,
+        ),
+        Experiment(
+            "alg5-queries",
+            "a finite-query strategy is simulated without queries; the decision-tree "
+            "position never regresses",
+            1_000,
+            _query_elimination_cases,
+        ),
+        Experiment(
+            "alg6-identify",
+            "index identification with queries stabilizes at the least correct index",
+            1_000,
+            _identification_cases,
+        ),
+        Experiment(
+            "appendixA-repetition",
+            "first-occurrence filtering makes repetition play equivalent to "
+            "repetition-free play",
+            1_000,
+            _repetition_cases,
+        ),
+    ]
+}
+
+
+def _matrix_rows(exp: Experiment, params: dict) -> list[tuple[str, dict]]:
+    """(row name, params) per summary row: `ident`, `ident[key=value]`, or
+    `ident[value]` for a name-valued key such as thm3.1's generators."""
+    key = exp.matrix_key
+    if key is None:
+        return [(exp.ident, params)]
     chosen = params.get(key)
-    levels = [int(chosen)] if chosen is not None else list(values)
-    for level in levels:
-        sub_params = dict(params)
-        sub_params[key] = level
-        failures, subs = runner(horizon, seed, sub_params)
-        yield f"{key}={level}", failures, subs
+    if chosen is None:
+        values = exp.matrix_default
+    else:
+        values = chosen if isinstance(chosen, list) else [chosen]
+    rows = []
+    for value in values:
+        label = value if isinstance(value, str) else f"{key}={value}"
+        rows.append((f"{exp.ident}[{label}]", {**params, key: value}))
+    return rows
 
 
-def _single(runner):
-    def generate(horizon: int, seed: int, params: dict):
-        failures, subs = runner(horizon, seed, params)
-        yield "all", failures, subs
-
-    return generate
-
-
-EXPERIMENTS: dict[str, Experiment] = {}
-
-
-def _register(
-    ident: str, description: str, default_horizon: int, runner, matrix_key: str | None = None
-) -> None:
-    EXPERIMENTS[ident] = Experiment(ident, description, default_horizon, runner, matrix_key)
-
-
-def _expand_generators(horizon: int, seed: int, params: dict):
-    for name in params.get("generators", ["max_plus_one", "follow_suffix", "omission:0"]):
-        failures, subs = _run_union_defeat(horizon, seed, {"generator": name})
-        yield name, failures, subs
-
-
-_register(
-    "thm3.1",
-    "staged union adversary certifies unboundedly many mistakes against "
-    "fixed strategies for the suffix+negatives union",
-    10_000,
-    _expand_generators,
-)
-_register(
-    "thm3.1-pos",
-    "the ascending baseline converges on every suffix-family target",
-    1_000,
-    _single(_run_follow_suffix_positive),
-)
-_register(
-    "alg1-2-equiv",
-    "noisy play from a sampleless stream, and the sampleless stream "
-    "recovered from noisy play (round trip stays in the common core)",
-    1_000,
-    _single(_run_noisy_sampleless_equiv),
-)
-_register(
-    "alg3-chain",
-    "sampleless play along a growing chain of ray families converges at the "
-    "target's index",
-    500,
-    _single(_run_chain),
-)
-_register(
-    "thm4.3-check",
-    "infinite-common-core test classifies every registered collection",
-    1,
-    _single(_run_core_check),
-)
-_register(
-    "thm4.5-omissions",
-    "strategies that converge on full enumerations stay converged under "
-    "finite and infinite omissions",
-    300,
-    _single(_run_omission_insensitivity),
-)
-_register(
-    "thm4.8-omit-i",
-    "marker strategies tolerate their declared omission budget and fail one "
-    "past it",
-    10_000,
-    lambda h, s, p: _matrix((0, 1, 2), "i", h, s, p, _run_omission_hierarchy),
-    matrix_key="i",
-)
-_register(
-    "thm5.2-noise-i",
-    "marker strategies tolerate their declared noise level and fail one past it",
-    10_000,
-    lambda h, s, p: _matrix((0, 1, 2), "i", h, s, p, _run_noise_hierarchy),
-    matrix_key="i",
-)
-_register(
-    "thm5.4-sensitivity",
-    "every fixed-noise-level strategy for rays+negatives is defeated when "
-    "the level is unknown",
-    10_000,
-    lambda h, s, p: _matrix((0, 1, 2, 3, 4), "i", h, s, p, _run_sensitivity),
-    matrix_key="i",
-)
-_register(
-    "alg4-feedback",
-    "membership queries let one strategy cover a countable union of "
-    "uniformly generatable parts",
-    400,
-    _single(_run_feedback_union),
-)
-_register(
-    "alg5-queries",
-    "a finite-query strategy is simulated without queries; the decision-tree "
-    "position never regresses",
-    1_000,
-    _single(_run_query_elimination),
-)
-_register(
-    "alg6-identify",
-    "index identification with queries stabilizes at the least correct index",
-    1_000,
-    _single(_run_identification),
-)
-_register(
-    "appendixA-repetition",
-    "first-occurrence filtering makes repetition play equivalent to "
-    "repetition-free play",
-    1_000,
-    _single(_run_repetition),
-)
+def _run_case(case: Case, ident: str, seed: int) -> SubRun:
+    records, result = engine.run(case.generator, case.source, case.mode, case.horizon)
+    header = {
+        "run": case.name,
+        "mode": case.mode.to_record(),
+        "horizon": case.horizon,
+        "truth": engine.truth_record(case.source.truth_view()),
+        "experiment": ident,
+        "seed": seed,
+    }
+    if isinstance(case.source, ScriptedSource):
+        header["source"] = case.source.spec.to_record()
+    return SubRun(case.name, header, records, result)
 
 
 def run_experiment(
@@ -823,27 +697,49 @@ def run_experiment(
     seed: int = 0,
     params: dict | None = None,
 ) -> tuple[list[SummaryRow], list[SubRun]]:
+    """Run every case of every matrix row of `ident`, one case at a time: each
+    case is run, checked and sent back to its row's generator before the next
+    one is drawn, so a case's strategy and source go once the row moves on.
+
+    Raises DuplicateSubRun when two sub-runs share a name, since the trace of
+    one would overwrite the other's.
+    """
     exp = EXPERIMENTS[ident]
     horizon = exp.default_horizon if horizon is None else horizon
-    started = time.perf_counter()
     rows: list[SummaryRow] = []
     all_subs: list[SubRun] = []
-    for label, failures, subs in exp.runner(horizon, seed, params or {}):
-        for sub in subs:
-            sub.header.setdefault("experiment", ident)
-            sub.header.setdefault("seed", seed)
-        elapsed = time.perf_counter() - started
+    names: set[str] = set()
+    for row_name, row_params in _matrix_rows(exp, params or {}):
         started = time.perf_counter()
-        mistakes = sum(s.result.mistakes for s in subs)
-        convergence = max((s.result.observed_convergence for s in subs), default=0)
-        name = ident if label == "all" else f"{ident}[{label}]"
+        failures: list[str] = []
+        subs: list[SubRun] = []
+        cases = exp.cases(horizon, seed, row_params)
+        reply = None
+        while True:
+            try:
+                case = cases.send(reply)
+            except StopIteration:
+                break
+            reply = None
+            if isinstance(case, str):
+                failures.append(case)
+                continue
+            if case.name in names:
+                raise DuplicateSubRun(f"{ident} has two sub-runs named {case.name!r}")
+            names.add(case.name)
+            reply = _run_case(case, ident, seed)
+            if case.source.adaptive:
+                failures += _check_defeat(reply.result, case.name)
+            elif case.t_star is not None:
+                failures += _check_zero_mistakes_from(reply.records, case.t_star, case.name)
+            subs.append(reply)
         rows.append(
             SummaryRow(
-                name,
+                row_name,
                 passed=not failures,
-                mistakes=mistakes,
-                convergence=convergence,
-                runtime=elapsed,
+                mistakes=sum(s.result.mistakes for s in subs),
+                convergence=max((s.result.observed_convergence for s in subs), default=0),
+                runtime=time.perf_counter() - started,
                 detail="; ".join(failures[:3]),
             )
         )

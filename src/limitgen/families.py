@@ -274,16 +274,6 @@ class ExplicitCountable(CollectionSpec):
         if self.languages is not None:
             object.__setattr__(self, "languages", tuple(self.languages))
 
-    def language_at(self, k: int) -> ClosedFormLanguage:
-        if self.languages is not None:
-            return self.languages[k]
-        return self.rule(k)
-
-    def __len__(self) -> int:
-        if self.languages is None:
-            raise TypeError("rule-based collection has no finite size")
-        return len(self.languages)
-
     def consistent(self, sample: Iterable[int]) -> bool:
         sample = frozenset(sample)
         if self.consistent_fn is not None:

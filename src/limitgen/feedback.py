@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetViolation, SearchExhausted
 from .families import FINITE, ClosureResult, CollectionSpec, ExplicitCountable
-from .generators import DEFAULT_PROBE_CAP, Generator
+from .generators import DEFAULT_PROBE_CAP, Generator, _PoolGenerator
 
 YES = True
 NO = False
@@ -62,7 +62,8 @@ class UnionFeedbackGenerator(FeedbackGenerator):
         self.candidate = 0
         self._stream: Iterator[int] | None = None
         self._stream_started = False
-        self.switches = 0  # part advances taken after a refused candidate
+        self.t = -1
+        self.last_part_move = -1  # last step on which part_idx moved
 
     def _candidate_stream(self, closure: ClosureResult) -> Iterator[int]:
         if closure.is_infinite:
@@ -87,8 +88,12 @@ class UnionFeedbackGenerator(FeedbackGenerator):
                 self._stream_started = False
                 self.phase = "stream"
                 return
-            self.part_idx += 1
-            self.phase = "enter"
+            self._next_part()
+
+    def _next_part(self) -> None:
+        self.part_idx += 1
+        self.phase = "enter"
+        self.last_part_move = self.t
 
     def _advance_candidate(self) -> None:
         """Move to the next fresh closure element, keeping the current
@@ -107,6 +112,7 @@ class UnionFeedbackGenerator(FeedbackGenerator):
         raise SearchExhausted("no fresh candidate within the probe cap")
 
     def step_query(self, revealed: int) -> int | None:
+        self.t += 1
         self._settle_phase()
         self.sample.add(revealed)
         if self.phase == "stream":
@@ -116,11 +122,9 @@ class UnionFeedbackGenerator(FeedbackGenerator):
     def step_output(self, answer: bool | None) -> int:
         z = self.candidate
         if self.phase == "stream" and answer is NO:
-            self.part_idx += 1
-            self.phase = "enter"
+            self._next_part()
             self._stream = None
             self._stream_started = False
-            self.switches += 1
         return z
 
     def fresh(self) -> "UnionFeedbackGenerator":
@@ -267,22 +271,17 @@ class PlainAsFeedback(FeedbackGenerator):
         return PlainAsFeedback(self.base.fresh())
 
 
-class OneShotProbeGenerator(FeedbackGenerator):
+class OneShotProbeGenerator(FeedbackGenerator, _PoolGenerator):
     """Budget-1 fixture: asks once (at the first step) whether `probe` is in
-    the target, then plays low if Yes and high if No forever."""
+    the target, then plays low if Yes and high if No forever. Takes the step
+    count and the max/min pools from `_PoolGenerator`; its `step` is unused."""
 
     budget = 1
 
     def __init__(self, probe: int = -1) -> None:
+        super().__init__()
         self.probe = probe
         self.answer: bool | None = None
-        self.t = -1
-        self._max = None
-        self._min = None
-
-    def _absorb(self, v: int) -> None:
-        self._max = v if self._max is None else max(self._max, v)
-        self._min = v if self._min is None else min(self._min, v)
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
@@ -292,10 +291,7 @@ class OneShotProbeGenerator(FeedbackGenerator):
     def step_output(self, answer: bool | None) -> int:
         if self.t == 0:
             self.answer = answer
-        if self.answer is YES:
-            z = min(0, self._min) - 1
-        else:
-            z = max(self.t, self._max) + 1
+        z = self.min_candidate() if self.answer is YES else self.max_candidate()
         self._absorb(z)
         return z
 

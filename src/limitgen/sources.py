@@ -82,10 +82,6 @@ class ScriptedSpec:
     def noise_count(self) -> int:
         return len(self.noise)
 
-    @property
-    def declared_omissions(self) -> frozenset[int] | str:
-        return self.omissions
-
     def to_record(self) -> dict:
         return {
             "kind": "scripted",
@@ -325,10 +321,6 @@ class StagedAdversary(Source):
     @property
     def no_trigger(self) -> bool:
         return not self.certified_mistake_times
-
-    @property
-    def final_stage(self) -> StageRecord:
-        return self.stages[-1]
 
     def final_stage_mistakes(self, horizon: int) -> int:
         """Steps judged against the last (never-triggered) stage language.

@@ -18,7 +18,8 @@ check.
 
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
-ray-prefix chain links), and the dict-per-step trace writer, as references
+ray-prefix chain links), the transcript replay that located the union
+strategy's last part move, and the dict-per-step trace writer, as references
 for differential tests.
 """
 
@@ -35,7 +36,7 @@ from limitgen.families import (
     SuffixFamily,
     UnionSpec,
 )
-from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier
+from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier, UnionFeedbackGenerator
 from limitgen.langs import suffix_from
 
 TINY_LO, TINY_HI = -6, 6
@@ -258,6 +259,21 @@ def naive_ray_prefix_link(t: int) -> ExplicitCountable:
         consistent_fn=lambda sample: all(x >= 0 for x in sample),
         closure_fn=closure_fn,
     )
+
+
+def replayed_last_part_move(parts, records) -> int:
+    """The last step on which the union strategy moved to another part, found
+    by replaying the transcript through a fresh strategy (-1 if it never
+    moved)."""
+    probe = UnionFeedbackGenerator(parts)
+    last = -1
+    for r in records:
+        before = probe.part_idx
+        probe.step_query(r.x)
+        probe.step_output(r.a)
+        if probe.part_idx != before:
+            last = r.t
+    return last
 
 
 # --- dict-per-step reference for the trace writer ----------------------------

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
 from limitgen import cli, experiments
 from limitgen.cli import main
+from limitgen.errors import DuplicateSubRun
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
 from limitgen.langs import suffix_from
 from limitgen.sources import StagedAdversary, StagePlan
@@ -203,3 +205,27 @@ def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tm
     assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
     assert message in capsys.readouterr().err
     assert not trace_dir.exists()
+
+
+def test_summary_path_in_missing_directory_exits_2_before_running(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    summary = tmp_path / "missing" / "s.json"
+    assert main(["--experiment", "alg3-chain", "--summary", str(summary)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not summary.parent.exists()
+
+
+def test_duplicate_subrun_name_exits_3(monkeypatch, capsys):
+    chain = experiments.EXPERIMENTS["alg3-chain"]
+
+    def cases_twice(*args):
+        yield from chain.cases(*args)
+        yield from chain.cases(*args)
+
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "alg3-chain", dataclasses.replace(chain, cases=cases_twice)
+    )
+    with pytest.raises(DuplicateSubRun):
+        experiments.run_experiment("alg3-chain")
+    assert main(["--experiment", "alg3-chain"]) == 3
+    assert "two sub-runs named 'alg3[P7]'" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from limitgen import engine
+from limitgen.engine import Mode
 from limitgen.errors import BudgetViolation
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_family
 from limitgen.feedback import (
@@ -17,7 +19,7 @@ from limitgen.generators import FollowSuffix, baseline
 from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 
-from oracles import NaiveIndexIdentifier, NaiveStripQueries
+from oracles import NaiveIndexIdentifier, NaiveStripQueries, replayed_last_part_move
 
 
 def drive(gen, reveals, truth):
@@ -84,6 +86,22 @@ def test_union_candidate_repeats_until_revealed():
     gen = UnionFeedbackGenerator([SuffixFamily(offset=4)])
     steps = drive(gen, [2, 6, 7, 4], truth)
     assert [z for (_, _, _, z) in steps] == [4, 4, 4, 5]
+
+
+UNION_PARTS = [neg_union()] + [SuffixFamily(offset=j) for j in range(10)]
+# a finite part plus either the negatives (part 0) or a ray from 0..9
+UNION_TRUTHS = st.builds(
+    lambda finite, j: ClosedFormLanguage(finite, j, j is None),
+    st.frozensets(st.integers(-12, 12), max_size=4),
+    st.one_of(st.none(), st.integers(0, 9)),
+)
+
+
+@given(truth=UNION_TRUTHS, order=st.sampled_from(["canonical", "blocks:0", "blocks:1", "blocks:7"]))
+def test_union_last_part_move_matches_transcript_replay(truth, order):
+    gen = UnionFeedbackGenerator(UNION_PARTS)
+    records, _ = engine.run(gen, ScriptedSource(ScriptedSpec(truth, order)), Mode.feedback(), 80)
+    assert gen.last_part_move == replayed_last_part_move(UNION_PARTS, records)
 
 
 # --- query elimination ---------------------------------------------------------

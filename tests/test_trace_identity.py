@@ -1,18 +1,29 @@
-"""Trace byte-identity guard for the incrementally computed strategies.
+"""Trace byte-identity guards.
 
-The digests below are SHA-256 sums of the traces written by `alg3-chain`,
+`DIGESTS` are SHA-256 sums of the traces written by `alg3-chain`,
 `alg5-queries` and `alg6-identify` (default horizons, seed 0) when
 `StripQueries`, `IndexIdentifier` and the ray-prefix chain links still
-recomputed everything from scratch on each step. A faster path must leave
-every byte as it was; a deliberate trace format change updates them and says
-so.
+recomputed everything from scratch on each step.
+
+`SUITE_DIGESTS` cover every registered experiment (default horizons, seed
+0): one SHA-256 per experiment over each sub-run's name and trace bytes, in
+order, taken when every experiment still had its own hand-written runner.
+For `alg4-feedback` only the step and summary lines are hashed, because its
+sub-run names (and so the header's `run` field) gained the case index to
+make every trace file name unique. `SUITE_ROWS` pin the summary rows of the
+same runs, apart from `runtime`.
+
+A faster or simpler path must leave every byte as it was; a deliberate trace
+format change updates these and says so.
 """
 
 import hashlib
 import io
 
+import pytest
+
 from limitgen import engine
-from limitgen.experiments import run_experiment
+from limitgen.experiments import EXPERIMENTS, run_experiment
 
 DIGESTS = [
     ("alg3-chain", "alg3[P7]", "b5f373d22b90edc027f89474ee85e9ec6ac64f5d674ad5a21370600b5a7a1ea0"),
@@ -29,13 +40,87 @@ DIGESTS = [
     ("alg6-identify", "alg6[k=2]", "eeafa05096a6cacdb6945617e4d2e468aef353ca55c333712c7a6b10e23967a0"),
 ]
 
+SUITE_DIGESTS = {
+    "alg1-2-equiv": "e8c9c1b5ba8823cbf066811b9e8f07a6d5f2b8bbedf9d2766d21c97d1375e993",
+    "alg3-chain": "dcccac2fe10001efdac8892ec84b30057fb18e19f6ec8e8e4a2443f8a400dc0c",
+    "alg4-feedback": "319448019cbdbc3f3ff354d7d180fb7451fad30cbd480f24fd513618884b4432",
+    "alg5-queries": "a5d7cc8eb6d8e738106c19775920ba4bf21d95f15e3b6dc1e41e89cd6bae5e9f",
+    "alg6-identify": "80fbadfc4399e4134a49988a4557e86403186f3f5ac15a6ca12a01c5c34b099d",
+    "appendixA-repetition": "30e6fd87ecafadd8a33df4cddcecf6b66a93bada30a28ea9d1a1142085b24e1a",
+    "thm3.1": "b6f6cd35a446861165f9d94a6e5033466078c01d3d1c7dbc6ee06268e0e9fc38",
+    "thm3.1-pos": "62435b6f7b4cecd36220cef163605051852e1bae9f2c75decaedc1bfb6965cf0",
+    "thm4.3-check": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "thm4.5-omissions": "eba35d5259690f05b684bdef4e56a288a92fbd59ee5f68bd402886021798f4f8",
+    "thm4.8-omit-i": "d7578ceea70415efc7788745dbe20c5398779594d4b7b664ae1440bbf44a6c5e",
+    "thm5.2-noise-i": "0154fe9be1160ee468cc17316b62d8332625649ae8b72ba047810132e5171d9c",
+    "thm5.4-sensitivity": "d0052d429ae6326edcc26d22198192fba175f1d8b7de57da259618d4f0638a8e",
+}
+
+# (experiment, passed, mistakes, convergence, detail) per summary row
+SUITE_ROWS = {
+    "alg1-2-equiv": [("alg1-2-equiv", True, 36, 15, "")],
+    "alg3-chain": [("alg3-chain", True, 7, 7, "")],
+    "alg4-feedback": [("alg4-feedback", True, 82, 18, "")],
+    "alg5-queries": [("alg5-queries", True, 1, 1, "")],
+    "alg6-identify": [("alg6-identify", True, 6, 5, "")],
+    "appendixA-repetition": [("appendixA-repetition", True, 31, 5, "")],
+    "thm3.1": [
+        ("thm3.1[max_plus_one]", True, 5000, 9999, ""),
+        ("thm3.1[follow_suffix]", True, 5000, 9999, ""),
+        ("thm3.1[omission:0]", True, 5000, 9999, ""),
+    ],
+    "thm3.1-pos": [("thm3.1-pos", True, 8, 3, "")],
+    "thm4.3-check": [("thm4.3-check", True, 0, 0, "")],
+    "thm4.5-omissions": [("thm4.5-omissions", True, 0, 0, "")],
+    "thm4.8-omit-i": [
+        ("thm4.8-omit-i[i=0]", True, 9, 3, ""),
+        ("thm4.8-omit-i[i=1]", True, 31, 4, ""),
+        ("thm4.8-omit-i[i=2]", True, 33, 5, ""),
+    ],
+    "thm5.2-noise-i": [
+        ("thm5.2-noise-i[i=0]", True, 5007, 10000, ""),
+        ("thm5.2-noise-i[i=1]", True, 5014, 9999, ""),
+        ("thm5.2-noise-i[i=2]", True, 5021, 10000, ""),
+    ],
+    "thm5.4-sensitivity": [
+        ("thm5.4-sensitivity[i=0]", True, 4, 2, ""),
+        ("thm5.4-sensitivity[i=1]", True, 10, 3, ""),
+        ("thm5.4-sensitivity[i=2]", True, 15, 5, ""),
+        ("thm5.4-sensitivity[i=3]", True, 20, 7, ""),
+        ("thm5.4-sensitivity[i=4]", True, 25, 9, ""),
+    ],
+}
+
+
+def _trace_text(sub) -> str:
+    buf = io.StringIO()
+    engine.write_trace(buf, sub.header, sub.records, sub.result)
+    return buf.getvalue()
+
 
 def test_traces_byte_identical_to_from_scratch_versions():
     got = []
     for ident in dict.fromkeys(ident for ident, _, _ in DIGESTS):
         _, subs = run_experiment(ident, seed=0)
         for sub in subs:
-            buf = io.StringIO()
-            engine.write_trace(buf, sub.header, sub.records, sub.result)
-            got.append((ident, sub.name, hashlib.sha256(buf.getvalue().encode()).hexdigest()))
+            got.append((ident, sub.name, hashlib.sha256(_trace_text(sub).encode()).hexdigest()))
     assert got == DIGESTS
+
+
+def test_suite_digests_cover_every_experiment():
+    assert sorted(SUITE_DIGESTS) == sorted(EXPERIMENTS) == sorted(SUITE_ROWS)
+
+
+@pytest.mark.parametrize("ident", sorted(SUITE_DIGESTS))
+def test_experiment_traces_and_rows_unchanged(ident):
+    rows, subs = run_experiment(ident, seed=0)
+    digest = hashlib.sha256()
+    for sub in subs:
+        text = _trace_text(sub)
+        if ident == "alg4-feedback":
+            text = text.split("\n", 1)[1]  # drop the header line
+        else:
+            digest.update(sub.name.encode() + b"\0")
+        digest.update(text.encode())
+    assert digest.hexdigest() == SUITE_DIGESTS[ident]
+    assert [(r.experiment, r.passed, r.mistakes, r.convergence, r.detail) for r in rows] == SUITE_ROWS[ident]
