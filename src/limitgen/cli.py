@@ -17,6 +17,7 @@ from .experiments import (
     EXPERIMENTS,
     SubRun,
     SummaryRow,
+    _matrix_rows,
     emit_summary,
     run_experiment,
     union_generator,
@@ -41,7 +42,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def _load_configs(path: str) -> list[dict]:
     """Read and check a config file, expanding matrix params into one entry
-    per value, so that no bad entry is found after experiments have run."""
+    per value, so that no bad entry is found after experiments have run. No
+    summary row may come twice: its traces would overwrite each other."""
     with open(path) as fp:
         data = json.load(fp)
     entries = data.get("experiments") if isinstance(data, dict) else None
@@ -62,6 +64,8 @@ def _load_configs(path: str) -> list[dict]:
         params = entry.get("params", {})
         if not isinstance(params, dict):
             raise ValueError(f"params of {ident} must be an object, got {params!r}")
+        if "target_ray" in params:  # alg3-chain's target index
+            _check_count(params["target_ray"], f"target_ray of {ident}")
         key = EXPERIMENTS[ident].matrix_key
         if key is None or key not in params:
             expanded.append(entry)
@@ -79,10 +83,20 @@ def _load_configs(path: str) -> list[dict]:
             if not values:
                 raise ValueError(f"{key} of {ident} is an empty list")
             for value in values:
-                if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                    raise ValueError(f"{key} of {ident} must be a non-negative integer, got {value!r}")
+                _check_count(value, f"{key} of {ident}")
         expanded += [{**entry, "params": {**params, key: value}} for value in values]
+    rows: set[str] = set()
+    for entry in expanded:
+        for row, _ in _matrix_rows(EXPERIMENTS[entry["id"]], entry.get("params", {})):
+            if row in rows:
+                raise ValueError(f"config runs {row} twice, so its traces would overwrite each other")
+            rows.add(row)
     return expanded
+
+
+def _check_count(value: object, origin: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{origin} must be a non-negative integer, got {value!r}")
 
 
 def _check_horizon(value: object, origin: str) -> None:

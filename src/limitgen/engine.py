@@ -1,10 +1,11 @@
 """The game loop: one generator vs one source under a declared mode.
 
-Per step: the source reveals x_t (skipped in sampleless play), feedback
-strategies may query y_t and receive a_t, the generator outputs z_t, and the
-verdict is computed against the source's declared truth. Adaptive sources
-see each output immediately after it is produced, before the verdict is
-taken, so certified mistakes show up as Mistake verdicts in the transcript.
+Per step: the source reveals x_t (skipped in sampleless play), the strategy
+may query y_t and receive a_t, it outputs z_t, and the verdict is computed
+against the source's declared truth. A plain strategy plays wrapped in
+`PlainAsFeedback`, which never queries. Adaptive sources see each output
+immediately after it is produced, before the verdict is taken, so certified
+mistakes show up as Mistake verdicts in the transcript.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import json
 from dataclasses import dataclass
 from typing import IO, Iterable, NamedTuple
 
-from .errors import ModeMismatch
-from .feedback import FeedbackGenerator
-from .generators import Generator
+from .errors import BudgetViolation, ModeMismatch
+from .feedback import FeedbackGenerator, PlainAsFeedback
 from .langs import IN, OUT, ClosedFormLanguage, TranscriptLimitLanguage
 from .sources import ScriptedSource, Source, StagedAdversary
 
@@ -167,102 +167,110 @@ def _check_compat(generator, source: Source, mode: Mode) -> None:
         raise ModeMismatch("sampleless play takes a plain generator")
 
 
+def _no_sample(t: int) -> None:
+    return None
+
+
+def _index_verdict(target: int):
+    """Identification's verdict: correct iff the output names the target."""
+    return lambda z, truth, seen: CORRECT if z == target else MISTAKE
+
+
 def run(
     generator,
     source: Source,
     mode: Mode,
     horizon: int,
 ) -> tuple[list[StepRecord], RunResult]:
+    """Play `horizon` rounds of reveal, query, answer and output.
+
+    A plain strategy plays through `PlainAsFeedback`, so every round takes
+    the same two phases. Every per-step fact (verdicts, repeats, noise,
+    query count) is taken as the round is played; `validate_stream` then
+    adds the whole-stream checks of a scripted source.
+    """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_compat(generator, source, mode)
     truth = source.truth_view()
-    target_index = (
-        _identification_target(generator, truth) if mode.kind == IDENTIFICATION else None
+    if not isinstance(generator, FeedbackGenerator):
+        generator = PlainAsFeedback(generator)
+    # every mode decision is made here, once
+    sampleless = mode.kind == SAMPLELESS
+    reveal = _no_sample if sampleless else source.emit
+    judge = (
+        _index_verdict(_identification_target(generator, truth))
+        if mode.kind == IDENTIFICATION
+        else verdict
     )
+    no_repeats = mode.kind != REPETITION
+    scripted = isinstance(source, ScriptedSource)
+    budget = horizon if mode.query_budget is None else mode.query_budget
+    step_query, step_output, observe = generator.step_query, generator.step_output, source.observe
     records: list[StepRecord] = []
     seen: set[int] = set()
     outputs_seen: set[int] = set()
     violations: list[str] = []
     mistakes: list[int] = []
-    unknown = 0
+    unknown = queries = noise = 0
+    distinct = 0  # distinct samples up to the last mistake
     for t in range(horizon):
-        x = None if mode.kind == SAMPLELESS else source.emit(t)
-        y = a = None
-        if mode.kind in (FEEDBACK, IDENTIFICATION):
-            y = generator.step_query(x)
-            if y is not None:
-                a = oracle_answer(truth, y)
-            z = generator.step_output(a)
-        else:
-            z = generator.step(x)
+        x = reveal(t)
         if x is not None:
-            seen.add(x)
-        source.observe(t, z)
-        if mode.kind == IDENTIFICATION:
-            v = CORRECT if z == target_index else MISTAKE
-        else:
-            v = verdict(z, truth, seen)
-        if mode.kind == SAMPLELESS:
+            if x not in seen:
+                seen.add(x)
+            elif no_repeats:
+                violations.append(f"repeat@{t}:{x}")
+            if scripted and x not in truth:
+                noise += 1
+        y = step_query(x)
+        a = None
+        if y is not None:
+            queries += 1
+            if queries > budget:
+                raise BudgetViolation(f"strategy asked {queries} queries, budget {budget}")
+            a = oracle_answer(truth, y)
+        z = step_output(a)
+        observe(t, z)
+        v = judge(z, truth, seen)
+        if sampleless:
             if z in outputs_seen:
                 violations.append(f"output-repeat@{t}:{z}")
             outputs_seen.add(z)
         if v == MISTAKE:
             mistakes.append(t)
+            distinct = len(seen)
         elif v == UNKNOWN_VERDICT:
             unknown += 1
         records.append(StepRecord(t, x, y, a, z, v))
-    violations.extend(validate_stream(records, source, mode, horizon))
-    convergence = mistakes[-1] + 1 if mistakes else 0
-    distinct = None
-    if mode.kind == REPETITION:
-        distinct = len({r.x for r in records[:convergence] if r.x is not None})
-    no_trigger = False
-    certified: tuple[int, ...] = ()
-    stage_mistakes = 0
-    if isinstance(source, StagedAdversary):
-        no_trigger = source.no_trigger
-        certified = source.certified_mistake_times
-        stage_mistakes = source.final_stage_mistakes(horizon)
+    if scripted:
+        violations.extend(validate_stream(source, mode, horizon, seen, noise))
+    staged = isinstance(source, StagedAdversary)
     return records, RunResult(
         mistake_times=tuple(mistakes),
-        observed_convergence=convergence,
+        observed_convergence=mistakes[-1] + 1 if mistakes else 0,
         unknown_count=unknown,
         validity_violations=tuple(violations),
-        no_trigger=no_trigger,
-        certified_mistake_times=certified,
-        final_stage_mistakes=stage_mistakes,
-        distinct_at_convergence=distinct,
+        no_trigger=staged and source.no_trigger,
+        certified_mistake_times=source.certified_mistake_times if staged else (),
+        final_stage_mistakes=source.final_stage_mistakes(horizon) if staged else 0,
+        distinct_at_convergence=None if no_repeats else distinct,
     )
 
 
 def validate_stream(
-    records: list[StepRecord], source: Source, mode: Mode, horizon: int
+    source: ScriptedSource, mode: Mode, horizon: int, seen: set[int], noise: int
 ) -> list[str]:
-    """Check the emitted stream against the declared enumeration contract."""
+    """Whole-stream checks of a scripted enumeration: the noise budgets, the
+    omission budget and coverage. `seen` is the set of revealed samples and
+    `noise` the number of reveals outside the truth."""
     violations: list[str] = []
-    xs = [r.x for r in records if r.x is not None]
-    if mode.kind != REPETITION:
-        seen: set[int] = set()
-        for r in records:
-            if r.x is None:
-                continue
-            if r.x in seen:
-                violations.append(f"repeat@{r.t}:{r.x}")
-            seen.add(r.x)
-    if not isinstance(source, ScriptedSource):
-        return violations
     spec = source.spec
-    truth = spec.truth
-    emitted = set(xs)
-    noise_emitted = [v for v in xs if v not in truth]
     declared_noise = spec.noise_count
-    if len(noise_emitted) > declared_noise:
-        violations.append(
-            f"noise-budget:{len(noise_emitted)}>{declared_noise}"
-        )
-    if mode.kind == NOISY and mode.noise is not None and len(noise_emitted) > mode.noise:
-        violations.append(f"noise-mode-budget:{len(noise_emitted)}>{mode.noise}")
+    if noise > declared_noise:
+        violations.append(f"noise-budget:{noise}>{declared_noise}")
+    if mode.kind == NOISY and mode.noise is not None and noise > mode.noise:
+        violations.append(f"noise-mode-budget:{noise}>{mode.noise}")
     if isinstance(spec.omissions, frozenset):
         if mode.kind == LOSSY and isinstance(mode.omissions, int):
             if len(spec.omissions) > mode.omissions:
@@ -272,10 +280,10 @@ def validate_stream(
         if spec.order == "canonical" and spec.repeat_seed is None:
             # coverage: early canonical elements must show up unless omitted
             must_show = min(horizon // 2, max(horizon - declared_noise - 1, 0))
-            for k, v in enumerate(truth.elements()):
+            for k, v in enumerate(spec.truth.elements()):
                 if k >= must_show:
                     break
-                if v not in emitted and v not in spec.omissions:
+                if v not in seen and v not in spec.omissions:
                     violations.append(f"coverage-miss:{v}")
     return violations
 

@@ -144,8 +144,8 @@ def _first_reveal(source: ScriptedSource, horizon: int, want: Callable[[set[int]
 # --- positive/negative checks shared by every experiment -------------------
 
 
-def _check_zero_mistakes_from(records, t_star: int, label: str) -> list[str]:
-    bad = [r.t for r in records if r.t >= t_star and r.verdict == engine.MISTAKE]
+def _check_zero_mistakes_from(result: RunResult, t_star: int, label: str) -> list[str]:
+    bad = [t for t in result.mistake_times if t >= t_star]
     return [f"{label}: mistakes at {bad[:5]} despite t*={t_star}"] if bad else []
 
 
@@ -467,7 +467,7 @@ def _feedback_union_cases(horizon: int, seed: int, params: dict):
             if gen.part_idx > limit:
                 yield f"{name}: reached part {gen.part_idx}, first fit is {limit}"
             # no mistake once the strategy has settled on its last part
-            yield from _check_zero_mistakes_from(sub.records, gen.last_part_move + 1, name)
+            yield from _check_zero_mistakes_from(sub.result, gen.last_part_move + 1, name)
             for r in sub.records:
                 if r.y is not None and r.a != (r.y in truth):
                     yield f"{name}: oracle answer mismatch at t={r.t}"
@@ -731,7 +731,7 @@ def run_experiment(
             if case.source.adaptive:
                 failures += _check_defeat(reply.result, case.name)
             elif case.t_star is not None:
-                failures += _check_zero_mistakes_from(reply.records, case.t_star, case.name)
+                failures += _check_zero_mistakes_from(reply.result, case.t_star, case.name)
             subs.append(reply)
         rows.append(
             SummaryRow(

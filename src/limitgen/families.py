@@ -114,9 +114,6 @@ class CollectionSpec:
     def project(self, removed: Iterable[int]) -> "CollectionSpec":
         raise NotImplementedError
 
-    def to_record(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class SuffixFamily(CollectionSpec):
@@ -198,15 +195,6 @@ class SuffixFamily(CollectionSpec):
         min_offset = max([self.min_offset] + [r + 1 for r in removed_nat])
         return SuffixFamily(required, forbidden, None, min_offset)
 
-    def to_record(self) -> dict:
-        return {
-            "variant": "suffix",
-            "required": sorted(self.required),
-            "forbidden": sorted(self.forbidden),
-            "offset": self.offset,
-            "min_offset": self.min_offset,
-        }
-
 
 @dataclass(frozen=True)
 class NegFamily(CollectionSpec):
@@ -242,13 +230,6 @@ class NegFamily(CollectionSpec):
             raise ValueError("cannot project away part of the negative ray")
         return NegFamily(self.required - removed, self.forbidden | removed)
 
-    def to_record(self) -> dict:
-        return {
-            "variant": "neg",
-            "required": sorted(self.required),
-            "forbidden": sorted(self.forbidden),
-        }
-
 
 @dataclass(frozen=True)
 class ExplicitCountable(CollectionSpec):
@@ -266,7 +247,6 @@ class ExplicitCountable(CollectionSpec):
     consistent_fn: Callable[[frozenset[int]], bool] | None = None
     closure_fn: Callable[[frozenset[int]], ClosureResult] | None = None
     declared_dimension: int | None = None
-    rule_name: str | None = None
 
     def __post_init__(self) -> None:
         if (self.languages is None) == (self.rule is None):
@@ -343,14 +323,6 @@ class ExplicitCountable(CollectionSpec):
         projected = tuple(project_language(lang, removed) for lang in self.languages)
         return ExplicitCountable(languages=projected, index_bound=self.index_bound)
 
-    def to_record(self) -> dict:
-        if self.languages is not None:
-            return {
-                "variant": "explicit",
-                "languages": [lang.to_record() for lang in self.languages],
-            }
-        return {"variant": "explicit", "rule": self.rule_name or "<rule>"}
-
 
 @dataclass(frozen=True)
 class UnionSpec(CollectionSpec):
@@ -401,9 +373,6 @@ class UnionSpec(CollectionSpec):
     def project(self, removed: Iterable[int]) -> "UnionSpec":
         return UnionSpec(tuple(part.project(removed) for part in self.parts))
 
-    def to_record(self) -> dict:
-        return {"variant": "union", "parts": [p.to_record() for p in self.parts]}
-
 
 @dataclass(frozen=True)
 class ChainSpec(CollectionSpec):
@@ -419,7 +388,6 @@ class ChainSpec(CollectionSpec):
     rule: Callable[[int], CollectionSpec]
     index_bound: int = DEFAULT_INDEX_BOUND
     declared_dimension: int | None = None
-    rule_name: str | None = None
     _links: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
     _cores: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
 
@@ -458,9 +426,6 @@ class ChainSpec(CollectionSpec):
             self.index_bound,
             self.declared_dimension,
         )
-
-    def to_record(self) -> dict:
-        return {"variant": "chain", "rule": self.rule_name or "<rule>"}
 
 
 def uniform_without_samples_check(spec: CollectionSpec) -> bool:
@@ -526,7 +491,6 @@ def ray_family(index_bound: int = DEFAULT_INDEX_BOUND) -> ExplicitCountable:
         consistent_fn=consistent_fn,
         closure_fn=closure_fn,
         declared_dimension=0,
-        rule_name="rays",
     )
 
 
@@ -558,7 +522,7 @@ def ray_prefix_chain(index_bound: int = DEFAULT_INDEX_BOUND) -> ChainSpec:
             declared_dimension=-1,  # every consistent sample closes to a ray
         )
 
-    return ChainSpec(link, index_bound=index_bound, rule_name="ray-prefixes")
+    return ChainSpec(link, index_bound=index_bound)
 
 
 def collection_by_name(name: str) -> CollectionSpec:

@@ -252,7 +252,9 @@ class StripQueries(Generator):
 
 
 class PlainAsFeedback(FeedbackGenerator):
-    """A never-querying wrapper around a plain strategy (budget 0)."""
+    """A never-querying wrapper around a plain strategy (budget 0); the game
+    loop plays every plain strategy through it. In sampleless play the
+    reveal is None."""
 
     budget = 0
 
@@ -260,7 +262,7 @@ class PlainAsFeedback(FeedbackGenerator):
         self.base = base
         self._pending: int | None = None
 
-    def step_query(self, revealed: int) -> int | None:
+    def step_query(self, revealed: int | None) -> int | None:
         self._pending = revealed
         return None
 

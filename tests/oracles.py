@@ -19,8 +19,9 @@ check.
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
 ray-prefix chain links), the transcript replay that located the union
-strategy's last part move, and the dict-per-step trace writer, as references
-for differential tests.
+strategy's last part move, the dict-per-step trace writer, and the game loop
+that branched on the mode every step and validated the stream in a second
+pass over the records, as references for differential tests.
 """
 
 from __future__ import annotations
@@ -28,6 +29,19 @@ from __future__ import annotations
 import itertools
 import json
 
+from limitgen import engine
+from limitgen.engine import (
+    CORRECT,
+    IDENTIFICATION,
+    LOSSY,
+    MISTAKE,
+    NOISY,
+    REPETITION,
+    SAMPLELESS,
+    UNKNOWN_VERDICT,
+    RunResult,
+    StepRecord,
+)
 from limitgen.errors import BudgetViolation
 from limitgen.families import (
     ClosureResult,
@@ -38,6 +52,7 @@ from limitgen.families import (
 )
 from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier, UnionFeedbackGenerator
 from limitgen.langs import suffix_from
+from limitgen.sources import ScriptedSource, StagedAdversary
 
 TINY_LO, TINY_HI = -6, 6
 
@@ -291,3 +306,111 @@ def naive_write_trace(fp, header: dict, records, result) -> None:
         step = {"t": r.t, "x": r.x, "y": r.y, "a": answer, "z": r.z, "verdict": r.verdict}
         fp.write(_dump(step) + "\n")
     fp.write(_dump({"summary": result.to_record()}) + "\n")
+
+
+# --- two-protocol, two-pass reference for the game loop ----------------------
+
+
+def naive_run(generator, source, mode, horizon):
+    """The game loop that steps plain strategies with `step` and feedback
+    strategies with `step_query`/`step_output`, compares the mode on every
+    step, and validates the stream by walking the records afterwards. It
+    counts no queries."""
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    engine._check_compat(generator, source, mode)
+    truth = source.truth_view()
+    target_index = (
+        engine._identification_target(generator, truth) if mode.kind == IDENTIFICATION else None
+    )
+    records = []
+    seen = set()
+    outputs_seen = set()
+    violations = []
+    mistakes = []
+    unknown = 0
+    for t in range(horizon):
+        x = None if mode.kind == SAMPLELESS else source.emit(t)
+        y = a = None
+        if mode.kind in (engine.FEEDBACK, IDENTIFICATION):
+            y = generator.step_query(x)
+            if y is not None:
+                a = engine.oracle_answer(truth, y)
+            z = generator.step_output(a)
+        else:
+            z = generator.step(x)
+        if x is not None:
+            seen.add(x)
+        source.observe(t, z)
+        if mode.kind == IDENTIFICATION:
+            v = CORRECT if z == target_index else MISTAKE
+        else:
+            v = engine.verdict(z, truth, seen)
+        if mode.kind == SAMPLELESS:
+            if z in outputs_seen:
+                violations.append(f"output-repeat@{t}:{z}")
+            outputs_seen.add(z)
+        if v == MISTAKE:
+            mistakes.append(t)
+        elif v == UNKNOWN_VERDICT:
+            unknown += 1
+        records.append(StepRecord(t, x, y, a, z, v))
+    violations.extend(naive_validate_stream(records, source, mode, horizon))
+    convergence = mistakes[-1] + 1 if mistakes else 0
+    distinct = None
+    if mode.kind == REPETITION:
+        distinct = len({r.x for r in records[:convergence] if r.x is not None})
+    no_trigger = False
+    certified = ()
+    stage_mistakes = 0
+    if isinstance(source, StagedAdversary):
+        no_trigger = source.no_trigger
+        certified = source.certified_mistake_times
+        stage_mistakes = source.final_stage_mistakes(horizon)
+    return records, RunResult(
+        mistake_times=tuple(mistakes),
+        observed_convergence=convergence,
+        unknown_count=unknown,
+        validity_violations=tuple(violations),
+        no_trigger=no_trigger,
+        certified_mistake_times=certified,
+        final_stage_mistakes=stage_mistakes,
+        distinct_at_convergence=distinct,
+    )
+
+
+def naive_validate_stream(records, source, mode, horizon):
+    """Every stream check, taken from the finished records."""
+    violations = []
+    xs = [r.x for r in records if r.x is not None]
+    if mode.kind != REPETITION:
+        seen = set()
+        for r in records:
+            if r.x is None:
+                continue
+            if r.x in seen:
+                violations.append(f"repeat@{r.t}:{r.x}")
+            seen.add(r.x)
+    if not isinstance(source, ScriptedSource):
+        return violations
+    spec = source.spec
+    truth = spec.truth
+    emitted = set(xs)
+    noise_emitted = [v for v in xs if v not in truth]
+    declared_noise = spec.noise_count
+    if len(noise_emitted) > declared_noise:
+        violations.append(f"noise-budget:{len(noise_emitted)}>{declared_noise}")
+    if mode.kind == NOISY and mode.noise is not None and len(noise_emitted) > mode.noise:
+        violations.append(f"noise-mode-budget:{len(noise_emitted)}>{mode.noise}")
+    if isinstance(spec.omissions, frozenset):
+        if mode.kind == LOSSY and isinstance(mode.omissions, int):
+            if len(spec.omissions) > mode.omissions:
+                violations.append(f"omission-budget:{len(spec.omissions)}>{mode.omissions}")
+        if spec.order == "canonical" and spec.repeat_seed is None:
+            must_show = min(horizon // 2, max(horizon - declared_noise - 1, 0))
+            for k, v in enumerate(truth.elements()):
+                if k >= must_show:
+                    break
+                if v not in emitted and v not in spec.omissions:
+                    violations.append(f"coverage-miss:{v}")
+    return violations

@@ -195,6 +195,9 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
         ({"id": "alg3-chain", "params": [1]}, "params of alg3-chain must be an object"),
         ({"id": "alg3-chain", "seed": "abc"}, "seed of alg3-chain must be an integer"),
         ({"id": "alg3-chain", "horizon": 0}, "horizon of alg3-chain must be a positive integer"),
+        ({"id": "alg3-chain", "params": {"target_ray": "x"}}, "target_ray of alg3-chain must be a non-negative integer"),
+        ({"id": "alg3-chain", "params": {"target_ray": True}}, "target_ray of alg3-chain must be a non-negative integer"),
+        ({"id": "alg3-chain", "params": {"target_ray": -4}}, "target_ray of alg3-chain must be a non-negative integer"),
     ],
 )
 def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):
@@ -204,6 +207,28 @@ def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tm
     trace_dir = tmp_path / "traces"
     assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
     assert message in capsys.readouterr().err
+    assert not trace_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "entries, row",
+    [
+        ([{"id": "thm4.8-omit-i", "horizon": 100, "params": {"i": [1, 1]}}], "thm4.8-omit-i[i=1]"),
+        ([{"id": "alg3-chain"}, {"id": "alg3-chain", "seed": 1}], "alg3-chain"),
+        ([{"id": "thm5.2-noise-i"}, {"id": "thm5.2-noise-i", "params": {"i": 2}}], "thm5.2-noise-i[i=2]"),
+        (
+            [{"id": "thm3.1", "params": {"generators": ["omission:0"]}}, {"id": "thm3.1"}],
+            "thm3.1[omission:0]",
+        ),
+    ],
+)
+def test_config_that_repeats_a_row_exits_2_before_running(entries, row, monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": entries}))
+    trace_dir = tmp_path / "traces"
+    assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
+    assert f"config runs {row} twice" in capsys.readouterr().err
     assert not trace_dir.exists()
 
 

@@ -1,15 +1,26 @@
 import io
+import itertools
 
 import pytest
+from hypothesis import given, strategies as st
 
 from limitgen import engine
 from limitgen.engine import Mode, oracle_answer, run, verdict, write_trace
-from limitgen.errors import ModeMismatch
-from limitgen.families import SuffixFamily, neg_union
-from limitgen.feedback import UnionFeedbackGenerator
+from limitgen.errors import BudgetViolation, ModeMismatch
+from limitgen.families import ExplicitCountable, SuffixFamily, neg_union
+from limitgen.feedback import (
+    FeedbackGenerator,
+    IndexIdentifier,
+    OneShotProbeGenerator,
+    StripQueries,
+    UnionFeedbackGenerator,
+)
 from limitgen.generators import (
     DedupWrapper,
+    FollowSuffix,
     NoiseTolerantGenerator,
+    OmissionTolerantGenerator,
+    SensitivityGenerator,
     baseline,
     intersection_generator,
     noisy_from_sampleless,
@@ -20,7 +31,15 @@ from limitgen.langs import (
     TranscriptLimitLanguage,
     suffix_from,
 )
-from limitgen.sources import ScriptedSource, ScriptedSpec, staged_union_adversary
+from limitgen.sources import (
+    ScriptedSource,
+    ScriptedSpec,
+    noise_prefix_adversary,
+    omission_adversary,
+    sensitivity_adversary,
+    staged_union_adversary,
+)
+from oracles import naive_run
 
 
 def scripted(truth, **kwargs):
@@ -180,3 +199,147 @@ def test_identification_mode_verdicts():
     records, result = run(gen, scripted(suffix_from(5)), Mode.identification(), 40)
     assert all(r.verdict == engine.CORRECT for r in records[1:])
     assert result.observed_convergence <= 1
+
+
+class AlwaysAsks(FeedbackGenerator):
+    """Queries its reveal on every step and outputs one above it."""
+
+    def step_query(self, revealed):
+        self.last = revealed
+        return revealed
+
+    def step_output(self, answer):
+        return self.last + 1
+
+    def fresh(self):
+        return AlwaysAsks()
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_query_budget_is_enforced(budget):
+    with pytest.raises(BudgetViolation, match=f"asked {budget + 1} queries, budget {budget}"):
+        run(AlwaysAsks(), scripted(NEGATIVES), Mode.feedback(budget=budget), 50)
+
+
+def test_query_budget_allows_exactly_its_queries():
+    records, _ = run(AlwaysAsks(), scripted(NEGATIVES), Mode.feedback(budget=50), 50)
+    assert sum(r.y is not None for r in records) == 50
+    records, _ = run(AlwaysAsks(), scripted(NEGATIVES), Mode.feedback(), 50)
+    assert sum(r.y is not None for r in records) == 50
+
+
+# --- differential: the one loop against the two-protocol, two-pass loop -------
+
+
+class Stutter:
+    """A sampleless strategy that outputs every value twice."""
+
+    def __init__(self):
+        self.t = -1
+
+    def step(self, revealed=None):
+        self.t += 1
+        return self.t // 2
+
+    def fresh(self):
+        return Stutter()
+
+
+class AskEveryOther(FeedbackGenerator):
+    """Queries one above its reveal on even steps and passes on odd ones."""
+
+    def __init__(self):
+        self.t = -1
+
+    def step_query(self, revealed):
+        self.t += 1
+        self.last = revealed
+        return revealed + 1 if self.t % 2 == 0 else None
+
+    def step_output(self, answer):
+        return self.last + 2 if answer else -abs(self.last) - 1
+
+    def fresh(self):
+        return AskEveryOther()
+
+
+TRUTHS = st.builds(
+    lambda finite, tail, negatives: ClosedFormLanguage(finite, tail, negatives or tail is None),
+    st.frozensets(st.integers(-8, 12), max_size=3),
+    st.one_of(st.none(), st.integers(-3, 12)),
+    st.booleans(),
+)
+
+
+@st.composite
+def scripted_specs(draw):
+    truth = draw(TRUTHS)
+    head = list(itertools.islice(truth.elements(), 12))
+    omissions = draw(
+        st.one_of(st.just("every_other"), st.frozensets(st.sampled_from(head), max_size=3))
+    )
+    outside = [v for v in range(-30, 31) if v not in truth]
+    n = draw(st.integers(0, min(3, len(outside))))
+    values = draw(st.lists(st.sampled_from(outside), min_size=n, max_size=n, unique=True)) if n else []
+    positions = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
+    order = draw(st.sampled_from(["canonical", "blocks:0", "blocks:3"]))
+    repeat_seed = draw(st.one_of(st.none(), st.integers(0, 5)))
+    return ScriptedSpec(truth, order, omissions, tuple(zip(positions, values)), repeat_seed)
+
+
+def _plays(truth, budget):
+    """(strategy factory, mode) for every mode a scripted source fits."""
+    listed = (NEGATIVES, truth, suffix_from(3))
+    return [
+        (lambda: baseline("max_plus_one"), Mode.standard()),
+        (lambda: StripQueries(OneShotProbeGenerator(probe=-1)), Mode.standard()),
+        (lambda: FollowSuffix(), Mode.lossy(budget)),
+        (lambda: OmissionTolerantGenerator(1), Mode.lossy("infinite")),
+        (lambda: NoiseTolerantGenerator(1), Mode.noisy(budget)),
+        (lambda: intersection_generator(neg_union()), Mode.sampleless()),
+        (lambda: Stutter(), Mode.sampleless()),
+        (lambda: OneShotProbeGenerator(probe=-1), Mode.feedback(budget=1)),
+        (lambda: AskEveryOther(), Mode.feedback()),
+        (lambda: IndexIdentifier(ExplicitCountable(languages=listed)), Mode.identification()),
+        (lambda: DedupWrapper(FollowSuffix()), Mode.repetition()),
+        (lambda: baseline("min_minus_one"), Mode.repetition()),
+    ]
+
+
+def _same_play(make_generator, make_source, mode, horizon):
+    got = run(make_generator(), make_source(), mode, horizon)
+    want = naive_run(make_generator(), make_source(), mode, horizon)
+    assert got[0] == want[0]
+    assert got[1] == want[1]
+
+
+@given(spec=scripted_specs(), budget=st.integers(0, 3), horizon=st.integers(1, 60))
+def test_one_loop_matches_naive_run_on_scripted_sources(spec, budget, horizon):
+    for make, mode in _plays(spec.truth, budget):
+        _same_play(make, lambda: ScriptedSource(spec), mode, horizon)
+
+
+ADVERSARIES = st.sampled_from(
+    [
+        staged_union_adversary,
+        lambda: omission_adversary(1),
+        lambda: noise_prefix_adversary(2),
+        sensitivity_adversary,
+    ]
+)
+PLAIN = st.sampled_from(
+    [
+        lambda: baseline("max_plus_one"),
+        lambda: baseline("min_minus_one"),
+        FollowSuffix,
+        lambda: OmissionTolerantGenerator(1),
+        lambda: NoiseTolerantGenerator(2),
+        lambda: SensitivityGenerator(0),
+        lambda: StripQueries(OneShotProbeGenerator(probe=-1)),
+    ]
+)
+
+
+@given(adversary=ADVERSARIES, make=PLAIN, horizon=st.integers(1, 150))
+def test_one_loop_matches_naive_run_on_staged_adversaries(adversary, make, horizon):
+    _same_play(make, adversary, Mode.standard(), horizon)
