@@ -21,8 +21,6 @@ from .families import (
     NegFamily,
     SuffixFamily,
     UnionSpec,
-    collection_by_name,
-    intersection_stream,
     language_intersection,
     marked_neg_union,
     marked_suffix_union,
@@ -63,16 +61,10 @@ from .generators import (
     reduce_by_prefix,
 )
 from .langs import (
-    NATURALS,
     NEGATIVES,
     ClosedFormLanguage,
     TranscriptLimitLanguage,
-    enumerate_at,
-    map_language,
-    member,
-    project_language,
     suffix_from,
-    zigzag_decode,
     zigzag_encode,
 )
 from .sources import (

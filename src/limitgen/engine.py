@@ -187,7 +187,8 @@ def run(
     A plain strategy plays through `PlainAsFeedback`, so every round takes
     the same two phases. Every per-step fact (verdicts, repeats, noise,
     query count) is taken as the round is played; `validate_stream` then
-    adds the whole-stream checks of a scripted source.
+    adds the whole-stream checks of a scripted source whose samples are
+    revealed (sampleless play reveals none, so there is nothing to cover).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -205,6 +206,7 @@ def run(
     )
     no_repeats = mode.kind != REPETITION
     scripted = isinstance(source, ScriptedSource)
+    check_stream = scripted and not sampleless
     budget = horizon if mode.query_budget is None else mode.query_budget
     step_query, step_output, observe = generator.step_query, generator.step_output, source.observe
     records: list[StepRecord] = []
@@ -243,7 +245,7 @@ def run(
         elif v == UNKNOWN_VERDICT:
             unknown += 1
         records.append(StepRecord(t, x, y, a, z, v))
-    if scripted:
+    if check_stream:
         violations.extend(validate_stream(source, mode, horizon, seen, noise))
     staged = isinstance(source, StagedAdversary)
     return records, RunResult(

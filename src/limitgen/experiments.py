@@ -1,10 +1,11 @@
 """Named experiments: one table of rows, each a lazy list of cases.
 
 Each registered id reproduces one separation or construction at desk scale
-and asserts its finite-horizon witness. A case is one engine run: a positive
-case asserts zero mistakes from an analytic step t* on, a defeat case (one
-against an adaptive adversary) asserts enough certified (or final-stage)
-mistakes, and the row may add its own checks of the finished run.
+and asserts its finite-horizon witness. A case is one engine run: no case
+may break its stream's declared mode, a positive case asserts zero mistakes
+from an analytic step t* (below its horizon) on, a defeat case (one against
+an adaptive adversary) asserts enough certified (or final-stage) mistakes,
+and the row may add its own checks of the finished run.
 `run_experiment` is the one loop that runs, checks and drops the cases one
 at a time. Experiment ids are stable config keys.
 """
@@ -92,9 +93,10 @@ class SummaryRow:
 
 
 class Case(NamedTuple):
-    """One engine run and what it must show: against an adaptive adversary,
-    at least MIN_CERTIFIED certified or final-stage mistakes; otherwise, with
-    `t_star` set, no mistake from step t_star on."""
+    """One engine run and what it must show: no stream violation, and against
+    an adaptive adversary at least MIN_CERTIFIED certified or final-stage
+    mistakes; otherwise, with `t_star` set, a t_star below the horizon and no
+    mistake from step t_star on."""
 
     name: str
     generator: object
@@ -144,9 +146,22 @@ def _first_reveal(source: ScriptedSource, horizon: int, want: Callable[[set[int]
 # --- positive/negative checks shared by every experiment -------------------
 
 
-def _check_zero_mistakes_from(result: RunResult, t_star: int, label: str) -> list[str]:
+def _check_zero_mistakes_from(
+    result: RunResult, t_star: int, horizon: int, label: str
+) -> list[str]:
+    """No mistake from t_star on; a t_star at or past the horizon leaves no
+    step to check, so it fails too."""
+    if t_star >= horizon:
+        return [f"{label}: t*={t_star} is not below the horizon {horizon}"]
     bad = [t for t in result.mistake_times if t >= t_star]
     return [f"{label}: mistakes at {bad[:5]} despite t*={t_star}"] if bad else []
+
+
+def _check_valid(result: RunResult, label: str) -> list[str]:
+    """A run whose stream broke its declared mode shows nothing."""
+    if result.validity_violations:
+        return [f"{label}: stream violations: {result.validity_violations[:3]}"]
+    return []
 
 
 def _check_defeat(result: RunResult, label: str) -> list[str]:
@@ -175,8 +190,6 @@ def _union_defeat_cases(horizon: int, seed: int, params: dict):
     name = params["generators"]
     adversary = staged_union_adversary()
     sub = yield Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
-    if sub.result.validity_violations:
-        yield f"stream violations: {sub.result.validity_violations[:3]}"
     missing = [v for v in range(-1, -11, -1) if v not in adversary.emitted_set]
     if missing:
         yield f"negatives not all emitted: {missing}"
@@ -467,7 +480,7 @@ def _feedback_union_cases(horizon: int, seed: int, params: dict):
             if gen.part_idx > limit:
                 yield f"{name}: reached part {gen.part_idx}, first fit is {limit}"
             # no mistake once the strategy has settled on its last part
-            yield from _check_zero_mistakes_from(sub.result, gen.last_part_move + 1, name)
+            yield from _check_zero_mistakes_from(sub.result, gen.last_part_move + 1, horizon, name)
             for r in sub.records:
                 if r.y is not None and r.a != (r.y in truth):
                     yield f"{name}: oracle answer mismatch at t={r.t}"
@@ -728,10 +741,13 @@ def run_experiment(
                 raise DuplicateSubRun(f"{ident} has two sub-runs named {case.name!r}")
             names.add(case.name)
             reply = _run_case(case, ident, seed)
+            failures += _check_valid(reply.result, case.name)
             if case.source.adaptive:
                 failures += _check_defeat(reply.result, case.name)
             elif case.t_star is not None:
-                failures += _check_zero_mistakes_from(reply.result, case.t_star, case.name)
+                failures += _check_zero_mistakes_from(
+                    reply.result, case.t_star, case.horizon, case.name
+                )
             subs.append(reply)
         rows.append(
             SummaryRow(

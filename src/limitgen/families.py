@@ -3,16 +3,15 @@
 The families here are intensional: an uncountable family like
 {A u Z_{<0} | A subset of Z} is represented by its parameters (required and
 forbidden finite sets), never by materializing members. Consistency, closure,
-closure dimension, intersection, and projection are all answered in closed
-form; tests cross-check them against brute-force enumeration on bounded
-windows.
+closure dimension and the common intersection are answered in closed form
+(an explicit list declares its dimension); tests cross-check them against
+brute-force enumeration on bounded windows.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import IndexBoundExceeded, UnboundedClosureDimension
 from .langs import ClosedFormLanguage, suffix_from
@@ -55,9 +54,6 @@ class ClosureResult:
         if self.kind == INFINITE:
             return x in self.language
         return False
-
-    def members_in(self, window: Iterable[int]) -> frozenset[int]:
-        return frozenset(x for x in window if x in self)
 
 
 def language_intersection(
@@ -110,9 +106,6 @@ class CollectionSpec:
 
     def intersection(self) -> ClosureResult:
         return self.closure(())
-
-    def project(self, removed: Iterable[int]) -> "CollectionSpec":
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -177,24 +170,6 @@ class SuffixFamily(CollectionSpec):
             )
         return -1
 
-    def project(self, removed: Iterable[int]) -> "SuffixFamily":
-        removed = frozenset(removed)
-        required = self.required - removed
-        forbidden = self.forbidden | removed
-        if self.offset is not None:
-            hit = [r for r in removed if r >= self.offset]
-            offset = self.offset
-            if hit:
-                top = max(hit)
-                required |= frozenset(
-                    v for v in range(self.offset, top + 1) if v not in removed
-                )
-                offset = top + 1
-            return SuffixFamily(required, forbidden - required, offset, 0)
-        removed_nat = [r for r in removed if r >= 0]
-        min_offset = max([self.min_offset] + [r + 1 for r in removed_nat])
-        return SuffixFamily(required, forbidden, None, min_offset)
-
 
 @dataclass(frozen=True)
 class NegFamily(CollectionSpec):
@@ -223,12 +198,6 @@ class NegFamily(CollectionSpec):
 
     def closure_dimension(self) -> int:
         return -1  # every closure contains the negative ray
-
-    def project(self, removed: Iterable[int]) -> "NegFamily":
-        removed = frozenset(removed)
-        if any(r < 0 for r in removed):
-            raise ValueError("cannot project away part of the negative ray")
-        return NegFamily(self.required - removed, self.forbidden | removed)
 
 
 @dataclass(frozen=True)
@@ -291,37 +260,9 @@ class ExplicitCountable(CollectionSpec):
         return ClosureResult.infinite(merged)
 
     def closure_dimension(self) -> int:
-        if self.declared_dimension is not None:
-            return self.declared_dimension
-        if self.languages is None:
-            raise IndexBoundExceeded(
-                "closure dimension of a rule-based collection must be declared"
-            )
-        if len(self.languages) > 12:
-            raise IndexBoundExceeded("subfamily enumeration too large; declare the dimension")
-        # the largest finite-closure sample is a largest finite subfamily
-        # intersection, so try every subfamily
-        best = -1
-        for r in range(1, len(self.languages) + 1):
-            for group in itertools.combinations(self.languages, r):
-                merged: ClosedFormLanguage | frozenset[int] = group[0]
-                for lang in group[1:]:
-                    if isinstance(merged, frozenset):
-                        merged = frozenset(v for v in merged if v in lang)
-                    else:
-                        merged = language_intersection(merged, lang)
-                if isinstance(merged, frozenset):
-                    best = max(best, len(merged))
-        return best
-
-    def project(self, removed: Iterable[int]) -> "ExplicitCountable":
-        removed = frozenset(removed)
-        if self.languages is None:
-            raise IndexBoundExceeded("cannot project a rule-based collection eagerly")
-        from .langs import project_language
-
-        projected = tuple(project_language(lang, removed) for lang in self.languages)
-        return ExplicitCountable(languages=projected, index_bound=self.index_bound)
+        if self.declared_dimension is None:
+            raise IndexBoundExceeded("declare the closure dimension of an explicit collection")
+        return self.declared_dimension
 
 
 @dataclass(frozen=True)
@@ -329,7 +270,6 @@ class UnionSpec(CollectionSpec):
     """Union of component families."""
 
     parts: tuple[CollectionSpec, ...]
-    declared_dimension: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parts", tuple(self.parts))
@@ -363,31 +303,19 @@ class UnionSpec(CollectionSpec):
             result = closure_intersection(result, part.closure(sample))
         return result
 
-    def closure_dimension(self) -> int:
-        if self.declared_dimension is not None:
-            return self.declared_dimension
-        for part in self.parts:
-            part.closure_dimension()  # propagate UnboundedClosureDimension
-        raise IndexBoundExceeded("declare the dimension of a union explicitly")
-
-    def project(self, removed: Iterable[int]) -> "UnionSpec":
-        return UnionSpec(tuple(part.project(removed) for part in self.parts))
-
 
 @dataclass(frozen=True)
-class ChainSpec(CollectionSpec):
+class ChainSpec:
     """A monotone chain C_0 within C_1 within ..., given by an index rule.
 
-    Links and their intersections are memoized: chains are consumed one link
-    per step by strategies, often across many runs. The memo keeps every link
-    reached, so a rule should build links of bounded size (closed-form
-    oracles, not materialized members) for memory to stay linear in the
-    number of steps.
+    A plain memo of links and their common cores: chain play reads one link
+    per step, often across many runs, and asks each link only for its
+    intersection. The memo keeps every link reached, so a rule should build
+    links of bounded size (closed-form oracles, not materialized members)
+    for memory to stay linear in the number of steps.
     """
 
     rule: Callable[[int], CollectionSpec]
-    index_bound: int = DEFAULT_INDEX_BOUND
-    declared_dimension: int | None = None
     _links: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
     _cores: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
 
@@ -401,46 +329,10 @@ class ChainSpec(CollectionSpec):
             self._cores[i] = self.at(i).intersection()
         return self._cores[i]
 
-    def consistent(self, sample: Iterable[int]) -> bool:
-        sample = frozenset(sample)
-        for i in range(self.index_bound):
-            if self.at(i).consistent(sample):
-                return True
-        raise IndexBoundExceeded(
-            f"not consistent in the first {self.index_bound} chain links"
-        )
-
-    def closure(self, sample: Iterable[int]) -> ClosureResult:
-        raise IndexBoundExceeded("closure over a whole chain is not computable")
-
-    def closure_dimension(self) -> int:
-        if self.declared_dimension is None:
-            raise IndexBoundExceeded("declare the dimension of a chain explicitly")
-        return self.declared_dimension
-
-    def project(self, removed: Iterable[int]) -> "ChainSpec":
-        removed = frozenset(removed)
-        rule = self.rule
-        return ChainSpec(
-            lambda i: rule(i).project(removed),
-            self.index_bound,
-            self.declared_dimension,
-        )
-
 
 def uniform_without_samples_check(spec: CollectionSpec) -> bool:
     """True iff the intersection of all members is infinite."""
     return spec.intersection().is_infinite
-
-
-def intersection_stream(spec: CollectionSpec) -> Iterator[int] | frozenset[int]:
-    """Canonical injective stream of the common intersection, or the finite set."""
-    result = spec.intersection()
-    if result.is_infinite:
-        return result.language.elements()
-    if result.kind == FINITE:
-        return result.finite_set
-    raise ValueError("no consistent language: empty collection intersection")
 
 
 # --- the standing cast of collections -------------------------------------
@@ -472,7 +364,7 @@ def marked_union(i: int) -> UnionSpec:
     return UnionSpec((marked_suffix_union(i), marked_neg_union(i)))
 
 
-def ray_family(index_bound: int = DEFAULT_INDEX_BOUND) -> ExplicitCountable:
+def ray_family() -> ExplicitCountable:
     """The countable family of rays {P_k | k in N}, with exact oracles."""
 
     def consistent_fn(sample: frozenset[int]) -> bool:
@@ -487,7 +379,6 @@ def ray_family(index_bound: int = DEFAULT_INDEX_BOUND) -> ExplicitCountable:
 
     return ExplicitCountable(
         rule=suffix_from,
-        index_bound=index_bound,
         consistent_fn=consistent_fn,
         closure_fn=closure_fn,
         declared_dimension=0,
@@ -500,7 +391,7 @@ def sensitivity_collection() -> UnionSpec:
     return UnionSpec((ray_family(), neg_union()))
 
 
-def ray_prefix_chain(index_bound: int = DEFAULT_INDEX_BOUND) -> ChainSpec:
+def ray_prefix_chain() -> ChainSpec:
     """C_t = {P_0, ..., P_t}: the canonical growing chain of ray families.
 
     Link t is the rule k -> P_k below index t + 1, answered in closed form,
@@ -519,29 +410,6 @@ def ray_prefix_chain(index_bound: int = DEFAULT_INDEX_BOUND) -> ChainSpec:
             index_bound=t + 1,
             consistent_fn=lambda sample: all(x >= 0 for x in sample),
             closure_fn=closure_fn,
-            declared_dimension=-1,  # every consistent sample closes to a ray
         )
 
-    return ChainSpec(link, index_bound=index_bound)
-
-
-def collection_by_name(name: str) -> CollectionSpec:
-    """Resolve the names used in experiment configs."""
-    if name == "C1":
-        return suffix_union()
-    if name == "C2":
-        return neg_union()
-    if name == "P-family":
-        return ray_family()
-    if name == "sensitivity":
-        return sensitivity_collection()
-    for prefix, builder in (
-        ("C1^i:", marked_suffix_union),
-        ("C2^i:", marked_neg_union),
-        ("C^i:", marked_union),
-    ):
-        if name.startswith(prefix):
-            return builder(int(name[len(prefix):]))
-    if name.startswith("P:"):
-        return ExplicitCountable(languages=(suffix_from(int(name[2:])),))
-    raise ValueError(f"unknown collection name: {name!r}")
+    return ChainSpec(link)

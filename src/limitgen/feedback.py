@@ -127,9 +127,6 @@ class UnionFeedbackGenerator(FeedbackGenerator):
             self._stream_started = False
         return z
 
-    def fresh(self) -> "UnionFeedbackGenerator":
-        return UnionFeedbackGenerator(self.parts, self.probe_cap)
-
 
 @dataclass
 class ReplayNode:
@@ -247,9 +244,6 @@ class StripQueries(Generator):
         self.monitor.record(self.t, self._query_times, self._queries, self._answers)
         return z
 
-    def fresh(self) -> "StripQueries":
-        return StripQueries(self.base.fresh())
-
 
 class PlainAsFeedback(FeedbackGenerator):
     """A never-querying wrapper around a plain strategy (budget 0); the game
@@ -349,6 +343,3 @@ class IndexIdentifier(FeedbackGenerator):
             if not self._failed[i]:
                 return i
         return 0
-
-    def fresh(self) -> "IndexIdentifier":
-        return IndexIdentifier(ExplicitCountable(languages=self.languages))

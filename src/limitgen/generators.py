@@ -3,7 +3,11 @@
 Every strategy is a deterministic state machine whose state is a pure
 function of the prefix it has observed, so replays from the same prefix are
 reproducible. `fresh()` returns an unused instance with the same
-configuration (needed by replay-based wrappers).
+configuration, and only replays call it: `StripQueries` restarts its
+budgeted base with it (`PlainAsFeedback` passes the call on to the strategy
+it wraps), and `noisy_from_sampleless` restarts its stream with it. So only
+the pool strategies, `StreamGenerator`, `ChainGenerator`, `PlainAsFeedback`
+and `OneShotProbeGenerator` define it; the other wrappers do not.
 """
 
 from __future__ import annotations
@@ -103,9 +107,6 @@ class FollowSuffix(_PoolGenerator):
         self._out_max = z
         return z
 
-    def fresh(self) -> "FollowSuffix":
-        return FollowSuffix()
-
 
 class _MarkerBranchGenerator(_PoolGenerator):
     """Two-branch strategies: pick the max or min candidate depending on a
@@ -114,9 +115,6 @@ class _MarkerBranchGenerator(_PoolGenerator):
     def __init__(self, level: int) -> None:
         super().__init__()
         self.level = level
-
-    def fresh(self) -> "Generator":
-        return type(self)(self.level)
 
 
 class OmissionTolerantGenerator(_MarkerBranchGenerator):
@@ -204,7 +202,6 @@ class NoisyFromStream(Generator):
     stream entries that have already been revealed."""
 
     def __init__(self, stream_factory: Callable[[], Iterator[int]]) -> None:
-        self._factory = stream_factory
         self._iter = stream_factory()
         self._memo: list[int] = []
         self._cursor = 0
@@ -224,9 +221,6 @@ class NoisyFromStream(Generator):
         z = self._memo[self._cursor]
         self._cursor += 1
         return z
-
-    def fresh(self) -> "NoisyFromStream":
-        return NoisyFromStream(self._factory)
 
 
 def noisy_from_sampleless(stream: StreamGenerator) -> NoisyFromStream:
@@ -277,9 +271,6 @@ class SamplelessFromNoisy(Generator):
         self._emitted.add(z)
         return z
 
-    def fresh(self) -> "SamplelessFromNoisy":
-        return SamplelessFromNoisy(self.base.fresh(), self.integer_universe, self.probe_cap)
-
 
 class DedupWrapper(Generator):
     """Feeds the base strategy only the first occurrence of each sample;
@@ -299,9 +290,6 @@ class DedupWrapper(Generator):
         self._last = self.base.step(revealed)
         return self._last
 
-    def fresh(self) -> "DedupWrapper":
-        return DedupWrapper(self.base.fresh())
-
 
 class PrefixedGenerator(Generator):
     """Evaluates the base strategy as if a fixed prefix had already been
@@ -315,9 +303,6 @@ class PrefixedGenerator(Generator):
 
     def step(self, revealed: int | None) -> int:
         return self.base.step(revealed)
-
-    def fresh(self) -> "PrefixedGenerator":
-        return PrefixedGenerator(self.base.fresh(), self.prefix)
 
 
 def reduce_by_prefix(base: Generator, removed: tuple[int, ...]) -> Generator:

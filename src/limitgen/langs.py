@@ -100,70 +100,6 @@ def suffix_from(j: int) -> ClosedFormLanguage:
 
 
 NEGATIVES = ClosedFormLanguage(include_negatives=True)
-NATURALS = suffix_from(0)
-
-
-def member(lang: ClosedFormLanguage, x: int) -> bool:
-    return x in lang
-
-
-def enumerate_at(lang: ClosedFormLanguage, k: int) -> int:
-    """k-th element of the canonical enumeration, k >= 0."""
-    if k < 0:
-        raise ValueError("enumeration index must be nonnegative")
-    return next(itertools.islice(lang.elements(), k, None))
-
-
-def project_language(lang: ClosedFormLanguage, removed: Iterable[int]) -> ClosedFormLanguage:
-    """lang minus a finite removed set, back in closed form.
-
-    Removing a finite set never makes the result finite here, but puncturing
-    the negative ray is not expressible in closed form and is rejected.
-    """
-    removed = frozenset(removed)
-    if lang.include_negatives and any(r < 0 for r in removed):
-        raise ValueError("cannot remove negatives from a language containing all of them")
-    finite = set(lang.finite_part) - removed
-    tail = lang.tail_start
-    if tail is not None:
-        hit = [r for r in removed if r >= tail]
-        if hit:
-            top = max(hit)
-            finite.update(v for v in range(tail, top + 1) if v not in removed)
-            tail = top + 1
-    return ClosedFormLanguage(frozenset(finite), tail, lang.include_negatives)
-
-
-def map_language(lang: ClosedFormLanguage, shift: int, inverse: bool = False) -> ClosedFormLanguage:
-    """Apply the piecewise bijection f(x) = x for x < 0, x + shift for x >= 0
-    (or its inverse). Only this family of bijections is supported."""
-    if shift < 0:
-        raise ValueError("unsupported bijection: shift must be nonnegative")
-    if not inverse:
-        fwd = lambda v: v if v < 0 else v + shift
-        finite = {fwd(v) for v in lang.finite_part}
-        tail = lang.tail_start
-        if tail is not None:
-            if tail >= 0:
-                tail += shift
-            else:
-                finite.update(range(tail, 0))
-                tail = shift
-        return ClosedFormLanguage(frozenset(finite), tail, lang.include_negatives)
-    def back(v: int) -> int:
-        if 0 <= v < shift:
-            raise ValueError(f"{v} is outside the image of the shift bijection")
-        return v if v < 0 else v - shift
-
-    finite = {back(v) for v in lang.finite_part}
-    tail = lang.tail_start
-    if tail is not None:
-        if tail >= shift:
-            tail -= shift
-        elif shift > 0:
-            # the tail sweeps through the gap [0, shift), which f never hits
-            raise ValueError("language tail covers points outside the bijection image")
-    return ClosedFormLanguage(frozenset(finite), tail, lang.include_negatives)
 
 
 def zigzag_encode(n: int) -> int:
@@ -171,11 +107,6 @@ def zigzag_encode(n: int) -> int:
     if n < 0:
         raise ValueError("encode takes a natural number")
     return n // 2 if n % 2 == 0 else -(n + 1) // 2
-
-
-def zigzag_decode(z: int) -> int:
-    """Inverse of zigzag_encode."""
-    return 2 * z if z >= 0 else -2 * z - 1
 
 
 class TranscriptLimitLanguage:

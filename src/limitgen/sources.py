@@ -304,16 +304,6 @@ class StagedAdversary(Source):
     def truth_view(self) -> TranscriptLimitLanguage:
         return self.limit
 
-    def stage_language(self, index: int) -> ClosedFormLanguage:
-        """Materialize a stage's intended language (for inspection)."""
-        stage = self.stages[index]
-        if stage.base is not None:
-            return stage.base
-        finite = (
-            frozenset(self.emitted[: stage.snapshot_len]) - stage.dropped
-        ) | stage.extras
-        return ClosedFormLanguage(finite, stage.tail_start, False)
-
     @property
     def certified_mistake_times(self) -> tuple[int, ...]:
         return tuple(s.trigger_time for s in self.stages if s.trigger_time is not None)

@@ -16,6 +16,10 @@ Two levels:
 Both are deliberately separate code paths from the analytic oracles they
 check.
 
+A few inspection helpers that only tests use live here too: the members of
+a closure on a window, a staged adversary's stage language, and the inverse
+of the zigzag pairing.
+
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
 ray-prefix chain links), the transcript replay that located the union
@@ -51,7 +55,7 @@ from limitgen.families import (
     UnionSpec,
 )
 from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier, UnionFeedbackGenerator
-from limitgen.langs import suffix_from
+from limitgen.langs import ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, StagedAdversary
 
 TINY_LO, TINY_HI = -6, 6
@@ -59,6 +63,30 @@ TINY_LO, TINY_HI = -6, 6
 
 def window(lo: int, hi: int) -> list[int]:
     return list(range(lo, hi + 1))
+
+
+# --- inspection helpers --------------------------------------------------------
+
+
+def members_in(closure: ClosureResult, pts) -> frozenset[int]:
+    """The members of a closure among the given points."""
+    return frozenset(x for x in pts if x in closure)
+
+
+def stage_language(adversary: StagedAdversary, index: int) -> ClosedFormLanguage:
+    """Materialize a stage's intended language: stage 0's base, or the
+    emitted prefix up to the stage's snapshot, minus its dropped set, plus
+    its extras and its upward ray."""
+    stage = adversary.stages[index]
+    if stage.base is not None:
+        return stage.base
+    finite = (frozenset(adversary.emitted[: stage.snapshot_len]) - stage.dropped) | stage.extras
+    return ClosedFormLanguage(finite, stage.tail_start, False)
+
+
+def zigzag_decode(z: int) -> int:
+    """Inverse of `langs.zigzag_encode`."""
+    return 2 * z if z >= 0 else -2 * z - 1
 
 
 def _suffix_traces(fam: SuffixFamily, lo: int, hi: int) -> list[frozenset[int]]:
@@ -380,7 +408,9 @@ def naive_run(generator, source, mode, horizon):
 
 
 def naive_validate_stream(records, source, mode, horizon):
-    """Every stream check, taken from the finished records."""
+    """Every stream check, taken from the finished records. Coverage is
+    checked only when samples are revealed, that is, not in sampleless
+    play."""
     violations = []
     xs = [r.x for r in records if r.x is not None]
     if mode.kind != REPETITION:
@@ -406,7 +436,7 @@ def naive_validate_stream(records, source, mode, horizon):
         if mode.kind == LOSSY and isinstance(mode.omissions, int):
             if len(spec.omissions) > mode.omissions:
                 violations.append(f"omission-budget:{len(spec.omissions)}>{mode.omissions}")
-        if spec.order == "canonical" and spec.repeat_seed is None:
+        if spec.order == "canonical" and spec.repeat_seed is None and mode.kind != SAMPLELESS:
             must_show = min(horizon // 2, max(horizon - declared_noise - 1, 0))
             for k, v in enumerate(truth.elements()):
                 if k >= must_show:

@@ -22,7 +22,7 @@ from limitgen.generators import FollowSuffix
 from limitgen.langs import ClosedFormLanguage
 from limitgen.sources import ScriptedSource, ScriptedSpec
 
-from oracles import brute_closure_window, minimal_traces
+from oracles import brute_closure_window, members_in, minimal_traces
 
 
 def _report(criterion: str, failures: list[str]) -> None:
@@ -105,7 +105,7 @@ def test_criterion_04_core_check_agrees_with_brute_force():
             failures.append(f"{name}: analytic check flipped")
             continue
         brute = brute_closure_window(spec, frozenset(), lo, hi)
-        analytic = spec.intersection().members_in(range(lo, hi + 1))
+        analytic = members_in(spec.intersection(), range(lo, hi + 1))
         if frozenset(analytic) != brute:
             failures.append(f"{name}: window core mismatch")
         brute_wide = brute_closure_window(spec, frozenset(), *wider)

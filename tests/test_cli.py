@@ -5,10 +5,12 @@ import pytest
 
 from limitgen import cli, experiments
 from limitgen.cli import main
+from limitgen.engine import Mode
 from limitgen.errors import DuplicateSubRun
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
+from limitgen.generators import FollowSuffix
 from limitgen.langs import suffix_from
-from limitgen.sources import StagedAdversary, StagePlan
+from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary, StagePlan
 
 SPEC_IDS = [
     "thm3.1",
@@ -146,6 +148,33 @@ def test_failed_assertion_exits_1(tmp_path, capsys):
     )
     assert main(["--config", str(config)]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_positive_case_with_t_star_past_its_horizon_fails(tmp_path, capsys):
+    # no step is left to check, so the case must not pass
+    assert main(["--experiment", "alg3-chain", "--horizon", "5"]) == 1
+    assert "alg3[P7]: t*=7 is not below the horizon 5" in capsys.readouterr().out
+    config = tmp_path / "config.json"
+    entry = {"id": "alg3-chain", "horizon": 50, "params": {"target_ray": 100000}}
+    config.write_text(json.dumps({"experiments": [entry]}))
+    assert main(["--config", str(config)]) == 1
+    assert "t*=100000 is not below the horizon 50" in capsys.readouterr().out
+
+
+def test_stream_violation_fails_a_row_other_than_thm31(monkeypatch, capsys):
+    pos = EXPERIMENTS["thm3.1-pos"]
+
+    def repeating_case(horizon, seed, params):
+        # repeats break Mode.standard(); the case has no other check
+        src = ScriptedSource(ScriptedSpec(suffix_from(0), repeat_seed=0))
+        yield experiments.Case("repeats", FollowSuffix(), src, Mode.standard(), horizon)
+
+    monkeypatch.setitem(EXPERIMENTS, "thm3.1-pos", dataclasses.replace(pos, cases=repeating_case))
+    rows, subs = experiments.run_experiment("thm3.1-pos", horizon=50)
+    assert any(v.startswith("repeat@") for v in subs[0].result.validity_violations)
+    assert not rows[0].passed
+    assert rows[0].detail.startswith("repeats: stream violations: ('repeat@")
+    assert main(["--experiment", "thm3.1-pos", "--horizon", "50"]) == 1
 
 
 def test_emit_summary_requires_rows():

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from limitgen import engine
 from limitgen.engine import Mode, oracle_answer, run, verdict, write_trace
 from limitgen.errors import BudgetViolation, ModeMismatch
-from limitgen.families import ExplicitCountable, SuffixFamily, neg_union
+from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_prefix_chain
 from limitgen.feedback import (
     FeedbackGenerator,
     IndexIdentifier,
@@ -16,6 +16,7 @@ from limitgen.feedback import (
     UnionFeedbackGenerator,
 )
 from limitgen.generators import (
+    ChainGenerator,
     DedupWrapper,
     FollowSuffix,
     NoiseTolerantGenerator,
@@ -72,6 +73,17 @@ def test_sampleless_run_has_no_mistakes():
     assert result.mistakes == 0
     assert result.observed_convergence == 0
     assert all(r.x is None for r in records)
+
+
+def test_sampleless_run_reports_no_coverage_miss():
+    # sampleless play reveals nothing, so there is no coverage to check
+    plays = [
+        (intersection_generator(neg_union()), ClosedFormLanguage(frozenset({7}), None, True)),
+        (ChainGenerator(ray_prefix_chain()), suffix_from(7)),
+    ]
+    for gen, truth in plays:
+        _, result = run(gen, scripted(truth), Mode.sampleless(), 100)
+        assert result.validity_violations == ()
 
 
 def test_sampleless_run_flags_output_repeats():

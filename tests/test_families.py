@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -9,11 +7,7 @@ from limitgen.families import (
     NO_CONSISTENT,
     ClosureResult,
     ExplicitCountable,
-    NegFamily,
     SuffixFamily,
-    UnionSpec,
-    collection_by_name,
-    intersection_stream,
     language_intersection,
     marked_neg_union,
     marked_suffix_union,
@@ -25,6 +19,7 @@ from limitgen.families import (
     suffix_union,
     uniform_without_samples_check,
 )
+from limitgen.generators import intersection_generator
 from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 
 from oracles import (
@@ -33,6 +28,7 @@ from oracles import (
     brute_closure,
     brute_consistent,
     literal_traces,
+    members_in,
     naive_ray_prefix_link,
     window,
 )
@@ -81,7 +77,7 @@ def test_closure_matches_literal_brute_force(family):
             assert got.kind == NO_CONSISTENT, sample
         else:
             assert got.kind != NO_CONSISTENT, sample
-            assert got.members_in(pts) == expected, sample
+            assert members_in(got, pts) == expected, sample
 
 
 @pytest.mark.parametrize("family", TINY_FAMILIES)
@@ -89,7 +85,7 @@ def test_intersection_matches_literal_brute_force(family):
     traces = literal_traces(family)
     expected = brute_closure(traces, frozenset())
     got = family.intersection()
-    assert got.members_in(window(TINY_LO, TINY_HI)) == expected
+    assert members_in(got, window(TINY_LO, TINY_HI)) == expected
 
 
 def test_consistency_examples():
@@ -117,14 +113,6 @@ def test_closure_dimension_values():
     assert SuffixFamily(offset=5).closure_dimension() == -1
     with pytest.raises(UnboundedClosureDimension):
         suffix_union().closure_dimension()
-    with pytest.raises(UnboundedClosureDimension):
-        marked_union(1).closure_dimension()
-    # computed for finite lists: {5} u negatives meets the ray P0 in exactly {5}
-    pair = ExplicitCountable(
-        languages=(suffix_from(0), ClosedFormLanguage(frozenset({5}), None, True))
-    )
-    assert pair.closure_dimension() == 1
-    assert ExplicitCountable(languages=(suffix_from(0), suffix_from(5))).closure_dimension() == -1
 
 
 def test_ray_family_dimension_witnesses_by_brute_force():
@@ -137,14 +125,17 @@ def test_ray_family_dimension_witnesses_by_brute_force():
         assert TINY_HI in trace  # window-filling tail: infinite closure
 
 
-def test_intersection_stream_examples():
-    stream = intersection_stream(neg_union())
-    assert list(itertools.islice(stream, 3)) == [-1, -2, -3]
+def test_intersection_generator_examples():
+    stream = intersection_generator(neg_union())
+    assert [stream.step(None) for _ in range(3)] == [-1, -2, -3]
 
     prefix = ExplicitCountable(languages=tuple(suffix_from(k) for k in range(6)))
-    assert list(itertools.islice(intersection_stream(prefix), 3)) == [5, 6, 7]
+    stream = intersection_generator(prefix)
+    assert [stream.step(None) for _ in range(3)] == [5, 6, 7]
 
-    assert intersection_stream(suffix_union()) == frozenset()
+    assert suffix_union().intersection() == ClosureResult.finite(())
+    with pytest.raises(ValueError):
+        intersection_generator(suffix_union())
 
 
 def test_uniform_without_samples_examples():
@@ -155,52 +146,6 @@ def test_uniform_without_samples_examples():
     )
 
 
-def test_projection_identity_on_marked_union():
-    for level in range(3):
-        removed = frozenset(range(level + 1))
-        projected = marked_union(level).project(removed)
-        suffix_part, neg_part = projected.parts
-        assert suffix_part == SuffixFamily(
-            frozenset(), removed, None, level + 1
-        )
-        assert neg_part == NegFamily(frozenset(), removed)
-        # oracle-level agreement with the directly-constructed projection
-        direct = UnionSpec(
-            (SuffixFamily(forbidden=removed, min_offset=level + 1), NegFamily(forbidden=removed))
-        )
-        pts = window(-10, 10)
-        for sample in SAMPLES:
-            assert projected.consistent(sample) == direct.consistent(sample)
-            a, b = projected.closure(sample), direct.closure(sample)
-            assert (a.kind == NO_CONSISTENT) == (b.kind == NO_CONSISTENT)
-            if a.kind != NO_CONSISTENT:
-                assert a.members_in(pts) == b.members_in(pts)
-
-
-def test_projection_simple_cases():
-    got = ExplicitCountable(languages=(suffix_from(0),)).project({0})
-    assert got.languages == (suffix_from(1),)
-    got = NegFamily(required=frozenset({0})).project({0})
-    assert got == NegFamily(frozenset(), frozenset({0}))
-    with pytest.raises(ValueError):
-        neg_union().project({-1})
-
-
-def test_projection_closure_commutes_on_neg_families():
-    fam = neg_union()
-    removed = frozenset({0, 3})
-    projected = fam.project(removed)
-    pts = window(-10, 10)
-    for sample in [frozenset(), frozenset({-5, 4}), frozenset({1})]:
-        before = fam.closure(sample)
-        after = projected.closure(sample)
-        if after.kind == NO_CONSISTENT:
-            assert sample & removed
-            continue
-        expect = {x for x in before.members_in(pts) if x not in removed}
-        assert after.members_in(pts) == frozenset(expect)
-
-
 def test_chain_links_shrink_and_stay_infinite():
     chain = ray_prefix_chain()
     pts = window(0, 40)
@@ -208,7 +153,7 @@ def test_chain_links_shrink_and_stay_infinite():
     for i in range(12):
         core = chain.intersection_at(i)
         assert core.kind == INFINITE
-        members = core.members_in(pts)
+        members = members_in(core, pts)
         if previous is not None:
             assert members <= previous
         previous = members
@@ -229,19 +174,11 @@ def test_chain_links_match_materialized_rays(t, sample):
     assert link.consistent(sample) == naive.consistent(sample) == brute_consistent(traces, sample)
     got, want = link.closure(sample), naive.closure(sample)
     assert got.kind == want.kind
-    assert got.members_in(pts) == want.members_in(pts)
+    assert members_in(got, pts) == members_in(want, pts)
     if want.kind != NO_CONSISTENT:
-        assert got.members_in(pts) == brute_closure(traces, sample)
+        assert members_in(got, pts) == brute_closure(traces, sample)
     assert link.intersection() == naive.intersection()
-    assert link.closure_dimension() == naive.closure_dimension()
     assert literal_traces(link, LINK_LO, LINK_HI) == traces
-
-
-def test_chain_consistency_search():
-    chain = ray_prefix_chain(index_bound=50)
-    assert chain.consistent({3})
-    with pytest.raises(IndexBoundExceeded):
-        chain.consistent({-1})
 
 
 def test_rule_based_bounds():
@@ -285,15 +222,6 @@ def test_language_intersection_matches_membership(fin_a, fin_b, tail_a, tail_b, 
     got = language_intersection(a, b)
     for x in range(-40, 41):
         assert (x in got) == (x in a and x in b)
-
-
-def test_collection_names_resolve():
-    assert collection_by_name("C1") == suffix_union()
-    assert collection_by_name("C2") == neg_union()
-    assert collection_by_name("C^i:2") == marked_union(2)
-    assert collection_by_name("P:3").languages == (suffix_from(3),)
-    with pytest.raises(ValueError):
-        collection_by_name("nope")
 
 
 def test_sensitivity_collection_has_finite_core():

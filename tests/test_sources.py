@@ -19,6 +19,8 @@ from limitgen.sources import (
     staged_union_adversary,
 )
 
+from oracles import stage_language
+
 
 def play(adversary, gen, horizon):
     """Minimal reveal/output loop against an adaptive source."""
@@ -96,8 +98,8 @@ def test_staged_union_exact_replay_against_ascender():
     assert zs == [1, 2, 4, 5, 7, 8, 10, 11, 13]
     assert adversary.certified_mistake_times == (0, 2, 4, 6, 8)
     assert adversary.limit.excluded == {1, 4, 7, 10, 13}
-    assert adversary.stage_language(1) == ClosedFormLanguage(frozenset({0, -1}), 3, False)
-    assert adversary.stage_language(2) == ClosedFormLanguage(
+    assert stage_language(adversary, 1) == ClosedFormLanguage(frozenset({0, -1}), 3, False)
+    assert stage_language(adversary, 2) == ClosedFormLanguage(
         frozenset({0, -1, 3, -2}), 6, False
     )
 
@@ -190,7 +192,7 @@ def test_noise_prefix_stage_languages_avoid_markers():
     adversary = noise_prefix_adversary(1)
     play(adversary, NoiseTolerantGenerator(1), 200)
     for stage in adversary.stages[1:4]:
-        lang = adversary.stage_language(stage.index)
+        lang = stage_language(adversary, stage.index)
         assert 0 not in lang.finite_part and 1 not in lang.finite_part
 
 
