@@ -17,10 +17,9 @@ from .experiments import (
     EXPERIMENTS,
     SubRun,
     SummaryRow,
-    _matrix_rows,
     emit_summary,
+    matrix_rows,
     run_experiment,
-    union_generator,
 )
 
 
@@ -29,74 +28,51 @@ def _parser() -> argparse.ArgumentParser:
         prog="limitgen",
         description="Run adversarial language-generation experiments.",
     )
-    p.add_argument("--experiment", default=None, help="experiment id or 'all'")
-    p.add_argument("--config", default=None, help="JSON config file (may define a matrix)")
-    p.add_argument("--horizon", type=int, default=None, help="override the step horizon")
-    p.add_argument("--seed", type=int, default=0, help="base seed for shuffled orders")
+    select = p.add_mutually_exclusive_group()
+    select.add_argument("--experiment", default=None, help="experiment id or 'all'")
+    select.add_argument("--config", default=None, help="JSON config file (may define a matrix)")
+    select.add_argument("--list", action="store_true", help="list experiment ids")
+    select.add_argument("--describe", action="store_true", help="describe experiments")
+    p.add_argument("--horizon", type=int, help="step horizon; a config entry's own wins")
+    p.add_argument("--seed", type=int, default=0, help="seed of shuffled orders; an entry's own wins")
     p.add_argument("--trace", default=None, help="directory for per-run trace files")
     p.add_argument("--summary", default=None, help="path for the machine-readable summary")
-    p.add_argument("--list", action="store_true", help="list experiment ids")
-    p.add_argument("--describe", action="store_true", help="describe experiments")
     return p
 
 
 def _load_configs(path: str) -> list[dict]:
-    """Read and check a config file, expanding matrix params into one entry
-    per value, so that no bad entry is found after experiments have run. No
-    summary row may come twice: its traces would overwrite each other."""
+    """Read and check a config file, so that no bad entry is found after
+    experiments have run. An entry takes `id`, `horizon`, `seed` and
+    `params`; its row's schema checks the params (`matrix_rows`). No summary
+    row may come twice: its traces would overwrite each other."""
     with open(path) as fp:
         data = json.load(fp)
     entries = data.get("experiments") if isinstance(data, dict) else None
     if not isinstance(entries, list) or not entries:
         raise ValueError("config must contain a non-empty 'experiments' list")
-    expanded: list[dict] = []
+    unknown = sorted(set(data) - {"experiments"})
+    if unknown:
+        raise ValueError(f"unknown top-level config keys {unknown}")
+    rows: set[str] = set()
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"config entry must be an object, got {entry!r}")
         ident = entry.get("id")
         if not isinstance(ident, str) or ident not in EXPERIMENTS:
             raise ValueError(f"unknown experiment id in config: {ident!r}")
+        unknown = sorted(set(entry) - {"id", "horizon", "seed", "params"})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown} in the config entry of {ident}")
         if "horizon" in entry:
             _check_horizon(entry["horizon"], f"horizon of {ident}")
         seed = entry.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int):
             raise ValueError(f"seed of {ident} must be an integer, got {seed!r}")
-        params = entry.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f"params of {ident} must be an object, got {params!r}")
-        if "target_ray" in params:  # alg3-chain's target index
-            _check_count(params["target_ray"], f"target_ray of {ident}")
-        key = EXPERIMENTS[ident].matrix_key
-        if key is None or key not in params:
-            expanded.append(entry)
-            continue
-        values = params[key]
-        if key == "generators":
-            if not isinstance(values, list) or not values:
-                raise ValueError(f"generators of {ident} must be a non-empty list, got {values!r}")
-            for name in values:
-                if not isinstance(name, str):
-                    raise ValueError(f"generator name must be a string, got {name!r}")
-                union_generator(name)
-        else:
-            values = values if isinstance(values, list) else [values]
-            if not values:
-                raise ValueError(f"{key} of {ident} is an empty list")
-            for value in values:
-                _check_count(value, f"{key} of {ident}")
-        expanded += [{**entry, "params": {**params, key: value}} for value in values]
-    rows: set[str] = set()
-    for entry in expanded:
-        for row, _ in _matrix_rows(EXPERIMENTS[entry["id"]], entry.get("params", {})):
+        for row, _ in matrix_rows(EXPERIMENTS[ident], entry.get("params", {})):
             if row in rows:
                 raise ValueError(f"config runs {row} twice, so its traces would overwrite each other")
             rows.add(row)
-    return expanded
-
-
-def _check_count(value: object, origin: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{origin} must be a non-negative integer, got {value!r}")
+    return entries
 
 
 def _check_horizon(value: object, origin: str) -> None:

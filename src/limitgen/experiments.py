@@ -106,20 +106,30 @@ class Case(NamedTuple):
     t_star: int | None = None
 
 
+class Param(NamedTuple):
+    """A row's one config parameter: `kind(value, origin)` checks the config's
+    value, else `default`, and returns the tuple of values it stands for. With
+    `matrix`, each value makes its own summary row."""
+
+    name: str
+    kind: Callable[[object, str], tuple]
+    default: object
+    matrix: bool = False
+
+
 @dataclass(frozen=True)
 class Experiment:
     """One table row. `cases(horizon, seed, params)` is a generator: it yields
     each Case lazily and is sent back the finished SubRun, so that it can
     check that run, and it yields the message of every check that fails.
-    With a matrix key, each of its values (the config's, else
-    `matrix_default`) makes its own summary row."""
+    `param` is the row's one config parameter, if it takes one; `params`
+    then maps its name to one checked value (see `matrix_rows`)."""
 
     ident: str
     description: str
     default_horizon: int
     cases: Callable[[int, int, dict], Generator[Case | str, SubRun | None, None]]
-    matrix_key: str | None = None  # config param that may carry a value list
-    matrix_default: tuple = ()
+    param: Param | None = None
 
 
 def _scripted(
@@ -257,7 +267,7 @@ def _noisy_sampleless_cases(horizon: int, seed: int, params: dict):
 
 
 def _chain_cases(horizon: int, seed: int, params: dict):
-    target = int(params.get("target_ray", 7))
+    target = params["target_ray"]
     gen = ChainGenerator(ray_prefix_chain())
     src = _scripted(suffix_from(target))
     # converging by the target's index is having no mistake from it on
@@ -539,15 +549,19 @@ def _identification_cases(horizon: int, seed: int, params: dict):
 
 
 def _repetition_cases(horizon: int, seed: int, params: dict):
+    # the base runs' t*: follow_suffix misses only at step 0 (its output 1);
+    # every later output is above every reveal and past the tail start 4.
+    # The negatives stream stays two ahead of their canonical reveals.
     cases = [
-        ("follow_suffix", lambda: FollowSuffix(), ClosedFormLanguage(frozenset({-3}), 4, False)),
+        ("follow_suffix", FollowSuffix, ClosedFormLanguage(frozenset({-3}), 4, False), 1),
         (
             "neg-stream",
             lambda: intersection_generator(neg_union()),
             ClosedFormLanguage(frozenset({3, 7}), None, True),
+            0,
         ),
     ]
-    for label, make, truth in cases:
+    for label, make, truth, t_star in cases:
         runs = []
         for rep_seed in range(seed, seed + 10):
             wrapped = DedupWrapper(make())
@@ -556,7 +570,7 @@ def _repetition_cases(horizon: int, seed: int, params: dict):
             runs.append((yield Case(name, wrapped, src, Mode.repetition(), horizon)))
         # the base run is checked against, but comes after the runs it checks
         name = f"appendixA-base[{label}]"
-        plain = yield Case(name, make(), _scripted(truth), Mode.standard(), horizon)
+        plain = yield Case(name, make(), _scripted(truth), Mode.standard(), horizon, t_star)
         for sub in runs:
             # no mistake once more distinct samples came than the base run needed
             if sub.result.distinct_at_convergence > plain.result.observed_convergence:
@@ -569,6 +583,32 @@ def _repetition_cases(horizon: int, seed: int, params: dict):
 # --- the table --------------------------------------------------------------
 
 
+def _count(value: object, origin: str) -> tuple[int]:
+    """One non-negative integer."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{origin} must be a non-negative integer, got {value!r}")
+    return (value,)
+
+
+def _counts(value: object, origin: str) -> tuple[int, ...]:
+    """A non-negative integer or a non-empty list of them."""
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ValueError(f"{origin} is an empty list")
+    return tuple(_count(item, origin)[0] for item in values)
+
+
+def _generator_names(value: object, origin: str) -> tuple[str, ...]:
+    """A non-empty list of names that `union_generator` accepts."""
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"{origin} must be a non-empty list, got {value!r}")
+    for name in value:
+        if not isinstance(name, str):
+            raise ValueError(f"generator name must be a string, got {name!r}")
+        union_generator(name)
+    return tuple(value)
+
+
 EXPERIMENTS: dict[str, Experiment] = {
     exp.ident: exp
     for exp in [
@@ -578,8 +618,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             "fixed strategies for the suffix+negatives union",
             10_000,
             _union_defeat_cases,
-            matrix_key="generators",
-            matrix_default=("max_plus_one", "follow_suffix", "omission:0"),
+            Param(
+                "generators", _generator_names, ["max_plus_one", "follow_suffix", "omission:0"], True
+            ),
         ),
         Experiment(
             "thm3.1-pos",
@@ -600,6 +641,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "target's index",
             500,
             _chain_cases,
+            Param("target_ray", _count, 7),
         ),
         Experiment(
             "thm4.3-check",
@@ -620,16 +662,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             "past it",
             10_000,
             _omission_hierarchy_cases,
-            matrix_key="i",
-            matrix_default=(0, 1, 2),
+            Param("i", _counts, [0, 1, 2], matrix=True),
         ),
         Experiment(
             "thm5.2-noise-i",
             "marker strategies tolerate their declared noise level and fail one past it",
             10_000,
             _noise_hierarchy_cases,
-            matrix_key="i",
-            matrix_default=(0, 1, 2),
+            Param("i", _counts, [0, 1, 2], matrix=True),
         ),
         Experiment(
             "thm5.4-sensitivity",
@@ -637,8 +677,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "the level is unknown",
             10_000,
             _sensitivity_cases,
-            matrix_key="i",
-            matrix_default=(0, 1, 2, 3, 4),
+            Param("i", _counts, [0, 1, 2, 3, 4], matrix=True),
         ),
         Experiment(
             "alg4-feedback",
@@ -671,21 +710,24 @@ EXPERIMENTS: dict[str, Experiment] = {
 }
 
 
-def _matrix_rows(exp: Experiment, params: dict) -> list[tuple[str, dict]]:
-    """(row name, params) per summary row: `ident`, `ident[key=value]`, or
-    `ident[value]` for a name-valued key such as thm3.1's generators."""
-    key = exp.matrix_key
-    if key is None:
-        return [(exp.ident, params)]
-    chosen = params.get(key)
-    if chosen is None:
-        values = exp.matrix_default
-    else:
-        values = chosen if isinstance(chosen, list) else [chosen]
+def matrix_rows(exp: Experiment, params: object) -> list[tuple[str, dict]]:
+    """(row name, checked params) per summary row of `exp`: `ident`, or with a
+    matrix param `ident[key=value]`, or `ident[value]` for a name-valued one.
+    Raises ValueError on params outside the row's schema or its kind."""
+    if not isinstance(params, dict):
+        raise ValueError(f"params of {exp.ident} must be an object, got {params!r}")
+    param = exp.param
+    unknown = sorted(set(params) - ({param.name} if param else set()))
+    if unknown:
+        takes = repr(param.name) if param else "none"
+        raise ValueError(f"unknown params {unknown} for {exp.ident}, which takes {takes}")
+    if param is None:
+        return [(exp.ident, {})]
     rows = []
-    for value in values:
-        label = value if isinstance(value, str) else f"{key}={value}"
-        rows.append((f"{exp.ident}[{label}]", {**params, key: value}))
+    for value in param.kind(params.get(param.name, param.default), f"{param.name} of {exp.ident}"):
+        label = value if isinstance(value, str) else f"{param.name}={value}"
+        row = f"{exp.ident}[{label}]" if param.matrix else exp.ident
+        rows.append((row, {param.name: value}))
     return rows
 
 
@@ -714,15 +756,16 @@ def run_experiment(
     case is run, checked and sent back to its row's generator before the next
     one is drawn, so a case's strategy and source go once the row moves on.
 
-    Raises DuplicateSubRun when two sub-runs share a name, since the trace of
-    one would overwrite the other's.
+    Raises ValueError, before any case runs, when `params` does not fit the
+    row's schema (see `matrix_rows`), and DuplicateSubRun when two sub-runs
+    share a name, since the trace of one would overwrite the other's.
     """
     exp = EXPERIMENTS[ident]
     horizon = exp.default_horizon if horizon is None else horizon
     rows: list[SummaryRow] = []
     all_subs: list[SubRun] = []
     names: set[str] = set()
-    for row_name, row_params in _matrix_rows(exp, params or {}):
+    for row_name, row_params in matrix_rows(exp, {} if params is None else params):
         started = time.perf_counter()
         failures: list[str] = []
         subs: list[SubRun] = []

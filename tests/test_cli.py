@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -49,6 +50,21 @@ def test_unknown_experiment_is_config_error(capsys):
 
 def test_no_selection_is_config_error(capsys):
     assert main([]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--config", "c.json", "--experiment", "thm4.3-check"],
+        ["--list", "--experiment", "alg3-chain"],
+        ["--describe", "--list"],
+    ],
+)
+def test_selection_flags_are_mutually_exclusive(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_single_experiment_with_artifacts(tmp_path, capsys):
@@ -159,6 +175,8 @@ def test_positive_case_with_t_star_past_its_horizon_fails(tmp_path, capsys):
     config.write_text(json.dumps({"experiments": [entry]}))
     assert main(["--config", str(config)]) == 1
     assert "t*=100000 is not below the horizon 50" in capsys.readouterr().out
+    assert main(["--experiment", "appendixA-repetition", "--horizon", "1"]) == 1
+    assert "appendixA-base[follow_suffix]: t*=1 is not below the horizon 1" in capsys.readouterr().out
 
 
 def test_stream_violation_fails_a_row_other_than_thm31(monkeypatch, capsys):
@@ -227,6 +245,11 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
         ({"id": "alg3-chain", "params": {"target_ray": "x"}}, "target_ray of alg3-chain must be a non-negative integer"),
         ({"id": "alg3-chain", "params": {"target_ray": True}}, "target_ray of alg3-chain must be a non-negative integer"),
         ({"id": "alg3-chain", "params": {"target_ray": -4}}, "target_ray of alg3-chain must be a non-negative integer"),
+        ({"id": "alg3-chain", "params": {"taget_ray": 3}}, "unknown params ['taget_ray'] for alg3-chain"),
+        ({"id": "thm3.1-pos", "params": {"i": 3, "bogus": 1}}, "unknown params ['bogus', 'i'] for thm3.1-pos"),
+        ({"id": "thm4.8-omit-i", "params": {"i": 2, "bogus": 1}}, "unknown params ['bogus'] for thm4.8-omit-i"),
+        ({"id": "alg4-feedback", "params": {"i": 1}}, "unknown params ['i'] for alg4-feedback"),
+        ({"id": "alg3-chain", "horizn": 5}, "unknown keys ['horizn'] in the config entry of alg3-chain"),
     ],
 )
 def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):
@@ -237,6 +260,29 @@ def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tm
     assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
     assert message in capsys.readouterr().err
     assert not trace_dir.exists()
+
+
+def test_unknown_top_level_config_key_exits_2_before_running(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [{"id": "alg3-chain"}], "horizon": 5}))
+    assert main(["--config", str(config)]) == 2
+    assert "unknown top-level config keys ['horizon']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ident, params, message",
+    [
+        ("alg3-chain", {"target_ray": "3"}, "target_ray of alg3-chain must be a non-negative integer"),
+        ("thm4.8-omit-i", {"i": "x"}, "i of thm4.8-omit-i must be a non-negative integer"),
+        ("alg3-chain", {"taget_ray": 3}, "unknown params ['taget_ray'] for alg3-chain"),
+        ("alg3-chain", [1], "params of alg3-chain must be an object"),
+    ],
+)
+def test_run_experiment_checks_params_before_running(ident, params, message, monkeypatch):
+    monkeypatch.setattr(experiments, "_run_case", _must_not_run)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        experiments.run_experiment(ident, params=params)
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,6 @@ ALLOWED = {
     "sources.Source.truth_view": "abstract stub",
     # cli config and error paths; test_cli.py covers them
     "cli._load_configs": "--config files only; test_cli.py covers them",
-    "cli._check_count": "--config matrix values and target_ray; test_cli.py covers it",
     "generators.MinMinusOne._decide": "thm3.1 plays it only when a config names min_minus_one",
     # oracle answers no experiment asks for; acceptance criterion 4 and
     # test_families.py check them against brute force
