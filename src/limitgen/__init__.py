@@ -7,7 +7,6 @@ from .engine import Mode, RunResult, StepRecord, run, validate_stream, verdict
 from .errors import (
     AdversaryRepeat,
     BudgetViolation,
-    IndexBoundExceeded,
     LimitGenError,
     ModeMismatch,
     SearchExhausted,
@@ -19,6 +18,7 @@ from .families import (
     CollectionSpec,
     ExplicitCountable,
     NegFamily,
+    RayFamily,
     SuffixFamily,
     UnionSpec,
     language_intersection,

@@ -5,13 +5,6 @@ class LimitGenError(Exception):
     """Base class for framework errors."""
 
 
-class IndexBoundExceeded(LimitGenError):
-    """A search over an unbounded explicit family passed its index bound.
-
-    Signals "unknown past the bound", not "false".
-    """
-
-
 class UnboundedClosureDimension(LimitGenError):
     """Arbitrarily large finite-closure sets exist; no single dimension value."""
 

@@ -257,7 +257,7 @@ def _noisy_sampleless_cases(horizon: int, seed: int, params: dict):
         yield Case(f"alg1[chain,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon, 20)
     # round trip: rebuild a sampleless stream from the skip-seen strategy
     base = noisy_from_sampleless(intersection_generator(neg_union()))
-    roundtrip = SamplelessFromNoisy(base, integer_universe=True)
+    roundtrip = SamplelessFromNoisy(base)
     outputs = [roundtrip.step(None) for _ in range(10_000)]
     if len(set(outputs)) != len(outputs):
         yield "round-trip stream is not injective"
@@ -713,7 +713,8 @@ EXPERIMENTS: dict[str, Experiment] = {
 def matrix_rows(exp: Experiment, params: object) -> list[tuple[str, dict]]:
     """(row name, checked params) per summary row of `exp`: `ident`, or with a
     matrix param `ident[key=value]`, or `ident[value]` for a name-valued one.
-    Raises ValueError on params outside the row's schema or its kind."""
+    Raises ValueError on params outside the row's schema or its kind, and on
+    a matrix value given twice, whose traces would overwrite each other."""
     if not isinstance(params, dict):
         raise ValueError(f"params of {exp.ident} must be an object, got {params!r}")
     param = exp.param
@@ -723,12 +724,14 @@ def matrix_rows(exp: Experiment, params: object) -> list[tuple[str, dict]]:
         raise ValueError(f"unknown params {unknown} for {exp.ident}, which takes {takes}")
     if param is None:
         return [(exp.ident, {})]
-    rows = []
+    rows = {}
     for value in param.kind(params.get(param.name, param.default), f"{param.name} of {exp.ident}"):
         label = value if isinstance(value, str) else f"{param.name}={value}"
         row = f"{exp.ident}[{label}]" if param.matrix else exp.ident
-        rows.append((row, {param.name: value}))
-    return rows
+        if row in rows:
+            raise ValueError(f"config runs {row} twice, so its traces would overwrite each other")
+        rows[row] = {param.name: value}
+    return list(rows.items())
 
 
 def _run_case(case: Case, ident: str, seed: int) -> SubRun:

@@ -1,11 +1,13 @@
 """Parameterized families of languages and their analytic oracles.
 
-The families here are intensional: an uncountable family like
-{A u Z_{<0} | A subset of Z} is represented by its parameters (required and
-forbidden finite sets), never by materializing members. Consistency, closure,
-closure dimension and the common intersection are answered in closed form
-(an explicit list declares its dimension); tests cross-check them against
-brute-force enumeration on bounded windows.
+A collection is either closed-form or listed. The closed-form families are
+intensional: an uncountable family like {A u Z_{<0} | A subset of Z} is
+represented by its parameters (required and forbidden finite sets), and the
+rays {P_k} by an optional top index, never by materializing members; their
+consistency, closure, closure dimension and common intersection are answered
+in closed form. A listed collection is a short tuple of languages, answered
+by exact intersection. Tests cross-check both against brute-force
+enumeration on bounded windows.
 """
 
 from __future__ import annotations
@@ -13,10 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .errors import IndexBoundExceeded, UnboundedClosureDimension
+from .errors import UnboundedClosureDimension
 from .langs import ClosedFormLanguage, suffix_from
-
-DEFAULT_INDEX_BOUND = 10_000
 
 FINITE = "finite"
 INFINITE = "infinite"
@@ -93,10 +93,11 @@ def closure_intersection(a: ClosureResult, b: ClosureResult) -> ClosureResult:
 
 
 class CollectionSpec:
-    """Common oracle surface for every family variant."""
+    """Common oracle surface for every family variant. A sample is consistent
+    unless its closure finds no consistent language."""
 
     def consistent(self, sample: Iterable[int]) -> bool:
-        raise NotImplementedError
+        return self.closure(sample).kind != NO_CONSISTENT
 
     def closure(self, sample: Iterable[int]) -> ClosureResult:
         raise NotImplementedError
@@ -112,13 +113,12 @@ class CollectionSpec:
 class SuffixFamily(CollectionSpec):
     """Languages required u A u P_j with A avoiding the forbidden set.
 
-    `offset` pins j; offset=None ranges over all j >= min_offset.
+    `offset` pins j; offset=None ranges over all j >= 0.
     """
 
     required: frozenset[int] = frozenset()
     forbidden: frozenset[int] = frozenset()
     offset: int | None = None
-    min_offset: int = 0
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "required", frozenset(self.required))
@@ -127,8 +127,6 @@ class SuffixFamily(CollectionSpec):
             raise ValueError("required and forbidden sets must be disjoint")
         if self.offset is not None and self.offset < 0:
             raise ValueError("suffix offsets are natural numbers")
-        if self.min_offset < 0:
-            raise ValueError("min_offset must be nonnegative")
 
     def _offset_cap(self, sample: frozenset[int]) -> int | None:
         """Largest admissible j for the sample, or None when unbounded.
@@ -136,7 +134,7 @@ class SuffixFamily(CollectionSpec):
         Raises ValueError when no j works (inconsistent sample).
         """
         blocked = sample & self.forbidden
-        low = self.offset if self.offset is not None else self.min_offset
+        low = self.offset if self.offset is not None else 0
         if blocked:
             # forbidden sample elements must be swept up by the tail
             cap = min(blocked)
@@ -201,49 +199,47 @@ class NegFamily(CollectionSpec):
 
 
 @dataclass(frozen=True)
-class ExplicitCountable(CollectionSpec):
-    """An explicitly indexed countable collection.
+class RayFamily(CollectionSpec):
+    """The rays P_k for 0 <= k <= top, or for every k when top is None."""
 
-    Either a finite tuple of languages (everything exact) or a rule k -> L_k.
-    Rule-based instances may carry analytic shortcuts; otherwise searches run
-    up to index_bound and raise IndexBoundExceeded past it, which means
-    "unknown", not "false".
-    """
-
-    languages: tuple[ClosedFormLanguage, ...] | None = None
-    rule: Callable[[int], ClosedFormLanguage] | None = None
-    index_bound: int = DEFAULT_INDEX_BOUND
-    consistent_fn: Callable[[frozenset[int]], bool] | None = None
-    closure_fn: Callable[[frozenset[int]], ClosureResult] | None = None
-    declared_dimension: int | None = None
+    top: int | None = None
 
     def __post_init__(self) -> None:
-        if (self.languages is None) == (self.rule is None):
-            raise ValueError("provide exactly one of languages / rule")
-        if self.languages is not None:
-            object.__setattr__(self, "languages", tuple(self.languages))
+        if self.top is not None and self.top < 0:
+            raise ValueError("ray indices are natural numbers")
 
     def consistent(self, sample: Iterable[int]) -> bool:
-        sample = frozenset(sample)
-        if self.consistent_fn is not None:
-            return self.consistent_fn(sample)
-        if self.languages is not None:
-            return any(all(x in lang for x in sample) for lang in self.languages)
-        for k in range(self.index_bound):
-            if all(x in self.rule(k) for x in sample):
-                return True
-        raise IndexBoundExceeded(
-            f"no consistent language among the first {self.index_bound}"
-        )
+        return all(x >= 0 for x in sample)
 
     def closure(self, sample: Iterable[int]) -> ClosureResult:
         sample = frozenset(sample)
-        if self.closure_fn is not None:
-            return self.closure_fn(sample)
-        if self.languages is None:
-            raise IndexBoundExceeded(
-                "closure over a rule-based collection needs a closure_fn"
-            )
+        if not self.consistent(sample):
+            return ClosureResult.no_consistent()
+        # the consistent rays are those starting at or below the least
+        # sample value; the one starting highest is their intersection
+        lows = sample if self.top is None else sample | {self.top}
+        if not lows:
+            return ClosureResult.finite(())
+        return ClosureResult.infinite(suffix_from(min(lows)))
+
+    def closure_dimension(self) -> int:
+        # without a top the empty sample has an empty closure; with one,
+        # every closure contains the top ray
+        return 0 if self.top is None else -1
+
+
+@dataclass(frozen=True)
+class ExplicitCountable(CollectionSpec):
+    """A finite, explicitly listed collection of languages, answered by
+    exact intersection of the listed members."""
+
+    languages: tuple[ClosedFormLanguage, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "languages", tuple(self.languages))
+
+    def closure(self, sample: Iterable[int]) -> ClosureResult:
+        sample = frozenset(sample)
         consistent = [
             lang for lang in self.languages if all(x in lang for x in sample)
         ]
@@ -259,11 +255,6 @@ class ExplicitCountable(CollectionSpec):
             return ClosureResult.finite(merged)
         return ClosureResult.infinite(merged)
 
-    def closure_dimension(self) -> int:
-        if self.declared_dimension is None:
-            raise IndexBoundExceeded("declare the closure dimension of an explicit collection")
-        return self.declared_dimension
-
 
 @dataclass(frozen=True)
 class UnionSpec(CollectionSpec):
@@ -276,26 +267,13 @@ class UnionSpec(CollectionSpec):
         if not self.parts:
             raise ValueError("union of nothing")
 
-    def _part_flags(self, sample: frozenset[int]) -> list[bool]:
-        flags = []
-        unknown = False
-        for part in self.parts:
-            try:
-                flags.append(part.consistent(sample))
-            except IndexBoundExceeded:
-                flags.append(False)
-                unknown = True
-        if not any(flags) and unknown:
-            raise IndexBoundExceeded("consistency unknown past bound in a union part")
-        return flags
-
     def consistent(self, sample: Iterable[int]) -> bool:
-        return any(self._part_flags(frozenset(sample)))
+        sample = frozenset(sample)
+        return any(part.consistent(sample) for part in self.parts)
 
     def closure(self, sample: Iterable[int]) -> ClosureResult:
         sample = frozenset(sample)
-        flags = self._part_flags(sample)
-        live = [part for part, ok in zip(self.parts, flags) if ok]
+        live = [part for part in self.parts if part.consistent(sample)]
         if not live:
             return ClosureResult.no_consistent()
         result = live[0].closure(sample)
@@ -306,12 +284,12 @@ class UnionSpec(CollectionSpec):
 
 @dataclass(frozen=True)
 class ChainSpec:
-    """A monotone chain C_0 within C_1 within ..., given by an index rule.
+    """A monotone chain C_0 within C_1 within ..., given by a rule i -> C_i.
 
     A plain memo of links and their common cores: chain play reads one link
     per step, often across many runs, and asks each link only for its
-    intersection. The memo keeps every link reached, so a rule should build
-    links of bounded size (closed-form oracles, not materialized members)
+    intersection. The memo keeps every link reached, so the rule should build
+    closed-form links such as `RayFamily(top=i)`, not lists that grow with i,
     for memory to stay linear in the number of steps.
     """
 
@@ -364,25 +342,9 @@ def marked_union(i: int) -> UnionSpec:
     return UnionSpec((marked_suffix_union(i), marked_neg_union(i)))
 
 
-def ray_family() -> ExplicitCountable:
-    """The countable family of rays {P_k | k in N}, with exact oracles."""
-
-    def consistent_fn(sample: frozenset[int]) -> bool:
-        return all(x >= 0 for x in sample)
-
-    def closure_fn(sample: frozenset[int]) -> ClosureResult:
-        if not consistent_fn(sample):
-            return ClosureResult.no_consistent()
-        if not sample:
-            return ClosureResult.finite(())
-        return ClosureResult.infinite(suffix_from(min(sample)))
-
-    return ExplicitCountable(
-        rule=suffix_from,
-        consistent_fn=consistent_fn,
-        closure_fn=closure_fn,
-        declared_dimension=0,
-    )
+def ray_family() -> RayFamily:
+    """The countable family of rays {P_k | k in N}."""
+    return RayFamily()
 
 
 def sensitivity_collection() -> UnionSpec:
@@ -394,22 +356,7 @@ def sensitivity_collection() -> UnionSpec:
 def ray_prefix_chain() -> ChainSpec:
     """C_t = {P_0, ..., P_t}: the canonical growing chain of ray families.
 
-    Link t is the rule k -> P_k below index t + 1, answered in closed form,
-    so it holds no rays and costs the same at every t.
+    Link t is answered in closed form, so it holds no rays and costs the same
+    at every t.
     """
-
-    def link(t: int) -> ExplicitCountable:
-        def closure_fn(sample: frozenset[int]) -> ClosureResult:
-            if any(x < 0 for x in sample):
-                return ClosureResult.no_consistent()
-            cap = min([t] + ([min(sample)] if sample else []))
-            return ClosureResult.infinite(suffix_from(cap))
-
-        return ExplicitCountable(
-            rule=suffix_from,
-            index_bound=t + 1,
-            consistent_fn=lambda sample: all(x >= 0 for x in sample),
-            closure_fn=closure_fn,
-        )
-
-    return ChainSpec(link)
+    return ChainSpec(lambda t: RayFamily(top=t))

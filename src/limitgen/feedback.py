@@ -13,7 +13,7 @@ from typing import Iterator, Sequence
 
 from .errors import BudgetViolation, SearchExhausted
 from .families import FINITE, ClosureResult, CollectionSpec, ExplicitCountable
-from .generators import DEFAULT_PROBE_CAP, Generator, _PoolGenerator
+from .generators import PROBE_CAP, Generator, _PoolGenerator
 
 YES = True
 NO = False
@@ -49,13 +49,12 @@ class UnionFeedbackGenerator(FeedbackGenerator):
 
     budget = None
 
-    def __init__(self, parts: Sequence[CollectionSpec], probe_cap: int = DEFAULT_PROBE_CAP) -> None:
+    def __init__(self, parts: Sequence[CollectionSpec]) -> None:
         self.parts = tuple(parts)
         if not self.parts:
             raise ValueError("need at least one part")
         # rejects parts with unbounded dimension up front
         self.dims = tuple(part.closure_dimension() for part in self.parts)
-        self.probe_cap = probe_cap
         self.part_idx = 0
         self.phase = "enter"
         self.sample: set[int] = set()
@@ -100,7 +99,7 @@ class UnionFeedbackGenerator(FeedbackGenerator):
         candidate while it remains unrevealed."""
         if self._stream_started and self.candidate not in self.sample:
             return
-        for _ in range(self.probe_cap):
+        for _ in range(PROBE_CAP):
             try:
                 v = next(self._stream)
             except StopIteration:
@@ -306,8 +305,6 @@ class IndexIdentifier(FeedbackGenerator):
     budget = None
 
     def __init__(self, collection: ExplicitCountable) -> None:
-        if collection.languages is None:
-            raise ValueError("identification needs an explicitly listed collection")
         self.languages = collection.languages
         self.positive: set[int] = set()
         self.negative: set[int] = set()

@@ -3,23 +3,22 @@
 Every strategy is a deterministic state machine whose state is a pure
 function of the prefix it has observed, so replays from the same prefix are
 reproducible. `fresh()` returns an unused instance with the same
-configuration, and only replays call it: `StripQueries` restarts its
-budgeted base with it (`PlainAsFeedback` passes the call on to the strategy
-it wraps), and `noisy_from_sampleless` restarts its stream with it. So only
-the pool strategies, `StreamGenerator`, `ChainGenerator`, `PlainAsFeedback`
-and `OneShotProbeGenerator` define it; the other wrappers do not.
+configuration, and only `StripQueries` calls it, to restart its budgeted
+base (`PlainAsFeedback` passes the call on to the strategy it wraps). So
+only the pool strategies, `PlainAsFeedback` and `OneShotProbeGenerator`
+define it; the other strategies and wrappers do not.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import ModeMismatch, SearchExhausted
 from .families import ChainSpec, CollectionSpec, uniform_without_samples_check
 from .langs import zigzag_encode
 
-DEFAULT_PROBE_CAP = 1_000_000
+PROBE_CAP = 1_000_000  # candidates a fresh-value scan tries before giving up
 
 
 class Generator:
@@ -153,22 +152,18 @@ class SensitivityGenerator(_MarkerBranchGenerator):
 class StreamGenerator(Generator):
     """A sampleless strategy: emits a fixed injective stream, ignoring input."""
 
-    def __init__(self, factory: Callable[[], Iterator[int]]) -> None:
-        self._factory = factory
-        self._iter = factory()
+    def __init__(self, stream: Iterator[int]) -> None:
+        self._iter = stream
 
     def step(self, revealed: int | None = None) -> int:
         return next(self._iter)
-
-    def fresh(self) -> "StreamGenerator":
-        return StreamGenerator(self._factory)
 
 
 def intersection_generator(spec: CollectionSpec) -> StreamGenerator:
     """Enumerate the (infinite) common intersection of the collection."""
     if not uniform_without_samples_check(spec):
         raise ValueError("collection has a finite common intersection")
-    return StreamGenerator(lambda: spec.intersection().language.elements())
+    return StreamGenerator(spec.intersection().language.elements())
 
 
 class ChainGenerator(Generator):
@@ -176,9 +171,8 @@ class ChainGenerator(Generator):
     emit the first unused element (canonical order) of the common
     intersection of link t."""
 
-    def __init__(self, chain: ChainSpec, probe_cap: int = DEFAULT_PROBE_CAP) -> None:
+    def __init__(self, chain: ChainSpec) -> None:
         self.chain = chain
-        self.probe_cap = probe_cap
         self.emitted: set[int] = set()
         self.t = -1
 
@@ -187,22 +181,19 @@ class ChainGenerator(Generator):
         core = self.chain.intersection_at(self.t)
         if not core.is_infinite:
             raise SearchExhausted(f"chain link {self.t} has a finite common core")
-        for v in itertools.islice(core.language.elements(), self.probe_cap):
+        for v in itertools.islice(core.language.elements(), PROBE_CAP):
             if v not in self.emitted:
                 self.emitted.add(v)
                 return v
         raise SearchExhausted("no unused element within the probe cap")
-
-    def fresh(self) -> "ChainGenerator":
-        return ChainGenerator(self.chain, self.probe_cap)
 
 
 class NoisyFromStream(Generator):
     """Turns an injective stream into a sample-consuming strategy by skipping
     stream entries that have already been revealed."""
 
-    def __init__(self, stream_factory: Callable[[], Iterator[int]]) -> None:
-        self._iter = stream_factory()
+    def __init__(self, stream: Iterator[int]) -> None:
+        self._iter = stream
         self._memo: list[int] = []
         self._cursor = 0
         self._seen: set[int] = set()
@@ -223,48 +214,32 @@ class NoisyFromStream(Generator):
         return z
 
 
-def noisy_from_sampleless(stream: StreamGenerator) -> NoisyFromStream:
-    def factory() -> Iterator[int]:
-        source = stream.fresh()
-        return (source.step(None) for _ in itertools.count())
-
-    return NoisyFromStream(factory)
+def noisy_from_sampleless(stream: Generator) -> NoisyFromStream:
+    """Noisy play over the outputs of a sampleless strategy, which it consumes."""
+    return NoisyFromStream(stream.step(None) for _ in itertools.count())
 
 
 class SamplelessFromNoisy(Generator):
-    """Runs a sample-consuming strategy on the canonical universe enumeration
-    and re-emits its outputs, skipping ones already emitted.
+    """Runs a sample-consuming strategy on the canonical enumeration of Z,
+    0, -1, 1, -2, ... (the zigzag order), and re-emits its outputs, skipping
+    ones already emitted."""
 
-    With integer_universe=True the base strategy is fed 0, -1, 1, -2, ...
-    (the zigzag order of Z); otherwise it is fed 0, 1, 2, ....
-    """
-
-    def __init__(
-        self,
-        base: Generator,
-        integer_universe: bool = True,
-        probe_cap: int = DEFAULT_PROBE_CAP,
-    ) -> None:
+    def __init__(self, base: Generator) -> None:
         self.base = base
-        self.integer_universe = integer_universe
-        self.probe_cap = probe_cap
         self._memo: list[int] = []
         self._cursor = 0
         self._emitted: set[int] = set()
 
-    def _feed_value(self, j: int) -> int:
-        return zigzag_encode(j) if self.integer_universe else j
-
     def _entry(self, j: int) -> int:
         while j >= len(self._memo):
-            self._memo.append(self.base.step(self._feed_value(len(self._memo))))
+            self._memo.append(self.base.step(zigzag_encode(len(self._memo))))
         return self._memo[j]
 
     def step(self, revealed: int | None = None) -> int:
         j = self._cursor
         while self._entry(j) in self._emitted:
             j += 1
-            if j - self._cursor > self.probe_cap:
+            if j - self._cursor > PROBE_CAP:
                 raise SearchExhausted("base strategy never produced a fresh value")
         z = self._memo[j]
         self._cursor = j + 1

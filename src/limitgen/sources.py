@@ -207,7 +207,7 @@ class StagedAdversary(Source):
     around a fresh upward ramp that stays above everything played so far.
 
     An optional noise prefix is emitted before stage 0 and counted outside
-    the limit language.
+    the limit language. The limit language promises the negative ray.
     """
 
     adaptive = True
@@ -219,16 +219,15 @@ class StagedAdversary(Source):
         next_stage: Callable[[int, int], StagePlan],
         prefix: Sequence[int] = (),
         pre_excluded: Sequence[int] = (),
-        promised: ClosedFormLanguage | None = NEGATIVES,
-        noise_level_rule: Callable[[int], int] | None = None,
+        noise_level_at: Callable[[int], int] | None = None,
     ) -> None:
         self._stage0_value = stage0_value
         self._next_stage = next_stage
         self.prefix = tuple(prefix)
-        self.limit = TranscriptLimitLanguage(promised=promised, excluded=pre_excluded)
+        self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
         self.emitted: list[int] = []
         self.emitted_set: set[int] = set()
-        self._noise_level_rule = noise_level_rule
+        self._noise_level_at = noise_level_at
         self.stages: list[StageRecord] = [
             StageRecord(0, started_at=len(self.prefix), base=stage0_language)
         ]
@@ -287,8 +286,8 @@ class StagedAdversary(Source):
                 extras=plan.extras,
                 dropped=plan.dropped,
             )
-            if self._noise_level_rule is not None:
-                record.declared_noise_level = self._noise_level_rule(t)
+            if self._noise_level_at is not None:
+                record.declared_noise_level = self._noise_level_at(t)
             self.stages.append(record)
             self._ramp_next = plan.tail_start
             self._negative_step = None
@@ -373,5 +372,5 @@ def sensitivity_adversary() -> StagedAdversary:
         stage0_value=lambda k: k,
         stage0_language=suffix_from(0),
         next_stage=lambda _z, m: StagePlan(tail_start=m + 1),
-        noise_level_rule=lambda negative_step: negative_step + 1,
+        noise_level_at=lambda negative_step: negative_step + 1,
     )

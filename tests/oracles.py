@@ -51,6 +51,7 @@ from limitgen.families import (
     ClosureResult,
     ExplicitCountable,
     NegFamily,
+    RayFamily,
     SuffixFamily,
     UnionSpec,
 )
@@ -95,7 +96,7 @@ def _suffix_traces(fam: SuffixFamily, lo: int, hi: int) -> list[frozenset[int]]:
     if fam.offset is not None:
         offsets = [fam.offset]
     else:
-        offsets = list(range(fam.min_offset, hi + 2))  # hi+1 stands in for all larger
+        offsets = list(range(hi + 2))  # hi+1 stands in for all larger
     traces = set()
     for j in offsets:
         for r in range(len(pool) + 1):
@@ -122,7 +123,7 @@ def literal_traces(spec, lo: int = TINY_LO, hi: int = TINY_HI) -> list[frozenset
         return _suffix_traces(spec, lo, hi)
     if isinstance(spec, NegFamily):
         return _neg_traces(spec, lo, hi)
-    if isinstance(spec, ExplicitCountable):
+    if isinstance(spec, (ExplicitCountable, RayFamily)):
         pts = window(lo, hi)
         return [frozenset(v for v in pts if v in lang) for lang in _listed(spec, hi)]
     if isinstance(spec, UnionSpec):
@@ -133,17 +134,17 @@ def literal_traces(spec, lo: int = TINY_LO, hi: int = TINY_HI) -> list[frozenset
     raise TypeError(f"no literal oracle for {type(spec)!r}")
 
 
-def _listed(spec: ExplicitCountable, hi: int):
-    """Languages of an explicit collection relevant to a window check.
+def _listed(spec: ExplicitCountable | RayFamily, hi: int):
+    """Languages of a listed or ray collection relevant to a window check.
 
-    For rule-based collections the first hi+2 members (at most index_bound of
-    them) are materialized; this is exact for the ray family and its prefixes
-    (later rays trace identically to ray hi+1 on the window and cannot
-    contain window samples).
+    A ray family is materialized up to ray min(top, hi + 1); this is exact on
+    the window (later rays trace identically to ray hi+1 on the window and
+    cannot contain window samples).
     """
-    if spec.languages is not None:
+    if isinstance(spec, ExplicitCountable):
         return spec.languages
-    return tuple(spec.rule(k) for k in range(min(hi + 2, spec.index_bound)))
+    top = hi + 1 if spec.top is None else min(spec.top, hi + 1)
+    return tuple(suffix_from(k) for k in range(top + 1))
 
 
 def brute_consistent(traces, sample) -> bool:
@@ -177,7 +178,7 @@ def minimal_traces(spec, sample, lo: int, hi: int) -> list[frozenset[int]] | Non
     pts = window(lo, hi)
     if isinstance(spec, SuffixFamily):
         blocked = sample & spec.forbidden
-        lows = [spec.offset] if spec.offset is not None else list(range(spec.min_offset, hi + 2))
+        lows = [spec.offset] if spec.offset is not None else list(range(hi + 2))
         traces = []
         for j in lows:
             if any(x < j for x in blocked):
@@ -191,7 +192,7 @@ def minimal_traces(spec, sample, lo: int, hi: int) -> list[frozenset[int]] | Non
             return None
         lang = set(spec.required) | sample | {v for v in pts if v < 0}
         return [frozenset(v for v in lang if lo <= v <= hi)]
-    if isinstance(spec, ExplicitCountable):
+    if isinstance(spec, (ExplicitCountable, RayFamily)):
         live = [
             frozenset(v for v in pts if v in lang)
             for lang in _listed(spec, hi)
@@ -289,19 +290,9 @@ class NaiveIndexIdentifier(IndexIdentifier):
 
 
 def naive_ray_prefix_link(t: int) -> ExplicitCountable:
-    """Link t of the ray-prefix chain with its rays P_0..P_t materialized."""
-
-    def closure_fn(sample: frozenset[int]) -> ClosureResult:
-        if any(x < 0 for x in sample):
-            return ClosureResult.no_consistent()
-        cap = min([t] + ([min(sample)] if sample else []))
-        return ClosureResult.infinite(suffix_from(cap))
-
-    return ExplicitCountable(
-        languages=tuple(suffix_from(k) for k in range(t + 1)),
-        consistent_fn=lambda sample: all(x >= 0 for x in sample),
-        closure_fn=closure_fn,
-    )
+    """Link t of the ray-prefix chain as the plain list of rays P_0..P_t,
+    answered by intersecting the listed rays."""
+    return ExplicitCountable(languages=tuple(suffix_from(k) for k in range(t + 1)))
 
 
 def replayed_last_part_move(parts, records) -> int:

@@ -277,6 +277,7 @@ def test_unknown_top_level_config_key_exits_2_before_running(monkeypatch, tmp_pa
         ("thm4.8-omit-i", {"i": "x"}, "i of thm4.8-omit-i must be a non-negative integer"),
         ("alg3-chain", {"taget_ray": 3}, "unknown params ['taget_ray'] for alg3-chain"),
         ("alg3-chain", [1], "params of alg3-chain must be an object"),
+        ("thm4.8-omit-i", {"i": [1, 1]}, "config runs thm4.8-omit-i[i=1] twice"),
     ],
 )
 def test_run_experiment_checks_params_before_running(ident, params, message, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from limitgen.errors import IndexBoundExceeded, UnboundedClosureDimension
+from limitgen.errors import UnboundedClosureDimension
 from limitgen.families import (
     INFINITE,
     NO_CONSISTENT,
@@ -45,6 +45,8 @@ TINY_FAMILIES = [
     ExplicitCountable(
         languages=(suffix_from(0), ClosedFormLanguage(frozenset({5}), None, True))
     ),
+    ray_family(),
+    ray_prefix_chain().at(3),
 ]
 
 SAMPLES = [
@@ -109,6 +111,7 @@ def test_closure_examples():
 
 def test_closure_dimension_values():
     assert ray_family().closure_dimension() == 0
+    assert ray_prefix_chain().at(3).closure_dimension() == -1
     assert neg_union().closure_dimension() == -1
     assert SuffixFamily(offset=5).closure_dimension() == -1
     with pytest.raises(UnboundedClosureDimension):
@@ -179,17 +182,6 @@ def test_chain_links_match_materialized_rays(t, sample):
         assert members_in(got, pts) == brute_closure(traces, sample)
     assert link.intersection() == naive.intersection()
     assert literal_traces(link, LINK_LO, LINK_HI) == traces
-
-
-def test_rule_based_bounds():
-    fam = ExplicitCountable(rule=suffix_from, index_bound=40)
-    assert fam.consistent({3})
-    with pytest.raises(IndexBoundExceeded):
-        fam.consistent({-1})
-    with pytest.raises(IndexBoundExceeded):
-        fam.closure({3})
-    with pytest.raises(IndexBoundExceeded):
-        fam.closure_dimension()
 
 
 def test_language_intersection_shapes():

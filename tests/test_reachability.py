@@ -1,15 +1,17 @@
 """Every function in the package is reached by the experiment suite.
 
 Runs `limitgen --experiment all --horizon 100 --trace DIR --summary FILE`
-under cProfile and requires each function defined in `src/limitgen/` to
-have been called at least once. The exceptions are listed in `ALLOWED`, one
-reason each, and every entry must still be unreached. Code that no
+under cProfile and requires each function and lambda defined in
+`src/limitgen/` to have been called at least once. The exceptions are
+listed in `ALLOWED`, one reason each, and every entry must still be
+unreached. Code that no
 experiment reaches either earns an entry there or is deleted, so dead code
 cannot come back unnoticed.
 """
 
 import ast
 import cProfile
+from collections import Counter
 import pstats
 from pathlib import Path
 
@@ -20,7 +22,7 @@ PACKAGE = Path(limitgen.__file__).parent
 
 ALLOWED = {
     # abstract stubs: subclasses override them
-    "families.CollectionSpec.consistent": "abstract stub",
+    "families.CollectionSpec.consistent": "default for listed collections; no experiment asks one",
     "families.CollectionSpec.closure": "abstract stub",
     "families.CollectionSpec.closure_dimension": "abstract stub",
     "generators.Generator.step": "abstract stub",
@@ -44,17 +46,36 @@ ALLOWED = {
     "generators.PrefixedGenerator.__init__": "the benchmark probes reduce_by_prefix",
     "generators.PrefixedGenerator.step": "the benchmark probes reduce_by_prefix",
     "generators.reduce_by_prefix": "the benchmark probes it",
-    # declared dimension of an explicit list; only test_feedback.py plays one
-    "families.ExplicitCountable.closure_dimension": "test_feedback.py plays the ray family as a union part",
+    # only test_feedback.py plays the ray family as a union part
+    "families.RayFamily.closure_dimension": "test_feedback.py plays the ray family as a union part",
+    # thm4.8-adv's strategy never leaves stage 0; test_sources.py drives it with max_plus_one
+    "sources.omission_adversary.<lambda next_stage>": "thm4.8-adv's strategy never leaves stage 0",
     # replay bases whose fresh() only tests' StripQueries replays reach
     "generators._PoolGenerator.fresh": "StripQueries replays of PlainAsFeedback in tests",
     "feedback.PlainAsFeedback.fresh": "StripQueries replays in tests",
 }
 
 
+def _slot(parent, node) -> str:
+    """Where `node` sits in `parent`: the keyword it is passed as, or its
+    field and position there (`args[0]`, `elts[1]`, `value`)."""
+    if isinstance(parent, ast.keyword):
+        return parent.arg
+    for name, value in ast.iter_fields(parent):
+        if value is node:
+            return name
+        if isinstance(value, list) and node in value:
+            return f"{name}[{value.index(node)}]"
+    raise AssertionError("node is not a child of parent")
+
+
 def _definitions():
-    """(name, file name, first line) of every function in the package; the
-    first line is that of the first decorator, as the profiler records it."""
+    """(name, file name, first line) of every function and lambda in the
+    package; the first line is that of the first decorator, as the profiler
+    records it. A lambda is named by its enclosing function and its slot,
+    `sources.omission_adversary.<lambda next_stage>`, so that names stay
+    stable when lines move; `#2`, `#3`, ... tell apart lambdas that would
+    share a name."""
     found = []
 
     def visit(node, prefix, file_name):
@@ -65,10 +86,19 @@ def _definitions():
                 visit(child, f"{prefix}.{child.name}", file_name)
             elif isinstance(child, ast.ClassDef):
                 visit(child, f"{prefix}.{child.name}", file_name)
+            else:
+                if isinstance(child, ast.Lambda):
+                    found.append((f"{prefix}.<lambda {_slot(node, child)}>", file_name, child.lineno))
+                visit(child, prefix, file_name)
 
     for path in sorted(PACKAGE.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, path.name)
-    return found
+    seen = Counter()
+    named = []
+    for name, file_name, line in found:
+        seen[name] += 1
+        named.append((name if seen[name] == 1 else f"{name}#{seen[name]}", file_name, line))
+    return named
 
 
 def test_every_function_is_reached_by_the_suite(tmp_path, capsys):
