@@ -6,13 +6,23 @@ against the source's declared truth. A plain strategy plays wrapped in
 `PlainAsFeedback`, which never queries. Adaptive sources see each output
 immediately after it is produced, before the verdict is taken, so certified
 mistakes show up as Mistake verdicts in the transcript.
+
+A run keeps its steps in a columnar `Transcript` of about 17 bytes a step:
+reveals and outputs as int64 columns, the asked queries, and one byte for
+the answer and the verdict. Values live in the int64 domain, which no CLI
+input can leave: they grow with the horizon and the level `i`, far short of
+2**63 in any run that can finish. A value outside it raises OverflowError
+rather than being stored truncated. Iterating a transcript yields its steps
+as `StepRecord`s.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import BudgetViolation, ModeMismatch
 from .feedback import FeedbackGenerator, PlainAsFeedback
@@ -93,6 +103,53 @@ class StepRecord(NamedTuple):
     a: bool | None
     z: int
     verdict: str
+
+
+# A step's code is its verdict's index, plus 3 for a "Yes" answer or 6 for a "No".
+_VERDICTS = (CORRECT, MISTAKE, UNKNOWN_VERDICT)
+_VERDICT_CODE = {v: i for i, v in enumerate(_VERDICTS)}
+_YES_CODE, _NO_CODE = 3, 6
+_ANSWER_OF = (None,) * 3 + (True,) * 3 + (False,) * 3
+_VERDICT_OF = _VERDICTS * 3
+
+
+class Transcript:
+    """The steps of one run, column by column.
+
+    `reveals` and `outputs` hold one int64 per step (`reveals` stays empty in
+    sampleless play), `queries` holds the asked queries only, in order, and
+    `codes` one byte per step for the answer and the verdict. `len()` is the
+    step count; iterating yields each step as a `StepRecord`.
+    """
+
+    __slots__ = ("reveals", "queries", "outputs", "codes")
+
+    def __init__(self) -> None:
+        self.reveals = array("q")
+        self.queries = array("q")
+        self.outputs = array("q")
+        self.codes = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self) -> Iterator[StepRecord]:
+        codes = self.codes
+        ys = itertools.repeat(None)
+        if self.queries:
+            ys = [None] * len(codes)
+            asked = (t for t, code in enumerate(codes) if code >= _YES_CODE)
+            for t, y in zip(asked, self.queries):
+                ys[t] = y
+        steps = zip(
+            itertools.count(),
+            self.reveals or itertools.repeat(None),
+            ys,
+            map(_ANSWER_OF.__getitem__, codes),
+            self.outputs,
+            map(_VERDICT_OF.__getitem__, codes),
+        )
+        return map(StepRecord._make, steps)
 
 
 @dataclass(frozen=True)
@@ -181,7 +238,7 @@ def run(
     source: Source,
     mode: Mode,
     horizon: int,
-) -> tuple[list[StepRecord], RunResult]:
+) -> tuple[Transcript, RunResult]:
     """Play `horizon` rounds of reveal, query, answer and output.
 
     A plain strategy plays through `PlainAsFeedback`, so every round takes
@@ -209,7 +266,9 @@ def run(
     check_stream = scripted and not sampleless
     budget = horizon if mode.query_budget is None else mode.query_budget
     step_query, step_output, observe = generator.step_query, generator.step_output, source.observe
-    records: list[StepRecord] = []
+    records = Transcript()
+    put_x, put_y = records.reveals.append, records.queries.append
+    put_z, put_code = records.outputs.append, records.codes.append
     seen: set[int] = set()
     outputs_seen: set[int] = set()
     violations: list[str] = []
@@ -219,6 +278,7 @@ def run(
     for t in range(horizon):
         x = reveal(t)
         if x is not None:
+            put_x(x)
             if x not in seen:
                 seen.add(x)
             elif no_repeats:
@@ -227,12 +287,16 @@ def run(
                 noise += 1
         y = step_query(x)
         a = None
+        answer_code = 0
         if y is not None:
             queries += 1
             if queries > budget:
                 raise BudgetViolation(f"strategy asked {queries} queries, budget {budget}")
             a = oracle_answer(truth, y)
+            put_y(y)
+            answer_code = _YES_CODE if a else _NO_CODE
         z = step_output(a)
+        put_z(z)
         observe(t, z)
         v = judge(z, truth, seen)
         if sampleless:
@@ -244,7 +308,7 @@ def run(
             distinct = len(seen)
         elif v == UNKNOWN_VERDICT:
             unknown += 1
-        records.append(StepRecord(t, x, y, a, z, v))
+        put_code(answer_code + _VERDICT_CODE[v])
     if check_stream:
         violations.extend(validate_stream(source, mode, horizon, seen, noise))
     staged = isinstance(source, StagedAdversary)

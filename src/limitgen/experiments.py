@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Generator, Iterator, NamedTuple
 
 from . import engine
-from .engine import Mode, RunResult, StepRecord
+from .engine import Mode, RunResult, Transcript
 from .errors import DuplicateSubRun
 from .families import (
     ExplicitCountable,
@@ -68,7 +68,7 @@ class SubRun:
 
     name: str
     header: dict
-    records: list[StepRecord]
+    records: Transcript
     result: RunResult
 
 
@@ -513,14 +513,13 @@ def _query_elimination_cases(horizon: int, seed: int, params: dict):
         plain_sub = yield Case(
             f"alg5-stripped[{idx}]", stripped, _scripted(truth), Mode.standard(), horizon
         )
+        # scripted verdicts are binary, so equal tails are equal mistake times
         tail = horizon // 2
-        oracle_tail = [r.verdict for r in oracle_sub.records[tail:]]
-        plain_tail = [r.verdict for r in plain_sub.records[tail:]]
-        if oracle_tail != plain_tail:
-            first = next(
-                t for t, (a, b) in enumerate(zip(oracle_tail, plain_tail)) if a != b
-            )
-            yield f"alg5[{idx}]: tail verdicts diverge at offset {first}"
+        diverged = {t for t in oracle_sub.result.mistake_times if t >= tail} ^ {
+            t for t in plain_sub.result.mistake_times if t >= tail
+        }
+        if diverged:
+            yield f"alg5[{idx}]: tail verdicts diverge at offset {min(diverged) - tail}"
         if not stripped.monitor.non_decreasing():
             yield f"alg5[{idx}]: decision-tree position regressed"
 

@@ -35,12 +35,12 @@ class _PoolGenerator(Generator):
     """Shared bookkeeping for strategies built from running max/min pools.
 
     The max pool is {t} u revealed u own outputs; the min pool is
-    {0} u revealed u own outputs.
+    {0} u revealed u own outputs. Only the pools' extremes are kept, not the
+    reveals themselves.
     """
 
     def __init__(self) -> None:
         self.t = -1
-        self.revealed: set[int] = set()
         self._max = None  # max of revealed + outputs
         self._min = None
 
@@ -52,7 +52,6 @@ class _PoolGenerator(Generator):
         if revealed is None:
             raise ModeMismatch("this strategy consumes revealed samples")
         self.t += 1
-        self.revealed.add(revealed)
         self._absorb(revealed)
         return revealed
 
@@ -108,12 +107,22 @@ class FollowSuffix(_PoolGenerator):
 
 
 class _MarkerBranchGenerator(_PoolGenerator):
-    """Two-branch strategies: pick the max or min candidate depending on a
-    predicate over the revealed set."""
+    """Two-branch strategies: pick the max or min candidate depending on
+    which of the level+1 markers have been revealed. Only the markers
+    revealed so far are kept, at most level+1 values, so each decision is
+    O(1)."""
 
     def __init__(self, level: int) -> None:
         super().__init__()
         self.level = level
+        self.markers = range(level + 1)
+        self.hits: set[int] = set()  # the markers revealed so far
+
+    def _observe(self, revealed: int | None) -> int:
+        x = super()._observe(revealed)
+        if x in self.markers:
+            self.hits.add(x)
+        return x
 
 
 class OmissionTolerantGenerator(_MarkerBranchGenerator):
@@ -121,10 +130,7 @@ class OmissionTolerantGenerator(_MarkerBranchGenerator):
     once ANY marker in {0..level} has been revealed, low otherwise."""
 
     def _decide(self) -> int:
-        markers = range(self.level + 1)
-        if any(m in self.revealed for m in markers):
-            return self.max_candidate()
-        return self.min_candidate()
+        return self.max_candidate() if self.hits else self.min_candidate()
 
 
 class NoiseTolerantGenerator(_MarkerBranchGenerator):
@@ -132,8 +138,7 @@ class NoiseTolerantGenerator(_MarkerBranchGenerator):
     high only once ALL markers in {0..level} have been revealed."""
 
     def _decide(self) -> int:
-        markers = range(self.level + 1)
-        if all(m in self.revealed for m in markers):
+        if len(self.hits) > self.level:
             return self.max_candidate()
         return self.min_candidate()
 
@@ -142,9 +147,12 @@ class SensitivityGenerator(_MarkerBranchGenerator):
     """Level-aware strategy for rays-plus-negatives: goes low once all of
     {-1..-(level+1)} have been revealed, high otherwise."""
 
+    def __init__(self, level: int) -> None:
+        super().__init__(level)
+        self.markers = range(-1, -(level + 2), -1)
+
     def _decide(self) -> int:
-        markers = range(-1, -(self.level + 2), -1)
-        if all(m in self.revealed for m in markers):
+        if len(self.hits) > self.level:
             return self.min_candidate()
         return self.max_candidate()
 

@@ -41,23 +41,34 @@ class ClosedFormLanguage:
 
     def elements(self) -> Iterator[int]:
         """Canonical order: finite part ascending, then tail and negatives
-        interleaved (tail first), skipping anything already produced."""
-        emitted = set()
-        for v in sorted(self.finite_part):
-            emitted.add(v)
-            yield v
+        interleaved (tail first), skipping anything already produced.
+
+        Only finite-part members and the values both infinite parts reach,
+        those in [tail_start, -1], can come again, so only the latter are
+        remembered: at most |tail_start| values.
+        """
+        finite = self.finite_part
+        yield from sorted(finite)
         streams = []
         if self.tail_start is not None:
             streams.append(itertools.count(self.tail_start))
         if self.include_negatives:
             streams.append(itertools.count(-1, -1))
+        shared_from = 0  # both infinite parts reach [shared_from, -1]
+        if self.tail_start is not None and self.include_negatives:
+            shared_from = min(self.tail_start, 0)
+        shared: set[int] = set()  # the values of that range produced so far
         while True:
             for stream in streams:
                 for v in stream:
-                    if v not in emitted:
-                        emitted.add(v)
-                        yield v
-                        break
+                    if v in finite:
+                        continue
+                    if shared_from <= v < 0:
+                        if v in shared:
+                            continue
+                        shared.add(v)
+                    yield v
+                    break
 
     def normalized(self) -> "ClosedFormLanguage":
         """Minimal representation of the same set (for set equality checks)."""

@@ -23,9 +23,12 @@ of the zigzag pairing.
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
 ray-prefix chain links), the transcript replay that located the union
-strategy's last part move, the dict-per-step trace writer, and the game loop
-that branched on the mode every step and validated the stream in a second
-pass over the records, as references for differential tests.
+strategy's last part move, the dict-per-step trace writer, the game loop
+that branched on the mode every step, kept one record object per step and
+validated the stream in a second pass over the records, the enumeration that
+remembered every value it produced, and the marker strategies that walked
+every marker against the set of every reveal, as references for
+differential tests.
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ from limitgen.families import (
     UnionSpec,
 )
 from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier, UnionFeedbackGenerator
+from limitgen.generators import _PoolGenerator
 from limitgen.langs import ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, StagedAdversary
 
@@ -435,3 +439,63 @@ def naive_validate_stream(records, source, mode, horizon):
                 if v not in emitted and v not in spec.omissions:
                     violations.append(f"coverage-miss:{v}")
     return violations
+
+
+# --- remember-everything enumeration and set-walking marker strategies -------
+
+
+def naive_elements(lang: ClosedFormLanguage):
+    """The canonical enumeration that keeps every value it produced in a set
+    and skips any value found there."""
+    emitted = set()
+    for v in sorted(lang.finite_part):
+        emitted.add(v)
+        yield v
+    streams = []
+    if lang.tail_start is not None:
+        streams.append(itertools.count(lang.tail_start))
+    if lang.include_negatives:
+        streams.append(itertools.count(-1, -1))
+    while True:
+        for stream in streams:
+            for v in stream:
+                if v not in emitted:
+                    emitted.add(v)
+                    yield v
+                    break
+
+
+class _SetWalkingMarkers(_PoolGenerator):
+    """Keeps every reveal and walks all level+1 markers against it on every
+    step."""
+
+    def __init__(self, level: int) -> None:
+        super().__init__()
+        self.level = level
+        self.revealed: set[int] = set()
+
+    def _observe(self, revealed: int | None) -> int:
+        x = super()._observe(revealed)
+        self.revealed.add(x)
+        return x
+
+
+class NaiveOmissionTolerant(_SetWalkingMarkers):
+    def _decide(self) -> int:
+        if any(m in self.revealed for m in range(self.level + 1)):
+            return self.max_candidate()
+        return self.min_candidate()
+
+
+class NaiveNoiseTolerant(_SetWalkingMarkers):
+    def _decide(self) -> int:
+        if all(m in self.revealed for m in range(self.level + 1)):
+            return self.max_candidate()
+        return self.min_candidate()
+
+
+class NaiveSensitivity(_SetWalkingMarkers):
+    def _decide(self) -> int:
+        if all(m in self.revealed for m in range(-1, -(self.level + 2), -1)):
+            return self.min_candidate()
+        return self.max_candidate()

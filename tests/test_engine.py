@@ -1,5 +1,7 @@
+import gc
 import io
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -35,6 +37,7 @@ from limitgen.langs import (
 from limitgen.sources import (
     ScriptedSource,
     ScriptedSpec,
+    Source,
     noise_prefix_adversary,
     omission_adversary,
     sensitivity_adversary,
@@ -106,7 +109,7 @@ def test_noise_tolerant_run_converges_quickly():
         200,
     )
     assert result.observed_convergence <= 2
-    assert all(r.verdict == engine.CORRECT for r in records[2:])
+    assert all(r.verdict == engine.CORRECT for r in list(records)[2:])
 
 
 def test_staged_run_mistake_prefix():
@@ -209,7 +212,7 @@ def test_identification_mode_verdicts():
     listed = (suffix_from(0), suffix_from(5))
     gen = IndexIdentifier(ExplicitCountable(languages=listed))
     records, result = run(gen, scripted(suffix_from(5)), Mode.identification(), 40)
-    assert all(r.verdict == engine.CORRECT for r in records[1:])
+    assert all(r.verdict == engine.CORRECT for r in list(records)[1:])
     assert result.observed_convergence <= 1
 
 
@@ -238,6 +241,47 @@ def test_query_budget_allows_exactly_its_queries():
     assert sum(r.y is not None for r in records) == 50
     records, _ = run(AlwaysAsks(), scripted(NEGATIVES), Mode.feedback(), 50)
     assert sum(r.y is not None for r in records) == 50
+
+
+def test_transcript_retains_at_most_24_bytes_per_step():
+    horizon = 20_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        generator, source = FollowSuffix(), scripted(suffix_from(0))
+        records, result = run(generator, source, Mode.standard(), horizon)
+        del generator, source
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(records) == horizon
+    assert result.mistakes == 0
+    assert retained / horizon <= 24
+
+
+class Reveals(Source):
+    """Reveals the given values, then counts up from 0."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def emit(self, t):
+        return self.values[t] if t < len(self.values) else t
+
+    def truth_view(self):
+        return NEGATIVES
+
+
+def test_transcript_keeps_int64_values_and_refuses_wider_ones():
+    widest = [2**63 - 1, -(2**63)]
+    records, _ = run(baseline("min_minus_one"), Reveals(widest[:1]), Mode.standard(), 1)
+    records_low, _ = run(baseline("max_plus_one"), Reveals(widest[1:]), Mode.standard(), 1)
+    assert [r.x for r in records] + [r.x for r in records_low] == widest
+    for wider in (2**63, -(2**63) - 1):
+        with pytest.raises(OverflowError):
+            run(FollowSuffix(), Reveals([5, wider]), Mode.standard(), 2)
 
 
 # --- differential: the one loop against the two-protocol, two-pass loop -------
@@ -321,7 +365,7 @@ def _plays(truth, budget):
 def _same_play(make_generator, make_source, mode, horizon):
     got = run(make_generator(), make_source(), mode, horizon)
     want = naive_run(make_generator(), make_source(), mode, horizon)
-    assert got[0] == want[0]
+    assert list(got[0]) == want[0]
     assert got[1] == want[1]
 
 

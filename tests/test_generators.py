@@ -25,6 +25,7 @@ from limitgen.generators import (
     reduce_by_prefix,
 )
 from limitgen.langs import suffix_from
+from oracles import NaiveNoiseTolerant, NaiveOmissionTolerant, NaiveSensitivity
 
 
 def counting_stream(start=0, step=1):
@@ -167,6 +168,20 @@ def test_sensitivity_traces():
     assert feed(SensitivityGenerator(0), [-1]) == [-2]
     assert feed(SensitivityGenerator(0), [4]) == [5]
     assert feed(SensitivityGenerator(1), [-1, 3]) == [1, 4]
+
+
+@given(
+    level=st.integers(0, 3),
+    reveals=st.lists(st.integers(-6, 6) | st.integers(-(2**40), 2**40), max_size=40),
+)
+def test_marker_strategies_match_set_walking_references(level, reveals):
+    pairs = [
+        (OmissionTolerantGenerator, NaiveOmissionTolerant),
+        (NoiseTolerantGenerator, NaiveNoiseTolerant),
+        (SensitivityGenerator, NaiveSensitivity),
+    ]
+    for fast, naive in pairs:
+        assert feed(fast(level), reveals) == feed(naive(level), reveals)
 
 
 def test_baseline_traces():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from limitgen.langs import (
     NEGATIVES,
@@ -10,7 +11,7 @@ from limitgen.langs import (
     zigzag_encode,
 )
 
-from oracles import zigzag_decode
+from oracles import naive_elements, zigzag_decode
 
 SAMPLE_LANGUAGES = [
     suffix_from(0),
@@ -57,6 +58,25 @@ def test_enumeration_complete_on_window(lang):
     for x in range(-1_000, 1_001):
         if x in lang:
             assert x in prefix
+
+
+LANGUAGES = st.builds(
+    lambda finite, tail, negatives: ClosedFormLanguage(finite, tail, negatives or tail is None),
+    st.frozensets(st.integers(-15, 15), max_size=6),
+    st.one_of(st.none(), st.integers(-12, 12)),
+    st.booleans(),
+)
+
+
+@given(lang=LANGUAGES)
+@example(lang=ClosedFormLanguage(frozenset({-7, -2, 0, 4}), -5, True))
+@example(lang=ClosedFormLanguage(frozenset(), -12, True))
+def test_enumeration_matches_remember_everything_reference(lang):
+    # negative tail starts with the negatives are the languages whose two
+    # infinite parts share values
+    assert list(itertools.islice(lang.elements(), 200)) == list(
+        itertools.islice(naive_elements(lang), 200)
+    )
 
 
 def test_zigzag_examples():
