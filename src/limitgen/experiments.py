@@ -60,6 +60,10 @@ from .sources import (
 )
 
 MIN_CERTIFIED = 10
+# the longest horizon of the hierarchy rows' scripted cases; each of these
+# rows has a scripted case whose t* is at least its level, so a level at or
+# above it fails at every horizon and the rows' kind rejects it
+SCRIPTED_HORIZON = 2000
 
 
 @dataclass
@@ -200,7 +204,7 @@ def _union_defeat_cases(horizon: int, seed: int, params: dict):
     name = params["generators"]
     adversary = staged_union_adversary()
     sub = yield Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
-    missing = [v for v in range(-1, -11, -1) if v not in adversary.emitted_set]
+    missing = [v for v in range(-1, -11, -1) if not adversary.emitted(v)]
     if missing:
         yield f"negatives not all emitted: {missing}"
     if name == "max_plus_one":
@@ -363,16 +367,15 @@ def _omission_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
 
 def _omission_hierarchy_cases(horizon: int, seed: int, params: dict):
     level = params["i"]
+    scripted = min(horizon, SCRIPTED_HORIZON)
     for idx, (src, t_star) in enumerate(_omission_sources(level)):
         gen = OmissionTolerantGenerator(level)
         n_omit = len(src.spec.omissions)
-        yield Case(
-            f"thm4.8[i={level},src{idx}]", gen, src, Mode.lossy(n_omit), min(horizon, 2000), t_star
-        )
+        yield Case(f"thm4.8[i={level},src{idx}]", gen, src, Mode.lossy(n_omit), scripted, t_star)
     adversary = omission_adversary(level)
     gen = OmissionTolerantGenerator(level)
     yield Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
-    if any(v in adversary.emitted_set for v in range(level + 1)):
+    if any(adversary.emitted(v) for v in range(level + 1)):
         yield f"adversary emitted an omitted marker (i={level})"
 
 
@@ -412,7 +415,7 @@ def _noise_hierarchy_cases(horizon: int, seed: int, params: dict):
             gen,
             src,
             Mode.noisy(src.spec.noise_count),
-            min(horizon, 2000),
+            min(horizon, SCRIPTED_HORIZON),
             t_star,
         )
     adversary = noise_prefix_adversary(level)
@@ -424,6 +427,7 @@ def _noise_hierarchy_cases(horizon: int, seed: int, params: dict):
 
 def _sensitivity_cases(horizon: int, seed: int, params: dict):
     level = params["i"]
+    scripted = min(horizon, SCRIPTED_HORIZON)
     horizon_probe = 4000
     # ray targets: the strategy stays on the high branch throughout
     for idx, (j, noise) in enumerate(
@@ -431,28 +435,22 @@ def _sensitivity_cases(horizon: int, seed: int, params: dict):
     ):
         src = _scripted(suffix_from(j), noise=noise)
         gen = SensitivityGenerator(level)
-        yield Case(
-            f"thm5.4[i={level},ray{idx}]", gen, src, Mode.noisy(len(noise)), min(horizon, 2000), j
-        )
+        yield Case(f"thm5.4[i={level},ray{idx}]", gen, src, Mode.noisy(len(noise)), scripted, j)
     # negative-side targets: correct once all the probe negatives have shown up
     probes = frozenset(range(-1, -(level + 2), -1))
     for idx, a_part in enumerate([frozenset(), frozenset({4}), frozenset({11, 6})]):
         src = _scripted(ClosedFormLanguage(a_part, None, True))
         t_probe = _first_reveal(src, horizon_probe, lambda s: probes <= s)
         gen = SensitivityGenerator(level)
-        yield Case(
-            f"thm5.4[i={level},neg{idx}]", gen, src, Mode.noisy(0), min(horizon, 2000), t_probe
-        )
+        yield Case(f"thm5.4[i={level},neg{idx}]", gen, src, Mode.noisy(0), scripted, t_probe)
     adversary = sensitivity_adversary()
     gen = SensitivityGenerator(level)
     yield Case(f"thm5.4-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
-    for stage in adversary.stages[1:]:
-        prev = adversary.stages[stage.index - 1]
-        if prev.trigger_time is not None and stage.declared_noise_level != prev.trigger_time + 2:
-            yield (
-                f"stage {stage.index} declared noise {stage.declared_noise_level}, "
-                f"expected {prev.trigger_time + 2}"
-            )
+    # stage k + 1 is built on the step after trigger k
+    pairs = zip(adversary.declared_levels, adversary.trigger_times)
+    for k, (declared, trigger) in enumerate(pairs):
+        if declared != trigger + 2:
+            yield f"stage {k + 1} declared noise {declared}, expected {trigger + 2}"
 
 
 def _feedback_parts() -> list:
@@ -597,6 +595,15 @@ def _counts(value: object, origin: str) -> tuple[int, ...]:
     return tuple(_count(item, origin)[0] for item in values)
 
 
+def _levels(value: object, origin: str) -> tuple[int, ...]:
+    """Like `_counts`, but every level lies below SCRIPTED_HORIZON."""
+    levels = _counts(value, origin)
+    for level in levels:
+        if level >= SCRIPTED_HORIZON:
+            raise ValueError(f"{origin} must be below {SCRIPTED_HORIZON}, got {level}")
+    return levels
+
+
 def _generator_names(value: object, origin: str) -> tuple[str, ...]:
     """A non-empty list of names that `union_generator` accepts."""
     if not isinstance(value, list) or not value:
@@ -661,14 +668,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             "past it",
             10_000,
             _omission_hierarchy_cases,
-            Param("i", _counts, [0, 1, 2], matrix=True),
+            Param("i", _levels, [0, 1, 2], matrix=True),
         ),
         Experiment(
             "thm5.2-noise-i",
             "marker strategies tolerate their declared noise level and fail one past it",
             10_000,
             _noise_hierarchy_cases,
-            Param("i", _counts, [0, 1, 2], matrix=True),
+            Param("i", _levels, [0, 1, 2], matrix=True),
         ),
         Experiment(
             "thm5.4-sensitivity",
@@ -676,7 +683,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "the level is unknown",
             10_000,
             _sensitivity_cases,
-            Param("i", _counts, [0, 1, 2, 3, 4], matrix=True),
+            Param("i", _levels, [0, 1, 2, 3, 4], matrix=True),
         ),
         Experiment(
             "alg4-feedback",

@@ -36,7 +36,8 @@ class _PoolGenerator(Generator):
 
     The max pool is {t} u revealed u own outputs; the min pool is
     {0} u revealed u own outputs. Only the pools' extremes are kept, not the
-    reveals themselves.
+    reveals themselves, and they are updated by plain comparisons: a step
+    makes no builtin call.
     """
 
     def __init__(self) -> None:
@@ -45,8 +46,12 @@ class _PoolGenerator(Generator):
         self._min = None
 
     def _absorb(self, value: int) -> None:
-        self._max = value if self._max is None else max(self._max, value)
-        self._min = value if self._min is None else min(self._min, value)
+        if self._max is None:
+            self._max = self._min = value
+        elif value > self._max:
+            self._max = value
+        elif value < self._min:
+            self._min = value
 
     def _observe(self, revealed: int | None) -> int:
         if revealed is None:
@@ -56,10 +61,12 @@ class _PoolGenerator(Generator):
         return revealed
 
     def max_candidate(self) -> int:
-        return max(self.t, self._max) + 1
+        t, m = self.t, self._max
+        return (t if t > m else m) + 1
 
     def min_candidate(self) -> int:
-        return min(0, self._min) - 1
+        m = self._min
+        return (m if m < 0 else 0) - 1
 
     def step(self, revealed: int | None) -> int:
         self._observe(revealed)
@@ -90,7 +97,8 @@ class MinMinusOne(_PoolGenerator):
 
 class FollowSuffix(_PoolGenerator):
     """Outputs fresh integers above every nonnegative sample: correct in the
-    limit for any language containing an upward ray."""
+    limit for any language containing an upward ray. Reads neither pool, so
+    it keeps its own two maxima instead."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -98,11 +106,15 @@ class FollowSuffix(_PoolGenerator):
         self._out_max = 0
 
     def step(self, revealed: int | None) -> int:
-        x = self._observe(revealed)
-        if x >= 0:
-            self._nat_max = max(self._nat_max, x)
-        z = max(self.t, self._nat_max, self._out_max) + 1
-        self._out_max = z
+        if revealed is None:
+            raise ModeMismatch("this strategy consumes revealed samples")
+        self.t = t = self.t + 1
+        if revealed > self._nat_max:
+            self._nat_max = revealed
+        z = self._nat_max if self._nat_max > t else t
+        if self._out_max > z:
+            z = self._out_max
+        self._out_max = z = z + 1
         return z
 
 
@@ -119,10 +131,16 @@ class _MarkerBranchGenerator(_PoolGenerator):
         self.hits: set[int] = set()  # the markers revealed so far
 
     def _observe(self, revealed: int | None) -> int:
-        x = super()._observe(revealed)
-        if x in self.markers:
-            self.hits.add(x)
-        return x
+        if revealed is None:
+            raise ModeMismatch("this strategy consumes revealed samples")
+        self.t += 1
+        self._absorb(revealed)
+        if revealed in self.markers:
+            self.hits.add(revealed)
+        return revealed
+
+    def fresh(self) -> "Generator":
+        return type(self)(self.level)
 
 
 class OmissionTolerantGenerator(_MarkerBranchGenerator):

@@ -5,12 +5,15 @@ deterministic enumeration of it (with declared omissions, noise insertions,
 order shuffles, or repetitions). An adaptive source watches the generator's
 outputs and switches its intended language in stages, certifying a mistake
 each time the generator emits an unseen member of the current stage language.
+It keeps only the current stage and flat int64 columns of the past ones, and
+every value it played once.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -103,51 +106,10 @@ class ScriptedSource(Source):
     def __init__(self, spec: ScriptedSpec) -> None:
         self.spec = spec
         self._memo: list[int] = []
-        self._iter = self._build()
-
-    # stream pipeline: base order -> omissions -> block shuffle -> noise -> repeats
-    def _base(self) -> Iterator[int]:
-        elems = self.spec.truth.elements()
-        if self.spec.omissions == "every_other":
-            return itertools.islice(elems, 0, None, 2)
-        omit = self.spec.omissions
-        return (v for v in elems if v not in omit)
-
-    def _ordered(self) -> Iterator[int]:
-        base = self._base()
-        if self.spec.order == "canonical":
-            yield from base
-            return
-        seed = int(self.spec.order.split(":", 1)[1])
-        rng = random.Random(seed)
-        while True:
-            block = list(itertools.islice(base, PERMUTATION_BLOCK))
-            if not block:
-                return
-            rng.shuffle(block)
-            yield from block
-
-    def _with_noise(self) -> Iterator[int]:
-        schedule = dict(self.spec.noise)
-        ordered = self._ordered()
-        for pos in itertools.count():
-            if pos in schedule:
-                yield schedule[pos]
-            else:
-                yield next(ordered)
-
-    def _build(self) -> Iterator[int]:
-        stream = self._with_noise()
-        if self.spec.repeat_seed is None:
-            return stream
-        rng = random.Random(self.spec.repeat_seed)
-
-        def repeated() -> Iterator[int]:
-            for v in stream:
-                for _ in range(rng.randint(1, 5)):
-                    yield v
-
-        return repeated()
+        # the stream refers to the spec only, not back to the source, so a
+        # dropped source and its memo are freed at once, not by the cycle
+        # collector
+        self._iter = _scripted_stream(spec)
 
     def emit(self, t: int) -> int:
         while t >= len(self._memo):
@@ -158,43 +120,61 @@ class ScriptedSource(Source):
         return self.spec.truth
 
 
-@dataclass
-class StageRecord:
-    """One stage: its language is the emitted prefix (up to snapshot_len,
-    minus `dropped`), plus `extras`, plus the upward ray from tail_start.
-    Stage 0 instead carries an explicit base language."""
+# stream pipeline: base order -> omissions -> block shuffle -> noise -> repeats
+def _base(spec: ScriptedSpec) -> Iterator[int]:
+    elems = spec.truth.elements()
+    if spec.omissions == "every_other":
+        return itertools.islice(elems, 0, None, 2)
+    omit = spec.omissions
+    return (v for v in elems if v not in omit)
 
-    index: int
-    started_at: int  # first step whose output is judged against this stage
-    snapshot_len: int = 0
-    tail_start: int | None = None
-    extras: frozenset[int] = frozenset()
-    dropped: frozenset[int] = frozenset()
-    base: ClosedFormLanguage | None = None  # stage 0 only
-    trigger_time: int | None = None
-    trigger_output: int | None = None
-    declared_noise_level: int | None = None
 
-    def contains_unseen(self, z: int, emitted_set: set[int]) -> bool:
-        """Trigger predicate: z is an unseen member of this stage language.
+def _ordered(spec: ScriptedSpec) -> Iterator[int]:
+    base = _base(spec)
+    if spec.order == "canonical":
+        yield from base
+        return
+    seed = int(spec.order.split(":", 1)[1])
+    rng = random.Random(seed)
+    while True:
+        block = list(itertools.islice(base, PERMUTATION_BLOCK))
+        if not block:
+            return
+        rng.shuffle(block)
+        yield from block
 
-        The emitted-prefix part of the language can never hold an unseen z,
-        so only the ray, the extras, and stage 0's base matter.
-        """
-        if z in emitted_set:
-            return False
-        if self.base is not None:
-            return z in self.base
-        return z in self.extras or z >= self.tail_start
+
+def _with_noise(spec: ScriptedSpec) -> Iterator[int]:
+    schedule = dict(spec.noise)
+    ordered = _ordered(spec)
+    for pos in itertools.count():
+        if pos in schedule:
+            yield schedule[pos]
+        else:
+            yield next(ordered)
+
+
+def _scripted_stream(spec: ScriptedSpec) -> Iterator[int]:
+    stream = _with_noise(spec)
+    if spec.repeat_seed is None:
+        return stream
+    rng = random.Random(spec.repeat_seed)
+
+    def repeated() -> Iterator[int]:
+        for v in stream:
+            for _ in range(rng.randint(1, 5)):
+                yield v
+
+    return repeated()
 
 
 @dataclass(frozen=True)
 class StagePlan:
-    """How to build the next stage after a trigger."""
+    """How to build the next stage after a trigger: its ray's start, and the
+    extras its language adds to the truth values played so far."""
 
     tail_start: int
     extras: frozenset[int] = frozenset()
-    dropped: frozenset[int] = frozenset()
 
 
 class StagedAdversary(Source):
@@ -205,9 +185,18 @@ class StagedAdversary(Source):
     adversary records the time, commits never to emit that output (the
     certificate), emits the next unused negative, and rebuilds the stage
     around a fresh upward ramp that stays above everything played so far.
+    Stage k >= 1's language is the truth values played before it, plus its
+    plan's extras, plus the ray from its plan's tail start.
 
     An optional noise prefix is emitted before stage 0 and counted outside
     the limit language. The limit language promises the negative ray.
+
+    Only the current stage is kept as state; the past ones leave flat int64
+    columns: `trigger_times` and `trigger_outputs` (trigger k ends stage k),
+    and `tail_starts` and `declared_levels` (stage k + 1 is built after
+    trigger k, and `declared_levels` fills only with `noise_level_at`). Every
+    value played is kept once, in `limit.seen` or, for the noise prefix, in
+    a set of the prefix values played so far.
     """
 
     adaptive = True
@@ -222,82 +211,101 @@ class StagedAdversary(Source):
         noise_level_at: Callable[[int], int] | None = None,
     ) -> None:
         self._stage0_value = stage0_value
+        self.stage0_language = stage0_language
         self._next_stage = next_stage
         self.prefix = tuple(prefix)
         self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
-        self.emitted: list[int] = []
-        self.emitted_set: set[int] = set()
         self._noise_level_at = noise_level_at
-        self.stages: list[StageRecord] = [
-            StageRecord(0, started_at=len(self.prefix), base=stage0_language)
-        ]
+        self.trigger_times = array("q")
+        self.trigger_outputs = array("q")
+        self.tail_starts = array("q")
+        self.declared_levels = array("q")
+        self._play_from = len(self.prefix)  # the first step of stage 0
+        # the current stage; stage 0 tests membership in stage0_language
+        self.stage = 0
+        self.stage_start = self._play_from  # first step judged against it
+        self._tail_start = 0
+        self._extras: frozenset[int] = frozenset()
+        self._prefix_shown: set[int] = set()  # noise prefix values played so far
+        self._noise = 0
         self._stage0_pos = 0
         self._ramp_next: int | None = None
         self._pending_negative: int | None = None
         self._negative_step: int | None = None
-        self._last_trigger_output: int | None = None
         self._running_max: int | None = None
 
     # -- emission ----------------------------------------------------------
     def emit(self, t: int) -> int:
-        if t < len(self.prefix):
-            v = self.prefix[t]
-            self._record_emit(v, is_truth=False)
-            return v
-        if self._pending_negative is not None:
-            v = self._pending_negative
+        if t < self._play_from:
+            return self._emit_noise(self.prefix[t])
+        v = self._pending_negative
+        if v is not None:
             self._pending_negative = None
             self._negative_step = t
         elif self._ramp_next is not None:
             v = self._ramp_next
-            self._ramp_next += 1
+            self._ramp_next = v + 1
         else:
             v = self._stage0_value(self._stage0_pos)
             self._stage0_pos += 1
-        self._record_emit(v, is_truth=True)
+        limit = self.limit
+        if v in limit.seen or v in self._prefix_shown:
+            raise AdversaryRepeat(f"adversary repeated {v}")
+        limit.add_seen(v)
+        m = self._running_max
+        if m is None or v > m:
+            self._running_max = v
         return v
 
-    def _record_emit(self, v: int, is_truth: bool) -> None:
-        if v in self.emitted_set:
+    def _emit_noise(self, v: int) -> int:
+        if v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
-        self.emitted.append(v)
-        self.emitted_set.add(v)
-        if is_truth:
-            self.limit.add_seen(v)
-        self._absorb(v)
+        self._prefix_shown.add(v)
+        if v not in self.limit.promised:
+            self._noise += 1
+        m = self._running_max
+        if m is None or v > m:
+            self._running_max = v
+        return v
 
-    def _absorb(self, v: int) -> None:
-        self._running_max = v if self._running_max is None else max(self._running_max, v)
+    def emitted(self, v: int) -> bool:
+        """Whether `v` has been played, as a truth value or as noise."""
+        return v in self.limit.seen or v in self._prefix_shown
 
     # -- reaction ----------------------------------------------------------
     def observe(self, t: int, output: int) -> None:
-        if t < len(self.prefix):
+        if t < self._play_from:
             return  # the prefix is noise; staged play has not started
-        self._absorb(output)
-        current = self.stages[-1]
-        if self._negative_step == t:
+        m = self._running_max
+        if m is None or output > m:
+            self._running_max = output
+        if t == self._negative_step:
             # the step after a trigger: rebuild the stage, no trigger check
-            plan = self._next_stage(self._last_trigger_output, self._running_max)
-            record = StageRecord(
-                current.index + 1,
-                started_at=t + 1,
-                snapshot_len=len(self.emitted),
-                tail_start=plan.tail_start,
-                extras=plan.extras,
-                dropped=plan.dropped,
-            )
+            plan = self._next_stage(self.trigger_outputs[-1], self._running_max)
+            self.stage += 1
+            self.stage_start = t + 1
+            self._tail_start = plan.tail_start
+            self._extras = plan.extras
+            self.tail_starts.append(plan.tail_start)
             if self._noise_level_at is not None:
-                record.declared_noise_level = self._noise_level_at(t)
-            self.stages.append(record)
+                self.declared_levels.append(self._noise_level_at(t))
             self._ramp_next = plan.tail_start
             self._negative_step = None
             return
-        if current.contains_unseen(output, self.emitted_set):
-            current.trigger_time = t
-            current.trigger_output = output
-            self.limit.add_excluded(output)
-            self._last_trigger_output = output
-            self._pending_negative = -(current.index + 1)
+        # trigger on an unseen member of the stage language: the played
+        # values never hold one, so only the ray, the extras and stage 0's
+        # language matter
+        if output in self.limit.seen or output in self._prefix_shown:
+            return
+        if self.stage:
+            if output < self._tail_start and output not in self._extras:
+                return
+        elif output not in self.stage0_language:
+            return
+        self.trigger_times.append(t)
+        self.trigger_outputs.append(output)
+        self.limit.add_excluded(output)
+        self._pending_negative = -(self.stage + 1)
 
     # -- reporting ---------------------------------------------------------
     def truth_view(self) -> TranscriptLimitLanguage:
@@ -305,11 +313,11 @@ class StagedAdversary(Source):
 
     @property
     def certified_mistake_times(self) -> tuple[int, ...]:
-        return tuple(s.trigger_time for s in self.stages if s.trigger_time is not None)
+        return tuple(self.trigger_times)
 
     @property
     def no_trigger(self) -> bool:
-        return not self.certified_mistake_times
+        return not self.trigger_times
 
     def final_stage_mistakes(self, horizon: int) -> int:
         """Steps judged against the last (never-triggered) stage language.
@@ -317,13 +325,14 @@ class StagedAdversary(Source):
         Every such step is a mistake against that language: a correct fresh
         output would have triggered.
         """
-        last = self.stages[-1]
-        if last.trigger_time is not None:
+        if len(self.trigger_times) > self.stage:
             return 0
-        return max(0, horizon - last.started_at)
+        return max(0, horizon - self.stage_start)
 
     def noise_count(self) -> int:
-        return sum(1 for v in self.emitted if self.limit.status(v) != "In")
+        """Values played outside the limit language: the noise prefix values
+        that the promised part does not hold."""
+        return self._noise
 
 
 def staged_union_adversary() -> StagedAdversary:
@@ -356,9 +365,7 @@ def noise_prefix_adversary(level: int) -> StagedAdversary:
     return StagedAdversary(
         stage0_value=lambda k: k + level + 1,
         stage0_language=suffix_from(level + 1),
-        next_stage=lambda trigger_z, _m: StagePlan(
-            tail_start=trigger_z + 2, dropped=markers
-        ),
+        next_stage=lambda trigger_z, _m: StagePlan(tail_start=trigger_z + 2),
         prefix=sorted(markers),
         pre_excluded=sorted(markers),
     )

@@ -17,8 +17,9 @@ Both are deliberately separate code paths from the analytic oracles they
 check.
 
 A few inspection helpers that only tests use live here too: the members of
-a closure on a window, a staged adversary's stage language, and the inverse
-of the zigzag pairing.
+a closure on a window, a staged adversary's stage language rebuilt from its
+run's reveals and its tail-start column, and the inverse of the zigzag
+pairing.
 
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
@@ -26,15 +27,18 @@ ray-prefix chain links), the transcript replay that located the union
 strategy's last part move, the dict-per-step trace writer, the game loop
 that branched on the mode every step, kept one record object per step and
 validated the stream in a second pass over the records, the enumeration that
-remembered every value it produced, and the marker strategies that walked
-every marker against the set of every reveal, as references for
-differential tests.
+remembered every value it produced, the max/min pools kept with the `max`
+and `min` builtins, the strategies built on them (among them the marker
+strategies that walked every marker against the set of every reveal), and
+the staged adversary that kept one record per stage and every value it
+played in a list and a set, as references for differential tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+from dataclasses import dataclass
 
 from limitgen import engine
 from limitgen.engine import (
@@ -49,7 +53,7 @@ from limitgen.engine import (
     RunResult,
     StepRecord,
 )
-from limitgen.errors import BudgetViolation
+from limitgen.errors import AdversaryRepeat, BudgetViolation, ModeMismatch
 from limitgen.families import (
     ClosureResult,
     ExplicitCountable,
@@ -59,8 +63,7 @@ from limitgen.families import (
     UnionSpec,
 )
 from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier, UnionFeedbackGenerator
-from limitgen.generators import _PoolGenerator
-from limitgen.langs import ClosedFormLanguage, suffix_from
+from limitgen.langs import NEGATIVES, ClosedFormLanguage, TranscriptLimitLanguage, suffix_from
 from limitgen.sources import ScriptedSource, StagedAdversary
 
 TINY_LO, TINY_HI = -6, 6
@@ -78,15 +81,19 @@ def members_in(closure: ClosureResult, pts) -> frozenset[int]:
     return frozenset(x for x in pts if x in closure)
 
 
-def stage_language(adversary: StagedAdversary, index: int) -> ClosedFormLanguage:
-    """Materialize a stage's intended language: stage 0's base, or the
-    emitted prefix up to the stage's snapshot, minus its dropped set, plus
-    its extras and its upward ray."""
-    stage = adversary.stages[index]
-    if stage.base is not None:
-        return stage.base
-    finite = (frozenset(adversary.emitted[: stage.snapshot_len]) - stage.dropped) | stage.extras
-    return ClosedFormLanguage(finite, stage.tail_start, False)
+def stage_language(
+    adversary: StagedAdversary, reveals, index: int, extras: frozenset[int] = frozenset()
+) -> ClosedFormLanguage:
+    """Materialize a stage's intended language from the run's reveals: stage
+    0's language, or the truth values revealed before the stage started (the
+    step after the negative that followed trigger index - 1), plus `extras`
+    (what the construction's plans add; none for the staged union and
+    noise-prefix constructions), plus the ray from the stage's tail start."""
+    if index == 0:
+        return adversary.stage0_language
+    started_at = adversary.trigger_times[index - 1] + 2
+    finite = frozenset(reveals[len(adversary.prefix) : started_at]) | extras
+    return ClosedFormLanguage(finite, adversary.tail_starts[index - 1], False)
 
 
 def zigzag_decode(z: int) -> int:
@@ -465,7 +472,88 @@ def naive_elements(lang: ClosedFormLanguage):
                     break
 
 
-class _SetWalkingMarkers(_PoolGenerator):
+class NaivePool:
+    """The running max/min pools kept with the `max` and `min` builtins: the
+    max pool is {t} u revealed u own outputs, the min pool {0} u revealed u
+    own outputs."""
+
+    def __init__(self) -> None:
+        self.t = -1
+        self._max = None
+        self._min = None
+
+    def _absorb(self, value: int) -> None:
+        self._max = value if self._max is None else max(self._max, value)
+        self._min = value if self._min is None else min(self._min, value)
+
+    def _observe(self, revealed: int | None) -> int:
+        if revealed is None:
+            raise ModeMismatch("this strategy consumes revealed samples")
+        self.t += 1
+        self._absorb(revealed)
+        return revealed
+
+    def max_candidate(self) -> int:
+        return max(self.t, self._max) + 1
+
+    def min_candidate(self) -> int:
+        return min(0, self._min) - 1
+
+    def step(self, revealed: int | None) -> int:
+        self._observe(revealed)
+        z = self._decide()
+        self._absorb(z)
+        return z
+
+
+class NaiveMaxPlusOne(NaivePool):
+    def _decide(self) -> int:
+        return self.max_candidate()
+
+
+class NaiveMinMinusOne(NaivePool):
+    def _decide(self) -> int:
+        return self.min_candidate()
+
+
+class NaiveFollowSuffix(NaivePool):
+    def __init__(self) -> None:
+        super().__init__()
+        self._nat_max = 0
+        self._out_max = 0
+
+    def step(self, revealed: int | None) -> int:
+        x = self._observe(revealed)
+        if x >= 0:
+            self._nat_max = max(self._nat_max, x)
+        z = max(self.t, self._nat_max, self._out_max) + 1
+        self._out_max = z
+        return z
+
+
+class NaiveOneShotProbe(NaivePool):
+    """Asks whether `probe` is in the target at the first step, then plays
+    low if Yes and high if No."""
+
+    def __init__(self, probe: int = -1) -> None:
+        super().__init__()
+        self.probe = probe
+        self.answer: bool | None = None
+
+    def step_query(self, revealed: int) -> int | None:
+        self.t += 1
+        self._absorb(revealed)
+        return self.probe if self.t == 0 else None
+
+    def step_output(self, answer: bool | None) -> int:
+        if self.t == 0:
+            self.answer = answer
+        z = self.min_candidate() if self.answer is YES else self.max_candidate()
+        self._absorb(z)
+        return z
+
+
+class _SetWalkingMarkers(NaivePool):
     """Keeps every reveal and walks all level+1 markers against it on every
     step."""
 
@@ -499,3 +587,148 @@ class NaiveSensitivity(_SetWalkingMarkers):
         if all(m in self.revealed for m in range(-1, -(self.level + 2), -1)):
             return self.min_candidate()
         return self.max_candidate()
+
+
+# --- one-record-per-stage staged adversary -------------------------------------
+
+
+@dataclass
+class StageRecord:
+    """One stage of `NaiveStagedAdversary`. Stage 0 carries its language as
+    `base`; a later stage's language is the played prefix up to
+    `snapshot_len`, plus `extras`, plus the ray from `tail_start`."""
+
+    index: int
+    started_at: int  # first step whose output is judged against this stage
+    snapshot_len: int = 0
+    tail_start: int | None = None
+    extras: frozenset[int] = frozenset()
+    base: ClosedFormLanguage | None = None  # stage 0 only
+    trigger_time: int | None = None
+    trigger_output: int | None = None
+    declared_noise_level: int | None = None
+
+    def contains_unseen(self, z: int, emitted_set: set[int]) -> bool:
+        """Trigger predicate: z is an unseen member of this stage language."""
+        if z in emitted_set:
+            return False
+        if self.base is not None:
+            return z in self.base
+        return z in self.extras or z >= self.tail_start
+
+
+class NaiveStagedAdversary:
+    """The staged adversary that keeps one `StageRecord` per stage and every
+    value it played in the list `emitted` and the set `emitted_set`, besides
+    `limit.seen`, and takes its running max with `max`."""
+
+    adaptive = True
+
+    def __init__(
+        self,
+        stage0_value,
+        stage0_language: ClosedFormLanguage,
+        next_stage,
+        prefix=(),
+        pre_excluded=(),
+        noise_level_at=None,
+    ) -> None:
+        self._stage0_value = stage0_value
+        self._next_stage = next_stage
+        self.prefix = tuple(prefix)
+        self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
+        self.emitted: list[int] = []
+        self.emitted_set: set[int] = set()
+        self._noise_level_at = noise_level_at
+        self.stages: list[StageRecord] = [
+            StageRecord(0, started_at=len(self.prefix), base=stage0_language)
+        ]
+        self._stage0_pos = 0
+        self._ramp_next: int | None = None
+        self._pending_negative: int | None = None
+        self._negative_step: int | None = None
+        self._last_trigger_output: int | None = None
+        self._running_max: int | None = None
+
+    @classmethod
+    def twin(cls, adversary: StagedAdversary) -> "NaiveStagedAdversary":
+        """The reference built from the construction arguments of an
+        adversary that has not played yet."""
+        return cls(
+            adversary._stage0_value,
+            adversary.stage0_language,
+            adversary._next_stage,
+            adversary.prefix,
+            sorted(adversary.limit.excluded),
+            adversary._noise_level_at,
+        )
+
+    def emit(self, t: int) -> int:
+        if t < len(self.prefix):
+            v = self.prefix[t]
+            self._record_emit(v, is_truth=False)
+            return v
+        if self._pending_negative is not None:
+            v = self._pending_negative
+            self._pending_negative = None
+            self._negative_step = t
+        elif self._ramp_next is not None:
+            v = self._ramp_next
+            self._ramp_next += 1
+        else:
+            v = self._stage0_value(self._stage0_pos)
+            self._stage0_pos += 1
+        self._record_emit(v, is_truth=True)
+        return v
+
+    def _record_emit(self, v: int, is_truth: bool) -> None:
+        if v in self.emitted_set:
+            raise AdversaryRepeat(f"adversary repeated {v}")
+        self.emitted.append(v)
+        self.emitted_set.add(v)
+        if is_truth:
+            self.limit.add_seen(v)
+        self._absorb(v)
+
+    def _absorb(self, v: int) -> None:
+        self._running_max = v if self._running_max is None else max(self._running_max, v)
+
+    def observe(self, t: int, output: int) -> None:
+        if t < len(self.prefix):
+            return
+        self._absorb(output)
+        current = self.stages[-1]
+        if self._negative_step == t:
+            plan = self._next_stage(self._last_trigger_output, self._running_max)
+            record = StageRecord(
+                current.index + 1,
+                started_at=t + 1,
+                snapshot_len=len(self.emitted),
+                tail_start=plan.tail_start,
+                extras=plan.extras,
+            )
+            if self._noise_level_at is not None:
+                record.declared_noise_level = self._noise_level_at(t)
+            self.stages.append(record)
+            self._ramp_next = plan.tail_start
+            self._negative_step = None
+            return
+        if current.contains_unseen(output, self.emitted_set):
+            current.trigger_time = t
+            current.trigger_output = output
+            self.limit.add_excluded(output)
+            self._last_trigger_output = output
+            self._pending_negative = -(current.index + 1)
+
+    @property
+    def certified_mistake_times(self) -> tuple[int, ...]:
+        return tuple(s.trigger_time for s in self.stages if s.trigger_time is not None)
+
+    def final_stage_mistakes(self, horizon: int) -> int:
+        last = self.stages[-1]
+        if last.trigger_time is not None:
+            return 0
+        return max(0, horizon - last.started_at)
+
+    def noise_count(self) -> int:
+        return sum(1 for v in self.emitted if self.limit.status(v) != "In")

@@ -250,6 +250,9 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
         ({"id": "thm4.8-omit-i", "params": {"i": 2, "bogus": 1}}, "unknown params ['bogus'] for thm4.8-omit-i"),
         ({"id": "alg4-feedback", "params": {"i": 1}}, "unknown params ['i'] for alg4-feedback"),
         ({"id": "alg3-chain", "horizn": 5}, "unknown keys ['horizn'] in the config entry of alg3-chain"),
+        ({"id": "thm4.8-omit-i", "params": {"i": 2**64}}, "i of thm4.8-omit-i must be below 2000"),
+        ({"id": "thm5.2-noise-i", "params": {"i": [1, 2000]}}, "i of thm5.2-noise-i must be below 2000"),
+        ({"id": "thm5.4-sensitivity", "params": {"i": 2**64}}, "i of thm5.4-sensitivity must be below 2000"),
     ],
 )
 def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):
@@ -260,6 +263,13 @@ def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tm
     assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
     assert message in capsys.readouterr().err
     assert not trace_dir.exists()
+
+
+@pytest.mark.parametrize("ident", ["thm4.8-omit-i", "thm5.2-noise-i", "thm5.4-sensitivity"])
+def test_level_below_the_scripted_horizon_passes_the_kind(ident):
+    assert experiments.SCRIPTED_HORIZON == 2000
+    rows = experiments.matrix_rows(EXPERIMENTS[ident], {"i": 1999})
+    assert rows == [(f"{ident}[i=1999]", {"i": 1999})]
 
 
 def test_unknown_top_level_config_key_exits_2_before_running(monkeypatch, tmp_path, capsys):

@@ -24,8 +24,17 @@ from limitgen.generators import (
     noisy_from_sampleless,
     reduce_by_prefix,
 )
+from limitgen.feedback import OneShotProbeGenerator
 from limitgen.langs import suffix_from
-from oracles import NaiveNoiseTolerant, NaiveOmissionTolerant, NaiveSensitivity
+from oracles import (
+    NaiveFollowSuffix,
+    NaiveMaxPlusOne,
+    NaiveMinMinusOne,
+    NaiveNoiseTolerant,
+    NaiveOmissionTolerant,
+    NaiveOneShotProbe,
+    NaiveSensitivity,
+)
 
 
 def counting_stream(start=0, step=1):
@@ -184,6 +193,33 @@ def test_marker_strategies_match_set_walking_references(level, reveals):
         assert feed(fast(level), reveals) == feed(naive(level), reveals)
 
 
+_POOL_REVEALS = st.lists(
+    st.integers(-6, 6)
+    | st.integers(2**40 - 2, 2**40 + 2)
+    | st.integers(-(2**40) - 2, -(2**40) + 2),
+    max_size=40,
+) | st.lists(st.integers(-(2**40), -1), max_size=40)
+
+
+@given(reveals=_POOL_REVEALS, probe=st.integers(-6, 6), answer=st.booleans())
+def test_pool_strategies_match_builtin_references(reveals, probe, answer):
+    pairs = [
+        (MaxPlusOne, NaiveMaxPlusOne),
+        (MinMinusOne, NaiveMinMinusOne),
+        (FollowSuffix, NaiveFollowSuffix),
+    ]
+    for fast, naive in pairs:
+        assert feed(fast(), reveals) == feed(naive(), reveals)
+    plays = []
+    for gen in (OneShotProbeGenerator(probe), NaiveOneShotProbe(probe)):
+        play = []
+        for x in reveals:
+            y = gen.step_query(x)
+            play.append((y, gen.step_output(None if y is None else answer)))
+        plays.append(play)
+    assert plays[0] == plays[1]
+
+
 def test_baseline_traces():
     assert feed(baseline("max_plus_one"), [0]) == [1]
     assert feed(baseline("min_minus_one"), [0, -1]) == [-1, -2]
@@ -270,9 +306,13 @@ def test_fresh_replays_identically():
     gens = [
         baseline("max_plus_one"),
         baseline("follow_suffix"),
+    ] + [
+        make(level)
+        for make in (OmissionTolerantGenerator, NoiseTolerantGenerator, SensitivityGenerator)
+        for level in range(3)
     ]
     reveals = [3, -1, 3, 8, 0, -7, 11]
     for gen in gens:
         first = feed(gen.fresh(), reveals)
         second = feed(gen.fresh(), reveals)
-        assert first == second
+        assert first == second == feed(gen, reveals)

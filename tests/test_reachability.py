@@ -53,6 +53,7 @@ ALLOWED = {
     "sources.omission_adversary.<lambda next_stage>": "thm4.8-adv's strategy never leaves stage 0",
     # replay bases whose fresh() only tests' StripQueries replays reach
     "generators._PoolGenerator.fresh": "StripQueries replays of PlainAsFeedback in tests",
+    "generators._MarkerBranchGenerator.fresh": "StripQueries replays of PlainAsFeedback in tests",
     "feedback.PlainAsFeedback.fresh": "StripQueries replays in tests",
 }
 

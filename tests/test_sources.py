@@ -1,10 +1,20 @@
+import gc
 import itertools
+import tracemalloc
+import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from limitgen import engine
+from limitgen.engine import Mode
+from limitgen.errors import AdversaryRepeat
 from limitgen.generators import baseline, intersection_generator
 from limitgen.families import neg_union
 from limitgen.generators import (
+    FollowSuffix,
+    MaxPlusOne,
+    MinMinusOne,
     NoiseTolerantGenerator,
     OmissionTolerantGenerator,
     SensitivityGenerator,
@@ -13,13 +23,15 @@ from limitgen.langs import ClosedFormLanguage, suffix_from
 from limitgen.sources import (
     ScriptedSource,
     ScriptedSpec,
+    StagedAdversary,
+    StagePlan,
     noise_prefix_adversary,
     omission_adversary,
     sensitivity_adversary,
     staged_union_adversary,
 )
 
-from oracles import stage_language
+from oracles import NaiveStagedAdversary, stage_language
 
 
 def play(adversary, gen, horizon):
@@ -88,6 +100,19 @@ def test_scripted_repetitions_dedup_to_base():
     assert max(runs) <= 5 and max(runs) > 1
 
 
+def test_dropped_scripted_source_is_freed_without_the_cycle_collector():
+    spec = ScriptedSpec(suffix_from(0), order="blocks:1", noise=((2, -1),), repeat_seed=0)
+    src = ScriptedSource(spec)
+    src.emit(50)
+    ref = weakref.ref(src)
+    gc.disable()
+    try:
+        del src
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 # --- the staged union adversary -------------------------------------------------
 
 
@@ -98,8 +123,8 @@ def test_staged_union_exact_replay_against_ascender():
     assert zs == [1, 2, 4, 5, 7, 8, 10, 11, 13]
     assert adversary.certified_mistake_times == (0, 2, 4, 6, 8)
     assert adversary.limit.excluded == {1, 4, 7, 10, 13}
-    assert stage_language(adversary, 1) == ClosedFormLanguage(frozenset({0, -1}), 3, False)
-    assert stage_language(adversary, 2) == ClosedFormLanguage(
+    assert stage_language(adversary, xs, 1) == ClosedFormLanguage(frozenset({0, -1}), 3, False)
+    assert stage_language(adversary, xs, 2) == ClosedFormLanguage(
         frozenset({0, -1, 3, -2}), 6, False
     )
 
@@ -120,7 +145,7 @@ def test_staged_union_stream_validity():
     stages = len(adversary.certified_mistake_times)
     assert stages >= 10
     for k in range(1, min(stages, 10) + 1):
-        assert -k in adversary.emitted_set
+        assert adversary.emitted(-k)
 
 
 def test_staged_union_certificates_are_sound():
@@ -137,7 +162,7 @@ def test_staged_union_ramps_exceed_prior_outputs():
     nonneg = [x for x in xs if x >= 0]
     assert nonneg == sorted(nonneg) and len(set(nonneg)) == len(nonneg)
     # every excluded output stayed un-emitted
-    assert not (adversary.limit.excluded & adversary.emitted_set)
+    assert not any(adversary.emitted(v) for v in adversary.limit.excluded)
 
 
 # --- the omission adversary ------------------------------------------------------
@@ -151,7 +176,7 @@ def test_omission_adversary_defeats_weaker_tolerance():
     assert all(z < 0 for z in zs)
     assert adversary.no_trigger
     assert adversary.final_stage_mistakes(1_000) == 1_000
-    assert 0 not in adversary.emitted_set
+    assert not adversary.emitted(0)
 
 
 def test_omission_adversary_triggers_on_ascender():
@@ -159,7 +184,7 @@ def test_omission_adversary_triggers_on_ascender():
         adversary = omission_adversary(level)
         play(adversary, baseline("max_plus_one"), 2_000)
         assert len(adversary.certified_mistake_times) >= 10
-        assert not (set(range(level + 1)) & adversary.emitted_set)
+        assert not any(adversary.emitted(v) for v in range(level + 1))
         assert adversary.noise_count() == 0
 
 
@@ -190,9 +215,9 @@ def test_noise_prefix_defeats_matching_tolerance():
 
 def test_noise_prefix_stage_languages_avoid_markers():
     adversary = noise_prefix_adversary(1)
-    play(adversary, NoiseTolerantGenerator(1), 200)
-    for stage in adversary.stages[1:4]:
-        lang = stage_language(adversary, stage.index)
+    xs, _ = play(adversary, NoiseTolerantGenerator(1), 200)
+    for index in range(1, len(adversary.tail_starts) + 1)[:3]:
+        lang = stage_language(adversary, xs, index)
         assert 0 not in lang.finite_part and 1 not in lang.finite_part
 
 
@@ -202,9 +227,9 @@ def test_noise_prefix_stage_languages_avoid_markers():
 def test_sensitivity_adversary_declared_noise_levels():
     adversary = sensitivity_adversary()
     play(adversary, baseline("max_plus_one"), 300)
-    for stage in adversary.stages[1:6]:
-        prev = adversary.stages[stage.index - 1]
-        assert stage.declared_noise_level == prev.trigger_time + 2
+    # stage k + 1 is built on the step after trigger k
+    for declared, trigger in list(zip(adversary.declared_levels, adversary.trigger_times))[:5]:
+        assert declared == trigger + 2
 
 
 def test_sensitivity_adversary_exhausts_fixed_levels():
@@ -223,3 +248,114 @@ def test_sensitivity_adversary_triggers_forever_on_ascender():
     adversary = sensitivity_adversary()
     play(adversary, baseline("max_plus_one"), 2_000)
     assert len(adversary.certified_mistake_times) >= 10
+
+
+# --- flat stage state against the one-record-per-stage reference -----------------
+
+
+def _construction(which: int, level: int, prefix: list[int], shift: int) -> StagedAdversary:
+    """The four constructions, and a plan whose ramps and noise prefix may
+    repeat a value or replay a certified output, with stage 0 playing the
+    ray from `level`."""
+    if which == 0:
+        return staged_union_adversary()
+    if which == 1:
+        return omission_adversary(level)
+    if which == 2:
+        return noise_prefix_adversary(level)
+    if which == 3:
+        return sensitivity_adversary()
+    return StagedAdversary(
+        stage0_value=lambda k: k + level,
+        stage0_language=suffix_from(level),
+        next_stage=lambda z, _m: StagePlan(tail_start=z + shift),
+        prefix=prefix,
+    )
+
+
+_OPPONENTS = [  # each built from the drawn level
+    lambda level: MaxPlusOne(),
+    lambda level: MinMinusOne(),
+    lambda level: FollowSuffix(),
+    OmissionTolerantGenerator,
+    NoiseTolerantGenerator,
+    SensitivityGenerator,
+]
+
+
+def _opponent(choice, level: int):
+    """A fresh pool strategy, or one that plays drawn outputs: each either a
+    value or an offset from the step's reveal."""
+    if isinstance(choice, int):
+        return _OPPONENTS[choice](level)
+    outputs = itertools.cycle(choice)
+
+    class Drawn:
+        def step(self, x):
+            relative, value = next(outputs)
+            return x + value if relative else value
+
+    return Drawn()
+
+
+def _play_until_raise(adversary, gen, horizon):
+    """Reveals and the step and exception that ended play early, if any."""
+    xs = []
+    for t in range(horizon):
+        try:
+            x = adversary.emit(t)
+            xs.append(x)
+            adversary.observe(t, gen.step(x))
+        except (AdversaryRepeat, ValueError) as exc:
+            return xs, (t, type(exc), str(exc))
+    return xs, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    which=st.integers(0, 4),
+    level=st.integers(0, 2),
+    prefix=st.lists(st.integers(-3, 6), max_size=4),
+    shift=st.integers(-3, 3),
+    choice=st.integers(0, len(_OPPONENTS) - 1)
+    | st.lists(st.tuples(st.booleans(), st.integers(-6, 40)), min_size=1, max_size=60),
+    horizon=st.integers(1, 300),
+)
+def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shift, choice, horizon):
+    fast = _construction(which, level, prefix, shift)
+    naive = NaiveStagedAdversary.twin(fast)
+    xs, ended = _play_until_raise(fast, _opponent(choice, level), horizon)
+    naive_xs, naive_ended = _play_until_raise(naive, _opponent(choice, level), horizon)
+    assert xs == naive_xs
+    assert ended == naive_ended
+    assert fast.certified_mistake_times == naive.certified_mistake_times
+    triggered = [s for s in naive.stages if s.trigger_time is not None]
+    assert list(fast.trigger_outputs) == [s.trigger_output for s in triggered]
+    assert list(fast.tail_starts) == [s.tail_start for s in naive.stages[1:]]
+    declared = [s.declared_noise_level for s in naive.stages[1:]]
+    assert list(fast.declared_levels) == [v for v in declared if v is not None]
+    assert fast.final_stage_mistakes(horizon) == naive.final_stage_mistakes(horizon)
+    assert fast.limit.seen == naive.limit.seen
+    assert fast.limit.excluded == naive.limit.excluded
+    if ended is None or ended[1] is AdversaryRepeat:
+        # a refused add_seen leaves the value in the reference's emitted list
+        assert fast.noise_count() == naive.noise_count()
+        assert all(fast.emitted(v) == (v in naive.emitted_set) for v in range(-12, 60))
+        assert all(fast.emitted(v) for v in naive.emitted)
+
+
+def test_staged_union_retains_under_200_bytes_per_step():
+    steps = 40_000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        adversary = staged_union_adversary()
+        records, result = engine.run(MaxPlusOne(), adversary, Mode.standard(), steps)
+        assert len(adversary.certified_mistake_times) == steps // 2
+        del records, result
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / steps < 200, f"{retained / steps:.0f} B per step"
