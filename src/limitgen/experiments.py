@@ -12,8 +12,10 @@ at a time. Experiment ids are stable config keys.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Generator, Iterator, NamedTuple
 
 from . import engine
@@ -60,9 +62,9 @@ from .sources import (
 )
 
 MIN_CERTIFIED = 10
-# the longest horizon of the hierarchy rows' scripted cases; each of these
-# rows has a scripted case whose t* is at least its level, so a level at or
-# above it fails at every horizon and the rows' kind rejects it
+# the longest horizon of the hierarchy rows' scripted cases; a level whose
+# largest t* is not below it fails at every horizon, so the rows' kind
+# rejects it
 SCRIPTED_HORIZON = 2000
 
 
@@ -146,12 +148,13 @@ def _scripted(
     return ScriptedSource(ScriptedSpec(truth, order, omissions, tuple(noise), repeat_seed))
 
 
-def _first_reveal(source: ScriptedSource, horizon: int, want: Callable[[set[int]], bool]) -> int:
-    """First step whose reveal makes `want` hold, or `horizon` if none does.
-    `emit` is memoised, so the run that follows replays the same stream."""
+def _first_reveal(spec: ScriptedSpec, horizon: int, want: Callable[[set[int]], bool]) -> int:
+    """First step below `horizon` whose reveal makes `want` hold, or
+    `horizon` if none does: a t* that late fails its case anyway. It reads
+    its own stream of the spec, so the run's source plays from step 0."""
     seen: set[int] = set()
-    for t in range(horizon):
-        seen.add(source.emit(t))
+    for t, x in enumerate(itertools.islice(spec.stream(), horizon)):
+        seen.add(x)
         if want(seen):
             return t
     return horizon
@@ -331,8 +334,8 @@ def _marked_suffix_truth(level: int, a_part: frozenset[int], j: int) -> ClosedFo
     return ClosedFormLanguage(frozenset(range(level + 1)) | a_part, j, False)
 
 
-def _omission_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
-    """(source, analytic t*) pairs for play with <= level omissions."""
+def _omission_sources(level: int, horizon: int) -> Iterator[tuple[ScriptedSource, int]]:
+    """(source, analytic t*) pairs for <= level omissions over `horizon` steps."""
     markers = frozenset(range(level + 1))
     suffix_shapes = [
         (frozenset(), level + 1),
@@ -341,7 +344,6 @@ def _omission_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
         (frozenset({-15}), level + 2),
         (frozenset({-3, -11, level + 6}), level + 5),
     ]
-    horizon_probe = 4000
     for a_part, j in suffix_shapes:
         truth = _marked_suffix_truth(level, a_part, j)
         omission_sets = [frozenset()]
@@ -351,7 +353,7 @@ def _omission_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
                 omission_sets.append(frozenset({min(a_part)}))
         for omissions in omission_sets:
             src = _scripted(truth, omissions=omissions)
-            yield src, max(j, _first_reveal(src, horizon_probe, lambda s: bool(s & markers)))
+            yield src, max(j, _first_reveal(src.spec, horizon, lambda s: bool(s & markers)))
     neg_shapes = [
         frozenset({level + 5}),
         frozenset({-6, level + 2}),
@@ -365,10 +367,16 @@ def _omission_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
         yield _scripted(truth, omissions=omissions), 0
 
 
+def _omission_t_star(level: int) -> int:
+    """The largest t* of `_omission_sources(level, ...)`: the largest j of
+    its suffix shapes, since no source reveals its first marker later."""
+    return max(level + 5, 2 * level + 4)
+
+
 def _omission_hierarchy_cases(horizon: int, seed: int, params: dict):
     level = params["i"]
     scripted = min(horizon, SCRIPTED_HORIZON)
-    for idx, (src, t_star) in enumerate(_omission_sources(level)):
+    for idx, (src, t_star) in enumerate(_omission_sources(level, scripted)):
         gen = OmissionTolerantGenerator(level)
         n_omit = len(src.spec.omissions)
         yield Case(f"thm4.8[i={level},src{idx}]", gen, src, Mode.lossy(n_omit), scripted, t_star)
@@ -379,10 +387,9 @@ def _omission_hierarchy_cases(horizon: int, seed: int, params: dict):
         yield f"adversary emitted an omitted marker (i={level})"
 
 
-def _noise_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
-    """(source, analytic t*) pairs for play with noise level <= level."""
+def _noise_sources(level: int, horizon: int) -> Iterator[tuple[ScriptedSource, int]]:
+    """(source, analytic t*) pairs for noise level <= level over `horizon` steps."""
     markers = frozenset(range(level + 1))
-    horizon_probe = 4000
     one_if_noisy = 1 if level >= 1 else 0
     suffix_shapes = [
         (frozenset(), level + 1, ()),
@@ -393,7 +400,7 @@ def _noise_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
     ]
     for a_part, j, noise in suffix_shapes:
         src = _scripted(_marked_suffix_truth(level, a_part, j), noise=noise)
-        yield src, max(j, _first_reveal(src, horizon_probe, lambda s: markers <= s))
+        yield src, max(j, _first_reveal(src.spec, horizon, lambda s: markers <= s))
     neg_shapes = [
         (frozenset({level + 5}), ()),
         (frozenset(), tuple((2 * k, k) for k in range(level))),  # markers as noise
@@ -406,17 +413,19 @@ def _noise_sources(level: int) -> Iterator[tuple[ScriptedSource, int]]:
         yield _scripted(truth, noise=noise), 0
 
 
+def _noise_t_star(level: int) -> int:
+    """The largest t* of `_noise_sources(level, ...)`: the largest j of its
+    suffix shapes, since no source reveals its last marker later."""
+    return max(level + 4, 2 * level + 3)
+
+
 def _noise_hierarchy_cases(horizon: int, seed: int, params: dict):
     level = params["i"]
-    for idx, (src, t_star) in enumerate(_noise_sources(level)):
+    scripted = min(horizon, SCRIPTED_HORIZON)
+    for idx, (src, t_star) in enumerate(_noise_sources(level, scripted)):
         gen = NoiseTolerantGenerator(level)
         yield Case(
-            f"thm5.2[i={level},src{idx}]",
-            gen,
-            src,
-            Mode.noisy(src.spec.noise_count),
-            min(horizon, SCRIPTED_HORIZON),
-            t_star,
+            f"thm5.2[i={level},src{idx}]", gen, src, Mode.noisy(src.spec.noise_count), scripted, t_star
         )
     adversary = noise_prefix_adversary(level)
     gen = NoiseTolerantGenerator(level)
@@ -425,10 +434,15 @@ def _noise_hierarchy_cases(horizon: int, seed: int, params: dict):
         yield f"adversary emitted {adversary.noise_count()} non-members, wanted {level + 1}"
 
 
+def _sensitivity_t_star(level: int) -> int:
+    """The largest t* of `_sensitivity_cases`' scripted cases: ray2's j, or
+    neg2's, whose probes -1..-(i+1) follow 6 and 11, the last at step i + 2."""
+    return max(9, level + 2)
+
+
 def _sensitivity_cases(horizon: int, seed: int, params: dict):
     level = params["i"]
     scripted = min(horizon, SCRIPTED_HORIZON)
-    horizon_probe = 4000
     # ray targets: the strategy stays on the high branch throughout
     for idx, (j, noise) in enumerate(
         [(0, ()), (3, ((0, -2),)[: level and 1]), (9, tuple((k, -3 - k) for k in range(level)))]
@@ -440,7 +454,7 @@ def _sensitivity_cases(horizon: int, seed: int, params: dict):
     probes = frozenset(range(-1, -(level + 2), -1))
     for idx, a_part in enumerate([frozenset(), frozenset({4}), frozenset({11, 6})]):
         src = _scripted(ClosedFormLanguage(a_part, None, True))
-        t_probe = _first_reveal(src, horizon_probe, lambda s: probes <= s)
+        t_probe = _first_reveal(src.spec, scripted, lambda s: probes <= s)
         gen = SensitivityGenerator(level)
         yield Case(f"thm5.4[i={level},neg{idx}]", gen, src, Mode.noisy(0), scripted, t_probe)
     adversary = sensitivity_adversary()
@@ -595,12 +609,15 @@ def _counts(value: object, origin: str) -> tuple[int, ...]:
     return tuple(_count(item, origin)[0] for item in values)
 
 
-def _levels(value: object, origin: str) -> tuple[int, ...]:
-    """Like `_counts`, but every level lies below SCRIPTED_HORIZON."""
+def _levels(largest_t_star: Callable[[int], int], value: object, origin: str) -> tuple[int, ...]:
+    """Like `_counts`, but below the row's bound: the least level whose
+    largest scripted t*, `largest_t_star(level)`, is not below
+    SCRIPTED_HORIZON, so that the level fails at every horizon."""
     levels = _counts(value, origin)
     for level in levels:
-        if level >= SCRIPTED_HORIZON:
-            raise ValueError(f"{origin} must be below {SCRIPTED_HORIZON}, got {level}")
+        if largest_t_star(level) >= SCRIPTED_HORIZON:
+            bound = next(i for i in itertools.count() if largest_t_star(i) >= SCRIPTED_HORIZON)
+            raise ValueError(f"{origin} must be below {bound}, got {level}")
     return levels
 
 
@@ -668,14 +685,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             "past it",
             10_000,
             _omission_hierarchy_cases,
-            Param("i", _levels, [0, 1, 2], matrix=True),
+            Param("i", partial(_levels, _omission_t_star), [0, 1, 2], matrix=True),
         ),
         Experiment(
             "thm5.2-noise-i",
             "marker strategies tolerate their declared noise level and fail one past it",
             10_000,
             _noise_hierarchy_cases,
-            Param("i", _levels, [0, 1, 2], matrix=True),
+            Param("i", partial(_levels, _noise_t_star), [0, 1, 2], matrix=True),
         ),
         Experiment(
             "thm5.4-sensitivity",
@@ -683,7 +700,7 @@ EXPERIMENTS: dict[str, Experiment] = {
             "the level is unknown",
             10_000,
             _sensitivity_cases,
-            Param("i", _levels, [0, 1, 2, 3, 4], matrix=True),
+            Param("i", partial(_levels, _sensitivity_t_star), [0, 1, 2, 3, 4], matrix=True),
         ),
         Experiment(
             "alg4-feedback",

@@ -12,7 +12,7 @@ enumeration on bounded windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import UnboundedClosureDimension
@@ -286,26 +286,17 @@ class UnionSpec(CollectionSpec):
 class ChainSpec:
     """A monotone chain C_0 within C_1 within ..., given by a rule i -> C_i.
 
-    A plain memo of links and their common cores: chain play reads one link
-    per step, often across many runs, and asks each link only for its
-    intersection. The memo keeps every link reached, so the rule should build
-    closed-form links such as `RayFamily(top=i)`, not lists that grow with i,
-    for memory to stay linear in the number of steps.
+    Chain play reads each link once, in order, and asks it only for its
+    common intersection, so links are built when asked for and not kept.
     """
 
     rule: Callable[[int], CollectionSpec]
-    _links: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
-    _cores: dict = field(default_factory=dict, hash=False, compare=False, repr=False)
 
     def at(self, i: int) -> CollectionSpec:
-        if i not in self._links:
-            self._links[i] = self.rule(i)
-        return self._links[i]
+        return self.rule(i)
 
     def intersection_at(self, i: int) -> ClosureResult:
-        if i not in self._cores:
-            self._cores[i] = self.at(i).intersection()
-        return self._cores[i]
+        return self.at(i).intersection()
 
 
 def uniform_without_samples_check(spec: CollectionSpec) -> bool:

@@ -216,27 +216,21 @@ class ChainGenerator(Generator):
 
 class NoisyFromStream(Generator):
     """Turns an injective stream into a sample-consuming strategy by skipping
-    stream entries that have already been revealed."""
+    stream entries that have already been revealed. The stream is read once,
+    forward; only the reveals are kept."""
 
     def __init__(self, stream: Iterator[int]) -> None:
         self._iter = stream
-        self._memo: list[int] = []
-        self._cursor = 0
         self._seen: set[int] = set()
-
-    def _entry(self, j: int) -> int:
-        while j >= len(self._memo):
-            self._memo.append(next(self._iter))
-        return self._memo[j]
 
     def step(self, revealed: int | None) -> int:
         if revealed is None:
             raise ModeMismatch("noisy play needs revealed samples")
-        self._seen.add(revealed)
-        while self._entry(self._cursor) in self._seen:
-            self._cursor += 1
-        z = self._memo[self._cursor]
-        self._cursor += 1
+        seen = self._seen
+        seen.add(revealed)
+        z = next(self._iter)
+        while z in seen:
+            z = next(self._iter)
         return z
 
 
@@ -248,29 +242,21 @@ def noisy_from_sampleless(stream: Generator) -> NoisyFromStream:
 class SamplelessFromNoisy(Generator):
     """Runs a sample-consuming strategy on the canonical enumeration of Z,
     0, -1, 1, -2, ... (the zigzag order), and re-emits its outputs, skipping
-    ones already emitted."""
+    ones already emitted. Each base output is read once, in order; only the
+    values emitted are kept."""
 
     def __init__(self, base: Generator) -> None:
         self.base = base
-        self._memo: list[int] = []
-        self._cursor = 0
+        self._outputs = (base.step(zigzag_encode(n)) for n in itertools.count())
         self._emitted: set[int] = set()
 
-    def _entry(self, j: int) -> int:
-        while j >= len(self._memo):
-            self._memo.append(self.base.step(zigzag_encode(len(self._memo))))
-        return self._memo[j]
-
     def step(self, revealed: int | None = None) -> int:
-        j = self._cursor
-        while self._entry(j) in self._emitted:
-            j += 1
-            if j - self._cursor > PROBE_CAP:
-                raise SearchExhausted("base strategy never produced a fresh value")
-        z = self._memo[j]
-        self._cursor = j + 1
-        self._emitted.add(z)
-        return z
+        emitted = self._emitted
+        for z in itertools.islice(self._outputs, PROBE_CAP + 1):
+            if z not in emitted:
+                emitted.add(z)
+                return z
+        raise SearchExhausted("base strategy never produced a fresh value")
 
 
 class DedupWrapper(Generator):

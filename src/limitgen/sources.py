@@ -85,6 +85,21 @@ class ScriptedSpec:
     def noise_count(self) -> int:
         return len(self.noise)
 
+    def stream(self) -> Iterator[int]:
+        """A fresh iterator over the enumeration from its first step: the
+        pipeline below, then repeats. Every call plays the same values."""
+        stream = _with_noise(self)
+        if self.repeat_seed is None:
+            return stream
+        rng = random.Random(self.repeat_seed)
+
+        def repeated() -> Iterator[int]:
+            for v in stream:
+                for _ in range(rng.randint(1, 5)):
+                    yield v
+
+        return repeated()
+
     def to_record(self) -> dict:
         return {
             "kind": "scripted",
@@ -101,26 +116,28 @@ class ScriptedSpec:
 
 
 class ScriptedSource(Source):
-    adaptive = False
+    """Plays its spec's stream once, forward: `emit(t)` takes step t only
+    after steps 0..t-1, and keeps none of the values it played."""
 
     def __init__(self, spec: ScriptedSpec) -> None:
         self.spec = spec
-        self._memo: list[int] = []
         # the stream refers to the spec only, not back to the source, so a
-        # dropped source and its memo are freed at once, not by the cycle
-        # collector
-        self._iter = _scripted_stream(spec)
+        # dropped source is freed at once, not by the cycle collector
+        self._iter = spec.stream()
+        self._next = 0  # the step emit takes next
 
     def emit(self, t: int) -> int:
-        while t >= len(self._memo):
-            self._memo.append(next(self._iter))
-        return self._memo[t]
+        if t != self._next:
+            raise ValueError(f"scripted source plays step {self._next} next, not {t}")
+        self._next = t + 1
+        return next(self._iter)
 
     def truth_view(self) -> ClosedFormLanguage:
         return self.spec.truth
 
 
-# stream pipeline: base order -> omissions -> block shuffle -> noise -> repeats
+# stream pipeline: base order -> omissions -> block shuffle -> noise, then
+# `ScriptedSpec.stream` adds the repeats
 def _base(spec: ScriptedSpec) -> Iterator[int]:
     elems = spec.truth.elements()
     if spec.omissions == "every_other":
@@ -152,20 +169,6 @@ def _with_noise(spec: ScriptedSpec) -> Iterator[int]:
             yield schedule[pos]
         else:
             yield next(ordered)
-
-
-def _scripted_stream(spec: ScriptedSpec) -> Iterator[int]:
-    stream = _with_noise(spec)
-    if spec.repeat_seed is None:
-        return stream
-    rng = random.Random(spec.repeat_seed)
-
-    def repeated() -> Iterator[int]:
-        for v in stream:
-            for _ in range(rng.randint(1, 5)):
-                yield v
-
-    return repeated()
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,9 @@ check.
 
 A few inspection helpers that only tests use live here too: the members of
 a closure on a window, a staged adversary's stage language rebuilt from its
-run's reveals and its tail-start column, and the inverse of the zigzag
-pairing.
+run's reveals and its tail-start column, the inverse of the zigzag pairing,
+the drawn scripted specs that several test modules play, and the memory a
+run leaves allocated, per step.
 
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
@@ -31,16 +32,22 @@ remembered every value it produced, the max/min pools kept with the `max`
 and `min` builtins, the strategies built on them (among them the marker
 strategies that walked every marker against the set of every reveal), and
 the staged adversary that kept one record per stage and every value it
-played in a list and a set, as references for differential tests.
+played in a list and a set, and the noisy and sampleless converters that
+kept every stream entry they read in a list behind a cursor, as references
+for differential tests.
 """
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
+import tracemalloc
 from dataclasses import dataclass
 
-from limitgen import engine
+from hypothesis import strategies as st
+
+from limitgen import engine, generators
 from limitgen.engine import (
     CORRECT,
     IDENTIFICATION,
@@ -53,7 +60,7 @@ from limitgen.engine import (
     RunResult,
     StepRecord,
 )
-from limitgen.errors import AdversaryRepeat, BudgetViolation, ModeMismatch
+from limitgen.errors import AdversaryRepeat, BudgetViolation, ModeMismatch, SearchExhausted
 from limitgen.families import (
     ClosureResult,
     ExplicitCountable,
@@ -63,8 +70,14 @@ from limitgen.families import (
     UnionSpec,
 )
 from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier, UnionFeedbackGenerator
-from limitgen.langs import NEGATIVES, ClosedFormLanguage, TranscriptLimitLanguage, suffix_from
-from limitgen.sources import ScriptedSource, StagedAdversary
+from limitgen.langs import (
+    NEGATIVES,
+    ClosedFormLanguage,
+    TranscriptLimitLanguage,
+    suffix_from,
+    zigzag_encode,
+)
+from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary
 
 TINY_LO, TINY_HI = -6, 6
 
@@ -99,6 +112,47 @@ def stage_language(
 def zigzag_decode(z: int) -> int:
     """Inverse of `langs.zigzag_encode`."""
     return 2 * z if z >= 0 else -2 * z - 1
+
+
+TRUTHS = st.builds(
+    lambda finite, tail, negatives: ClosedFormLanguage(finite, tail, negatives or tail is None),
+    st.frozensets(st.integers(-8, 12), max_size=3),
+    st.one_of(st.none(), st.integers(-3, 12)),
+    st.booleans(),
+)
+
+
+@st.composite
+def scripted_specs(draw):
+    """A drawn scripted spec: any order, omissions, noise and repeats."""
+    truth = draw(TRUTHS)
+    head = list(itertools.islice(truth.elements(), 12))
+    omissions = draw(
+        st.one_of(st.just("every_other"), st.frozensets(st.sampled_from(head), max_size=3))
+    )
+    outside = [v for v in range(-30, 31) if v not in truth]
+    n = draw(st.integers(0, min(3, len(outside))))
+    values = draw(st.lists(st.sampled_from(outside), min_size=n, max_size=n, unique=True)) if n else []
+    positions = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
+    order = draw(st.sampled_from(["canonical", "blocks:0", "blocks:3"]))
+    repeat_seed = draw(st.one_of(st.none(), st.integers(0, 5)))
+    return ScriptedSpec(truth, order, omissions, tuple(zip(positions, values)), repeat_seed)
+
+
+def retained_per_step(steps: int, play):
+    """(bytes per step, what `play()` returned): what `play()` leaves
+    allocated once the cycle collector has run, by tracemalloc, divided by
+    `steps`. What `play` returns is still alive when it is measured."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = play()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return retained / steps, kept
 
 
 def _suffix_traces(fam: SuffixFamily, lo: int, hi: int) -> list[frozenset[int]]:
@@ -732,3 +786,59 @@ class NaiveStagedAdversary:
 
     def noise_count(self) -> int:
         return sum(1 for v in self.emitted if self.limit.status(v) != "In")
+
+
+# --- the converters that kept every stream entry they read -------------------
+
+
+class NaiveNoisyFromStream:
+    """Skip-seen play that keeps every stream entry it read in a list, behind
+    a cursor."""
+
+    def __init__(self, stream) -> None:
+        self._iter = stream
+        self._memo: list[int] = []
+        self._cursor = 0
+        self._seen: set[int] = set()
+
+    def _entry(self, j: int) -> int:
+        while j >= len(self._memo):
+            self._memo.append(next(self._iter))
+        return self._memo[j]
+
+    def step(self, revealed: int | None) -> int:
+        if revealed is None:
+            raise ModeMismatch("noisy play needs revealed samples")
+        self._seen.add(revealed)
+        while self._entry(self._cursor) in self._seen:
+            self._cursor += 1
+        z = self._memo[self._cursor]
+        self._cursor += 1
+        return z
+
+
+class NaiveSamplelessFromNoisy:
+    """Sampleless play from a sample-consuming base that keeps every base
+    output in a list, behind a cursor."""
+
+    def __init__(self, base) -> None:
+        self.base = base
+        self._memo: list[int] = []
+        self._cursor = 0
+        self._emitted: set[int] = set()
+
+    def _entry(self, j: int) -> int:
+        while j >= len(self._memo):
+            self._memo.append(self.base.step(zigzag_encode(len(self._memo))))
+        return self._memo[j]
+
+    def step(self, revealed: int | None = None) -> int:
+        j = self._cursor
+        while self._entry(j) in self._emitted:
+            j += 1
+            if j - self._cursor > generators.PROBE_CAP:
+                raise SearchExhausted("base strategy never produced a fresh value")
+        z = self._memo[j]
+        self._cursor = j + 1
+        self._emitted.add(z)
+        return z

@@ -250,9 +250,9 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
         ({"id": "thm4.8-omit-i", "params": {"i": 2, "bogus": 1}}, "unknown params ['bogus'] for thm4.8-omit-i"),
         ({"id": "alg4-feedback", "params": {"i": 1}}, "unknown params ['i'] for alg4-feedback"),
         ({"id": "alg3-chain", "horizn": 5}, "unknown keys ['horizn'] in the config entry of alg3-chain"),
-        ({"id": "thm4.8-omit-i", "params": {"i": 2**64}}, "i of thm4.8-omit-i must be below 2000"),
-        ({"id": "thm5.2-noise-i", "params": {"i": [1, 2000]}}, "i of thm5.2-noise-i must be below 2000"),
-        ({"id": "thm5.4-sensitivity", "params": {"i": 2**64}}, "i of thm5.4-sensitivity must be below 2000"),
+        ({"id": "thm4.8-omit-i", "params": {"i": 2**64}}, "i of thm4.8-omit-i must be below 998"),
+        ({"id": "thm5.2-noise-i", "params": {"i": [1, 2000]}}, "i of thm5.2-noise-i must be below 999"),
+        ({"id": "thm5.4-sensitivity", "params": {"i": 2**64}}, "i of thm5.4-sensitivity must be below 1998"),
     ],
 )
 def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):
@@ -265,11 +265,29 @@ def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tm
     assert not trace_dir.exists()
 
 
-@pytest.mark.parametrize("ident", ["thm4.8-omit-i", "thm5.2-noise-i", "thm5.4-sensitivity"])
-def test_level_below_the_scripted_horizon_passes_the_kind(ident):
-    assert experiments.SCRIPTED_HORIZON == 2000
-    rows = experiments.matrix_rows(EXPERIMENTS[ident], {"i": 1999})
-    assert rows == [(f"{ident}[i=1999]", {"i": 1999})]
+def _largest_t_star(ident, level):
+    """The largest t* of the row's scripted cases at `level`, drawn without
+    running them."""
+    cases = EXPERIMENTS[ident].cases(3000, 0, {"i": level})
+    return max(c.t_star for c in cases if isinstance(c, experiments.Case) and c.t_star is not None)
+
+
+@pytest.mark.parametrize(
+    "ident, bound", [("thm4.8-omit-i", 998), ("thm5.2-noise-i", 999), ("thm5.4-sensitivity", 1998)]
+)
+def test_level_below_the_row_bound_passes_and_the_bound_exits_2(
+    ident, bound, monkeypatch, tmp_path, capsys
+):
+    rows, _ = experiments.run_experiment(ident, 3000, params={"i": bound - 1})
+    assert [row.passed for row in rows] == [True], rows[0].detail
+    # the bound is the least level whose scripted t* reaches the scripted horizon
+    horizon = experiments.SCRIPTED_HORIZON
+    assert _largest_t_star(ident, bound - 1) < horizon <= _largest_t_star(ident, bound)
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [{"id": ident, "params": {"i": bound}}]}))
+    assert main(["--config", str(config)]) == 2
+    assert f"i of {ident} must be below {bound}, got {bound}" in capsys.readouterr().err
 
 
 def test_unknown_top_level_config_key_exits_2_before_running(monkeypatch, tmp_path, capsys):

@@ -1,7 +1,4 @@
-import gc
 import io
-import itertools
-import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -43,7 +40,7 @@ from limitgen.sources import (
     sensitivity_adversary,
     staged_union_adversary,
 )
-from oracles import naive_run
+from oracles import naive_run, retained_per_step, scripted_specs
 
 
 def scripted(truth, **kwargs):
@@ -245,20 +242,23 @@ def test_query_budget_allows_exactly_its_queries():
 
 def test_transcript_retains_at_most_24_bytes_per_step():
     horizon = 20_000
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        generator, source = FollowSuffix(), scripted(suffix_from(0))
-        records, result = run(generator, source, Mode.standard(), horizon)
-        del generator, source
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
+    per_step, (records, result) = retained_per_step(
+        horizon, lambda: run(FollowSuffix(), scripted(suffix_from(0)), Mode.standard(), horizon)
+    )
     assert len(records) == horizon
     assert result.mistakes == 0
-    assert retained / horizon <= 24
+    assert per_step <= 24
+
+    # with the strategy and the source kept alive: the source keeps none of
+    # the values it played
+    def kept():
+        generator, source = FollowSuffix(), scripted(suffix_from(0))
+        return run(generator, source, Mode.standard(), 2 * horizon), generator, source
+
+    per_step, ((records, result), _, _) = retained_per_step(2 * horizon, kept)
+    assert len(records) == 2 * horizon
+    assert result.mistakes == 0
+    assert per_step <= 24, f"{per_step:.1f} B per step with the source alive"
 
 
 class Reveals(Source):
@@ -317,30 +317,6 @@ class AskEveryOther(FeedbackGenerator):
 
     def fresh(self):
         return AskEveryOther()
-
-
-TRUTHS = st.builds(
-    lambda finite, tail, negatives: ClosedFormLanguage(finite, tail, negatives or tail is None),
-    st.frozensets(st.integers(-8, 12), max_size=3),
-    st.one_of(st.none(), st.integers(-3, 12)),
-    st.booleans(),
-)
-
-
-@st.composite
-def scripted_specs(draw):
-    truth = draw(TRUTHS)
-    head = list(itertools.islice(truth.elements(), 12))
-    omissions = draw(
-        st.one_of(st.just("every_other"), st.frozensets(st.sampled_from(head), max_size=3))
-    )
-    outside = [v for v in range(-30, 31) if v not in truth]
-    n = draw(st.integers(0, min(3, len(outside))))
-    values = draw(st.lists(st.sampled_from(outside), min_size=n, max_size=n, unique=True)) if n else []
-    positions = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
-    order = draw(st.sampled_from(["canonical", "blocks:0", "blocks:3"]))
-    repeat_seed = draw(st.one_of(st.none(), st.integers(0, 5)))
-    return ScriptedSpec(truth, order, omissions, tuple(zip(positions, values)), repeat_seed)
 
 
 def _plays(truth, budget):

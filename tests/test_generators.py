@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
-from limitgen import generators
+from limitgen import engine, generators
+from limitgen.engine import Mode
 from limitgen.errors import SearchExhausted
 from limitgen.families import ExplicitCountable, NegFamily, neg_union, ray_prefix_chain
 from limitgen.generators import (
@@ -26,14 +28,18 @@ from limitgen.generators import (
 )
 from limitgen.feedback import OneShotProbeGenerator
 from limitgen.langs import suffix_from
+from limitgen.sources import ScriptedSource, ScriptedSpec
 from oracles import (
     NaiveFollowSuffix,
     NaiveMaxPlusOne,
     NaiveMinMinusOne,
     NaiveNoiseTolerant,
+    NaiveNoisyFromStream,
     NaiveOmissionTolerant,
     NaiveOneShotProbe,
+    NaiveSamplelessFromNoisy,
     NaiveSensitivity,
+    retained_per_step,
 )
 
 
@@ -116,6 +122,74 @@ def test_round_trip_is_injective_and_settles_negative():
     assert all(z < 0 for z in outputs[21:])
 
 
+# --- the forward-only converters against their memoised references ---------
+
+
+class Replay(Generator):
+    """Outputs `values` in turn, over and over, and records what it is fed."""
+
+    def __init__(self, values):
+        self.values = values
+        self.fed = []
+
+    def step(self, revealed=None):
+        self.fed.append(revealed)
+        return self.values[(len(self.fed) - 1) % len(self.values)]
+
+
+def _injective(head):
+    """The drawn values in [-40, 40], then every integer from 41 up."""
+    return itertools.chain(head, itertools.count(41))
+
+
+def _play_until_exhausted(gen, reveals):
+    """The outputs for `reveals`, and whether a step found no fresh value."""
+    outputs = []
+    for x in reveals:
+        try:
+            outputs.append(gen.step(x))
+        except SearchExhausted:
+            return outputs, True
+    return outputs, False
+
+
+_HEADS = st.lists(st.integers(-40, 40), min_size=1, max_size=60, unique=True)
+
+
+@given(
+    head=_HEADS,
+    picks=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 100), st.integers(-45, 45)), min_size=1, max_size=60
+    ),
+)
+def test_skip_seen_matches_memoised_reference(head, picks):
+    # a reveal either hits a stream value, often one still to come, or is
+    # drawn, and then may hit the stream's tail too
+    reveals = [head[k % len(head)] if hit else x for hit, k, x in picks]
+    fast = feed(NoisyFromStream(_injective(head)), reveals)
+    assert fast == feed(NaiveNoisyFromStream(_injective(head)), reveals)
+
+
+@given(
+    values=st.lists(st.integers(-5, 5), min_size=1, max_size=12),
+    head=_HEADS,
+    cap=st.integers(0, 12),
+    steps=st.integers(1, 40),
+)
+def test_stream_recovery_matches_memoised_reference(values, head, cap, steps):
+    # a repeating base runs out of fresh values under a small cap; a
+    # skip-seen base is fed zigzag reveals that hit its upcoming entries
+    reveals = [None] * steps
+    with mock.patch.object(generators, "PROBE_CAP", cap):
+        fast_base, naive_base = Replay(values), Replay(values)
+        fast = _play_until_exhausted(SamplelessFromNoisy(fast_base), reveals)
+        assert fast == _play_until_exhausted(NaiveSamplelessFromNoisy(naive_base), reveals)
+        assert fast_base.fed == naive_base.fed
+        fast = _play_until_exhausted(SamplelessFromNoisy(NoisyFromStream(_injective(head))), reveals)
+        naive_play = NaiveSamplelessFromNoisy(NaiveNoisyFromStream(_injective(head)))
+        assert fast == _play_until_exhausted(naive_play, reveals)
+
+
 # --- chain play --------------------------------------------------------------
 
 
@@ -156,6 +230,20 @@ def test_chain_injective_long():
     gen = ChainGenerator(ray_prefix_chain())
     outputs = [gen.step(None) for _ in range(10_000)]
     assert len(set(outputs)) == len(outputs)
+
+
+def test_chain_generator_retains_under_120_bytes_per_step():
+    steps = 4_000
+
+    def play():
+        generator = ChainGenerator(ray_prefix_chain())
+        source = ScriptedSource(ScriptedSpec(suffix_from(7)))
+        return engine.run(generator, source, Mode.sampleless(), steps), generator, source
+
+    per_step, ((records, result), _, _) = retained_per_step(steps, play)
+    assert len(records) == steps
+    assert not result.validity_violations
+    assert per_step < 120, f"{per_step:.0f} B per step"
 
 
 # --- two-branch marker strategies -------------------------------------------

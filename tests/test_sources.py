@@ -1,6 +1,5 @@
 import gc
 import itertools
-import tracemalloc
 import weakref
 
 import pytest
@@ -31,7 +30,7 @@ from limitgen.sources import (
     staged_union_adversary,
 )
 
-from oracles import NaiveStagedAdversary, stage_language
+from oracles import NaiveStagedAdversary, retained_per_step, scripted_specs, stage_language
 
 
 def play(adversary, gen, horizon):
@@ -83,8 +82,9 @@ def test_scripted_rejects_bad_specs():
 
 def test_scripted_block_shuffle_is_deterministic_and_complete():
     spec = ScriptedSpec(suffix_from(0), order="blocks:7")
-    first = [ScriptedSource(spec).emit(t) for t in range(96)]
-    second = [ScriptedSource(spec).emit(t) for t in range(96)]
+    first_source, second_source = ScriptedSource(spec), ScriptedSource(spec)
+    first = [first_source.emit(t) for t in range(96)]
+    second = [second_source.emit(t) for t in range(96)]
     assert first == second
     assert first != list(range(96))  # the shuffle does something
     assert set(first) == set(range(96))  # blocks permute in place
@@ -103,7 +103,8 @@ def test_scripted_repetitions_dedup_to_base():
 def test_dropped_scripted_source_is_freed_without_the_cycle_collector():
     spec = ScriptedSpec(suffix_from(0), order="blocks:1", noise=((2, -1),), repeat_seed=0)
     src = ScriptedSource(spec)
-    src.emit(50)
+    for t in range(51):
+        src.emit(t)
     ref = weakref.ref(src)
     gc.disable()
     try:
@@ -111,6 +112,28 @@ def test_dropped_scripted_source_is_freed_without_the_cycle_collector():
         assert ref() is None
     finally:
         gc.enable()
+
+
+@settings(max_examples=200)
+@given(spec=scripted_specs(), ahead=st.integers(0, 40), steps=st.integers(1, 80))
+def test_scripted_source_plays_its_spec_stream(spec, ahead, steps):
+    # a look-ahead reads its own stream of the spec first, as t* look-aheads
+    # do; the source then still plays the spec's stream from its start
+    look_ahead = list(itertools.islice(spec.stream(), ahead))
+    src = ScriptedSource(spec)
+    played = [src.emit(t) for t in range(steps)]
+    assert played == list(itertools.islice(spec.stream(), steps))
+    assert played[:ahead] == look_ahead[:steps]
+
+
+def test_scripted_source_refuses_a_step_out_of_order():
+    src = ScriptedSource(ScriptedSpec(suffix_from(0)))
+    with pytest.raises(ValueError, match="plays step 0 next, not 1"):
+        src.emit(1)
+    assert src.emit(0) == 0
+    with pytest.raises(ValueError, match="plays step 1 next, not 0"):
+        src.emit(0)
+    assert [src.emit(1), src.emit(2)] == [1, 2]
 
 
 # --- the staged union adversary -------------------------------------------------
@@ -346,16 +369,12 @@ def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shi
 
 def test_staged_union_retains_under_200_bytes_per_step():
     steps = 40_000
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
+
+    def play():
         adversary = staged_union_adversary()
-        records, result = engine.run(MaxPlusOne(), adversary, Mode.standard(), steps)
-        assert len(adversary.certified_mistake_times) == steps // 2
-        del records, result
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert retained / steps < 200, f"{retained / steps:.0f} B per step"
+        engine.run(MaxPlusOne(), adversary, Mode.standard(), steps)
+        return adversary
+
+    per_step, adversary = retained_per_step(steps, play)
+    assert len(adversary.certified_mistake_times) == steps // 2
+    assert per_step < 200, f"{per_step:.0f} B per step"
