@@ -3,7 +3,7 @@ over the integer universe: lazy infinite languages, collection oracles,
 generator strategies, scripted and adaptive adversaries, a transcripted game
 loop, and a CLI of named experiments."""
 
-from .engine import Mode, RunResult, StepRecord, run, validate_stream, verdict
+from .engine import Mode, RunResult, run, validate_stream, verdict
 from .errors import (
     AdversaryRepeat,
     BudgetViolation,

@@ -12,17 +12,19 @@ reveals and outputs as int64 columns, the asked queries, and one byte for
 the answer and the verdict. Values live in the int64 domain, which no CLI
 input can leave: they grow with the horizon and the level `i`, far short of
 2**63 in any run that can finish. A value outside it raises OverflowError
-rather than being stored truncated. Iterating a transcript yields its steps
-as `StepRecord`s.
+rather than being stored truncated. `Transcript.asked()` decodes the steps
+that asked a query; `write_trace` formats every step straight from the
+columns, one template per code byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from array import array
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator
 
 from .errors import BudgetViolation, ModeMismatch
 from .feedback import FeedbackGenerator, PlainAsFeedback
@@ -67,8 +69,8 @@ class Mode:
         return cls(LOSSY, omissions=omissions)
 
     @classmethod
-    def noisy(cls, noise: int, known: bool = True) -> "Mode":
-        return cls(NOISY, noise=noise, noise_known=known)
+    def noisy(cls, noise: int) -> "Mode":
+        return cls(NOISY, noise=noise)
 
     @classmethod
     def sampleless(cls) -> "Mode":
@@ -96,21 +98,10 @@ class Mode:
         }
 
 
-class StepRecord(NamedTuple):
-    t: int
-    x: int | None
-    y: int | None
-    a: bool | None
-    z: int
-    verdict: str
-
-
 # A step's code is its verdict's index, plus 3 for a "Yes" answer or 6 for a "No".
 _VERDICTS = (CORRECT, MISTAKE, UNKNOWN_VERDICT)
 _VERDICT_CODE = {v: i for i, v in enumerate(_VERDICTS)}
 _YES_CODE, _NO_CODE = 3, 6
-_ANSWER_OF = (None,) * 3 + (True,) * 3 + (False,) * 3
-_VERDICT_OF = _VERDICTS * 3
 
 
 class Transcript:
@@ -119,7 +110,7 @@ class Transcript:
     `reveals` and `outputs` hold one int64 per step (`reveals` stays empty in
     sampleless play), `queries` holds the asked queries only, in order, and
     `codes` one byte per step for the answer and the verdict. `len()` is the
-    step count; iterating yields each step as a `StepRecord`.
+    step count; `asked()` yields the steps that asked a query.
     """
 
     __slots__ = ("reveals", "queries", "outputs", "codes")
@@ -133,23 +124,12 @@ class Transcript:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __iter__(self) -> Iterator[StepRecord]:
+    def asked(self) -> Iterator[tuple[int, int, bool]]:
+        """(t, query, answer) for each step that asked a query, in order."""
         codes = self.codes
-        ys = itertools.repeat(None)
-        if self.queries:
-            ys = [None] * len(codes)
-            asked = (t for t, code in enumerate(codes) if code >= _YES_CODE)
-            for t, y in zip(asked, self.queries):
-                ys[t] = y
-        steps = zip(
-            itertools.count(),
-            self.reveals or itertools.repeat(None),
-            ys,
-            map(_ANSWER_OF.__getitem__, codes),
-            self.outputs,
-            map(_VERDICT_OF.__getitem__, codes),
-        )
-        return map(StepRecord._make, steps)
+        times = (t for t, code in enumerate(codes) if code >= _YES_CODE)
+        # zip reads the queries first, so a run without any never scans codes
+        return ((t, y, codes[t] < _NO_CODE) for y, t in zip(self.queries, times))
 
 
 @dataclass(frozen=True)
@@ -281,10 +261,10 @@ def run(
             put_x(x)
             if x not in seen:
                 seen.add(x)
+                if scripted and x not in truth:
+                    noise += 1
             elif no_repeats:
                 violations.append(f"repeat@{t}:{x}")
-            if scripted and x not in truth:
-                noise += 1
         y = step_query(x)
         a = None
         answer_code = 0
@@ -329,7 +309,7 @@ def validate_stream(
 ) -> list[str]:
     """Whole-stream checks of a scripted enumeration: the noise budgets, the
     omission budget and coverage. `seen` is the set of revealed samples and
-    `noise` the number of reveals outside the truth."""
+    `noise` the number of distinct reveals outside the truth."""
     violations: list[str] = []
     spec = source.spec
     declared_noise = spec.noise_count
@@ -361,27 +341,37 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-_ANSWER = {None: "null", True: '"Yes"', False: '"No"'}
+# One line template per step code: the answer and the verdict are fixed by
+# the code, and t, x, y and z are filled in.
+_STEP_LINES = tuple(
+    f'{{"a":{a},"t":%d,"verdict":"{v}","x":%s,"y":%s,"z":%d}}\n'
+    for a in ("null", '"Yes"', '"No"')
+    for v in _VERDICTS
+)
 
 
 def write_trace(
     fp: IO[str],
     header: dict,
-    records: Iterable[StepRecord],
+    records: Transcript,
     result: RunResult,
 ) -> None:
     """One JSON object per line: the header, every step, the summary.
 
-    Step lines are formatted by hand, byte for byte what `_dump` gives for
-    the step's dict: sorted keys, no spaces, `null` for None, the answer as
-    "Yes"/"No".
+    Step lines are formatted by hand from the transcript's columns, byte for
+    byte what `_dump` gives for the step's dict: sorted keys, no spaces,
+    `null` for a missing sample or query, the answer as "Yes"/"No".
     """
+    n = len(records)
+    ys: list = ["null"] * n
+    for t, y, _ in records.asked():
+        ys[t] = y
     lines = [_dump({"header": header}) + "\n"]
-    lines += [
-        f'{{"a":{_ANSWER[a]},"t":{t},"verdict":"{v}",'
-        f'"x":{"null" if x is None else x},"y":{"null" if y is None else y},"z":{z}}}\n'
-        for t, x, y, a, z, v in records
-    ]
+    lines += map(
+        operator.mod,
+        map(_STEP_LINES.__getitem__, records.codes),
+        zip(range(n), records.reveals or itertools.repeat("null"), ys, records.outputs),
+    )
     lines.append(_dump({"summary": result.to_record()}) + "\n")
     fp.write("".join(lines))
 

@@ -503,9 +503,9 @@ def _feedback_union_cases(horizon: int, seed: int, params: dict):
                 yield f"{name}: reached part {gen.part_idx}, first fit is {limit}"
             # no mistake once the strategy has settled on its last part
             yield from _check_zero_mistakes_from(sub.result, gen.last_part_move + 1, horizon, name)
-            for r in sub.records:
-                if r.y is not None and r.a != (r.y in truth):
-                    yield f"{name}: oracle answer mismatch at t={r.t}"
+            for t, y, a in sub.records.asked():
+                if a != (y in truth):
+                    yield f"{name}: oracle answer mismatch at t={t}"
                     break
 
 

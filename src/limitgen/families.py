@@ -245,15 +245,10 @@ class ExplicitCountable(CollectionSpec):
         ]
         if not consistent:
             return ClosureResult.no_consistent()
-        merged: ClosedFormLanguage | frozenset[int] = consistent[0]
+        result = ClosureResult.infinite(consistent[0])
         for lang in consistent[1:]:
-            if isinstance(merged, frozenset):
-                merged = frozenset(v for v in merged if v in lang)
-            else:
-                merged = language_intersection(merged, lang)
-        if isinstance(merged, frozenset):
-            return ClosureResult.finite(merged)
-        return ClosureResult.infinite(merged)
+            result = closure_intersection(result, ClosureResult.infinite(lang))
+        return result
 
 
 @dataclass(frozen=True)

@@ -25,16 +25,18 @@ run leaves allocated, per step.
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
 ray-prefix chain links), the transcript replay that located the union
-strategy's last part move, the dict-per-step trace writer, the game loop
-that branched on the mode every step, kept one record object per step and
-validated the stream in a second pass over the records, the enumeration that
-remembered every value it produced, the max/min pools kept with the `max`
-and `min` builtins, the strategies built on them (among them the marker
-strategies that walked every marker against the set of every reveal), and
-the staged adversary that kept one record per stage and every value it
-played in a list and a set, and the noisy and sampleless converters that
-kept every stream entry they read in a list behind a cursor, as references
-for differential tests.
+strategy's last part move, the decoding of a transcript into one
+`StepRecord` per step (with its inverse, `transcript_of`) that the trace
+writer and `Transcript.asked` are checked against, the dict-per-step trace
+writer built on it, the game loop that branched on the mode every step, kept
+one record object per step and validated the stream in a second pass over
+the records, the enumeration that remembered every value it produced, the
+max/min pools kept with the `max` and `min` builtins, the strategies built
+on them (among them the marker strategies that walked every marker against
+the set of every reveal), and the staged adversary that kept one record per
+stage and every value it played in a list and a set, and the noisy and
+sampleless converters that kept every stream entry they read in a list
+behind a cursor, as references for differential tests.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ import itertools
 import json
 import tracemalloc
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from hypothesis import strategies as st
 
@@ -58,7 +61,7 @@ from limitgen.engine import (
     SAMPLELESS,
     UNKNOWN_VERDICT,
     RunResult,
-    StepRecord,
+    Transcript,
 )
 from limitgen.errors import AdversaryRepeat, BudgetViolation, ModeMismatch, SearchExhausted
 from limitgen.families import (
@@ -366,7 +369,7 @@ def replayed_last_part_move(parts, records) -> int:
     moved)."""
     probe = UnionFeedbackGenerator(parts)
     last = -1
-    for r in records:
+    for r in steps(records):
         before = probe.part_idx
         probe.step_query(r.x)
         probe.step_output(r.a)
@@ -375,17 +378,69 @@ def replayed_last_part_move(parts, records) -> int:
     return last
 
 
-# --- dict-per-step reference for the trace writer ----------------------------
+# --- step records and the dict-per-step reference for the trace writer -----
+
+
+class StepRecord(NamedTuple):
+    t: int
+    x: int | None
+    y: int | None
+    a: bool | None
+    z: int
+    verdict: str
+
+
+# A step's code byte is its verdict's index, plus 3 for a "Yes" answer or 6
+# for a "No".
+_ANSWER_OF = (None,) * 3 + (True,) * 3 + (False,) * 3
+_VERDICT_OF = (CORRECT, MISTAKE, UNKNOWN_VERDICT) * 3
+_ANSWER_CODE = {None: 0, True: 3, False: 6}
+
+
+def steps(transcript: Transcript) -> list[StepRecord]:
+    """Every step of a transcript as a `StepRecord`, decoded from its columns:
+    the reference that `Transcript.asked` and `write_trace` are checked
+    against."""
+    codes = transcript.codes
+    ys = [None] * len(codes)
+    asked = (t for t, code in enumerate(codes) if _ANSWER_OF[code] is not None)
+    for t, y in zip(asked, transcript.queries):
+        ys[t] = y
+    xs = transcript.reveals or itertools.repeat(None)
+    return [
+        StepRecord(t, x, y, _ANSWER_OF[code], z, _VERDICT_OF[code])
+        for t, (x, y, code, z) in enumerate(zip(xs, ys, codes, transcript.outputs))
+    ]
+
+
+def transcript_of(records) -> Transcript:
+    """The transcript holding `records`, the inverse of `steps`. Step t must
+    be records[t], every step or none must reveal a sample, and a step asks a
+    query exactly when it has an answer."""
+    transcript = Transcript()
+    if len({r.x is None for r in records}) > 1:
+        raise ValueError("either every step reveals a sample or none does")
+    for t, r in enumerate(records):
+        if r.t != t or (r.y is None) != (r.a is None):
+            raise ValueError(f"malformed step {r}")
+        if r.x is not None:
+            transcript.reveals.append(r.x)
+        if r.y is not None:
+            transcript.queries.append(r.y)
+        transcript.outputs.append(r.z)
+        transcript.codes.append(_ANSWER_CODE[r.a] + _VERDICT_OF.index(r.verdict))
+    return transcript
 
 
 def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def naive_write_trace(fp, header: dict, records, result) -> None:
-    """The trace writer that serializes one dict per step with `json.dumps`."""
+def naive_write_trace(fp, header: dict, records: Transcript, result) -> None:
+    """The trace writer that decodes every step into a `StepRecord` and
+    serializes one dict per step with `json.dumps`."""
     fp.write(_dump({"header": header}) + "\n")
-    for r in records:
+    for r in steps(records):
         answer = None if r.a is None else ("Yes" if r.a else "No")
         step = {"t": r.t, "x": r.x, "y": r.y, "a": answer, "z": r.z, "verdict": r.verdict}
         fp.write(_dump(step) + "\n")
@@ -482,7 +537,7 @@ def naive_validate_stream(records, source, mode, horizon):
     spec = source.spec
     truth = spec.truth
     emitted = set(xs)
-    noise_emitted = [v for v in xs if v not in truth]
+    noise_emitted = {v for v in xs if v not in truth}
     declared_noise = spec.noise_count
     if len(noise_emitted) > declared_noise:
         violations.append(f"noise-budget:{len(noise_emitted)}>{declared_noise}")

@@ -22,7 +22,7 @@ from limitgen.generators import FollowSuffix
 from limitgen.langs import ClosedFormLanguage
 from limitgen.sources import ScriptedSource, ScriptedSpec
 
-from oracles import brute_closure_window, members_in, minimal_traces
+from oracles import brute_closure_window, members_in, minimal_traces, steps
 
 
 def _report(criterion: str, failures: list[str]) -> None:
@@ -54,7 +54,7 @@ def test_criterion_01_suffix_positive_direction():
             started = time.perf_counter()
             records, result = engine.run(FollowSuffix(), src, Mode.standard(), 1_000)
             elapsed = time.perf_counter() - started
-            late = [r.t for r in records if r.t >= bound and r.verdict != engine.CORRECT]
+            late = [r.t for r in steps(records) if r.t >= bound and r.verdict != engine.CORRECT]
             if late:
                 failures.append(f"j={j},{order}: mistakes at {late[:3]}")
             if elapsed >= 1.0:

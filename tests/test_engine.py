@@ -40,7 +40,7 @@ from limitgen.sources import (
     sensitivity_adversary,
     staged_union_adversary,
 )
-from oracles import naive_run, retained_per_step, scripted_specs
+from oracles import naive_run, retained_per_step, scripted_specs, steps
 
 
 def scripted(truth, **kwargs):
@@ -72,7 +72,7 @@ def test_sampleless_run_has_no_mistakes():
     )
     assert result.mistakes == 0
     assert result.observed_convergence == 0
-    assert all(r.x is None for r in records)
+    assert all(r.x is None for r in steps(records))
 
 
 def test_sampleless_run_reports_no_coverage_miss():
@@ -106,7 +106,7 @@ def test_noise_tolerant_run_converges_quickly():
         200,
     )
     assert result.observed_convergence <= 2
-    assert all(r.verdict == engine.CORRECT for r in list(records)[2:])
+    assert all(r.verdict == engine.CORRECT for r in steps(records)[2:])
 
 
 def test_staged_run_mistake_prefix():
@@ -123,7 +123,7 @@ def test_feedback_run_answers_match_truth():
     truth = ClosedFormLanguage(frozenset({3}), None, True)
     gen = UnionFeedbackGenerator([neg_union(), SuffixFamily(offset=0)])
     records, _ = run(gen, scripted(truth), Mode.feedback(), 50)
-    for r in records:
+    for r in steps(records):
         assert r.y is not None
         assert r.a == (r.y in truth)
 
@@ -209,7 +209,7 @@ def test_identification_mode_verdicts():
     listed = (suffix_from(0), suffix_from(5))
     gen = IndexIdentifier(ExplicitCountable(languages=listed))
     records, result = run(gen, scripted(suffix_from(5)), Mode.identification(), 40)
-    assert all(r.verdict == engine.CORRECT for r in list(records)[1:])
+    assert all(r.verdict == engine.CORRECT for r in steps(records)[1:])
     assert result.observed_convergence <= 1
 
 
@@ -235,9 +235,9 @@ def test_query_budget_is_enforced(budget):
 
 def test_query_budget_allows_exactly_its_queries():
     records, _ = run(AlwaysAsks(), scripted(NEGATIVES), Mode.feedback(budget=50), 50)
-    assert sum(r.y is not None for r in records) == 50
+    assert sum(r.y is not None for r in steps(records)) == 50
     records, _ = run(AlwaysAsks(), scripted(NEGATIVES), Mode.feedback(), 50)
-    assert sum(r.y is not None for r in records) == 50
+    assert sum(r.y is not None for r in steps(records)) == 50
 
 
 def test_transcript_retains_at_most_24_bytes_per_step():
@@ -278,7 +278,7 @@ def test_transcript_keeps_int64_values_and_refuses_wider_ones():
     widest = [2**63 - 1, -(2**63)]
     records, _ = run(baseline("min_minus_one"), Reveals(widest[:1]), Mode.standard(), 1)
     records_low, _ = run(baseline("max_plus_one"), Reveals(widest[1:]), Mode.standard(), 1)
-    assert [r.x for r in records] + [r.x for r in records_low] == widest
+    assert [r.x for r in steps(records) + steps(records_low)] == widest
     for wider in (2**63, -(2**63) - 1):
         with pytest.raises(OverflowError):
             run(FollowSuffix(), Reveals([5, wider]), Mode.standard(), 2)
@@ -341,7 +341,7 @@ def _plays(truth, budget):
 def _same_play(make_generator, make_source, mode, horizon):
     got = run(make_generator(), make_source(), mode, horizon)
     want = naive_run(make_generator(), make_source(), mode, horizon)
-    assert list(got[0]) == want[0]
+    assert steps(got[0]) == want[0]
     assert got[1] == want[1]
 
 
@@ -375,3 +375,12 @@ PLAIN = st.sampled_from(
 @given(adversary=ADVERSARIES, make=PLAIN, horizon=st.integers(1, 150))
 def test_one_loop_matches_naive_run_on_staged_adversaries(adversary, make, horizon):
     _same_play(make, adversary, Mode.standard(), horizon)
+
+
+def test_repeated_noise_is_counted_once():
+    # under repetition the one declared noise string comes out several times,
+    # and it is still one noise string
+    src = scripted(suffix_from(0), noise=((0, -1),), repeat_seed=0)
+    records, result = run(DedupWrapper(FollowSuffix()), src, Mode.repetition(), 50)
+    assert [r.x for r in steps(records)].count(-1) > 1
+    assert result.validity_violations == ()

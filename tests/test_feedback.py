@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from limitgen import engine
+from limitgen import engine, experiments
 from limitgen.engine import Mode
 from limitgen.errors import BudgetViolation
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_family
@@ -102,6 +102,32 @@ def test_union_last_part_move_matches_transcript_replay(truth, order):
     gen = UnionFeedbackGenerator(UNION_PARTS)
     records, _ = engine.run(gen, ScriptedSource(ScriptedSpec(truth, order)), Mode.feedback(), 80)
     assert gen.last_part_move == replayed_last_part_move(UNION_PARTS, records)
+
+
+def _alg4_first_case_messages(flip: bool) -> tuple[str, int, list[str]]:
+    """Run alg4's first case, flip the answer byte of its first asked step
+    when `flip` is set, send the sub-run back to the case generator and
+    collect what it yields before its next case."""
+    cases = experiments._feedback_union_cases(100, 0, {})
+    case = next(cases)
+    sub = experiments._run_case(case, "alg4-feedback", 0)
+    t, _, _ = next(sub.records.asked())
+    if flip:
+        code = sub.records.codes[t]
+        sub.records.codes[t] = code + 3 if code < 6 else code - 3  # "Yes" <-> "No"
+    messages = []
+    reply = cases.send(sub)
+    while isinstance(reply, str):
+        messages.append(reply)
+        reply = next(cases)
+    return case.name, t, messages
+
+
+def test_alg4_flags_a_flipped_oracle_answer():
+    name, t, messages = _alg4_first_case_messages(flip=False)
+    assert messages == []
+    name, t, messages = _alg4_first_case_messages(flip=True)
+    assert messages == [f"{name}: oracle answer mismatch at t={t}"]
 
 
 # --- query elimination ---------------------------------------------------------

@@ -46,7 +46,6 @@ ALLOWED = {
     "generators.PrefixedGenerator.__init__": "the benchmark probes reduce_by_prefix",
     "generators.PrefixedGenerator.step": "the benchmark probes reduce_by_prefix",
     "generators.reduce_by_prefix": "the benchmark probes it",
-    "engine.Transcript.__len__": "the benchmark and the tests count a run's steps",
     # only test_feedback.py plays the ray family as a union part
     "families.RayFamily.closure_dimension": "test_feedback.py plays the ray family as a union part",
     # thm4.8-adv's strategy never leaves stage 0; test_sources.py drives it with max_plus_one

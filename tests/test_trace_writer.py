@@ -1,14 +1,18 @@
-"""Differential tests: the hand-formatted trace writer against the
+"""Differential tests: the trace writer, which formats the transcript's
+columns, and `Transcript.asked` against the `StepRecord` decoder and the
 dict-per-step `json.dumps` reference in `tests/oracles.py`."""
 
 import io
 
-from hypothesis import given, strategies as st
-from oracles import naive_write_trace
+from hypothesis import example, given, strategies as st
+from oracles import StepRecord, naive_write_trace, steps, transcript_of
 
 from limitgen import engine
-from limitgen.engine import CORRECT, MISTAKE, UNKNOWN_VERDICT, RunResult, StepRecord
+from limitgen.engine import CORRECT, MISTAKE, UNKNOWN_VERDICT, RunResult
 from limitgen.experiments import EXPERIMENTS, run_experiment
+
+VERDICTS = (CORRECT, MISTAKE, UNKNOWN_VERDICT)
+INT64_EDGES = (-(2**63), 2**63 - 1)
 
 
 def _both(header, records, result) -> tuple[str, str]:
@@ -18,28 +22,63 @@ def _both(header, records, result) -> tuple[str, str]:
     return fast.getvalue(), naive.getvalue()
 
 
-maybe_int = st.none() | st.integers() | st.integers(min_value=2**63, max_value=2**200)
-step_records = st.builds(
-    StepRecord,
-    t=st.integers(min_value=0),
-    x=maybe_int,
-    y=maybe_int,
-    a=st.sampled_from([None, True, False]),
-    z=st.integers() | st.integers(min_value=-(2**200), max_value=-(2**63)),
-    verdict=st.sampled_from([CORRECT, MISTAKE, UNKNOWN_VERDICT]),
-)
-
-
-@given(st.lists(step_records, max_size=20))
-def test_writer_matches_json_dumps_reference(records):
-    result = RunResult(
+def _result(records) -> RunResult:
+    return RunResult(
         mistake_times=tuple(r.t for r in records if r.verdict == MISTAKE),
         observed_convergence=0,
         unknown_count=0,
         validity_violations=("repeat@1:2",),
     )
-    fast, naive = _both({"run": "x", "seed": 0}, records, result)
+
+
+int64 = st.integers(-(2**63), 2**63 - 1) | st.sampled_from(INT64_EDGES)
+
+
+@st.composite
+def step_lists(draw):
+    """Steps 0..n-1 that a transcript can hold: every step reveals a sample
+    or none does (sampleless play), and a query comes with its answer."""
+    sampleless = draw(st.booleans())
+    records = []
+    for t in range(draw(st.integers(0, 20))):
+        a = draw(st.sampled_from([None, True, False]))
+        x = None if sampleless else draw(int64)
+        y = None if a is None else draw(int64)
+        records.append(StepRecord(t, x, y, a, draw(int64), draw(st.sampled_from(VERDICTS))))
+    return records
+
+
+def _every_code(sampleless: bool) -> list[StepRecord]:
+    """All nine answer/verdict codes, with every value at an int64 edge."""
+    codes = [(a, v) for a in (None, True, False) for v in VERDICTS]
+    return [
+        StepRecord(
+            t,
+            None if sampleless else INT64_EDGES[t % 2],
+            None if a is None else INT64_EDGES[(t + 1) % 2],
+            a,
+            INT64_EDGES[t % 2],
+            v,
+        )
+        for t, (a, v) in enumerate(codes)
+    ]
+
+
+@given(step_lists())
+@example(_every_code(sampleless=False))
+@example(_every_code(sampleless=True))
+def test_writer_matches_json_dumps_reference(records):
+    transcript = transcript_of(records)
+    assert steps(transcript) == records
+    fast, naive = _both({"run": "x", "seed": 0}, transcript, _result(records))
     assert fast == naive
+
+
+@given(step_lists())
+@example(_every_code(sampleless=False))
+def test_asked_matches_the_reference_decoder(records):
+    transcript = transcript_of(records)
+    assert list(transcript.asked()) == [(r.t, r.y, r.a) for r in records if r.y is not None]
 
 
 def test_writer_matches_reference_on_every_experiment():
@@ -49,5 +88,8 @@ def test_writer_matches_reference_on_every_experiment():
         for sub in subs:
             fast, naive = _both(sub.header, sub.records, sub.result)
             assert fast == naive, sub.name
+            assert list(sub.records.asked()) == [
+                (r.t, r.y, r.a) for r in steps(sub.records) if r.y is not None
+            ], sub.name
             compared += 1
     assert compared == 252
