@@ -14,7 +14,6 @@ from .errors import (
 )
 from .families import (
     ChainSpec,
-    ClosureResult,
     CollectionSpec,
     ExplicitCountable,
     NegFamily,

@@ -207,7 +207,9 @@ def _union_defeat_cases(horizon: int, seed: int, params: dict):
     name = params["generators"]
     adversary = staged_union_adversary()
     sub = yield Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
-    missing = [v for v in range(-1, -11, -1) if not adversary.emitted(v)]
+    # trigger k's negative -(k + 1) is owed on the step after the trigger
+    owed = min(MIN_CERTIFIED, sum(t + 1 < horizon for t in sub.result.certified_mistake_times))
+    missing = [-k for k in range(1, owed + 1) if not adversary.emitted(-k)]
     if missing:
         yield f"negatives not all emitted: {missing}"
     if name == "max_plus_one":

@@ -4,63 +4,32 @@ A collection is either closed-form or listed. The closed-form families are
 intensional: an uncountable family like {A u Z_{<0} | A subset of Z} is
 represented by its parameters (required and forbidden finite sets), and the
 rays {P_k} by an optional top index, never by materializing members; their
-consistency, closure, closure dimension and common intersection are answered
-in closed form. A listed collection is a short tuple of languages, answered
-by exact intersection. Tests cross-check both against brute-force
-enumeration on bounded windows.
+closure, closure dimension and common intersection are answered in closed
+form, and a sample is consistent exactly when its closure is not None. A
+listed collection is a short tuple of languages, answered by exact
+intersection. Tests cross-check both against brute-force enumeration on
+bounded windows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import UnboundedClosureDimension
 from .langs import ClosedFormLanguage, suffix_from
 
-FINITE = "finite"
-INFINITE = "infinite"
-NO_CONSISTENT = "no_consistent"
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    """Intersection of all consistent languages: finite set, infinite
-    closed-form language, or nothing consistent at all."""
-
-    kind: str
-    finite_set: frozenset[int] = frozenset()
-    language: ClosedFormLanguage | None = None
-
-    @classmethod
-    def finite(cls, members: Iterable[int]) -> "ClosureResult":
-        return cls(FINITE, finite_set=frozenset(members))
-
-    @classmethod
-    def infinite(cls, language: ClosedFormLanguage) -> "ClosureResult":
-        return cls(INFINITE, language=language)
-
-    @classmethod
-    def no_consistent(cls) -> "ClosureResult":
-        return cls(NO_CONSISTENT)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.kind == INFINITE
-
-    def __contains__(self, x: int) -> bool:
-        if self.kind == FINITE:
-            return x in self.finite_set
-        if self.kind == INFINITE:
-            return x in self.language
-        return False
-
 
 def language_intersection(
-    a: ClosedFormLanguage, b: ClosedFormLanguage
+    a: ClosedFormLanguage | frozenset[int], b: ClosedFormLanguage | frozenset[int]
 ) -> ClosedFormLanguage | frozenset[int]:
-    """Exact intersection of two closed-form languages; a frozenset when the
-    result is finite."""
+    """Exact intersection of two closed-form languages or finite sets; a
+    frozenset when the result is finite."""
+    if isinstance(a, frozenset):
+        return frozenset(x for x in a if x in b)
+    if isinstance(b, frozenset):
+        return frozenset(x for x in b if x in a)
     tail = None
     if a.tail_start is not None and b.tail_start is not None:
         tail = max(a.tail_start, b.tail_start)
@@ -80,32 +49,26 @@ def language_intersection(
     return ClosedFormLanguage(frozenset(finite), tail, negatives)
 
 
-def closure_intersection(a: ClosureResult, b: ClosureResult) -> ClosureResult:
-    if a.kind == NO_CONSISTENT or b.kind == NO_CONSISTENT:
-        raise ValueError("cannot intersect with an inconsistent closure")
-    if a.kind == FINITE or b.kind == FINITE:
-        fin, other = (a, b) if a.kind == FINITE else (b, a)
-        return ClosureResult.finite(x for x in fin.finite_set if x in other)
-    merged = language_intersection(a.language, b.language)
-    if isinstance(merged, frozenset):
-        return ClosureResult.finite(merged)
-    return ClosureResult.infinite(merged)
-
-
 class CollectionSpec:
-    """Common oracle surface for every family variant. A sample is consistent
-    unless its closure finds no consistent language."""
+    """Common oracle surface for every family variant.
+
+    `closure(sample)` is the intersection of the members consistent with the
+    sample, as a plain value: a `ClosedFormLanguage` when it is infinite, a
+    frozenset when it is finite (the empty frozenset included), and None
+    when no member is consistent. A sample is consistent exactly when its
+    closure is not None.
+    """
 
     def consistent(self, sample: Iterable[int]) -> bool:
-        return self.closure(sample).kind != NO_CONSISTENT
+        return self.closure(sample) is not None
 
-    def closure(self, sample: Iterable[int]) -> ClosureResult:
+    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int] | None:
         raise NotImplementedError
 
     def closure_dimension(self) -> int:
         raise NotImplementedError
 
-    def intersection(self) -> ClosureResult:
+    def intersection(self) -> ClosedFormLanguage | frozenset[int]:
         return self.closure(())
 
 
@@ -128,38 +91,19 @@ class SuffixFamily(CollectionSpec):
         if self.offset is not None and self.offset < 0:
             raise ValueError("suffix offsets are natural numbers")
 
-    def _offset_cap(self, sample: frozenset[int]) -> int | None:
-        """Largest admissible j for the sample, or None when unbounded.
-
-        Raises ValueError when no j works (inconsistent sample).
-        """
+    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int] | None:
+        sample = frozenset(sample)
+        tail = self.offset  # the largest admissible j; None when unbounded
         blocked = sample & self.forbidden
-        low = self.offset if self.offset is not None else 0
         if blocked:
             # forbidden sample elements must be swept up by the tail
             cap = min(blocked)
-            if cap < low:
-                raise ValueError("no admissible offset")
-            return self.offset if self.offset is not None else cap
-        return self.offset  # None means unbounded when offsets are free
-
-    def consistent(self, sample: Iterable[int]) -> bool:
-        try:
-            self._offset_cap(frozenset(sample))
-        except ValueError:
-            return False
-        return True
-
-    def closure(self, sample: Iterable[int]) -> ClosureResult:
-        sample = frozenset(sample)
-        try:
-            cap = self._offset_cap(sample)
-        except ValueError:
-            return ClosureResult.no_consistent()
+            if cap < (tail or 0):
+                return None
+            if tail is None:
+                tail = cap
         core = sample | self.required
-        if cap is None:
-            return ClosureResult.finite(core)
-        return ClosureResult.infinite(ClosedFormLanguage(core, cap, False))
+        return core if tail is None else ClosedFormLanguage(core, tail, False)
 
     def closure_dimension(self) -> int:
         if self.offset is None:
@@ -184,15 +128,13 @@ class NegFamily(CollectionSpec):
         if any(v < 0 for v in self.forbidden):
             raise ValueError("forbidding a negative is vacuous: every member has them all")
 
-    def consistent(self, sample: Iterable[int]) -> bool:
-        return all(x < 0 or x in self.required or x not in self.forbidden for x in sample)
-
-    def closure(self, sample: Iterable[int]) -> ClosureResult:
+    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | None:
         sample = frozenset(sample)
-        if not self.consistent(sample):
-            return ClosureResult.no_consistent()
+        # forbidden values are natural and never required
+        if not sample.isdisjoint(self.forbidden):
+            return None
         core = frozenset(v for v in (sample | self.required) if v >= 0)
-        return ClosureResult.infinite(ClosedFormLanguage(core, None, True))
+        return ClosedFormLanguage(core, None, True)
 
     def closure_dimension(self) -> int:
         return -1  # every closure contains the negative ray
@@ -208,19 +150,15 @@ class RayFamily(CollectionSpec):
         if self.top is not None and self.top < 0:
             raise ValueError("ray indices are natural numbers")
 
-    def consistent(self, sample: Iterable[int]) -> bool:
-        return all(x >= 0 for x in sample)
-
-    def closure(self, sample: Iterable[int]) -> ClosureResult:
+    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int] | None:
         sample = frozenset(sample)
-        if not self.consistent(sample):
-            return ClosureResult.no_consistent()
         # the consistent rays are those starting at or below the least
         # sample value; the one starting highest is their intersection
         lows = sample if self.top is None else sample | {self.top}
         if not lows:
-            return ClosureResult.finite(())
-        return ClosureResult.infinite(suffix_from(min(lows)))
+            return frozenset()
+        low = min(lows)
+        return None if low < 0 else suffix_from(low)
 
     def closure_dimension(self) -> int:
         # without a top the empty sample has an empty closure; with one,
@@ -238,17 +176,10 @@ class ExplicitCountable(CollectionSpec):
     def __post_init__(self) -> None:
         object.__setattr__(self, "languages", tuple(self.languages))
 
-    def closure(self, sample: Iterable[int]) -> ClosureResult:
+    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int] | None:
         sample = frozenset(sample)
-        consistent = [
-            lang for lang in self.languages if all(x in lang for x in sample)
-        ]
-        if not consistent:
-            return ClosureResult.no_consistent()
-        result = ClosureResult.infinite(consistent[0])
-        for lang in consistent[1:]:
-            result = closure_intersection(result, ClosureResult.infinite(lang))
-        return result
+        consistent = [lang for lang in self.languages if all(x in lang for x in sample)]
+        return functools.reduce(language_intersection, consistent) if consistent else None
 
 
 @dataclass(frozen=True)
@@ -262,19 +193,10 @@ class UnionSpec(CollectionSpec):
         if not self.parts:
             raise ValueError("union of nothing")
 
-    def consistent(self, sample: Iterable[int]) -> bool:
+    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int] | None:
         sample = frozenset(sample)
-        return any(part.consistent(sample) for part in self.parts)
-
-    def closure(self, sample: Iterable[int]) -> ClosureResult:
-        sample = frozenset(sample)
-        live = [part for part in self.parts if part.consistent(sample)]
-        if not live:
-            return ClosureResult.no_consistent()
-        result = live[0].closure(sample)
-        for part in live[1:]:
-            result = closure_intersection(result, part.closure(sample))
-        return result
+        closures = [c for c in (part.closure(sample) for part in self.parts) if c is not None]
+        return functools.reduce(language_intersection, closures) if closures else None
 
 
 @dataclass(frozen=True)
@@ -290,13 +212,13 @@ class ChainSpec:
     def at(self, i: int) -> CollectionSpec:
         return self.rule(i)
 
-    def intersection_at(self, i: int) -> ClosureResult:
+    def intersection_at(self, i: int) -> ClosedFormLanguage | frozenset[int]:
         return self.at(i).intersection()
 
 
 def uniform_without_samples_check(spec: CollectionSpec) -> bool:
     """True iff the intersection of all members is infinite."""
-    return spec.intersection().is_infinite
+    return isinstance(spec.intersection(), ClosedFormLanguage)
 
 
 # --- the standing cast of collections -------------------------------------

@@ -12,8 +12,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .errors import BudgetViolation, SearchExhausted
-from .families import FINITE, ClosureResult, CollectionSpec, ExplicitCountable
+from .families import CollectionSpec, ExplicitCountable
 from .generators import PROBE_CAP, Generator, _PoolGenerator
+from .langs import ClosedFormLanguage
 
 YES = True
 NO = False
@@ -41,10 +42,14 @@ class FeedbackGenerator:
 class UnionFeedbackGenerator(FeedbackGenerator):
     """Plays a countable union of uniformly-generatable parts.
 
-    For each part in turn: gather samples while the sample is no larger than
-    the part's closure dimension (querying and outputting the running
-    candidate), then stream fresh candidates from the closure of the sample,
-    moving to the next part on the first \"No\" answer.
+    Each part is played in two states. Gathering (`_stream` unset): while
+    the sample is no larger than the part's closure dimension, query and
+    output the running candidate. Streaming (`_stream` set): once the sample
+    outgrows the dimension, the part is asked for the sample's closure, once.
+    A None closure (no consistent member) skips the part; any other closure,
+    a language in canonical order or a finite set ascending, yields fresh
+    candidates until the first \"No\" answer moves on to the next part,
+    which starts gathering.
     """
 
     budget = None
@@ -56,48 +61,40 @@ class UnionFeedbackGenerator(FeedbackGenerator):
         # rejects parts with unbounded dimension up front
         self.dims = tuple(part.closure_dimension() for part in self.parts)
         self.part_idx = 0
-        self.phase = "enter"
         self.sample: set[int] = set()
-        self.candidate = 0
+        self.candidate: int | None = 0
         self._stream: Iterator[int] | None = None
-        self._stream_started = False
         self.t = -1
         self.last_part_move = -1  # last step on which part_idx moved
 
-    def _candidate_stream(self, closure: ClosureResult) -> Iterator[int]:
-        if closure.is_infinite:
-            return closure.language.elements()
-        if closure.kind == FINITE:
-            return iter(sorted(closure.finite_set))
-        raise SearchExhausted("no consistent language to stream from")
-
-    def _settle_phase(self) -> None:
-        """Advance part/phase bookkeeping; runs before each reveal."""
-        while True:
+    def _settle_part(self) -> None:
+        """Start streaming once the sample outgrows the current part's
+        dimension, skipping parts with no consistent member; runs before
+        each reveal."""
+        while self._stream is None:
             if self.part_idx >= len(self.parts):
                 raise SearchExhausted("ran out of parts: target beyond the declared union")
-            if self.phase == "stream":
-                return
             if len(self.sample) <= self.dims[self.part_idx]:
-                self.phase = "gather"
                 return
-            part = self.parts[self.part_idx]
-            if part.consistent(self.sample):
-                self._stream = self._candidate_stream(part.closure(self.sample))
-                self._stream_started = False
-                self.phase = "stream"
-                return
-            self._next_part()
+            closure = self.parts[self.part_idx].closure(self.sample)
+            if closure is None:
+                self._next_part()
+                continue
+            if isinstance(closure, ClosedFormLanguage):
+                self._stream = closure.elements()
+            else:
+                self._stream = iter(sorted(closure))
+            self.candidate = None  # so this reveal draws the stream's first candidate
 
     def _next_part(self) -> None:
         self.part_idx += 1
-        self.phase = "enter"
+        self._stream = None
         self.last_part_move = self.t
 
     def _advance_candidate(self) -> None:
         """Move to the next fresh closure element, keeping the current
         candidate while it remains unrevealed."""
-        if self._stream_started and self.candidate not in self.sample:
+        if self.candidate is not None and self.candidate not in self.sample:
             return
         for _ in range(PROBE_CAP):
             try:
@@ -106,24 +103,21 @@ class UnionFeedbackGenerator(FeedbackGenerator):
                 raise SearchExhausted("finite closure exhausted while streaming") from None
             if v not in self.sample:
                 self.candidate = v
-                self._stream_started = True
                 return
         raise SearchExhausted("no fresh candidate within the probe cap")
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
-        self._settle_phase()
+        self._settle_part()
         self.sample.add(revealed)
-        if self.phase == "stream":
+        if self._stream is not None:
             self._advance_candidate()
         return self.candidate
 
     def step_output(self, answer: bool | None) -> int:
         z = self.candidate
-        if self.phase == "stream" and answer is NO:
+        if self._stream is not None and answer is NO:
             self._next_part()
-            self._stream = None
-            self._stream_started = False
         return z
 
 

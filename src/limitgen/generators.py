@@ -15,8 +15,8 @@ import itertools
 from typing import Iterator
 
 from .errors import ModeMismatch, SearchExhausted
-from .families import ChainSpec, CollectionSpec, uniform_without_samples_check
-from .langs import zigzag_encode
+from .families import ChainSpec, CollectionSpec
+from .langs import ClosedFormLanguage, zigzag_encode
 
 PROBE_CAP = 1_000_000  # candidates a fresh-value scan tries before giving up
 
@@ -187,9 +187,10 @@ class StreamGenerator(Generator):
 
 def intersection_generator(spec: CollectionSpec) -> StreamGenerator:
     """Enumerate the (infinite) common intersection of the collection."""
-    if not uniform_without_samples_check(spec):
+    core = spec.intersection()
+    if not isinstance(core, ClosedFormLanguage):
         raise ValueError("collection has a finite common intersection")
-    return StreamGenerator(spec.intersection().language.elements())
+    return StreamGenerator(core.elements())
 
 
 class ChainGenerator(Generator):
@@ -205,9 +206,9 @@ class ChainGenerator(Generator):
     def step(self, revealed: int | None = None) -> int:
         self.t += 1
         core = self.chain.intersection_at(self.t)
-        if not core.is_infinite:
+        if not isinstance(core, ClosedFormLanguage):
             raise SearchExhausted(f"chain link {self.t} has a finite common core")
-        for v in itertools.islice(core.language.elements(), PROBE_CAP):
+        for v in itertools.islice(core.elements(), PROBE_CAP):
             if v not in self.emitted:
                 self.emitted.add(v)
                 return v

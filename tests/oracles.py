@@ -65,7 +65,6 @@ from limitgen.engine import (
 )
 from limitgen.errors import AdversaryRepeat, BudgetViolation, ModeMismatch, SearchExhausted
 from limitgen.families import (
-    ClosureResult,
     ExplicitCountable,
     NegFamily,
     RayFamily,
@@ -92,8 +91,8 @@ def window(lo: int, hi: int) -> list[int]:
 # --- inspection helpers --------------------------------------------------------
 
 
-def members_in(closure: ClosureResult, pts) -> frozenset[int]:
-    """The members of a closure among the given points."""
+def members_in(closure: ClosedFormLanguage | frozenset[int], pts) -> frozenset[int]:
+    """The members of a closure (infinite or finite) among the given points."""
     return frozenset(x for x in pts if x in closure)
 
 

@@ -146,24 +146,27 @@ def test_adversary_repeat_exits_3(monkeypatch, capsys):
     assert "adversary repeated 4" in capsys.readouterr().err
 
 
-def test_failed_assertion_exits_1(tmp_path, capsys):
-    # a quiet strategy never triggers, so the negatives-coverage check fails
+def _quiet_union_config(tmp_path, horizon):
     config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps(
-            {
-                "experiments": [
-                    {
-                        "id": "thm3.1",
-                        "horizon": 400,
-                        "params": {"generators": ["min_minus_one"]},
-                    }
-                ]
-            }
-        )
-    )
-    assert main(["--config", str(config)]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    entry = {"id": "thm3.1", "horizon": horizon, "params": {"generators": ["min_minus_one"]}}
+    config.write_text(json.dumps({"experiments": [entry]}))
+    return config
+
+
+def test_failed_assertion_exits_1(tmp_path, capsys):
+    # a quiet strategy never triggers, and 5 final-stage steps are too few
+    # to show a defeat
+    assert main(["--config", str(_quiet_union_config(tmp_path, 5))]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out and "only 5 certified/stage mistakes" in out
+
+
+def test_quiet_strategy_needs_no_negatives_it_never_triggered(tmp_path, capsys):
+    # never triggered, the adversary owes no negative; its final stage
+    # alone defeats the strategy
+    assert main(["--config", str(_quiet_union_config(tmp_path, 400))]) == 0
+    out = capsys.readouterr().out
+    assert "PASS" in out and "negatives not all emitted" not in out
 
 
 def test_positive_case_with_t_star_past_its_horizon_fails(tmp_path, capsys):

@@ -22,7 +22,6 @@ PACKAGE = Path(limitgen.__file__).parent
 
 ALLOWED = {
     # abstract stubs: subclasses override them
-    "families.CollectionSpec.consistent": "default for listed collections; no experiment asks one",
     "families.CollectionSpec.closure": "abstract stub",
     "families.CollectionSpec.closure_dimension": "abstract stub",
     "generators.Generator.step": "abstract stub",
@@ -36,10 +35,9 @@ ALLOWED = {
     # cli config and error paths; test_cli.py covers them
     "cli._load_configs": "--config files only; test_cli.py covers them",
     "generators.MinMinusOne._decide": "thm3.1 plays it only when a config names min_minus_one",
-    # oracle answers no experiment asks for; acceptance criterion 4 and
-    # test_families.py check them against brute force
-    "families.ClosureResult.no_consistent": "no experiment closes an inconsistent sample",
-    "families.UnionSpec.consistent": "no strategy plays a union as one part",
+    # the oracle answer no experiment asks for; acceptance criterion 4 and
+    # test_families.py check it against brute force
+    "families.CollectionSpec.consistent": "the only consistency oracle; tests ask it, strategies ask closures",
     # the inverse of to_record, kept so that a trace header's truth can be read back
     "langs.ClosedFormLanguage.from_record": "reads a trace header's truth back",
     # probed by the benchmark's scaling runs, not by any experiment
