@@ -7,6 +7,11 @@ against the source's declared truth. A plain strategy plays wrapped in
 immediately after it is produced, before the verdict is taken, so certified
 mistakes show up as Mistake verdicts in the transcript.
 
+`verdict()` is the reference rule, in strings: a correct output is an
+unseen member of the truth. The loop does not call it. It binds one judge
+per run, chosen by the truth's kind and the mode, that returns the
+verdict's code byte directly (0 Correct, 1 Mistake, 2 Unknown).
+
 A run keeps its steps in a columnar `Transcript` of about 17 bytes a step:
 reveals and outputs as int64 columns, the asked queries, and one byte for
 the answer and the verdict. Values live in the int64 domain, which no CLI
@@ -24,7 +29,7 @@ import json
 import operator
 from array import array
 from dataclasses import dataclass
-from typing import IO, Iterator
+from typing import IO, Callable, Iterator
 
 from .errors import BudgetViolation, ModeMismatch
 from .feedback import FeedbackGenerator, PlainAsFeedback
@@ -100,7 +105,6 @@ class Mode:
 
 # A step's code is its verdict's index, plus 3 for a "Yes" answer or 6 for a "No".
 _VERDICTS = (CORRECT, MISTAKE, UNKNOWN_VERDICT)
-_VERDICT_CODE = {v: i for i, v in enumerate(_VERDICTS)}
 _YES_CODE, _NO_CODE = 3, 6
 
 
@@ -169,7 +173,8 @@ def oracle_answer(truth: ClosedFormLanguage, query: int) -> bool:
 
 def verdict(z: int, truth, seen: set[int]) -> str:
     """Correct iff z is an unseen member of the truth; tri-state for
-    adaptive limit truths."""
+    adaptive limit truths. The reference rule: a run's loop takes the same
+    verdict, as a code, from the judge `_judge` binds."""
     if z in seen:
         return MISTAKE
     if isinstance(truth, ClosedFormLanguage):
@@ -208,9 +213,28 @@ def _no_sample(t: int) -> None:
     return None
 
 
-def _index_verdict(target: int):
-    """Identification's verdict: correct iff the output names the target."""
-    return lambda z, truth, seen: CORRECT if z == target else MISTAKE
+def _judge(truth, seen: set[int], target: int | None = None) -> Callable[[int], int]:
+    """The run's verdict rule as a function of the output alone, returning
+    the verdict's code: its index in `_VERDICTS`. `seen` is the set of
+    reveals the loop keeps growing. With a `target`, identification's rule:
+    correct iff the output names it. Otherwise `verdict`'s rule; a limit
+    language's sets are read as they stand at each call, in `status`'s
+    order."""
+    if target is not None:
+        return lambda z: 0 if z == target else 1
+    if isinstance(truth, ClosedFormLanguage):
+        contains = truth.__contains__
+        return lambda z: 1 if z in seen or not contains(z) else 0
+    limit_seen, excluded, promised = truth.seen, truth.excluded, truth.promised
+
+    def limit_judge(z: int) -> int:
+        if z in seen:
+            return 1
+        if z in limit_seen or (promised is not None and z in promised):
+            return 0
+        return 1 if z in excluded else 2
+
+    return limit_judge
 
 
 def run(
@@ -236,10 +260,11 @@ def run(
     # every mode decision is made here, once
     sampleless = mode.kind == SAMPLELESS
     reveal = _no_sample if sampleless else source.emit
-    judge = (
-        _index_verdict(_identification_target(generator, truth))
-        if mode.kind == IDENTIFICATION
-        else verdict
+    seen: set[int] = set()
+    judge = _judge(
+        truth,
+        seen,
+        _identification_target(generator, truth) if mode.kind == IDENTIFICATION else None,
     )
     no_repeats = mode.kind != REPETITION
     scripted = isinstance(source, ScriptedSource)
@@ -249,7 +274,6 @@ def run(
     records = Transcript()
     put_x, put_y = records.reveals.append, records.queries.append
     put_z, put_code = records.outputs.append, records.codes.append
-    seen: set[int] = set()
     outputs_seen: set[int] = set()
     violations: list[str] = []
     mistakes: list[int] = []
@@ -278,17 +302,18 @@ def run(
         z = step_output(a)
         put_z(z)
         observe(t, z)
-        v = judge(z, truth, seen)
+        code = judge(z)
         if sampleless:
             if z in outputs_seen:
                 violations.append(f"output-repeat@{t}:{z}")
             outputs_seen.add(z)
-        if v == MISTAKE:
-            mistakes.append(t)
-            distinct = len(seen)
-        elif v == UNKNOWN_VERDICT:
-            unknown += 1
-        put_code(answer_code + _VERDICT_CODE[v])
+        if code:
+            if code == 1:
+                mistakes.append(t)
+                distinct = len(seen)
+            else:
+                unknown += 1
+        put_code(answer_code + code)
     if check_stream:
         violations.extend(validate_stream(source, mode, horizon, seen, noise))
     staged = isinstance(source, StagedAdversary)

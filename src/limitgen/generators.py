@@ -37,7 +37,9 @@ class _PoolGenerator(Generator):
     The max pool is {t} u revealed u own outputs; the min pool is
     {0} u revealed u own outputs. Only the pools' extremes are kept, not the
     reveals themselves, and they are updated by plain comparisons: a step
-    makes no builtin call.
+    makes no builtin call. Each strategy's `step` absorbs the reveal and its
+    output in its own frame; the max candidate always tops the max pool and
+    the min candidate always undercuts the min pool.
     """
 
     def __init__(self) -> None:
@@ -53,13 +55,6 @@ class _PoolGenerator(Generator):
         elif value < self._min:
             self._min = value
 
-    def _observe(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("this strategy consumes revealed samples")
-        self.t += 1
-        self._absorb(revealed)
-        return revealed
-
     def max_candidate(self) -> int:
         t, m = self.t, self._max
         return (t if t > m else m) + 1
@@ -68,15 +63,6 @@ class _PoolGenerator(Generator):
         m = self._min
         return (m if m < 0 else 0) - 1
 
-    def step(self, revealed: int | None) -> int:
-        self._observe(revealed)
-        z = self._decide()
-        self._absorb(z)
-        return z
-
-    def _decide(self) -> int:
-        raise NotImplementedError
-
     def fresh(self) -> "Generator":
         return type(self)()
 
@@ -84,15 +70,37 @@ class _PoolGenerator(Generator):
 class MaxPlusOne(_PoolGenerator):
     """Always outputs one past everything seen or produced."""
 
-    def _decide(self) -> int:
-        return self.max_candidate()
+    def step(self, revealed: int | None) -> int:
+        if revealed is None:
+            raise ModeMismatch("this strategy consumes revealed samples")
+        self.t = t = self.t + 1
+        hi = self._max
+        if hi is None:
+            self._min = hi = revealed
+        elif revealed > hi:
+            hi = revealed
+        elif revealed < self._min:
+            self._min = revealed
+        self._max = z = (t if t > hi else hi) + 1
+        return z
 
 
 class MinMinusOne(_PoolGenerator):
     """Always outputs one below everything seen or produced (and below 0)."""
 
-    def _decide(self) -> int:
-        return self.min_candidate()
+    def step(self, revealed: int | None) -> int:
+        if revealed is None:
+            raise ModeMismatch("this strategy consumes revealed samples")
+        self.t += 1
+        lo = self._min
+        if lo is None:
+            self._max = lo = revealed
+        elif revealed < lo:
+            lo = revealed
+        elif revealed > self._max:
+            self._max = revealed
+        self._min = z = (lo if lo < 0 else 0) - 1
+        return z
 
 
 class FollowSuffix(_PoolGenerator):
@@ -122,7 +130,7 @@ class _MarkerBranchGenerator(_PoolGenerator):
     """Two-branch strategies: pick the max or min candidate depending on
     which of the level+1 markers have been revealed. Only the markers
     revealed so far are kept, at most level+1 values, so each decision is
-    O(1)."""
+    O(1); `_goes_high` is the one call a step makes."""
 
     def __init__(self, level: int) -> None:
         super().__init__()
@@ -130,14 +138,28 @@ class _MarkerBranchGenerator(_PoolGenerator):
         self.markers = range(level + 1)
         self.hits: set[int] = set()  # the markers revealed so far
 
-    def _observe(self, revealed: int | None) -> int:
+    def step(self, revealed: int | None) -> int:
         if revealed is None:
             raise ModeMismatch("this strategy consumes revealed samples")
-        self.t += 1
-        self._absorb(revealed)
+        self.t = t = self.t + 1
+        hi = self._max
+        if hi is None:
+            self._max = self._min = hi = revealed
+        elif revealed > hi:
+            self._max = hi = revealed
+        elif revealed < self._min:
+            self._min = revealed
         if revealed in self.markers:
             self.hits.add(revealed)
-        return revealed
+        if self._goes_high():
+            self._max = z = (t if t > hi else hi) + 1
+        else:
+            lo = self._min
+            self._min = z = (lo if lo < 0 else 0) - 1
+        return z
+
+    def _goes_high(self) -> bool:
+        raise NotImplementedError
 
     def fresh(self) -> "Generator":
         return type(self)(self.level)
@@ -147,18 +169,16 @@ class OmissionTolerantGenerator(_MarkerBranchGenerator):
     """Handles up to `level` omissions for the marked union family: goes high
     once ANY marker in {0..level} has been revealed, low otherwise."""
 
-    def _decide(self) -> int:
-        return self.max_candidate() if self.hits else self.min_candidate()
+    def _goes_high(self) -> bool:
+        return bool(self.hits)
 
 
 class NoiseTolerantGenerator(_MarkerBranchGenerator):
     """Handles noise level up to `level` for the marked union family: goes
     high only once ALL markers in {0..level} have been revealed."""
 
-    def _decide(self) -> int:
-        if len(self.hits) > self.level:
-            return self.max_candidate()
-        return self.min_candidate()
+    def _goes_high(self) -> bool:
+        return len(self.hits) > self.level
 
 
 class SensitivityGenerator(_MarkerBranchGenerator):
@@ -169,10 +189,8 @@ class SensitivityGenerator(_MarkerBranchGenerator):
         super().__init__(level)
         self.markers = range(-1, -(level + 2), -1)
 
-    def _decide(self) -> int:
-        if len(self.hits) > self.level:
-            return self.min_candidate()
-        return self.max_candidate()
+    def _goes_high(self) -> bool:
+        return len(self.hits) <= self.level
 
 
 class StreamGenerator(Generator):

@@ -86,19 +86,24 @@ class ScriptedSpec:
         return len(self.noise)
 
     def stream(self) -> Iterator[int]:
-        """A fresh iterator over the enumeration from its first step: the
-        pipeline below, then repeats. Every call plays the same values."""
-        stream = _with_noise(self)
-        if self.repeat_seed is None:
-            return stream
-        rng = random.Random(self.repeat_seed)
-
-        def repeated() -> Iterator[int]:
-            for v in stream:
-                for _ in range(rng.randint(1, 5)):
-                    yield v
-
-        return repeated()
+        """A fresh iterator over the enumeration from its first step. Every
+        call plays the same values. It is built from only the stages the
+        spec uses, in this order: the truth's canonical order, the
+        omissions, the block shuffle, the noise insertions and the repeats.
+        A canonical spec with no omissions, noise or repeats plays
+        `truth.elements()` itself."""
+        stream = self.truth.elements()
+        if self.omissions == "every_other":
+            stream = itertools.islice(stream, 0, None, 2)
+        elif self.omissions:
+            stream = _omitting(stream, self.omissions)
+        if self.order != "canonical":
+            stream = _shuffled(stream, int(self.order.split(":", 1)[1]))
+        if self.noise:
+            stream = _with_noise(stream, dict(self.noise))
+        if self.repeat_seed is not None:
+            stream = _repeated(stream, random.Random(self.repeat_seed))
+        return stream
 
     def to_record(self) -> dict:
         return {
@@ -121,8 +126,9 @@ class ScriptedSource(Source):
 
     def __init__(self, spec: ScriptedSpec) -> None:
         self.spec = spec
-        # the stream refers to the spec only, not back to the source, so a
-        # dropped source is freed at once, not by the cycle collector
+        # the stream refers to the spec's values only, not back to the
+        # source, so a dropped source is freed at once, not by the cycle
+        # collector
         self._iter = spec.stream()
         self._next = 0  # the step emit takes next
 
@@ -136,39 +142,34 @@ class ScriptedSource(Source):
         return self.spec.truth
 
 
-# stream pipeline: base order -> omissions -> block shuffle -> noise, then
-# `ScriptedSpec.stream` adds the repeats
-def _base(spec: ScriptedSpec) -> Iterator[int]:
-    elems = spec.truth.elements()
-    if spec.omissions == "every_other":
-        return itertools.islice(elems, 0, None, 2)
-    omit = spec.omissions
-    return (v for v in elems if v not in omit)
+# the stages of `ScriptedSpec.stream`; each refers to its input stream and
+# its own parameters only, never back to the spec or the source
+def _omitting(stream: Iterator[int], omit: frozenset[int]) -> Iterator[int]:
+    return (v for v in stream if v not in omit)
 
 
-def _ordered(spec: ScriptedSpec) -> Iterator[int]:
-    base = _base(spec)
-    if spec.order == "canonical":
-        yield from base
-        return
-    seed = int(spec.order.split(":", 1)[1])
+def _shuffled(stream: Iterator[int], seed: int) -> Iterator[int]:
     rng = random.Random(seed)
     while True:
-        block = list(itertools.islice(base, PERMUTATION_BLOCK))
+        block = list(itertools.islice(stream, PERMUTATION_BLOCK))
         if not block:
             return
         rng.shuffle(block)
         yield from block
 
 
-def _with_noise(spec: ScriptedSpec) -> Iterator[int]:
-    schedule = dict(spec.noise)
-    ordered = _ordered(spec)
+def _with_noise(stream: Iterator[int], schedule: dict[int, int]) -> Iterator[int]:
     for pos in itertools.count():
         if pos in schedule:
             yield schedule[pos]
         else:
-            yield next(ordered)
+            yield next(stream)
+
+
+def _repeated(stream: Iterator[int], rng: random.Random) -> Iterator[int]:
+    for v in stream:
+        for _ in range(rng.randint(1, 5)):
+            yield v
 
 
 @dataclass(frozen=True)

@@ -30,10 +30,11 @@ strategy's last part move, the decoding of a transcript into one
 writer and `Transcript.asked` are checked against, the dict-per-step trace
 writer built on it, the game loop that branched on the mode every step, kept
 one record object per step and validated the stream in a second pass over
-the records, the enumeration that remembered every value it produced, the
-max/min pools kept with the `max` and `min` builtins, the strategies built
-on them (among them the marker strategies that walked every marker against
-the set of every reveal), and the staged adversary that kept one record per
+the records, the scripted stream that passed through all four stages of its
+pipeline whatever the spec used, the enumeration that remembered every value
+it produced, the max/min pools kept with the `max` and `min` builtins, the
+strategies built on them (among them the marker strategies that walked every
+marker against the set of every reveal), and the staged adversary that kept one record per
 stage and every value it played in a list and a set, and the noisy and
 sampleless converters that kept every stream entry they read in a list
 behind a cursor, as references for differential tests.
@@ -44,6 +45,7 @@ from __future__ import annotations
 import gc
 import itertools
 import json
+import random
 import tracemalloc
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -79,7 +81,7 @@ from limitgen.langs import (
     suffix_from,
     zigzag_encode,
 )
-from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary
+from limitgen.sources import PERMUTATION_BLOCK, ScriptedSource, ScriptedSpec, StagedAdversary
 
 TINY_LO, TINY_HI = -6, 6
 
@@ -554,6 +556,49 @@ def naive_validate_stream(records, source, mode, horizon):
                 if v not in emitted and v not in spec.omissions:
                     violations.append(f"coverage-miss:{v}")
     return violations
+
+
+# --- the scripted stream as a fixed four-stage pipeline -----------------------
+
+
+def naive_stream(spec: ScriptedSpec):
+    """The enumeration of a scripted spec, through every stage whether the
+    spec uses it or not: base order with the omissions filtered out, the
+    block shuffle (or a `yield from` for canonical order), the noise stage
+    that looks up every position, then the repeats."""
+
+    def base():
+        elems = spec.truth.elements()
+        if spec.omissions == "every_other":
+            return itertools.islice(elems, 0, None, 2)
+        return (v for v in elems if v not in spec.omissions)
+
+    def ordered():
+        stream = base()
+        if spec.order == "canonical":
+            yield from stream
+            return
+        rng = random.Random(int(spec.order.split(":", 1)[1]))
+        while True:
+            block = list(itertools.islice(stream, PERMUTATION_BLOCK))
+            if not block:
+                return
+            rng.shuffle(block)
+            yield from block
+
+    def with_noise():
+        schedule = dict(spec.noise)
+        stream = ordered()
+        for pos in itertools.count():
+            if pos in schedule:
+                yield schedule[pos]
+            else:
+                yield next(stream)
+
+    if spec.repeat_seed is None:
+        return with_noise()
+    rng = random.Random(spec.repeat_seed)
+    return (v for v in with_noise() for _ in range(rng.randint(1, 5)))
 
 
 # --- remember-everything enumeration and set-walking marker strategies -------

@@ -1,4 +1,5 @@
 import io
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 from limitgen import engine
 from limitgen.engine import Mode, oracle_answer, run, verdict, write_trace
 from limitgen.errors import BudgetViolation, ModeMismatch
+from limitgen.experiments import _feedback_parts
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_prefix_chain
 from limitgen.feedback import (
     FeedbackGenerator,
@@ -18,6 +20,7 @@ from limitgen.generators import (
     ChainGenerator,
     DedupWrapper,
     FollowSuffix,
+    MaxPlusOne,
     NoiseTolerantGenerator,
     OmissionTolerantGenerator,
     SensitivityGenerator,
@@ -40,7 +43,7 @@ from limitgen.sources import (
     sensitivity_adversary,
     staged_union_adversary,
 )
-from oracles import naive_run, retained_per_step, scripted_specs, steps
+from oracles import TRUTHS, naive_run, retained_per_step, scripted_specs, steps
 
 
 def scripted(truth, **kwargs):
@@ -55,6 +58,42 @@ def test_verdict_cases():
     assert verdict(42, limit, set()) == engine.UNKNOWN_VERDICT
     limit.add_excluded(7)
     assert verdict(7, limit, set()) == engine.MISTAKE
+
+
+VALUES = st.integers(-12, 14)
+VALUE_SETS = st.sets(VALUES, max_size=8)
+
+
+@given(truth=TRUTHS, seen=VALUE_SETS, z=VALUES)
+def test_closed_form_judge_matches_verdict(truth, seen, z):
+    code = engine._judge(truth, seen)(z)
+    assert code == engine._VERDICTS.index(verdict(z, truth, seen))
+
+
+@given(
+    promised=st.sampled_from([NEGATIVES, None]),
+    limit_seen=VALUE_SETS,
+    excluded=VALUE_SETS,
+    seen=VALUE_SETS,
+    z=VALUES,
+)
+def test_limit_judge_matches_verdict(promised, limit_seen, excluded, seen, z):
+    limit = TranscriptLimitLanguage(promised=promised)
+    judge = engine._judge(limit, seen)
+    # the judge reads the limit language's sets as they stand at each call;
+    # they are filled in after binding and may overlap, so that the order in
+    # which `status` tests them shows
+    limit.seen.update(limit_seen)
+    limit.excluded.update(excluded)
+    assert judge(z) == engine._VERDICTS.index(verdict(z, limit, seen))
+
+
+@given(truth=TRUTHS, target=st.integers(0, 5), seen=VALUE_SETS, z=st.integers(-1, 7))
+def test_identification_judge_names_the_target(truth, target, seen, z):
+    # identification judges an index, so a seen value or the truth's members
+    # do not matter
+    code = engine._judge(truth, seen, target)(z)
+    assert engine._VERDICTS[code] == (engine.CORRECT if z == target else engine.MISTAKE)
 
 
 def test_oracle_answers():
@@ -384,3 +423,58 @@ def test_repeated_noise_is_counted_once():
     records, result = run(DedupWrapper(FollowSuffix()), src, Mode.repetition(), 50)
     assert [r.x for r in steps(records)].count(-1) > 1
     assert result.validity_violations == ()
+
+
+# --- the per-step cost of the loop, in Python calls -------------------------
+
+
+def _calls_per_step(generator, source, mode, horizon=2_000):
+    """Python-level calls (profiler "call" events, generator resumes
+    included) per step of one run; the run's setup and its stream checks
+    count too."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    sys.setprofile(count)
+    try:
+        run(generator, source, mode, horizon)
+    finally:
+        sys.setprofile(None)
+    return calls / horizon
+
+
+# (strategy, source, mode, calls per step at most)
+CALL_SHAPES = {
+    "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 9.5),
+    "omission_tolerant": (
+        lambda: OmissionTolerantGenerator(1),
+        lambda: scripted(ClosedFormLanguage(frozenset({0, 1}), 3)),
+        Mode.lossy(1),
+        10.5,
+    ),
+    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 10.0),
+    "sensitivity_staged": (
+        lambda: SensitivityGenerator(1),
+        sensitivity_adversary,
+        Mode.standard(),
+        9.0,
+    ),
+    "union_feedback": (
+        lambda: UnionFeedbackGenerator(_feedback_parts()),
+        lambda: scripted(ClosedFormLanguage(frozenset({-30}), 5)),
+        Mode.feedback(),
+        13.5,
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(CALL_SHAPES))
+def test_calls_per_step(shape):
+    make_generator, make_source, mode, most = CALL_SHAPES[shape]
+    per_step = _calls_per_step(make_generator(), make_source(), mode)
+    # a run's setup adds a few dozen calls in all, under 0.05 a step
+    assert per_step <= most + 0.05, f"{per_step:.3f} calls per step"

@@ -30,7 +30,13 @@ from limitgen.sources import (
     staged_union_adversary,
 )
 
-from oracles import NaiveStagedAdversary, retained_per_step, scripted_specs, stage_language
+from oracles import (
+    NaiveStagedAdversary,
+    naive_stream,
+    retained_per_step,
+    scripted_specs,
+    stage_language,
+)
 
 
 def play(adversary, gen, horizon):
@@ -124,6 +130,16 @@ def test_scripted_source_plays_its_spec_stream(spec, ahead, steps):
     played = [src.emit(t) for t in range(steps)]
     assert played == list(itertools.islice(spec.stream(), steps))
     assert played[:ahead] == look_ahead[:steps]
+
+
+@settings(max_examples=300)
+@given(spec=scripted_specs())
+def test_stream_stages_match_the_four_stage_pipeline(spec):
+    # the stream skips the stages its spec does not use; the reference
+    # passes every value through all four
+    assert list(itertools.islice(spec.stream(), 200)) == list(
+        itertools.islice(naive_stream(spec), 200)
+    )
 
 
 def test_scripted_source_refuses_a_step_out_of_order():
