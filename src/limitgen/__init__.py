@@ -10,6 +10,7 @@ from .errors import (
     LimitGenError,
     ModeMismatch,
     SearchExhausted,
+    StreamEnded,
     UnboundedClosureDimension,
 )
 from .families import (

@@ -2,15 +2,20 @@
 
 Per step: the source reveals x_t (skipped in sampleless play), the strategy
 may query y_t and receive a_t, it outputs z_t, and the verdict is computed
-against the source's declared truth. A plain strategy plays wrapped in
-`PlainAsFeedback`, which never queries. Adaptive sources see each output
-immediately after it is produced, before the verdict is taken, so certified
-mistakes show up as Mistake verdicts in the transcript.
+against the source's declared truth. The reveals come from one iterator,
+`source.reveals()`, zipped behind the horizon's range, so the source is
+never pulled past the last step; an iterator that stops early is an
+invariant breach. A plain strategy plays wrapped in `PlainAsFeedback`, which
+never queries.
 
 `verdict()` is the reference rule, in strings: a correct output is an
 unseen member of the truth. The loop does not call it. It binds one judge
-per run, chosen by the truth's kind and the mode, that returns the
-verdict's code byte directly (0 Correct, 1 Mistake, 2 Unknown).
+per run, `judge(t, z)`, that returns the verdict's code byte directly
+(0 Correct, 1 Mistake, 2 Unknown). An adaptive source is its own judge: its
+`observe` sees each output as soon as it is produced, reacts, and then
+judges it against its own sets, so certified mistakes show up as Mistake
+verdicts in the transcript. Otherwise the judge follows the mode: the
+identification target, or a closed-form truth's parts, bound once per run.
 
 A run keeps its steps in a columnar `Transcript` of about 17 bytes a step:
 reveals and outputs as int64 columns, the asked queries, and one byte for
@@ -26,12 +31,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from array import array
 from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
-from .errors import BudgetViolation, ModeMismatch
+from .errors import BudgetViolation, ModeMismatch, StreamEnded
 from .feedback import FeedbackGenerator, PlainAsFeedback
 from .langs import IN, OUT, ClosedFormLanguage, TranscriptLimitLanguage
 from .sources import ScriptedSource, Source, StagedAdversary
@@ -174,7 +180,8 @@ def oracle_answer(truth: ClosedFormLanguage, query: int) -> bool:
 def verdict(z: int, truth, seen: set[int]) -> str:
     """Correct iff z is an unseen member of the truth; tri-state for
     adaptive limit truths. The reference rule: a run's loop takes the same
-    verdict, as a code, from the judge `_judge` binds."""
+    verdict, as a code, from the judge it binds, `_judge`'s or an adaptive
+    source's `observe`."""
     if z in seen:
         return MISTAKE
     if isinstance(truth, ClosedFormLanguage):
@@ -201,40 +208,38 @@ def _check_compat(generator, source: Source, mode: Mode) -> None:
     needs_feedback = mode.kind in (FEEDBACK, IDENTIFICATION)
     if needs_feedback != isinstance(generator, FeedbackGenerator):
         raise ModeMismatch(f"generator type does not fit mode {mode.kind!r}")
-    if needs_feedback and not isinstance(source.truth_view(), ClosedFormLanguage):
-        raise ModeMismatch("feedback play needs a scripted source")
+    if not source.adaptive and not isinstance(source.truth_view(), ClosedFormLanguage):
+        raise ModeMismatch("only an adaptive source can judge a limit truth")
     if source.adaptive and mode.kind != STANDARD:
         raise ModeMismatch("adaptive sources play in standard mode only")
     if mode.kind == SAMPLELESS and isinstance(generator, FeedbackGenerator):
         raise ModeMismatch("sampleless play takes a plain generator")
 
 
-def _no_sample(t: int) -> None:
-    return None
+def _parts(truth: ClosedFormLanguage) -> tuple[frozenset[int], float, float]:
+    """A closed-form truth as (finite part, above, below): x is a member iff
+    x is in the finite part, x >= above or x < below. `above` is the tail
+    start or +inf, `below` 0 with the negatives or -inf."""
+    tail = truth.tail_start
+    return (
+        truth.finite_part,
+        math.inf if tail is None else tail,
+        0 if truth.include_negatives else -math.inf,
+    )
 
 
-def _judge(truth, seen: set[int], target: int | None = None) -> Callable[[int], int]:
-    """The run's verdict rule as a function of the output alone, returning
-    the verdict's code: its index in `_VERDICTS`. `seen` is the set of
-    reveals the loop keeps growing. With a `target`, identification's rule:
-    correct iff the output names it. Otherwise `verdict`'s rule; a limit
-    language's sets are read as they stand at each call, in `status`'s
-    order."""
+def _judge(
+    truth: ClosedFormLanguage, seen: set[int], target: int | None = None
+) -> Callable[[int, int], int]:
+    """The run's verdict rule for a source that does not judge: `judge(t, z)`
+    returns the verdict's code, its index in `_VERDICTS`. `seen` is the set
+    of reveals the loop keeps growing. With a `target`, identification's
+    rule: correct iff the output names it. Otherwise `verdict`'s rule for a
+    closed-form truth, its membership test inlined from `_parts`."""
     if target is not None:
-        return lambda z: 0 if z == target else 1
-    if isinstance(truth, ClosedFormLanguage):
-        contains = truth.__contains__
-        return lambda z: 1 if z in seen or not contains(z) else 0
-    limit_seen, excluded, promised = truth.seen, truth.excluded, truth.promised
-
-    def limit_judge(z: int) -> int:
-        if z in seen:
-            return 1
-        if z in limit_seen or (promised is not None and z in promised):
-            return 0
-        return 1 if z in excluded else 2
-
-    return limit_judge
+        return lambda t, z: 0 if z == target else 1
+    finite, above, below = _parts(truth)
+    return lambda t, z: 1 if z in seen or not (z in finite or z >= above or z < below) else 0
 
 
 def run(
@@ -259,18 +264,22 @@ def run(
         generator = PlainAsFeedback(generator)
     # every mode decision is made here, once
     sampleless = mode.kind == SAMPLELESS
-    reveal = _no_sample if sampleless else source.emit
+    reveals = itertools.repeat(None) if sampleless else source.reveals()
     seen: set[int] = set()
-    judge = _judge(
-        truth,
-        seen,
-        _identification_target(generator, truth) if mode.kind == IDENTIFICATION else None,
-    )
+    if source.adaptive:
+        judge = source.observe
+    else:
+        target = None
+        if mode.kind == IDENTIFICATION:
+            target = _identification_target(generator, truth)
+        judge = _judge(truth, seen, target)
     no_repeats = mode.kind != REPETITION
     scripted = isinstance(source, ScriptedSource)
+    if scripted:  # the noise count tests membership inline
+        finite, above, below = _parts(truth)
     check_stream = scripted and not sampleless
     budget = horizon if mode.query_budget is None else mode.query_budget
-    step_query, step_output, observe = generator.step_query, generator.step_output, source.observe
+    step_query, step_output = generator.step_query, generator.step_output
     records = Transcript()
     put_x, put_y = records.reveals.append, records.queries.append
     put_z, put_code = records.outputs.append, records.codes.append
@@ -279,13 +288,13 @@ def run(
     mistakes: list[int] = []
     unknown = queries = noise = 0
     distinct = 0  # distinct samples up to the last mistake
-    for t in range(horizon):
-        x = reveal(t)
+    # range comes first, so that zip never pulls a reveal past the horizon
+    for t, x in zip(range(horizon), reveals):
         if x is not None:
             put_x(x)
             if x not in seen:
                 seen.add(x)
-                if scripted and x not in truth:
+                if scripted and not (x in finite or x >= above or x < below):
                     noise += 1
             elif no_repeats:
                 violations.append(f"repeat@{t}:{x}")
@@ -301,8 +310,7 @@ def run(
             answer_code = _YES_CODE if a else _NO_CODE
         z = step_output(a)
         put_z(z)
-        observe(t, z)
-        code = judge(z)
+        code = judge(t, z)
         if sampleless:
             if z in outputs_seen:
                 violations.append(f"output-repeat@{t}:{z}")
@@ -314,6 +322,8 @@ def run(
             else:
                 unknown += 1
         put_code(answer_code + code)
+    if len(records) < horizon:  # zip stops silently at the shorter input
+        raise StreamEnded(f"the source stopped revealing at step {len(records)} of {horizon}")
     if check_stream:
         violations.extend(validate_stream(source, mode, horizon, seen, noise))
     staged = isinstance(source, StagedAdversary)

@@ -21,6 +21,10 @@ class AdversaryRepeat(LimitGenError):
     """An adaptive source emitted the same element twice."""
 
 
+class StreamEnded(LimitGenError):
+    """A source's reveals stopped before the horizon."""
+
+
 class ModeMismatch(LimitGenError):
     """Generator, source, and mode are not compatible."""
 

@@ -1,17 +1,20 @@
 """String sources: scripted enumerations and adaptive staged adversaries.
 
+A source hands the game loop its values as one iterator, `reveals()`.
 A scripted source commits to a target language up front and plays a
 deterministic enumeration of it (with declared omissions, noise insertions,
 order shuffles, or repetitions). An adaptive source watches the generator's
 outputs and switches its intended language in stages, certifying a mistake
-each time the generator emits an unseen member of the current stage language.
-It keeps only the current stage and flat int64 columns of the past ones, and
-every value it played once.
+each time the generator emits an unseen member of the current stage language;
+its `observe` also judges each output, since it holds the sets the verdict
+reads. It keeps only the current stage and flat int64 columns of the past
+ones, and every value it played once.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -29,15 +32,19 @@ PERMUTATION_BLOCK = 16
 
 
 class Source:
-    """One value per step; adaptive subclasses react to generator outputs."""
+    """One value per step; adaptive subclasses react to generator outputs
+    and judge them, with `observe(t, output)` returning the output's verdict
+    code."""
 
     adaptive = False
 
     def emit(self, t: int) -> int:
         raise NotImplementedError
 
-    def observe(self, t: int, output: int) -> None:
-        pass
+    def reveals(self) -> Iterator[int]:
+        """The values of steps 0, 1, 2, ..., each pulled when its step is
+        played."""
+        return map(self.emit, itertools.count())
 
     def truth_view(self) -> ClosedFormLanguage | TranscriptLimitLanguage:
         raise NotImplementedError
@@ -121,22 +128,21 @@ class ScriptedSpec:
 
 
 class ScriptedSource(Source):
-    """Plays its spec's stream once, forward: `emit(t)` takes step t only
-    after steps 0..t-1, and keeps none of the values it played."""
+    """Plays its spec's stream once: `reveals()` hands it out a single time,
+    and the source keeps none of the values played."""
 
     def __init__(self, spec: ScriptedSpec) -> None:
         self.spec = spec
+        self._played = False
+
+    def reveals(self) -> Iterator[int]:
         # the stream refers to the spec's values only, not back to the
         # source, so a dropped source is freed at once, not by the cycle
         # collector
-        self._iter = spec.stream()
-        self._next = 0  # the step emit takes next
-
-    def emit(self, t: int) -> int:
-        if t != self._next:
-            raise ValueError(f"scripted source plays step {self._next} next, not {t}")
-        self._next = t + 1
-        return next(self._iter)
+        if self._played:
+            raise ValueError("a scripted source plays its stream once")
+        self._played = True
+        return self.spec.stream()
 
     def truth_view(self) -> ClosedFormLanguage:
         return self.spec.truth
@@ -172,15 +178,6 @@ def _repeated(stream: Iterator[int], rng: random.Random) -> Iterator[int]:
             yield v
 
 
-@dataclass(frozen=True)
-class StagePlan:
-    """How to build the next stage after a trigger: its ray's start, and the
-    extras its language adds to the truth values played so far."""
-
-    tail_start: int
-    extras: frozenset[int] = frozenset()
-
-
 class StagedAdversary(Source):
     """Shared engine for the staged constructions.
 
@@ -189,8 +186,9 @@ class StagedAdversary(Source):
     adversary records the time, commits never to emit that output (the
     certificate), emits the next unused negative, and rebuilds the stage
     around a fresh upward ramp that stays above everything played so far.
-    Stage k >= 1's language is the truth values played before it, plus its
-    plan's extras, plus the ray from its plan's tail start.
+    Stage k >= 1's language is the truth values played before it, plus the
+    ray from a tail start and the extras, the pair that
+    `next_stage(trigger_output, running_max)` gives.
 
     An optional noise prefix is emitted before stage 0 and counted outside
     the limit language. The limit language promises the negative ray.
@@ -209,7 +207,7 @@ class StagedAdversary(Source):
         self,
         stage0_value: Callable[[int], int],
         stage0_language: ClosedFormLanguage,
-        next_stage: Callable[[int, int], StagePlan],
+        next_stage: Callable[[int, int], tuple[int, frozenset[int]]],
         prefix: Sequence[int] = (),
         pre_excluded: Sequence[int] = (),
         noise_level_at: Callable[[int], int] | None = None,
@@ -219,17 +217,22 @@ class StagedAdversary(Source):
         self._next_stage = next_stage
         self.prefix = tuple(prefix)
         self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
+        self._seen, self._excluded = self.limit.seen, self.limit.excluded
         self._noise_level_at = noise_level_at
         self.trigger_times = array("q")
         self.trigger_outputs = array("q")
         self.tail_starts = array("q")
         self.declared_levels = array("q")
         self._play_from = len(self.prefix)  # the first step of stage 0
-        # the current stage; stage 0 tests membership in stage0_language
+        # the current stage's language, less the values played: the extras,
+        # the ray from the tail start and everything below `_below`; stage 0
+        # takes them from stage0_language, a later stage has no `_below`
         self.stage = 0
         self.stage_start = self._play_from  # first step judged against it
-        self._tail_start = 0
-        self._extras: frozenset[int] = frozenset()
+        tail = stage0_language.tail_start
+        self._tail_start = math.inf if tail is None else tail
+        self._extras = stage0_language.finite_part
+        self._below = 0 if stage0_language.include_negatives else -math.inf
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
         self._noise = 0
         self._stage0_pos = 0
@@ -252,10 +255,11 @@ class StagedAdversary(Source):
         else:
             v = self._stage0_value(self._stage0_pos)
             self._stage0_pos += 1
-        limit = self.limit
-        if v in limit.seen or v in self._prefix_shown:
+        if v in self._seen or v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
-        limit.add_seen(v)
+        if v in self._excluded:  # the check of limit.add_seen
+            raise ValueError(f"{v} was committed as never-enumerated")
+        self._seen.add(v)
         m = self._running_max
         if m is None or v > m:
             self._running_max = v
@@ -265,7 +269,7 @@ class StagedAdversary(Source):
         if v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
         self._prefix_shown.add(v)
-        if v not in self.limit.promised:
+        if v >= 0:  # outside the promised negatives
             self._noise += 1
         m = self._running_max
         if m is None or v > m:
@@ -274,42 +278,48 @@ class StagedAdversary(Source):
 
     def emitted(self, v: int) -> bool:
         """Whether `v` has been played, as a truth value or as noise."""
-        return v in self.limit.seen or v in self._prefix_shown
+        return v in self._seen or v in self._prefix_shown
 
     # -- reaction ----------------------------------------------------------
-    def observe(self, t: int, output: int) -> None:
-        if t < self._play_from:
-            return  # the prefix is noise; staged play has not started
-        m = self._running_max
-        if m is None or output > m:
-            self._running_max = output
-        if t == self._negative_step:
-            # the step after a trigger: rebuild the stage, no trigger check
-            plan = self._next_stage(self.trigger_outputs[-1], self._running_max)
-            self.stage += 1
-            self.stage_start = t + 1
-            self._tail_start = plan.tail_start
-            self._extras = plan.extras
-            self.tail_starts.append(plan.tail_start)
-            if self._noise_level_at is not None:
-                self.declared_levels.append(self._noise_level_at(t))
-            self._ramp_next = plan.tail_start
-            self._negative_step = None
-            return
-        # trigger on an unseen member of the stage language: the played
-        # values never hold one, so only the ray, the extras and stage 0's
-        # language matter
-        if output in self.limit.seen or output in self._prefix_shown:
-            return
-        if self.stage:
-            if output < self._tail_start and output not in self._extras:
-                return
-        elif output not in self.stage0_language:
-            return
-        self.trigger_times.append(t)
-        self.trigger_outputs.append(output)
-        self.limit.add_excluded(output)
-        self._pending_negative = -(self.stage + 1)
+    def observe(self, t: int, output: int) -> int:
+        """React to step t's output (a trigger or a stage rebuild), then
+        judge it by `engine.verdict`'s rule, with the values played as the
+        seen set: the verdict's code, 0 Correct, 1 Mistake or 2 Unknown."""
+        played = output in self._seen or output in self._prefix_shown
+        if t >= self._play_from:  # before it, the prefix is noise
+            m = self._running_max
+            if m is None or output > m:
+                self._running_max = output
+            if t == self._negative_step:
+                # the step after a trigger: rebuild the stage, no trigger check
+                tail_start, self._extras = self._next_stage(
+                    self.trigger_outputs[-1], self._running_max
+                )
+                self.stage += 1
+                self.stage_start = t + 1
+                self._tail_start = self._ramp_next = tail_start
+                self._below = -math.inf
+                self.tail_starts.append(tail_start)
+                if self._noise_level_at is not None:
+                    self.declared_levels.append(self._noise_level_at(t))
+                self._negative_step = None
+            elif not played and (
+                output >= self._tail_start or output in self._extras or output < self._below
+            ):
+                # a trigger: an unseen member of the stage language
+                self.trigger_times.append(t)
+                self.trigger_outputs.append(output)
+                # the checks of limit.add_excluded; the output is unplayed
+                if output < 0:
+                    raise ValueError(f"{output} lies in the promised part")
+                self._excluded.add(output)
+                self._pending_negative = -(self.stage + 1)
+                return 1
+        if played:
+            return 1
+        if output < 0:  # the promised negatives
+            return 0
+        return 1 if output in self._excluded else 2
 
     # -- reporting ---------------------------------------------------------
     def truth_view(self) -> TranscriptLimitLanguage:
@@ -339,6 +349,9 @@ class StagedAdversary(Source):
         return self._noise
 
 
+_NO_EXTRAS: frozenset[int] = frozenset()  # a stage adding no extras
+
+
 def staged_union_adversary() -> StagedAdversary:
     """Defeats generators for the union of the suffix family with the
     negatives family: stage languages are the revealed set plus a ramp two
@@ -346,7 +359,7 @@ def staged_union_adversary() -> StagedAdversary:
     return StagedAdversary(
         stage0_value=lambda k: k,
         stage0_language=suffix_from(0),
-        next_stage=lambda trigger_z, _m: StagePlan(tail_start=trigger_z + 2),
+        next_stage=lambda trigger_z, _m: (trigger_z + 2, _NO_EXTRAS),
     )
 
 
@@ -357,7 +370,7 @@ def omission_adversary(level: int) -> StagedAdversary:
     return StagedAdversary(
         stage0_value=lambda k: k + level + 1,
         stage0_language=suffix_from(0),
-        next_stage=lambda _z, m: StagePlan(tail_start=m + 1, extras=markers),
+        next_stage=lambda _z, m: (m + 1, markers),
         pre_excluded=sorted(markers),
     )
 
@@ -369,7 +382,7 @@ def noise_prefix_adversary(level: int) -> StagedAdversary:
     return StagedAdversary(
         stage0_value=lambda k: k + level + 1,
         stage0_language=suffix_from(level + 1),
-        next_stage=lambda trigger_z, _m: StagePlan(tail_start=trigger_z + 2),
+        next_stage=lambda trigger_z, _m: (trigger_z + 2, _NO_EXTRAS),
         prefix=sorted(markers),
         pre_excluded=sorted(markers),
     )
@@ -382,6 +395,6 @@ def sensitivity_adversary() -> StagedAdversary:
     return StagedAdversary(
         stage0_value=lambda k: k,
         stage0_language=suffix_from(0),
-        next_stage=lambda _z, m: StagePlan(tail_start=m + 1),
+        next_stage=lambda _z, m: (m + 1, _NO_EXTRAS),
         noise_level_at=lambda negative_step: negative_step + 1,
     )

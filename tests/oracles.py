@@ -104,7 +104,7 @@ def stage_language(
     """Materialize a stage's intended language from the run's reveals: stage
     0's language, or the truth values revealed before the stage started (the
     step after the negative that followed trigger index - 1), plus `extras`
-    (what the construction's plans add; none for the staged union and
+    (what the construction's `next_stage` adds; none for the staged union and
     noise-prefix constructions), plus the ray from the stage's tail start."""
     if index == 0:
         return adversary.stage0_language
@@ -469,8 +469,9 @@ def naive_run(generator, source, mode, horizon):
     violations = []
     mistakes = []
     unknown = 0
+    reveals = None if mode.kind == SAMPLELESS else source.reveals()
     for t in range(horizon):
-        x = None if mode.kind == SAMPLELESS else source.emit(t)
+        x = None if reveals is None else next(reveals)
         y = a = None
         if mode.kind in (engine.FEEDBACK, IDENTIFICATION):
             y = generator.step_query(x)
@@ -481,7 +482,8 @@ def naive_run(generator, source, mode, horizon):
             z = generator.step(x)
         if x is not None:
             seen.add(x)
-        source.observe(t, z)
+        if source.adaptive:
+            source.observe(t, z)  # the reaction only; `verdict` judges
         if mode.kind == IDENTIFICATION:
             v = CORRECT if z == target_index else MISTAKE
         else:
@@ -852,18 +854,18 @@ class NaiveStagedAdversary:
         self._absorb(output)
         current = self.stages[-1]
         if self._negative_step == t:
-            plan = self._next_stage(self._last_trigger_output, self._running_max)
+            tail_start, extras = self._next_stage(self._last_trigger_output, self._running_max)
             record = StageRecord(
                 current.index + 1,
                 started_at=t + 1,
                 snapshot_len=len(self.emitted),
-                tail_start=plan.tail_start,
-                extras=plan.extras,
+                tail_start=tail_start,
+                extras=extras,
             )
             if self._noise_level_at is not None:
                 record.declared_noise_level = self._noise_level_at(t)
             self.stages.append(record)
-            self._ramp_next = plan.tail_start
+            self._ramp_next = tail_start
             self._negative_step = None
             return
         if current.contains_unseen(output, self.emitted_set):

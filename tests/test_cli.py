@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 
@@ -11,7 +12,7 @@ from limitgen.errors import DuplicateSubRun
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
 from limitgen.generators import FollowSuffix
 from limitgen.langs import suffix_from
-from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary, StagePlan
+from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary
 
 SPEC_IDS = [
     "thm3.1",
@@ -135,7 +136,7 @@ def _repeating_adversary():
     return StagedAdversary(
         stage0_value=lambda k: k,
         stage0_language=suffix_from(0),
-        next_stage=lambda z, _m: StagePlan(tail_start=z + 2),
+        next_stage=lambda z, _m: (z + 2, frozenset()),
         prefix=(4, 4),
     )
 
@@ -144,6 +145,27 @@ def test_adversary_repeat_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "staged_union_adversary", _repeating_adversary)
     assert main(["--experiment", "thm3.1"]) == 3
     assert "adversary repeated 4" in capsys.readouterr().err
+
+
+class _StoppingAdversary(StagedAdversary):
+    """The staged union construction, revealing two values only."""
+
+    def reveals(self):
+        return itertools.islice(super().reveals(), 2)
+
+
+def test_stream_that_stops_before_the_horizon_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(
+        experiments,
+        "staged_union_adversary",
+        lambda: _StoppingAdversary(
+            stage0_value=lambda k: k,
+            stage0_language=suffix_from(0),
+            next_stage=lambda z, _m: (z + 2, frozenset()),
+        ),
+    )
+    assert main(["--experiment", "thm3.1"]) == 3
+    assert "stopped revealing at step 2 of" in capsys.readouterr().err
 
 
 def _quiet_union_config(tmp_path, horizon):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from limitgen import engine
 from limitgen.engine import Mode, oracle_answer, run, verdict, write_trace
-from limitgen.errors import BudgetViolation, ModeMismatch
+from limitgen.errors import BudgetViolation, LimitGenError, ModeMismatch, StreamEnded
 from limitgen.experiments import _feedback_parts
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_prefix_chain
 from limitgen.feedback import (
@@ -66,33 +66,17 @@ VALUE_SETS = st.sets(VALUES, max_size=8)
 
 @given(truth=TRUTHS, seen=VALUE_SETS, z=VALUES)
 def test_closed_form_judge_matches_verdict(truth, seen, z):
-    code = engine._judge(truth, seen)(z)
+    # the judge's inlined membership test against `verdict`, which asks the
+    # truth's own __contains__; the step does not matter
+    code = engine._judge(truth, seen)(0, z)
     assert code == engine._VERDICTS.index(verdict(z, truth, seen))
-
-
-@given(
-    promised=st.sampled_from([NEGATIVES, None]),
-    limit_seen=VALUE_SETS,
-    excluded=VALUE_SETS,
-    seen=VALUE_SETS,
-    z=VALUES,
-)
-def test_limit_judge_matches_verdict(promised, limit_seen, excluded, seen, z):
-    limit = TranscriptLimitLanguage(promised=promised)
-    judge = engine._judge(limit, seen)
-    # the judge reads the limit language's sets as they stand at each call;
-    # they are filled in after binding and may overlap, so that the order in
-    # which `status` tests them shows
-    limit.seen.update(limit_seen)
-    limit.excluded.update(excluded)
-    assert judge(z) == engine._VERDICTS.index(verdict(z, limit, seen))
 
 
 @given(truth=TRUTHS, target=st.integers(0, 5), seen=VALUE_SETS, z=st.integers(-1, 7))
 def test_identification_judge_names_the_target(truth, target, seen, z):
     # identification judges an index, so a seen value or the truth's members
     # do not matter
-    code = engine._judge(truth, seen, target)(z)
+    code = engine._judge(truth, seen, target)(0, z)
     assert engine._VERDICTS[code] == (engine.CORRECT if z == target else engine.MISTAKE)
 
 
@@ -313,6 +297,24 @@ class Reveals(Source):
         return NEGATIVES
 
 
+class StopsAfterTwo(Source):
+    """Reveals two values and then stops."""
+
+    def reveals(self):
+        return iter([3, 4])
+
+    def truth_view(self):
+        return NEGATIVES
+
+
+def test_a_stream_that_stops_before_the_horizon_is_a_breach():
+    with pytest.raises(StreamEnded, match="stopped revealing at step 2 of 5"):
+        run(FollowSuffix(), StopsAfterTwo(), Mode.standard(), 5)
+    assert issubclass(StreamEnded, LimitGenError)  # exit 3 from the CLI
+    records, _ = run(FollowSuffix(), StopsAfterTwo(), Mode.standard(), 2)
+    assert [r.x for r in steps(records)] == [3, 4]
+
+
 def test_transcript_keeps_int64_values_and_refuses_wider_ones():
     widest = [2**63 - 1, -(2**63)]
     records, _ = run(baseline("min_minus_one"), Reveals(widest[:1]), Mode.standard(), 1)
@@ -390,14 +392,13 @@ def test_one_loop_matches_naive_run_on_scripted_sources(spec, budget, horizon):
         _same_play(make, lambda: ScriptedSource(spec), mode, horizon)
 
 
-ADVERSARIES = st.sampled_from(
-    [
-        staged_union_adversary,
-        lambda: omission_adversary(1),
-        lambda: noise_prefix_adversary(2),
-        sensitivity_adversary,
-    ]
-)
+CONSTRUCTIONS = {
+    "union": staged_union_adversary,
+    "omission": lambda: omission_adversary(1),
+    "noise_prefix": lambda: noise_prefix_adversary(2),
+    "sensitivity": sensitivity_adversary,
+}
+ADVERSARIES = st.sampled_from(list(CONSTRUCTIONS.values()))
 PLAIN = st.sampled_from(
     [
         lambda: baseline("max_plus_one"),
@@ -414,6 +415,17 @@ PLAIN = st.sampled_from(
 @given(adversary=ADVERSARIES, make=PLAIN, horizon=st.integers(1, 150))
 def test_one_loop_matches_naive_run_on_staged_adversaries(adversary, make, horizon):
     _same_play(make, adversary, Mode.standard(), horizon)
+
+
+@pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
+@pytest.mark.parametrize("horizon", [1, 2, 3, 57])
+def test_run_pulls_no_reveal_past_the_horizon(construction, horizon):
+    # an extra pull would play one more value, which the limit language's
+    # seen set would then hold
+    adversary = CONSTRUCTIONS[construction]()
+    run(MaxPlusOne(), adversary, Mode.standard(), horizon)
+    shown = sum(adversary.emitted(v) for v in adversary.prefix)
+    assert len(adversary.limit.seen) + shown == horizon
 
 
 def test_repeated_noise_is_counted_once():
@@ -449,25 +461,25 @@ def _calls_per_step(generator, source, mode, horizon=2_000):
 
 # (strategy, source, mode, calls per step at most)
 CALL_SHAPES = {
-    "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 9.5),
+    "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 5.5),
     "omission_tolerant": (
         lambda: OmissionTolerantGenerator(1),
         lambda: scripted(ClosedFormLanguage(frozenset({0, 1}), 3)),
         Mode.lossy(1),
-        10.5,
+        6.5,
     ),
-    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 10.0),
+    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 5.5),
     "sensitivity_staged": (
         lambda: SensitivityGenerator(1),
         sensitivity_adversary,
         Mode.standard(),
-        9.0,
+        6.0,
     ),
     "union_feedback": (
         lambda: UnionFeedbackGenerator(_feedback_parts()),
         lambda: scripted(ClosedFormLanguage(frozenset({-30}), 5)),
         Mode.feedback(),
-        13.5,
+        9.5,
     ),
 }
 

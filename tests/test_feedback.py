@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -282,9 +284,9 @@ def test_strip_queries_replay_work_is_linear(truth):
     steps = 2_000
     calls = [0]
     stripped = StripQueries(_CountingProbe(-1, calls))
-    source = ScriptedSource(ScriptedSpec(truth))
-    for t in range(steps):
-        stripped.step(source.emit(t))
+    reveals = ScriptedSource(ScriptedSpec(truth)).reveals()
+    for x in itertools.islice(reveals, steps):
+        stripped.step(x)
     # one pass, plus one restart when the probe -1 is revealed
     assert calls[0] <= 2 * steps
 

@@ -38,7 +38,10 @@ ALLOWED = {
     # the string-valued verdict rule: the reference each run's bound judge
     # is tested against; the game loop itself reads the judge's codes
     "engine.verdict": "the reference rule test_engine.py checks every bound judge against",
-    "langs.TranscriptLimitLanguage.status": "verdict's limit-language rule; the bound judge reads its sets directly",
+    "langs.TranscriptLimitLanguage.status": "verdict's limit-language rule; StagedAdversary.observe reads its sets directly",
+    # the checked writes StagedAdversary inlines; the reference adversary calls them
+    "langs.TranscriptLimitLanguage.add_seen": "inlined in StagedAdversary.emit; only tests call it: NaiveStagedAdversary, test_langs.py",
+    "langs.TranscriptLimitLanguage.add_excluded": "inlined in StagedAdversary.observe; only tests call it: NaiveStagedAdversary, test_langs.py",
     # the oracle answer no experiment asks for; acceptance criterion 4 and
     # test_families.py check it against brute force
     "families.CollectionSpec.consistent": "the only consistency oracle; tests ask it, strategies ask closures",

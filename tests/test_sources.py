@@ -23,7 +23,6 @@ from limitgen.sources import (
     ScriptedSource,
     ScriptedSpec,
     StagedAdversary,
-    StagePlan,
     noise_prefix_adversary,
     omission_adversary,
     sensitivity_adversary,
@@ -37,6 +36,11 @@ from oracles import (
     scripted_specs,
     stage_language,
 )
+
+
+def first(source, n):
+    """The first n values a source reveals."""
+    return list(itertools.islice(source.reveals(), n))
 
 
 def play(adversary, gen, horizon):
@@ -56,23 +60,23 @@ def play(adversary, gen, horizon):
 
 def test_scripted_canonical_ray():
     src = ScriptedSource(ScriptedSpec(suffix_from(0)))
-    assert [src.emit(t) for t in range(4)] == [0, 1, 2, 3]
+    assert first(src, 4) == [0, 1, 2, 3]
 
 
 def test_scripted_single_noise_insertion():
     src = ScriptedSource(ScriptedSpec(suffix_from(0), noise=((0, -1),)))
-    assert [src.emit(t) for t in range(4)] == [-1, 0, 1, 2]
+    assert first(src, 4) == [-1, 0, 1, 2]
 
 
 def test_scripted_omission():
     truth = ClosedFormLanguage(frozenset({5}), None, True)
     src = ScriptedSource(ScriptedSpec(truth, omissions=frozenset({5})))
-    assert [src.emit(t) for t in range(3)] == [-1, -2, -3]
+    assert first(src, 3) == [-1, -2, -3]
 
 
 def test_scripted_every_other():
     src = ScriptedSource(ScriptedSpec(suffix_from(0), omissions="every_other"))
-    assert [src.emit(t) for t in range(4)] == [0, 2, 4, 6]
+    assert first(src, 4) == [0, 2, 4, 6]
 
 
 def test_scripted_rejects_bad_specs():
@@ -88,18 +92,15 @@ def test_scripted_rejects_bad_specs():
 
 def test_scripted_block_shuffle_is_deterministic_and_complete():
     spec = ScriptedSpec(suffix_from(0), order="blocks:7")
-    first_source, second_source = ScriptedSource(spec), ScriptedSource(spec)
-    first = [first_source.emit(t) for t in range(96)]
-    second = [second_source.emit(t) for t in range(96)]
-    assert first == second
-    assert first != list(range(96))  # the shuffle does something
-    assert set(first) == set(range(96))  # blocks permute in place
+    played = first(ScriptedSource(spec), 96)
+    assert played == first(ScriptedSource(spec), 96)
+    assert played != list(range(96))  # the shuffle does something
+    assert set(played) == set(range(96))  # blocks permute in place
 
 
 def test_scripted_repetitions_dedup_to_base():
     spec = ScriptedSpec(suffix_from(0), repeat_seed=3)
-    src = ScriptedSource(spec)
-    stream = [src.emit(t) for t in range(200)]
+    stream = first(ScriptedSource(spec), 200)
     deduped = list(dict.fromkeys(stream))
     assert deduped == list(range(len(deduped)))
     runs = [len(list(g)) for _, g in itertools.groupby(stream)]
@@ -109,8 +110,9 @@ def test_scripted_repetitions_dedup_to_base():
 def test_dropped_scripted_source_is_freed_without_the_cycle_collector():
     spec = ScriptedSpec(suffix_from(0), order="blocks:1", noise=((2, -1),), repeat_seed=0)
     src = ScriptedSource(spec)
-    for t in range(51):
-        src.emit(t)
+    stream = src.reveals()
+    for _ in range(51):
+        next(stream)
     ref = weakref.ref(src)
     gc.disable()
     try:
@@ -126,8 +128,7 @@ def test_scripted_source_plays_its_spec_stream(spec, ahead, steps):
     # a look-ahead reads its own stream of the spec first, as t* look-aheads
     # do; the source then still plays the spec's stream from its start
     look_ahead = list(itertools.islice(spec.stream(), ahead))
-    src = ScriptedSource(spec)
-    played = [src.emit(t) for t in range(steps)]
+    played = first(ScriptedSource(spec), steps)
     assert played == list(itertools.islice(spec.stream(), steps))
     assert played[:ahead] == look_ahead[:steps]
 
@@ -142,14 +143,12 @@ def test_stream_stages_match_the_four_stage_pipeline(spec):
     )
 
 
-def test_scripted_source_refuses_a_step_out_of_order():
+def test_scripted_source_plays_its_stream_once():
     src = ScriptedSource(ScriptedSpec(suffix_from(0)))
-    with pytest.raises(ValueError, match="plays step 0 next, not 1"):
-        src.emit(1)
-    assert src.emit(0) == 0
-    with pytest.raises(ValueError, match="plays step 1 next, not 0"):
-        src.emit(0)
-    assert [src.emit(1), src.emit(2)] == [1, 2]
+    stream = src.reveals()
+    with pytest.raises(ValueError, match="plays its stream once"):
+        src.reveals()
+    assert list(itertools.islice(stream, 3)) == [0, 1, 2]
 
 
 # --- the staged union adversary -------------------------------------------------
@@ -307,7 +306,7 @@ def _construction(which: int, level: int, prefix: list[int], shift: int) -> Stag
     return StagedAdversary(
         stage0_value=lambda k: k + level,
         stage0_language=suffix_from(level),
-        next_stage=lambda z, _m: StagePlan(tail_start=z + shift),
+        next_stage=lambda z, _m: (z + shift, frozenset()),
         prefix=prefix,
     )
 
@@ -337,17 +336,26 @@ def _opponent(choice, level: int):
     return Drawn()
 
 
-def _play_until_raise(adversary, gen, horizon):
-    """Reveals and the step and exception that ended play early, if any."""
-    xs = []
+def _play_until_raise(adversary, gen, horizon, judge):
+    """Reveals, the verdict code `judge(adversary, t, output)` gives each
+    step after its reaction, and the step and exception that ended play
+    early, if any."""
+    xs, codes = [], []
     for t in range(horizon):
         try:
             x = adversary.emit(t)
             xs.append(x)
-            adversary.observe(t, gen.step(x))
+            codes.append(judge(adversary, t, gen.step(x)))
         except (AdversaryRepeat, ValueError) as exc:
-            return xs, (t, type(exc), str(exc))
-    return xs, None
+            return xs, codes, (t, type(exc), str(exc))
+    return xs, codes, None
+
+
+def _reference_verdict(naive, t, z):
+    """The reference's reaction, then `verdict` against its limit language,
+    with every value it played as the seen set."""
+    naive.observe(t, z)
+    return engine._VERDICTS.index(engine.verdict(z, naive.limit, naive.emitted_set))
 
 
 @settings(max_examples=300, deadline=None)
@@ -363,9 +371,14 @@ def _play_until_raise(adversary, gen, horizon):
 def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shift, choice, horizon):
     fast = _construction(which, level, prefix, shift)
     naive = NaiveStagedAdversary.twin(fast)
-    xs, ended = _play_until_raise(fast, _opponent(choice, level), horizon)
-    naive_xs, naive_ended = _play_until_raise(naive, _opponent(choice, level), horizon)
+    xs, codes, ended = _play_until_raise(
+        fast, _opponent(choice, level), horizon, StagedAdversary.observe
+    )
+    naive_xs, naive_codes, naive_ended = _play_until_raise(
+        naive, _opponent(choice, level), horizon, _reference_verdict
+    )
     assert xs == naive_xs
+    assert codes == naive_codes
     assert ended == naive_ended
     assert fast.certified_mistake_times == naive.certified_mistake_times
     triggered = [s for s in naive.stages if s.trigger_time is not None]
