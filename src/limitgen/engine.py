@@ -5,8 +5,9 @@ may query y_t and receive a_t, it outputs z_t, and the verdict is computed
 against the source's declared truth. The reveals come from one iterator,
 `source.reveals()`, zipped behind the horizon's range, so the source is
 never pulled past the last step; an iterator that stops early is an
-invariant breach. A plain strategy plays wrapped in `PlainAsFeedback`, which
-never queries.
+invariant breach. Each run binds one `step(x)`: a plain strategy's own
+`step`, which never queries, or a feedback strategy's `play` with the run's
+`ask`, which answers its queries.
 
 `verdict()` is the reference rule, in strings: a correct output is an
 unseen member of the truth. The loop does not call it. It binds one judge
@@ -16,6 +17,10 @@ per run, `judge(t, z)`, that returns the verdict's code byte directly
 judges it against its own sets, so certified mistakes show up as Mistake
 verdicts in the transcript. Otherwise the judge follows the mode: the
 identification target, or a closed-form truth's parts, bound once per run.
+
+`oracle_answer()` is the reference membership rule. The loop does not call
+it either: `ask`, bound once per run by `_asker`, counts each query against
+the budget, answers it inline from the truth's parts and records it.
 
 A run keeps its steps in a columnar `Transcript` of about 17 bytes a step:
 reveals and outputs as int64 columns, the asked queries, and one byte for
@@ -29,6 +34,7 @@ columns, one template per code byte.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -38,7 +44,7 @@ from dataclasses import dataclass
 from typing import IO, Callable, Iterator
 
 from .errors import BudgetViolation, ModeMismatch, StreamEnded
-from .feedback import FeedbackGenerator, PlainAsFeedback
+from .feedback import FeedbackGenerator
 from .langs import IN, OUT, ClosedFormLanguage, TranscriptLimitLanguage
 from .sources import ScriptedSource, Source, StagedAdversary
 
@@ -119,17 +125,18 @@ class Transcript:
 
     `reveals` and `outputs` hold one int64 per step (`reveals` stays empty in
     sampleless play), `queries` holds the asked queries only, in order, and
-    `codes` one byte per step for the answer and the verdict. `len()` is the
-    step count; `asked()` yields the steps that asked a query.
+    `codes` one byte per step for the answer and the verdict. A run sets
+    `codes` to one zero byte per step up front and fills them in place.
+    `len()` is the step count; `asked()` yields the steps that asked a query.
     """
 
     __slots__ = ("reveals", "queries", "outputs", "codes")
 
-    def __init__(self) -> None:
+    def __init__(self, steps: int = 0) -> None:
         self.reveals = array("q")
         self.queries = array("q")
         self.outputs = array("q")
-        self.codes = bytearray()
+        self.codes = bytearray(steps)
 
     def __len__(self) -> int:
         return len(self.codes)
@@ -171,7 +178,9 @@ class RunResult:
 
 
 def oracle_answer(truth: ClosedFormLanguage, query: int) -> bool:
-    """Exact membership answer; only committed truths can be queried."""
+    """Exact membership answer; only committed truths can be queried. The
+    reference rule: a run's loop answers each query by the same rule, from
+    the `ask` that `_asker` binds."""
     if not isinstance(truth, ClosedFormLanguage):
         raise ModeMismatch("membership queries need a committed (scripted) truth")
     return query in truth
@@ -242,6 +251,27 @@ def _judge(
     return lambda t, z: 1 if z in seen or not (z in finite or z >= above or z < below) else 0
 
 
+def _asker(truth: ClosedFormLanguage, budget: int, records: Transcript) -> Callable[[int], bool]:
+    """The run's membership oracle for a feedback strategy: `ask(y)` counts
+    the query against `budget` (BudgetViolation past it), appends it to
+    `records.queries` and answers by `oracle_answer`'s rule, its membership
+    test inlined from `_parts`. It runs inside step t, before the loop has
+    put z_t, so t is the number of outputs put so far; it sets that step's
+    code byte to the answer's code, to which the loop adds the verdict's."""
+    finite, above, below = _parts(truth)
+    queries, outputs, codes = records.queries, records.outputs, records.codes
+
+    def ask(y: int) -> bool:
+        if len(queries) >= budget:
+            raise BudgetViolation(f"strategy asked {len(queries) + 1} queries, budget {budget}")
+        queries.append(y)
+        a = y in finite or y >= above or y < below
+        codes[len(outputs)] = _YES_CODE if a else _NO_CODE
+        return a
+
+    return ask
+
+
 def run(
     generator,
     source: Source,
@@ -250,19 +280,25 @@ def run(
 ) -> tuple[Transcript, RunResult]:
     """Play `horizon` rounds of reveal, query, answer and output.
 
-    A plain strategy plays through `PlainAsFeedback`, so every round takes
-    the same two phases. Every per-step fact (verdicts, repeats, noise,
-    query count) is taken as the round is played; `validate_stream` then
-    adds the whole-stream checks of a scripted source whose samples are
-    revealed (sampleless play reveals none, so there is nothing to cover).
+    Every round calls the one `step(x)` bound here: a plain strategy's
+    `step`, or a feedback strategy's `play` with the run's `ask`, which
+    takes the query phase and records the query and its answer. Every
+    per-step fact (verdicts, repeats, noise, query count) is taken as the
+    round is played; `validate_stream` then adds the whole-stream checks of
+    a scripted source whose samples are revealed (sampleless play reveals
+    none, so there is nothing to cover).
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_compat(generator, source, mode)
     truth = source.truth_view()
-    if not isinstance(generator, FeedbackGenerator):
-        generator = PlainAsFeedback(generator)
+    records = Transcript(horizon)
     # every mode decision is made here, once
+    if isinstance(generator, FeedbackGenerator):
+        budget = horizon if mode.query_budget is None else mode.query_budget
+        step = functools.partial(generator.play, _asker(truth, budget, records))
+    else:
+        step = generator.step
     sampleless = mode.kind == SAMPLELESS
     reveals = itertools.repeat(None) if sampleless else source.reveals()
     seen: set[int] = set()
@@ -278,15 +314,11 @@ def run(
     if scripted:  # the noise count tests membership inline
         finite, above, below = _parts(truth)
     check_stream = scripted and not sampleless
-    budget = horizon if mode.query_budget is None else mode.query_budget
-    step_query, step_output = generator.step_query, generator.step_output
-    records = Transcript()
-    put_x, put_y = records.reveals.append, records.queries.append
-    put_z, put_code = records.outputs.append, records.codes.append
+    put_x, put_z, codes = records.reveals.append, records.outputs.append, records.codes
     outputs_seen: set[int] = set()
     violations: list[str] = []
     mistakes: list[int] = []
-    unknown = queries = noise = 0
+    unknown = noise = 0
     distinct = 0  # distinct samples up to the last mistake
     # range comes first, so that zip never pulls a reveal past the horizon
     for t, x in zip(range(horizon), reveals):
@@ -298,32 +330,24 @@ def run(
                     noise += 1
             elif no_repeats:
                 violations.append(f"repeat@{t}:{x}")
-        y = step_query(x)
-        a = None
-        answer_code = 0
-        if y is not None:
-            queries += 1
-            if queries > budget:
-                raise BudgetViolation(f"strategy asked {queries} queries, budget {budget}")
-            a = oracle_answer(truth, y)
-            put_y(y)
-            answer_code = _YES_CODE if a else _NO_CODE
-        z = step_output(a)
+        z = step(x)
         put_z(z)
         code = judge(t, z)
         if sampleless:
             if z in outputs_seen:
                 violations.append(f"output-repeat@{t}:{z}")
             outputs_seen.add(z)
-        if code:
+        if code:  # added to the answer's code, which `ask` set
+            codes[t] += code
             if code == 1:
                 mistakes.append(t)
                 distinct = len(seen)
             else:
                 unknown += 1
-        put_code(answer_code + code)
-    if len(records) < horizon:  # zip stops silently at the shorter input
-        raise StreamEnded(f"the source stopped revealing at step {len(records)} of {horizon}")
+    if len(records.outputs) < horizon:  # zip stops silently at the shorter input
+        raise StreamEnded(
+            f"the source stopped revealing at step {len(records.outputs)} of {horizon}"
+        )
     if check_stream:
         violations.extend(validate_stream(source, mode, horizon, seen, noise))
     staged = isinstance(source, StagedAdversary)

@@ -9,7 +9,7 @@ are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetViolation, SearchExhausted
 from .families import CollectionSpec, ExplicitCountable
@@ -23,11 +23,19 @@ NO = False
 class FeedbackGenerator:
     """Two-phase strategy: query after the reveal, output after the answer.
 
-    `budget` is the declared maximum number of non-pass queries over any
-    run (None means unlimited).
+    A strategy is written as its two phases, `step_query` and `step_output`;
+    the game loop plays a step through `play`, which runs both with the
+    run's membership oracle. `budget` is the declared maximum number of
+    non-pass queries over any run (None means unlimited).
     """
 
     budget: int | None = None
+
+    def play(self, ask: Callable[[int], bool], revealed: int) -> int:
+        """One step: the query phase, then `ask`'s answer to the query, if
+        any, for the output phase."""
+        y = self.step_query(revealed)
+        return self.step_output(None if y is None else ask(y))
 
     def step_query(self, revealed: int) -> int | None:
         raise NotImplementedError
@@ -239,9 +247,10 @@ class StripQueries(Generator):
 
 
 class PlainAsFeedback(FeedbackGenerator):
-    """A never-querying wrapper around a plain strategy (budget 0); the game
-    loop plays every plain strategy through it. In sampleless play the
-    reveal is None."""
+    """A never-querying wrapper around a plain strategy (budget 0), so that
+    a plain strategy can stand where a budgeted feedback strategy is asked
+    for, as `StripQueries`' base. The game loop plays plain strategies
+    unwrapped. In sampleless play the reveal is None."""
 
     budget = 0
 
@@ -263,7 +272,8 @@ class PlainAsFeedback(FeedbackGenerator):
 class OneShotProbeGenerator(FeedbackGenerator, _PoolGenerator):
     """Budget-1 fixture: asks once (at the first step) whether `probe` is in
     the target, then plays low if Yes and high if No forever. Takes the step
-    count and the max/min pools from `_PoolGenerator`; its `step` is unused."""
+    count and the max/min pools from `_PoolGenerator`; it plays through its
+    two phases, so the inherited `step` is unused."""
 
     budget = 1
 

@@ -2,11 +2,13 @@
 
 Every strategy is a deterministic state machine whose state is a pure
 function of the prefix it has observed, so replays from the same prefix are
-reproducible. `fresh()` returns an unused instance with the same
-configuration, and only `StripQueries` calls it, to restart its budgeted
-base (`PlainAsFeedback` passes the call on to the strategy it wraps). So
-only the pool strategies, `PlainAsFeedback` and `OneShotProbeGenerator`
-define it; the other strategies and wrappers do not.
+reproducible. The game loop calls a strategy's own `step` once a round.
+`fresh()` returns an unused instance with the same configuration, and only
+`StripQueries` calls it, to restart its budgeted base. A plain strategy is
+such a base only when wrapped in `PlainAsFeedback`, which passes the call
+on to the strategy it wraps. So only the pool strategies, `PlainAsFeedback`
+and `OneShotProbeGenerator` define it; the other strategies and wrappers do
+not.
 """
 
 from __future__ import annotations
@@ -129,14 +131,16 @@ class FollowSuffix(_PoolGenerator):
 class _MarkerBranchGenerator(_PoolGenerator):
     """Two-branch strategies: pick the max or min candidate depending on
     which of the level+1 markers have been revealed. Only the markers
-    revealed so far are kept, at most level+1 values, so each decision is
-    O(1); `_goes_high` is the one call a step makes."""
+    revealed so far are kept, at most level+1 values. The branch depends on
+    them alone, so it is kept in `_high` and recomputed by `_goes_high` only
+    when a marker is revealed: a step without one makes no call."""
 
     def __init__(self, level: int) -> None:
         super().__init__()
         self.level = level
         self.markers = range(level + 1)
         self.hits: set[int] = set()  # the markers revealed so far
+        self._high = self._goes_high()
 
     def step(self, revealed: int | None) -> int:
         if revealed is None:
@@ -151,7 +155,8 @@ class _MarkerBranchGenerator(_PoolGenerator):
             self._min = revealed
         if revealed in self.markers:
             self.hits.add(revealed)
-        if self._goes_high():
+            self._high = self._goes_high()
+        if self._high:
             self._max = z = (t if t > hi else hi) + 1
         else:
             lo = self._min

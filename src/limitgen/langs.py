@@ -43,32 +43,18 @@ class ClosedFormLanguage:
         """Canonical order: finite part ascending, then tail and negatives
         interleaved (tail first), skipping anything already produced.
 
-        Only finite-part members and the values both infinite parts reach,
-        those in [tail_start, -1], can come again, so only the latter are
-        remembered: at most |tail_start| values.
+        With one infinite part the order is the finite part, then the ray
+        less the finite part, an iterator of C builtins only. With both,
+        `_both_rays` interleaves them.
         """
         finite = self.finite_part
-        yield from sorted(finite)
-        streams = []
-        if self.tail_start is not None:
-            streams.append(itertools.count(self.tail_start))
-        if self.include_negatives:
-            streams.append(itertools.count(-1, -1))
-        shared_from = 0  # both infinite parts reach [shared_from, -1]
-        if self.tail_start is not None and self.include_negatives:
-            shared_from = min(self.tail_start, 0)
-        shared: set[int] = set()  # the values of that range produced so far
-        while True:
-            for stream in streams:
-                for v in stream:
-                    if v in finite:
-                        continue
-                    if shared_from <= v < 0:
-                        if v in shared:
-                            continue
-                        shared.add(v)
-                    yield v
-                    break
+        if self.tail_start is None:
+            ray = itertools.count(-1, -1)
+        elif not self.include_negatives:
+            ray = itertools.count(self.tail_start)
+        else:
+            return _both_rays(finite, self.tail_start)
+        return itertools.chain(sorted(finite), itertools.filterfalse(finite.__contains__, ray))
 
     def normalized(self) -> "ClosedFormLanguage":
         """Minimal representation of the same set (for set equality checks)."""
@@ -103,6 +89,29 @@ class ClosedFormLanguage:
             rec.get("tail_start"),
             bool(rec.get("include_negatives", False)),
         )
+
+
+def _both_rays(finite: frozenset[int], tail_start: int) -> Iterator[int]:
+    """`ClosedFormLanguage.elements` for a truth with a tail and the
+    negatives: the finite part ascending, then the two rays interleaved,
+    tail first. Only finite-part members and the values both rays reach,
+    those in [tail_start, -1], can come again, so only the latter are
+    remembered: at most |tail_start| values."""
+    yield from sorted(finite)
+    streams = (itertools.count(tail_start), itertools.count(-1, -1))
+    shared_from = min(tail_start, 0)  # both rays reach [shared_from, -1]
+    shared: set[int] = set()  # the values of that range produced so far
+    while True:
+        for stream in streams:
+            for v in stream:
+                if v in finite:
+                    continue
+                if shared_from <= v < 0:
+                    if v in shared:
+                        continue
+                    shared.add(v)
+                yield v
+                break
 
 
 def suffix_from(j: int) -> ClosedFormLanguage:

@@ -98,7 +98,9 @@ class ScriptedSpec:
         spec uses, in this order: the truth's canonical order, the
         omissions, the block shuffle, the noise insertions and the repeats.
         A canonical spec with no omissions, noise or repeats plays
-        `truth.elements()` itself."""
+        `truth.elements()` itself; for a truth with one infinite part, that
+        and the finite omissions are iterators of C builtins, which the game
+        loop reads without a Python frame."""
         stream = self.truth.elements()
         if self.omissions == "every_other":
             stream = itertools.islice(stream, 0, None, 2)
@@ -151,7 +153,7 @@ class ScriptedSource(Source):
 # the stages of `ScriptedSpec.stream`; each refers to its input stream and
 # its own parameters only, never back to the spec or the source
 def _omitting(stream: Iterator[int], omit: frozenset[int]) -> Iterator[int]:
-    return (v for v in stream if v not in omit)
+    return itertools.filterfalse(omit.__contains__, stream)
 
 
 def _shuffled(stream: Iterator[int], seed: int) -> Iterator[int]:

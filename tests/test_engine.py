@@ -2,7 +2,7 @@ import io
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from limitgen import engine
 from limitgen.engine import Mode, oracle_answer, run, verdict, write_trace
@@ -86,6 +86,23 @@ def test_oracle_answers():
     assert oracle_answer(ClosedFormLanguage(frozenset({0}), None, True), 0) is True
     with pytest.raises(ModeMismatch):
         oracle_answer(TranscriptLimitLanguage(), -1)
+
+
+@given(truth=TRUTHS, queries=st.lists(st.integers(-20, 20), min_size=1, max_size=8))
+@example(truth=suffix_from(3), queries=[3, 2])
+@example(truth=ClosedFormLanguage(frozenset({5}), None, True), queries=[0, -1, 5])
+def test_bound_ask_answers_as_oracle_answer(truth, queries):
+    # the bound `ask`'s inlined membership test against `oracle_answer`,
+    # which asks the truth's own __contains__; each answer's code lands in
+    # the byte of the step being played, one query a step here
+    records = engine.Transcript(len(queries))
+    ask = engine._asker(truth, len(queries), records)
+    for y in queries:
+        assert ask(y) is oracle_answer(truth, y)
+        records.outputs.append(0)
+    assert list(records.asked()) == [
+        (t, y, oracle_answer(truth, y)) for t, y in enumerate(queries)
+    ]
 
 
 def test_sampleless_run_has_no_mistakes():
@@ -461,25 +478,39 @@ def _calls_per_step(generator, source, mode, horizon=2_000):
 
 # (strategy, source, mode, calls per step at most)
 CALL_SHAPES = {
-    "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 5.5),
+    "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 2.0),
     "omission_tolerant": (
         lambda: OmissionTolerantGenerator(1),
         lambda: scripted(ClosedFormLanguage(frozenset({0, 1}), 3)),
         Mode.lossy(1),
-        6.5,
+        2.0,
     ),
-    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 5.5),
+    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 3.5),
     "sensitivity_staged": (
         lambda: SensitivityGenerator(1),
         sensitivity_adversary,
         Mode.standard(),
-        6.0,
+        3.0,
     ),
     "union_feedback": (
         lambda: UnionFeedbackGenerator(_feedback_parts()),
         lambda: scripted(ClosedFormLanguage(frozenset({-30}), 5)),
         Mode.feedback(),
-        9.5,
+        7.0,
+    ),
+    "index_identifier": (
+        lambda: IndexIdentifier(
+            ExplicitCountable(languages=(suffix_from(0), suffix_from(5), suffix_from(9)))
+        ),
+        lambda: scripted(suffix_from(5)),
+        Mode.identification(),
+        7.0,
+    ),
+    "intersection_sampleless": (
+        lambda: intersection_generator(neg_union()),
+        lambda: scripted(NEGATIVES),
+        Mode.sampleless(),
+        2.0,
     ),
 }
 

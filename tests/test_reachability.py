@@ -39,6 +39,8 @@ ALLOWED = {
     # is tested against; the game loop itself reads the judge's codes
     "engine.verdict": "the reference rule test_engine.py checks every bound judge against",
     "langs.TranscriptLimitLanguage.status": "verdict's limit-language rule; StagedAdversary.observe reads its sets directly",
+    # the membership rule each run's `ask` is tested against; the loop answers inline
+    "engine.oracle_answer": "the reference rule test_engine.py checks every bound ask against",
     # the checked writes StagedAdversary inlines; the reference adversary calls them
     "langs.TranscriptLimitLanguage.add_seen": "inlined in StagedAdversary.emit; only tests call it: NaiveStagedAdversary, test_langs.py",
     "langs.TranscriptLimitLanguage.add_excluded": "inlined in StagedAdversary.observe; only tests call it: NaiveStagedAdversary, test_langs.py",
@@ -56,9 +58,15 @@ ALLOWED = {
     # thm4.8-adv's strategy never leaves stage 0; test_sources.py drives it with max_plus_one
     "sources.omission_adversary.<lambda next_stage>": "thm4.8-adv's strategy never leaves stage 0",
     # replay bases whose fresh() only tests' StripQueries replays reach
-    "generators._PoolGenerator.fresh": "StripQueries replays of PlainAsFeedback in tests",
-    "generators._MarkerBranchGenerator.fresh": "StripQueries replays of PlainAsFeedback in tests",
-    "feedback.PlainAsFeedback.fresh": "StripQueries replays in tests",
+    "generators._PoolGenerator.fresh": "only a StripQueries replay restarts a pool strategy, as the PlainAsFeedback base of the budget-0 tests",
+    "generators._MarkerBranchGenerator.fresh": "only a StripQueries replay restarts a marker strategy, as the PlainAsFeedback base of the budget-0 tests",
+    # the budget-0 wrapper no experiment plays
+    "feedback.PlainAsFeedback.__init__": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
+    "feedback.PlainAsFeedback.step_query": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
+    "feedback.PlainAsFeedback.step_output": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
+    "feedback.PlainAsFeedback.fresh": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
+    # no suite row enumerates a truth with both a tail and the negatives
+    "langs._both_rays": "no suite row enumerates a truth with both rays; test_langs.py's examples do",
 }
 
 
