@@ -150,18 +150,6 @@ class TranscriptLimitLanguage:
                 if x in promised:
                     raise ValueError("excluded element lies in the promised part")
 
-    def add_seen(self, x: int) -> None:
-        if x in self.excluded:
-            raise ValueError(f"{x} was committed as never-enumerated")
-        self.seen.add(x)
-
-    def add_excluded(self, x: int) -> None:
-        if x in self.seen:
-            raise ValueError(f"{x} was already enumerated")
-        if self.promised is not None and x in self.promised:
-            raise ValueError(f"{x} lies in the promised part")
-        self.excluded.add(x)
-
     def status(self, x: int) -> str:
         if x in self.seen or (self.promised is not None and x in self.promised):
             return IN

@@ -5,8 +5,10 @@ A scripted source commits to a target language up front and plays a
 deterministic enumeration of it (with declared omissions, noise insertions,
 order shuffles, or repetitions). An adaptive source watches the generator's
 outputs and switches its intended language in stages, certifying a mistake
-each time the generator emits an unseen member of the current stage language;
-its `observe` also judges each output, since it holds the sets the verdict
+each time the generator emits an unseen member of the current stage language.
+Every stage, the first one included, is the values played before it plus
+some extras plus an upward ray, and plays the ramp up that ray. The source's
+`observe` also judges each output, since it holds the sets the verdict
 reads. It keeps only the current stage and flat int64 columns of the past
 ones, and every value it played once.
 """
@@ -14,7 +16,6 @@ ones, and every value it played once.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from array import array
 from dataclasses import dataclass
@@ -25,7 +26,6 @@ from .langs import (
     NEGATIVES,
     ClosedFormLanguage,
     TranscriptLimitLanguage,
-    suffix_from,
 )
 
 PERMUTATION_BLOCK = 16
@@ -183,13 +183,13 @@ def _repeated(stream: Iterator[int], rng: random.Random) -> Iterator[int]:
 class StagedAdversary(Source):
     """Shared engine for the staged constructions.
 
-    Stage 0 plays a fixed enumeration of `stage0_language`. Whenever the
-    generator outputs an unseen member of the current stage language, the
-    adversary records the time, commits never to emit that output (the
-    certificate), emits the next unused negative, and rebuilds the stage
-    around a fresh upward ramp that stays above everything played so far.
-    Stage k >= 1's language is the truth values played before it, plus the
-    ray from a tail start and the extras, the pair that
+    Every stage's language is the truth values played before it, plus the
+    extras, plus the ray from the tail start, and the stage plays the ramp
+    from that tail start. Stage 0's `(tail_start, extras)` pair is
+    `first_stage`. Whenever the generator outputs an unseen member of the
+    current stage language, the adversary records the time, commits never to
+    emit that output (the certificate), emits the next unused negative, and
+    on the step after it builds the next stage from the pair
     `next_stage(trigger_output, running_max)` gives.
 
     An optional noise prefix is emitted before stage 0 and counted outside
@@ -197,48 +197,36 @@ class StagedAdversary(Source):
 
     Only the current stage is kept as state; the past ones leave flat int64
     columns: `trigger_times` and `trigger_outputs` (trigger k ends stage k),
-    and `tail_starts` and `declared_levels` (stage k + 1 is built after
-    trigger k, and `declared_levels` fills only with `noise_level_at`). Every
-    value played is kept once, in `limit.seen` or, for the noise prefix, in
-    a set of the prefix values played so far.
+    and `tail_starts` (stage k + 1 is built after trigger k, so the current
+    stage is `len(tail_starts)`). Every value played is kept once, in
+    `limit.seen` or, for the noise prefix, in a set of the prefix values
+    played so far.
     """
 
     adaptive = True
 
     def __init__(
         self,
-        stage0_value: Callable[[int], int],
-        stage0_language: ClosedFormLanguage,
+        first_stage: tuple[int, frozenset[int]],
         next_stage: Callable[[int, int], tuple[int, frozenset[int]]],
         prefix: Sequence[int] = (),
         pre_excluded: Sequence[int] = (),
-        noise_level_at: Callable[[int], int] | None = None,
     ) -> None:
-        self._stage0_value = stage0_value
-        self.stage0_language = stage0_language
+        self.first_stage = first_stage
         self._next_stage = next_stage
         self.prefix = tuple(prefix)
         self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
         self._seen, self._excluded = self.limit.seen, self.limit.excluded
-        self._noise_level_at = noise_level_at
         self.trigger_times = array("q")
         self.trigger_outputs = array("q")
         self.tail_starts = array("q")
-        self.declared_levels = array("q")
         self._play_from = len(self.prefix)  # the first step of stage 0
-        # the current stage's language, less the values played: the extras,
-        # the ray from the tail start and everything below `_below`; stage 0
-        # takes them from stage0_language, a later stage has no `_below`
-        self.stage = 0
+        # the current stage's language, less the values played: the ray from
+        # the tail start and the extras; its ramp plays `_ramp_next` next
         self.stage_start = self._play_from  # first step judged against it
-        tail = stage0_language.tail_start
-        self._tail_start = math.inf if tail is None else tail
-        self._extras = stage0_language.finite_part
-        self._below = 0 if stage0_language.include_negatives else -math.inf
+        self._tail_start, self._extras = first_stage
+        self._ramp_next = self._tail_start
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
-        self._noise = 0
-        self._stage0_pos = 0
-        self._ramp_next: int | None = None
         self._pending_negative: int | None = None
         self._negative_step: int | None = None
         self._running_max: int | None = None
@@ -251,15 +239,12 @@ class StagedAdversary(Source):
         if v is not None:
             self._pending_negative = None
             self._negative_step = t
-        elif self._ramp_next is not None:
+        else:
             v = self._ramp_next
             self._ramp_next = v + 1
-        else:
-            v = self._stage0_value(self._stage0_pos)
-            self._stage0_pos += 1
         if v in self._seen or v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
-        if v in self._excluded:  # the check of limit.add_seen
+        if v in self._excluded:  # a certified output is never played
             raise ValueError(f"{v} was committed as never-enumerated")
         self._seen.add(v)
         m = self._running_max
@@ -271,8 +256,6 @@ class StagedAdversary(Source):
         if v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
         self._prefix_shown.add(v)
-        if v >= 0:  # outside the promised negatives
-            self._noise += 1
         m = self._running_max
         if m is None or v > m:
             self._running_max = v
@@ -297,25 +280,20 @@ class StagedAdversary(Source):
                 tail_start, self._extras = self._next_stage(
                     self.trigger_outputs[-1], self._running_max
                 )
-                self.stage += 1
                 self.stage_start = t + 1
                 self._tail_start = self._ramp_next = tail_start
-                self._below = -math.inf
                 self.tail_starts.append(tail_start)
-                if self._noise_level_at is not None:
-                    self.declared_levels.append(self._noise_level_at(t))
                 self._negative_step = None
-            elif not played and (
-                output >= self._tail_start or output in self._extras or output < self._below
-            ):
+            elif not played and (output >= self._tail_start or output in self._extras):
                 # a trigger: an unseen member of the stage language
                 self.trigger_times.append(t)
                 self.trigger_outputs.append(output)
-                # the checks of limit.add_excluded; the output is unplayed
+                # a certificate lies outside the promise; the output is unplayed
                 if output < 0:
                     raise ValueError(f"{output} lies in the promised part")
                 self._excluded.add(output)
-                self._pending_negative = -(self.stage + 1)
+                # trigger k owes the negative -(k + 1)
+                self._pending_negative = -len(self.trigger_times)
                 return 1
         if played:
             return 1
@@ -341,14 +319,14 @@ class StagedAdversary(Source):
         Every such step is a mistake against that language: a correct fresh
         output would have triggered.
         """
-        if len(self.trigger_times) > self.stage:
+        if len(self.trigger_times) > len(self.tail_starts):
             return 0
         return max(0, horizon - self.stage_start)
 
     def noise_count(self) -> int:
         """Values played outside the limit language: the noise prefix values
         that the promised part does not hold."""
-        return self._noise
+        return sum(v >= 0 for v in self._prefix_shown)
 
 
 _NO_EXTRAS: frozenset[int] = frozenset()  # a stage adding no extras
@@ -356,22 +334,22 @@ _NO_EXTRAS: frozenset[int] = frozenset()  # a stage adding no extras
 
 def staged_union_adversary() -> StagedAdversary:
     """Defeats generators for the union of the suffix family with the
-    negatives family: stage languages are the revealed set plus a ramp two
-    above the triggering output."""
+    negatives family: stage 0 is P_0, and later stage languages are the
+    revealed set plus a ramp two above the triggering output."""
     return StagedAdversary(
-        stage0_value=lambda k: k,
-        stage0_language=suffix_from(0),
+        first_stage=(0, _NO_EXTRAS),
         next_stage=lambda trigger_z, _m: (trigger_z + 2, _NO_EXTRAS),
     )
 
 
 def omission_adversary(level: int) -> StagedAdversary:
     """Plays enumerations that omit the markers {0..level} (level+1 omissions
-    in every stage), defeating strategies that tolerate only `level`."""
+    in every stage), defeating strategies that tolerate only `level`. Every
+    stage holds the markers as extras under a ramp above them, so stage 0 is
+    P_0."""
     markers = frozenset(range(level + 1))
     return StagedAdversary(
-        stage0_value=lambda k: k + level + 1,
-        stage0_language=suffix_from(0),
+        first_stage=(level + 1, markers),
         next_stage=lambda _z, m: (m + 1, markers),
         pre_excluded=sorted(markers),
     )
@@ -379,11 +357,11 @@ def omission_adversary(level: int) -> StagedAdversary:
 
 def noise_prefix_adversary(level: int) -> StagedAdversary:
     """Emits the level+1 noise strings 0..level first, then plays the staged
-    union construction transported onto the universe without them."""
+    union construction transported onto the universe without them: stage 0
+    is P_{level+1}."""
     markers = frozenset(range(level + 1))
     return StagedAdversary(
-        stage0_value=lambda k: k + level + 1,
-        stage0_language=suffix_from(level + 1),
+        first_stage=(level + 1, _NO_EXTRAS),
         next_stage=lambda trigger_z, _m: (trigger_z + 2, _NO_EXTRAS),
         prefix=sorted(markers),
         pre_excluded=sorted(markers),
@@ -393,10 +371,10 @@ def noise_prefix_adversary(level: int) -> StagedAdversary:
 def sensitivity_adversary() -> StagedAdversary:
     """Defeats any fixed-noise-level strategy for rays-plus-negatives; each
     stage's revealed prefix counts as noise against the ramp suffix, at a
-    declared level that grows with the trigger time."""
+    level that grows with the trigger time. Stage 0 is P_0. The noise level
+    of stage k + 1 is `trigger_times[k] + 2`: the values played through its
+    negative."""
     return StagedAdversary(
-        stage0_value=lambda k: k,
-        stage0_language=suffix_from(0),
+        first_stage=(0, _NO_EXTRAS),
         next_stage=lambda _z, m: (m + 1, _NO_EXTRAS),
-        noise_level_at=lambda negative_step: negative_step + 1,
     )

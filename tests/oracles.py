@@ -102,12 +102,15 @@ def stage_language(
     adversary: StagedAdversary, reveals, index: int, extras: frozenset[int] = frozenset()
 ) -> ClosedFormLanguage:
     """Materialize a stage's intended language from the run's reveals: stage
-    0's language, or the truth values revealed before the stage started (the
-    step after the negative that followed trigger index - 1), plus `extras`
-    (what the construction's `next_stage` adds; none for the staged union and
-    noise-prefix constructions), plus the ray from the stage's tail start."""
+    0's is its `first_stage` pair, the ray from the tail start plus the
+    extras. A later stage's is the truth values revealed before the stage
+    started (the step after the negative that followed trigger index - 1),
+    plus `extras` (what the construction's `next_stage` adds; none for the
+    staged union and noise-prefix constructions), plus the ray from the
+    stage's tail start."""
     if index == 0:
-        return adversary.stage0_language
+        tail_start, first_extras = adversary.first_stage
+        return ClosedFormLanguage(first_extras, tail_start, False)
     started_at = adversary.trigger_times[index - 1] + 2
     finite = frozenset(reveals[len(adversary.prefix) : started_at]) | extras
     return ClosedFormLanguage(finite, adversary.tail_starts[index - 1], False)
@@ -749,57 +752,45 @@ class NaiveSensitivity(_SetWalkingMarkers):
 
 @dataclass
 class StageRecord:
-    """One stage of `NaiveStagedAdversary`. Stage 0 carries its language as
-    `base`; a later stage's language is the played prefix up to
-    `snapshot_len`, plus `extras`, plus the ray from `tail_start`."""
+    """One stage of `NaiveStagedAdversary`. Its language is the truth values
+    among the first `snapshot_len` values played (none for stage 0), plus
+    `extras`, plus the ray from `tail_start`; the stage plays the ramp from
+    `tail_start`."""
 
     index: int
     started_at: int  # first step whose output is judged against this stage
-    snapshot_len: int = 0
-    tail_start: int | None = None
-    extras: frozenset[int] = frozenset()
-    base: ClosedFormLanguage | None = None  # stage 0 only
+    snapshot_len: int
+    tail_start: int
+    extras: frozenset[int]
     trigger_time: int | None = None
     trigger_output: int | None = None
-    declared_noise_level: int | None = None
 
     def contains_unseen(self, z: int, emitted_set: set[int]) -> bool:
         """Trigger predicate: z is an unseen member of this stage language."""
         if z in emitted_set:
             return False
-        if self.base is not None:
-            return z in self.base
         return z in self.extras or z >= self.tail_start
 
 
 class NaiveStagedAdversary:
     """The staged adversary that keeps one `StageRecord` per stage and every
     value it played in the list `emitted` and the set `emitted_set`, besides
-    `limit.seen`, and takes its running max with `max`."""
+    `limit.seen`, takes its running max with `max`, and writes its limit
+    language through the checked `add_seen` and `add_excluded`."""
 
     adaptive = True
 
-    def __init__(
-        self,
-        stage0_value,
-        stage0_language: ClosedFormLanguage,
-        next_stage,
-        prefix=(),
-        pre_excluded=(),
-        noise_level_at=None,
-    ) -> None:
-        self._stage0_value = stage0_value
+    def __init__(self, first_stage, next_stage, prefix=(), pre_excluded=()) -> None:
         self._next_stage = next_stage
         self.prefix = tuple(prefix)
         self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
         self.emitted: list[int] = []
         self.emitted_set: set[int] = set()
-        self._noise_level_at = noise_level_at
+        tail_start, extras = first_stage
         self.stages: list[StageRecord] = [
-            StageRecord(0, started_at=len(self.prefix), base=stage0_language)
+            StageRecord(0, len(self.prefix), len(self.prefix), tail_start, extras)
         ]
-        self._stage0_pos = 0
-        self._ramp_next: int | None = None
+        self._ramp_next = tail_start
         self._pending_negative: int | None = None
         self._negative_step: int | None = None
         self._last_trigger_output: int | None = None
@@ -810,13 +801,26 @@ class NaiveStagedAdversary:
         """The reference built from the construction arguments of an
         adversary that has not played yet."""
         return cls(
-            adversary._stage0_value,
-            adversary.stage0_language,
+            adversary.first_stage,
             adversary._next_stage,
             adversary.prefix,
             sorted(adversary.limit.excluded),
-            adversary._noise_level_at,
         )
+
+    def add_seen(self, x: int) -> None:
+        """Record a played truth value; a certified output is never played."""
+        if x in self.limit.excluded:
+            raise ValueError(f"{x} was committed as never-enumerated")
+        self.limit.seen.add(x)
+
+    def add_excluded(self, x: int) -> None:
+        """Certify that x is never played: not yet played, and outside the
+        promised part."""
+        if x in self.limit.seen:
+            raise ValueError(f"{x} was already enumerated")
+        if x in self.limit.promised:
+            raise ValueError(f"{x} lies in the promised part")
+        self.limit.excluded.add(x)
 
     def emit(self, t: int) -> int:
         if t < len(self.prefix):
@@ -827,12 +831,9 @@ class NaiveStagedAdversary:
             v = self._pending_negative
             self._pending_negative = None
             self._negative_step = t
-        elif self._ramp_next is not None:
+        else:
             v = self._ramp_next
             self._ramp_next += 1
-        else:
-            v = self._stage0_value(self._stage0_pos)
-            self._stage0_pos += 1
         self._record_emit(v, is_truth=True)
         return v
 
@@ -842,7 +843,7 @@ class NaiveStagedAdversary:
         self.emitted.append(v)
         self.emitted_set.add(v)
         if is_truth:
-            self.limit.add_seen(v)
+            self.add_seen(v)
         self._absorb(v)
 
     def _absorb(self, v: int) -> None:
@@ -855,23 +856,16 @@ class NaiveStagedAdversary:
         current = self.stages[-1]
         if self._negative_step == t:
             tail_start, extras = self._next_stage(self._last_trigger_output, self._running_max)
-            record = StageRecord(
-                current.index + 1,
-                started_at=t + 1,
-                snapshot_len=len(self.emitted),
-                tail_start=tail_start,
-                extras=extras,
+            self.stages.append(
+                StageRecord(current.index + 1, t + 1, len(self.emitted), tail_start, extras)
             )
-            if self._noise_level_at is not None:
-                record.declared_noise_level = self._noise_level_at(t)
-            self.stages.append(record)
             self._ramp_next = tail_start
             self._negative_step = None
             return
         if current.contains_unseen(output, self.emitted_set):
             current.trigger_time = t
             current.trigger_output = output
-            self.limit.add_excluded(output)
+            self.add_excluded(output)
             self._last_trigger_output = output
             self._pending_negative = -(current.index + 1)
 

@@ -134,8 +134,7 @@ def test_non_positive_integer_config_horizon_exits_2(horizon, tmp_path, capsys):
 
 def _repeating_adversary():
     return StagedAdversary(
-        stage0_value=lambda k: k,
-        stage0_language=suffix_from(0),
+        first_stage=(0, frozenset()),
         next_stage=lambda z, _m: (z + 2, frozenset()),
         prefix=(4, 4),
     )
@@ -159,8 +158,7 @@ def test_stream_that_stops_before_the_horizon_exits_3(monkeypatch, capsys):
         experiments,
         "staged_union_adversary",
         lambda: _StoppingAdversary(
-            stage0_value=lambda k: k,
-            stage0_language=suffix_from(0),
+            first_stage=(0, frozenset()),
             next_stage=lambda z, _m: (z + 2, frozenset()),
         ),
     )

@@ -56,7 +56,7 @@ def test_verdict_cases():
     assert verdict(5, truth, {5, -1}) == engine.MISTAKE  # already seen
     limit = TranscriptLimitLanguage(promised=NEGATIVES)
     assert verdict(42, limit, set()) == engine.UNKNOWN_VERDICT
-    limit.add_excluded(7)
+    limit.excluded.add(7)
     assert verdict(7, limit, set()) == engine.MISTAKE
 
 

@@ -41,9 +41,6 @@ ALLOWED = {
     "langs.TranscriptLimitLanguage.status": "verdict's limit-language rule; StagedAdversary.observe reads its sets directly",
     # the membership rule each run's `ask` is tested against; the loop answers inline
     "engine.oracle_answer": "the reference rule test_engine.py checks every bound ask against",
-    # the checked writes StagedAdversary inlines; the reference adversary calls them
-    "langs.TranscriptLimitLanguage.add_seen": "inlined in StagedAdversary.emit; only tests call it: NaiveStagedAdversary, test_langs.py",
-    "langs.TranscriptLimitLanguage.add_excluded": "inlined in StagedAdversary.observe; only tests call it: NaiveStagedAdversary, test_langs.py",
     # the oracle answer no experiment asks for; acceptance criterion 4 and
     # test_families.py check it against brute force
     "families.CollectionSpec.consistent": "the only consistency oracle; tests ask it, strategies ask closures",

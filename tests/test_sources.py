@@ -31,6 +31,7 @@ from limitgen.sources import (
 
 from oracles import (
     NaiveStagedAdversary,
+    members_in,
     naive_stream,
     retained_per_step,
     scripted_specs,
@@ -262,14 +263,6 @@ def test_noise_prefix_stage_languages_avoid_markers():
 # --- the sensitivity adversary -----------------------------------------------------
 
 
-def test_sensitivity_adversary_declared_noise_levels():
-    adversary = sensitivity_adversary()
-    play(adversary, baseline("max_plus_one"), 300)
-    # stage k + 1 is built on the step after trigger k
-    for declared, trigger in list(zip(adversary.declared_levels, adversary.trigger_times))[:5]:
-        assert declared == trigger + 2
-
-
 def test_sensitivity_adversary_exhausts_fixed_levels():
     for level in range(3):
         adversary = sensitivity_adversary()
@@ -288,6 +281,31 @@ def test_sensitivity_adversary_triggers_forever_on_ascender():
     assert len(adversary.certified_mistake_times) >= 10
 
 
+# --- every construction's stage 0 ---------------------------------------------------
+
+# each factory, and for a level the j of the ray P_j that the paper gives as
+# its stage-0 language and the first value stage 0 reveals after the prefix
+_FIRST_STAGES = [
+    pytest.param(lambda level: staged_union_adversary(), lambda level: (0, 0), id="union"),
+    pytest.param(omission_adversary, lambda level: (0, level + 1), id="omission"),
+    pytest.param(noise_prefix_adversary, lambda level: (level + 1, level + 1), id="noise-prefix"),
+    pytest.param(lambda level: sensitivity_adversary(), lambda level: (0, 0), id="sensitivity"),
+]
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("factory, expected", _FIRST_STAGES)
+def test_first_stage_is_the_papers_ray_played_as_a_ramp(factory, expected, level):
+    adversary = factory(level)
+    j, first_reveal = expected(level)
+    window = range(-20, 61)
+    stage0 = stage_language(adversary, [], 0)
+    assert members_in(stage0, window) == members_in(suffix_from(j), window)
+    # with no output observed, stage 0 plays its ramp after the noise prefix
+    reveals = [adversary.emit(t) for t in range(len(adversary.prefix) + 8)]
+    assert reveals[len(adversary.prefix) :] == list(range(first_reveal, first_reveal + 8))
+
+
 # --- flat stage state against the one-record-per-stage reference -----------------
 
 
@@ -304,8 +322,7 @@ def _construction(which: int, level: int, prefix: list[int], shift: int) -> Stag
     if which == 3:
         return sensitivity_adversary()
     return StagedAdversary(
-        stage0_value=lambda k: k + level,
-        stage0_language=suffix_from(level),
+        first_stage=(level, frozenset()),
         next_stage=lambda z, _m: (z + shift, frozenset()),
         prefix=prefix,
     )
@@ -384,8 +401,6 @@ def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shi
     triggered = [s for s in naive.stages if s.trigger_time is not None]
     assert list(fast.trigger_outputs) == [s.trigger_output for s in triggered]
     assert list(fast.tail_starts) == [s.tail_start for s in naive.stages[1:]]
-    declared = [s.declared_noise_level for s in naive.stages[1:]]
-    assert list(fast.declared_levels) == [v for v in declared if v is not None]
     assert fast.final_stage_mistakes(horizon) == naive.final_stage_mistakes(horizon)
     assert fast.limit.seen == naive.limit.seen
     assert fast.limit.excluded == naive.limit.excluded
@@ -394,6 +409,18 @@ def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shi
         assert fast.noise_count() == naive.noise_count()
         assert all(fast.emitted(v) == (v in naive.emitted_set) for v in range(-12, 60))
         assert all(fast.emitted(v) for v in naive.emitted)
+
+
+def test_reference_limit_writes_are_checked():
+    naive = NaiveStagedAdversary((0, frozenset()), lambda z, _m: (z + 2, frozenset()))
+    naive.add_seen(3)
+    with pytest.raises(ValueError):
+        naive.add_excluded(3)  # already enumerated
+    with pytest.raises(ValueError):
+        naive.add_excluded(-2)  # promised
+    naive.add_excluded(9)
+    with pytest.raises(ValueError):
+        naive.add_seen(9)
 
 
 def test_staged_union_retains_under_200_bytes_per_step():
