@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
-config, 3 internal invariant breach (exhausted searches and the like).
+config (a horizon too large to allocate included), 3 internal invariant
+breach (exhausted searches and the like).
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ def _load_configs(path: str) -> list[dict]:
 def _check_horizon(value: object, origin: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ValueError(f"{origin} must be a positive integer, got {value!r}")
+    if value > sys.maxsize:  # a run's transcript could not even be indexed
+        raise ValueError(f"{origin} must be at most {sys.maxsize}, got {value}")
 
 
 def _write_traces(root: Path, subruns: list[SubRun]) -> None:
@@ -127,9 +130,10 @@ def main(argv: list[str] | None = None) -> int:
     rows: list[SummaryRow] = []
     try:
         for entry in entries:
+            horizon = entry.get("horizon", args.horizon)
             entry_rows, subruns = run_experiment(
                 entry["id"],
-                horizon=entry.get("horizon", args.horizon),
+                horizon=horizon,
                 seed=entry.get("seed", args.seed),
                 params=entry.get("params"),
             )
@@ -140,6 +144,10 @@ def main(argv: list[str] | None = None) -> int:
     except LimitGenError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:  # a run's transcript is allocated up front
+        msg = f"horizon {horizon} of {entry['id']} does not fit in memory"
+        print(f"invalid config: {msg}", file=sys.stderr)
+        return 2
 
     try:
         table = emit_summary(rows)

@@ -2,7 +2,9 @@
 
 Per step: the source reveals x_t (skipped in sampleless play), the strategy
 may query y_t and receive a_t, it outputs z_t, and the verdict is computed
-against the source's declared truth. The reveals come from one iterator,
+against the source's declared truth. The loop only plays and records these;
+every run fact (mistake times, convergence, the unknown count, repeats and
+noise) is read from the finished columns. The reveals come from one iterator,
 `source.reveals()`, zipped behind the horizon's range, so the source is
 never pulled past the last step; an iterator that stops early is an
 invariant breach. Each run binds one `step(x)`: a plain strategy's own
@@ -118,6 +120,9 @@ class Mode:
 # A step's code is its verdict's index, plus 3 for a "Yes" answer or 6 for a "No".
 _VERDICTS = (CORRECT, MISTAKE, UNKNOWN_VERDICT)
 _YES_CODE, _NO_CODE = 3, 6
+# a `bytes.translate` table: 1 at each code whose verdict is a Mistake
+_MISTAKE_CODES = bytes(code % 3 == 1 for code in range(256))
+_UNKNOWN_CODES = bytes((2, 2 + _YES_CODE, 2 + _NO_CODE))  # an Unknown's codes
 
 
 class Transcript:
@@ -282,11 +287,9 @@ def run(
 
     Every round calls the one `step(x)` bound here: a plain strategy's
     `step`, or a feedback strategy's `play` with the run's `ask`, which
-    takes the query phase and records the query and its answer. Every
-    per-step fact (verdicts, repeats, noise, query count) is taken as the
-    round is played; `validate_stream` then adds the whole-stream checks of
-    a scripted source whose samples are revealed (sampleless play reveals
-    none, so there is nothing to cover).
+    takes the query phase and records the query and its answer. The loop
+    only plays and records; every run fact (mistakes, convergence, unknown
+    verdicts, stream checks) is read from the finished transcript.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
@@ -299,8 +302,7 @@ def run(
         step = functools.partial(generator.play, _asker(truth, budget, records))
     else:
         step = generator.step
-    sampleless = mode.kind == SAMPLELESS
-    reveals = itertools.repeat(None) if sampleless else source.reveals()
+    reveals = itertools.repeat(None) if mode.kind == SAMPLELESS else source.reveals()
     seen: set[int] = set()
     if source.adaptive:
         judge = source.observe
@@ -309,68 +311,62 @@ def run(
         if mode.kind == IDENTIFICATION:
             target = _identification_target(generator, truth)
         judge = _judge(truth, seen, target)
-    no_repeats = mode.kind != REPETITION
-    scripted = isinstance(source, ScriptedSource)
-    if scripted:  # the noise count tests membership inline
-        finite, above, below = _parts(truth)
-    check_stream = scripted and not sampleless
-    put_x, put_z, codes = records.reveals.append, records.outputs.append, records.codes
-    outputs_seen: set[int] = set()
-    violations: list[str] = []
-    mistakes: list[int] = []
-    unknown = noise = 0
-    distinct = 0  # distinct samples up to the last mistake
+    put_x, see = records.reveals.append, seen.add
+    put_z, codes = records.outputs.append, records.codes
     # range comes first, so that zip never pulls a reveal past the horizon
     for t, x in zip(range(horizon), reveals):
         if x is not None:
             put_x(x)
-            if x not in seen:
-                seen.add(x)
-                if scripted and not (x in finite or x >= above or x < below):
-                    noise += 1
-            elif no_repeats:
-                violations.append(f"repeat@{t}:{x}")
+            see(x)
         z = step(x)
         put_z(z)
         code = judge(t, z)
-        if sampleless:
-            if z in outputs_seen:
-                violations.append(f"output-repeat@{t}:{z}")
-            outputs_seen.add(z)
         if code:  # added to the answer's code, which `ask` set
             codes[t] += code
-            if code == 1:
-                mistakes.append(t)
-                distinct = len(seen)
-            else:
-                unknown += 1
     if len(records.outputs) < horizon:  # zip stops silently at the shorter input
         raise StreamEnded(
             f"the source stopped revealing at step {len(records.outputs)} of {horizon}"
         )
-    if check_stream:
-        violations.extend(validate_stream(source, mode, horizon, seen, noise))
+    mistakes = tuple(itertools.compress(range(horizon), codes.translate(_MISTAKE_CODES)))
+    convergence = mistakes[-1] + 1 if mistakes else 0
     staged = isinstance(source, StagedAdversary)
     return records, RunResult(
-        mistake_times=tuple(mistakes),
-        observed_convergence=mistakes[-1] + 1 if mistakes else 0,
-        unknown_count=unknown,
-        validity_violations=tuple(violations),
+        mistake_times=mistakes,
+        observed_convergence=convergence,
+        unknown_count=sum(map(codes.count, _UNKNOWN_CODES)),
+        validity_violations=tuple(validate_stream(source, mode, horizon, records, seen)),
         no_trigger=staged and source.no_trigger,
         certified_mistake_times=source.certified_mistake_times if staged else (),
         final_stage_mistakes=source.final_stage_mistakes(horizon) if staged else 0,
-        distinct_at_convergence=None if no_repeats else distinct,
+        distinct_at_convergence=(
+            len(set(records.reveals[:convergence])) if mode.kind == REPETITION else None
+        ),
     )
 
 
 def validate_stream(
-    source: ScriptedSource, mode: Mode, horizon: int, seen: set[int], noise: int
+    source: Source, mode: Mode, horizon: int, records: Transcript, seen: set[int]
 ) -> list[str]:
-    """Whole-stream checks of a scripted enumeration: the noise budgets, the
-    omission budget and coverage. `seen` is the set of revealed samples and
-    `noise` the number of distinct reveals outside the truth."""
+    """Whole-stream checks of a finished run, `seen` being the set of its
+    reveals. Outside repetition mode no sample comes twice, and in
+    sampleless play no output does. A scripted enumeration must also keep
+    its noise budgets (distinct reveals outside the truth, so a repeated
+    noise string counts once) and its omission budget, and cover its early
+    elements when samples are revealed."""
+    sampleless = mode.kind == SAMPLELESS
+    if sampleless:  # nothing is revealed; the outputs must not repeat
+        label, values, distinct = "output-repeat", records.outputs, set(records.outputs)
+    else:
+        label, values, distinct = "repeat", records.reveals, seen
     violations: list[str] = []
+    if mode.kind != REPETITION and len(distinct) < len(values):
+        once: set[int] = set()  # `once.add` returns None: a first sighting is no repeat
+        violations = [f"{label}@{t}:{v}" for t, v in enumerate(values) if v in once or once.add(v)]
+    if not isinstance(source, ScriptedSource):
+        return violations
     spec = source.spec
+    finite, above, below = _parts(spec.truth)
+    noise = len([x for x in seen if not (x in finite or x >= above or x < below)])
     declared_noise = spec.noise_count
     if noise > declared_noise:
         violations.append(f"noise-budget:{noise}>{declared_noise}")
@@ -382,7 +378,7 @@ def validate_stream(
                 violations.append(
                     f"omission-budget:{len(spec.omissions)}>{mode.omissions}"
                 )
-        if spec.order == "canonical" and spec.repeat_seed is None:
+        if spec.order == "canonical" and spec.repeat_seed is None and not sampleless:
             # coverage: early canonical elements must show up unless omitted
             must_show = min(horizon // 2, max(horizon - declared_noise - 1, 0))
             for k, v in enumerate(spec.truth.elements()):

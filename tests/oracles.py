@@ -28,10 +28,11 @@ ray-prefix chain links), the transcript replay that located the union
 strategy's last part move, the decoding of a transcript into one
 `StepRecord` per step (with its inverse, `transcript_of`) that the trace
 writer and `Transcript.asked` are checked against, the dict-per-step trace
-writer built on it, the game loop that branched on the mode every step, kept
-one record object per step and validated the stream in a second pass over
-the records, the scripted stream that passed through all four stages of its
-pipeline whatever the spec used, the enumeration that remembered every value
+writer built on it, the game loop that branched on the mode every step,
+judged with the string verdicts and kept one record object per step, and
+whose stream checks rebuilt every set from those records, the scripted
+stream that passed through all four stages of its pipeline whatever the
+spec used, the enumeration that remembered every value
 it produced, the max/min pools kept with the `max` and `min` builtins, the
 strategies built on them (among them the marker strategies that walked every
 marker against the set of every reveal), and the staged adversary that kept one record per
@@ -457,8 +458,9 @@ def naive_write_trace(fp, header: dict, records: Transcript, result) -> None:
 def naive_run(generator, source, mode, horizon):
     """The game loop that steps plain strategies with `step` and feedback
     strategies with `step_query`/`step_output`, compares the mode on every
-    step, and validates the stream by walking the records afterwards. It
-    counts no queries."""
+    step, judges with `engine.verdict`'s strings, checks sampleless output
+    repeats as it goes, and keeps one `StepRecord` per step, from which it
+    validates the stream. It counts no queries."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     engine._check_compat(generator, source, mode)
@@ -525,7 +527,9 @@ def naive_run(generator, source, mode, horizon):
 
 
 def naive_validate_stream(records, source, mode, horizon):
-    """Every stream check, taken from the finished records. Coverage is
+    """Every stream check on revealed samples, from the finished records:
+    each repeat found by walking them all, and the noise as a set rebuilt
+    from them and tested with the truth's own `__contains__`. Coverage is
     checked only when samples are revealed, that is, not in sampleless
     play."""
     violations = []

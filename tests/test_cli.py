@@ -132,6 +132,31 @@ def test_non_positive_integer_config_horizon_exits_2(horizon, tmp_path, capsys):
     assert "horizon of alg3-chain must be a positive integer" in capsys.readouterr().err
 
 
+# 2**62 steps cannot be allocated, and 2**63 is no index-sized integer at
+# all; both fail before any memory is touched
+HUGE_HORIZONS = [(2**62, "does not fit in memory"), (2**63, "must be at most")]
+
+
+def _one_invalid_config_line(err: str, horizon: int, message: str) -> bool:
+    return err.startswith("invalid config:") and err.count("\n") == 1 and (
+        str(horizon) in err and message in err
+    )
+
+
+@pytest.mark.parametrize("horizon, message", HUGE_HORIZONS)
+def test_unallocatable_horizon_flag_exits_2(horizon, message, capsys):
+    assert main(["--experiment", "alg3-chain", "--horizon", str(horizon)]) == 2
+    assert _one_invalid_config_line(capsys.readouterr().err, horizon, message)
+
+
+@pytest.mark.parametrize("horizon, message", HUGE_HORIZONS)
+def test_unallocatable_config_horizon_exits_2(horizon, message, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [{"id": "alg3-chain", "horizon": horizon}]}))
+    assert main(["--config", str(config)]) == 2
+    assert _one_invalid_config_line(capsys.readouterr().err, horizon, message)
+
+
 def _repeating_adversary():
     return StagedAdversary(
         first_stage=(0, frozenset()),

@@ -434,6 +434,46 @@ def test_one_loop_matches_naive_run_on_staged_adversaries(adversary, make, horiz
     _same_play(make, adversary, Mode.standard(), horizon)
 
 
+class Plays(ScriptedSource):
+    """A scripted source whose stream is a given list, whatever its spec
+    declares: repeats, leaked non-members and missing early elements break
+    the spec's promises."""
+
+    def __init__(self, spec, values):
+        super().__init__(spec)
+        self.values = values
+
+    def reveals(self):
+        return iter(self.values)
+
+
+FAULTY_PLAYS = [
+    (lambda: baseline("max_plus_one"), lambda k: Mode.standard()),
+    (FollowSuffix, Mode.lossy),
+    (lambda: NoiseTolerantGenerator(1), Mode.noisy),
+    (lambda: DedupWrapper(FollowSuffix()), lambda k: Mode.repetition()),
+    (Stutter, lambda k: Mode.sampleless()),
+    (lambda: intersection_generator(neg_union()), lambda k: Mode.sampleless()),
+]
+
+
+@given(
+    spec=scripted_specs(),
+    values=st.lists(st.integers(-30, 30), min_size=1, max_size=40),
+    budget=st.integers(0, 3),
+)
+@example(
+    spec=ScriptedSpec(suffix_from(0)),
+    values=[-1, -1, 2, -2, 2, 5, 6, 7],
+    budget=1,
+)
+def test_one_loop_matches_naive_run_on_faulty_streams(spec, values, budget):
+    # every stream check, noise-budget and coverage-miss included, and the
+    # order of the violations, against the reference's checks
+    for make, mode in FAULTY_PLAYS:
+        _same_play(make, lambda: Plays(spec, values), mode(budget), len(values))
+
+
 @pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
 @pytest.mark.parametrize("horizon", [1, 2, 3, 57])
 def test_run_pulls_no_reveal_past_the_horizon(construction, horizon):
