@@ -123,7 +123,7 @@ def main(argv: list[str] | None = None) -> int:
             trace_root.mkdir(parents=True, exist_ok=True)
         if args.summary:
             open(args.summary, "a").close()  # a bad path fails before anything runs
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
 

@@ -219,6 +219,9 @@ def _identification_target(generator, truth: ClosedFormLanguage) -> int:
 
 
 def _check_compat(generator, source: Source, mode: Mode) -> None:
+    """Settle once per run what no step re-checks: the strategy's kind fits
+    the mode, the source can judge, and sampleless play gets a strategy
+    that reads no samples (one whose `needs_samples` is False)."""
     needs_feedback = mode.kind in (FEEDBACK, IDENTIFICATION)
     if needs_feedback != isinstance(generator, FeedbackGenerator):
         raise ModeMismatch(f"generator type does not fit mode {mode.kind!r}")
@@ -226,8 +229,8 @@ def _check_compat(generator, source: Source, mode: Mode) -> None:
         raise ModeMismatch("only an adaptive source can judge a limit truth")
     if source.adaptive and mode.kind != STANDARD:
         raise ModeMismatch("adaptive sources play in standard mode only")
-    if mode.kind == SAMPLELESS and isinstance(generator, FeedbackGenerator):
-        raise ModeMismatch("sampleless play takes a plain generator")
+    if mode.kind == SAMPLELESS and getattr(generator, "needs_samples", True):
+        raise ModeMismatch("sampleless play takes a strategy that reads no samples")
 
 
 def _parts(truth: ClosedFormLanguage) -> tuple[frozenset[int], float, float]:

@@ -8,6 +8,7 @@ are exact.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -41,9 +42,6 @@ class FeedbackGenerator:
         raise NotImplementedError
 
     def step_output(self, answer: bool | None) -> int:
-        raise NotImplementedError
-
-    def fresh(self) -> "FeedbackGenerator":
         raise NotImplementedError
 
 
@@ -189,12 +187,13 @@ class StripQueries(Generator):
     revealed so far, and emits the replay's latest output. Revealed sets only
     grow, so a past answer can only flip from \"No\" to \"Yes\", and only on
     the step that reveals the queried element. Exactly then the replay
-    restarts from scratch on the whole prefix. A strategy's state is a pure
-    function of its transcript, so every output and decision-tree record
-    equals that of a from-scratch replay of the prefix. Each restart strictly
-    raises the replay's preorder position in the decision tree, so the number
-    of restarts is bounded by the tree's size, not by the horizon; a budget-1
-    strategy restarts at most once.
+    restarts on the whole prefix, from a copy of the base as given, which
+    must be unplayed and is itself never stepped. A strategy's state is a
+    pure function of its transcript, so every output and decision-tree
+    record equals that of a from-scratch replay of the prefix. Each restart
+    strictly raises the replay's preorder position in the decision tree, so
+    the number of restarts is bounded by the tree's size, not by the
+    horizon; a budget-1 strategy restarts at most once.
     """
 
     def __init__(self, base: FeedbackGenerator) -> None:
@@ -208,7 +207,7 @@ class StripQueries(Generator):
         self._start_replay()
 
     def _start_replay(self) -> None:
-        self._replay = self.base.fresh()
+        self._replay = copy.deepcopy(self.base)
         self._query_times: list[int] = []
         self._queries: list[int] = []
         self._answers: list[bool] = []
@@ -231,9 +230,7 @@ class StripQueries(Generator):
                 )
         return self._replay.step_output(a)
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ValueError("query elimination replays need revealed samples")
+    def step(self, revealed: int) -> int:
         self.t += 1
         self.revealed.append(revealed)
         self.seen.add(revealed)
@@ -250,7 +247,7 @@ class PlainAsFeedback(FeedbackGenerator):
     """A never-querying wrapper around a plain strategy (budget 0), so that
     a plain strategy can stand where a budgeted feedback strategy is asked
     for, as `StripQueries`' base. The game loop plays plain strategies
-    unwrapped. In sampleless play the reveal is None."""
+    unwrapped; a replay copies the wrapper with the strategy inside it."""
 
     budget = 0
 
@@ -258,15 +255,12 @@ class PlainAsFeedback(FeedbackGenerator):
         self.base = base
         self._pending: int | None = None
 
-    def step_query(self, revealed: int | None) -> int | None:
+    def step_query(self, revealed: int) -> int | None:
         self._pending = revealed
         return None
 
     def step_output(self, answer: bool | None) -> int:
         return self.base.step(self._pending)
-
-    def fresh(self) -> "PlainAsFeedback":
-        return PlainAsFeedback(self.base.fresh())
 
 
 class OneShotProbeGenerator(FeedbackGenerator, _PoolGenerator):
@@ -293,9 +287,6 @@ class OneShotProbeGenerator(FeedbackGenerator, _PoolGenerator):
         z = self.min_candidate() if self.answer is YES else self.max_candidate()
         self._absorb(z)
         return z
-
-    def fresh(self) -> "OneShotProbeGenerator":
-        return OneShotProbeGenerator(self.probe)
 
 
 class IndexIdentifier(FeedbackGenerator):

@@ -3,12 +3,6 @@
 Every strategy is a deterministic state machine whose state is a pure
 function of the prefix it has observed, so replays from the same prefix are
 reproducible. The game loop calls a strategy's own `step` once a round.
-`fresh()` returns an unused instance with the same configuration, and only
-`StripQueries` calls it, to restart its budgeted base. A plain strategy is
-such a base only when wrapped in `PlainAsFeedback`, which passes the call
-on to the strategy it wraps. So only the pool strategies, `PlainAsFeedback`
-and `OneShotProbeGenerator` define it; the other strategies and wrappers do
-not.
 """
 
 from __future__ import annotations
@@ -16,7 +10,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .errors import ModeMismatch, SearchExhausted
+from .errors import SearchExhausted
 from .families import ChainSpec, CollectionSpec
 from .langs import ClosedFormLanguage, zigzag_encode
 
@@ -24,12 +18,15 @@ PROBE_CAP = 1_000_000  # candidates a fresh-value scan tries before giving up
 
 
 class Generator:
-    """Maps each revealed element (None in sampleless play) to an output."""
+    """Maps each revealed element (None in sampleless play) to an output.
+
+    `needs_samples` is False only for a strategy that ignores its input; the
+    engine checks it once per run, and only such a strategy plays sampleless.
+    """
+
+    needs_samples = True
 
     def step(self, revealed: int | None) -> int:
-        raise NotImplementedError
-
-    def fresh(self) -> "Generator":
         raise NotImplementedError
 
 
@@ -65,16 +62,11 @@ class _PoolGenerator(Generator):
         m = self._min
         return (m if m < 0 else 0) - 1
 
-    def fresh(self) -> "Generator":
-        return type(self)()
-
 
 class MaxPlusOne(_PoolGenerator):
     """Always outputs one past everything seen or produced."""
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("this strategy consumes revealed samples")
+    def step(self, revealed: int) -> int:
         self.t = t = self.t + 1
         hi = self._max
         if hi is None:
@@ -90,9 +82,7 @@ class MaxPlusOne(_PoolGenerator):
 class MinMinusOne(_PoolGenerator):
     """Always outputs one below everything seen or produced (and below 0)."""
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("this strategy consumes revealed samples")
+    def step(self, revealed: int) -> int:
         self.t += 1
         lo = self._min
         if lo is None:
@@ -115,9 +105,7 @@ class FollowSuffix(_PoolGenerator):
         self._nat_max = 0  # t >= 0 dominates an empty pool anyway
         self._out_max = 0
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("this strategy consumes revealed samples")
+    def step(self, revealed: int) -> int:
         self.t = t = self.t + 1
         if revealed > self._nat_max:
             self._nat_max = revealed
@@ -142,9 +130,7 @@ class _MarkerBranchGenerator(_PoolGenerator):
         self.hits: set[int] = set()  # the markers revealed so far
         self._high = self._goes_high()
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("this strategy consumes revealed samples")
+    def step(self, revealed: int) -> int:
         self.t = t = self.t + 1
         hi = self._max
         if hi is None:
@@ -165,9 +151,6 @@ class _MarkerBranchGenerator(_PoolGenerator):
 
     def _goes_high(self) -> bool:
         raise NotImplementedError
-
-    def fresh(self) -> "Generator":
-        return type(self)(self.level)
 
 
 class OmissionTolerantGenerator(_MarkerBranchGenerator):
@@ -201,6 +184,8 @@ class SensitivityGenerator(_MarkerBranchGenerator):
 class StreamGenerator(Generator):
     """A sampleless strategy: emits a fixed injective stream, ignoring input."""
 
+    needs_samples = False
+
     def __init__(self, stream: Iterator[int]) -> None:
         self._iter = stream
 
@@ -220,6 +205,8 @@ class ChainGenerator(Generator):
     """Sampleless strategy for a growing chain of collections: at step t,
     emit the first unused element (canonical order) of the common
     intersection of link t."""
+
+    needs_samples = False
 
     def __init__(self, chain: ChainSpec) -> None:
         self.chain = chain
@@ -247,9 +234,7 @@ class NoisyFromStream(Generator):
         self._iter = stream
         self._seen: set[int] = set()
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("noisy play needs revealed samples")
+    def step(self, revealed: int) -> int:
         seen = self._seen
         seen.add(revealed)
         z = next(self._iter)
@@ -268,6 +253,8 @@ class SamplelessFromNoisy(Generator):
     0, -1, 1, -2, ... (the zigzag order), and re-emits its outputs, skipping
     ones already emitted. Each base output is read once, in order; only the
     values emitted are kept."""
+
+    needs_samples = False
 
     def __init__(self, base: Generator) -> None:
         self.base = base
@@ -292,9 +279,7 @@ class DedupWrapper(Generator):
         self._seen: set[int] = set()
         self._last: int | None = None
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("repetition play needs revealed samples")
+    def step(self, revealed: int) -> int:
         if revealed in self._seen:
             return self._last
         self._seen.add(revealed)

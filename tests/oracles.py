@@ -43,6 +43,7 @@ behind a cursor, as references for differential tests.
 
 from __future__ import annotations
 
+import copy
 import gc
 import itertools
 import json
@@ -66,7 +67,7 @@ from limitgen.engine import (
     RunResult,
     Transcript,
 )
-from limitgen.errors import AdversaryRepeat, BudgetViolation, ModeMismatch, SearchExhausted
+from limitgen.errors import AdversaryRepeat, BudgetViolation, SearchExhausted
 from limitgen.families import (
     ExplicitCountable,
     NegFamily,
@@ -296,8 +297,8 @@ def brute_closure_window(spec, sample, lo: int, hi: int):
 
 
 class NaiveStripQueries:
-    """Query elimination by replaying the strategy from scratch on the whole
-    revealed prefix at every step (quadratic in the horizon)."""
+    """Query elimination by replaying a copy of the unplayed base on the
+    whole revealed prefix at every step (quadratic in the horizon)."""
 
     def __init__(self, base) -> None:
         if base.budget is None:
@@ -312,7 +313,7 @@ class NaiveStripQueries:
         self.t += 1
         self.revealed.append(revealed)
         self.seen.add(revealed)
-        replay = self.base.fresh()
+        replay = copy.deepcopy(self.base)
         query_times: list[int] = []
         queries: list[int] = []
         answers: list[bool] = []
@@ -648,9 +649,7 @@ class NaivePool:
         self._max = value if self._max is None else max(self._max, value)
         self._min = value if self._min is None else min(self._min, value)
 
-    def _observe(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("this strategy consumes revealed samples")
+    def _observe(self, revealed: int) -> int:
         self.t += 1
         self._absorb(revealed)
         return revealed
@@ -661,7 +660,7 @@ class NaivePool:
     def min_candidate(self) -> int:
         return min(0, self._min) - 1
 
-    def step(self, revealed: int | None) -> int:
+    def step(self, revealed: int) -> int:
         self._observe(revealed)
         z = self._decide()
         self._absorb(z)
@@ -684,7 +683,7 @@ class NaiveFollowSuffix(NaivePool):
         self._nat_max = 0
         self._out_max = 0
 
-    def step(self, revealed: int | None) -> int:
+    def step(self, revealed: int) -> int:
         x = self._observe(revealed)
         if x >= 0:
             self._nat_max = max(self._nat_max, x)
@@ -724,7 +723,7 @@ class _SetWalkingMarkers(NaivePool):
         self.level = level
         self.revealed: set[int] = set()
 
-    def _observe(self, revealed: int | None) -> int:
+    def _observe(self, revealed: int) -> int:
         x = super()._observe(revealed)
         self.revealed.add(x)
         return x
@@ -905,9 +904,7 @@ class NaiveNoisyFromStream:
             self._memo.append(next(self._iter))
         return self._memo[j]
 
-    def step(self, revealed: int | None) -> int:
-        if revealed is None:
-            raise ModeMismatch("noisy play needs revealed samples")
+    def step(self, revealed: int) -> int:
         self._seen.add(revealed)
         while self._entry(self._cursor) in self._seen:
             self._cursor += 1

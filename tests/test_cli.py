@@ -118,6 +118,20 @@ def test_invalid_config_exits_2(tmp_path, capsys):
     assert main(["--config", str(config)]) == 2
 
 
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 100_000 + "]" * 100_000)
+    assert main(["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and err.count("\n") == 1
+    # nested inside a row's parameters, past the JSON decoder's depth
+    generators = "[" * 995 + "]" * 995
+    config.write_text('{"experiments": [{"id": "thm3.1", "params": {"generators": %s}}]}' % generators)
+    assert main(["--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("invalid config:") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("horizon", ["0", "-5"])
 def test_non_positive_horizon_flag_exits_2(horizon, capsys):
     assert main(["--experiment", "alg3-chain", "--horizon", horizon]) == 2

@@ -21,12 +21,15 @@ from limitgen.generators import (
     DedupWrapper,
     FollowSuffix,
     MaxPlusOne,
+    MinMinusOne,
     NoiseTolerantGenerator,
     OmissionTolerantGenerator,
+    SamplelessFromNoisy,
     SensitivityGenerator,
     baseline,
     intersection_generator,
     noisy_from_sampleless,
+    reduce_by_prefix,
 )
 from limitgen.langs import (
     NEGATIVES,
@@ -128,11 +131,10 @@ def test_sampleless_run_reports_no_coverage_miss():
 
 def test_sampleless_run_flags_output_repeats():
     class Stutter:
+        needs_samples = False
+
         def step(self, revealed=None):
             return -1
-
-        def fresh(self):
-            return Stutter()
 
     _, result = run(Stutter(), scripted(NEGATIVES), Mode.sampleless(), 5)
     assert any(v.startswith("output-repeat") for v in result.validity_violations)
@@ -187,6 +189,48 @@ def test_mode_mismatch_combinations():
         )
     with pytest.raises(ModeMismatch):
         run(baseline("max_plus_one"), staged_union_adversary(), Mode.sampleless(), 5)
+
+
+SAMPLE_READERS = {
+    "MaxPlusOne": MaxPlusOne,
+    "MinMinusOne": MinMinusOne,
+    "FollowSuffix": FollowSuffix,
+    "OmissionTolerantGenerator": lambda: OmissionTolerantGenerator(1),
+    "NoiseTolerantGenerator": lambda: NoiseTolerantGenerator(1),
+    "SensitivityGenerator": lambda: SensitivityGenerator(1),
+    "NoisyFromStream": lambda: noisy_from_sampleless(intersection_generator(neg_union())),
+    "DedupWrapper": lambda: DedupWrapper(FollowSuffix()),
+    "StripQueries": lambda: StripQueries(OneShotProbeGenerator(probe=-1)),
+    "reduce_by_prefix": lambda: reduce_by_prefix(FollowSuffix(), (0, 1, 2)),
+    "UnionFeedbackGenerator": lambda: UnionFeedbackGenerator([neg_union()]),
+}
+
+
+@pytest.mark.parametrize("make", SAMPLE_READERS.values(), ids=SAMPLE_READERS)
+def test_sampleless_play_refuses_a_sample_reader_before_any_step(make):
+    # the pairing is settled once, by _check_compat, not inside a step
+    source = scripted(NEGATIVES)
+    with pytest.raises(ModeMismatch) as excinfo:
+        run(make(), source, Mode.sampleless(), 5)
+    assert excinfo.traceback[-1].name == "_check_compat"
+    assert not source._played
+
+
+SAMPLELESS_PLAYERS = {
+    "StreamGenerator": (lambda: intersection_generator(neg_union()), NEGATIVES),
+    "ChainGenerator": (lambda: ChainGenerator(ray_prefix_chain()), suffix_from(7)),
+    "SamplelessFromNoisy": (
+        lambda: SamplelessFromNoisy(noisy_from_sampleless(intersection_generator(neg_union()))),
+        NEGATIVES,
+    ),
+}
+
+
+@pytest.mark.parametrize("make, truth", SAMPLELESS_PLAYERS.values(), ids=SAMPLELESS_PLAYERS)
+def test_sampleless_play_takes_a_strategy_that_reads_no_samples(make, truth):
+    records, result = run(make(), scripted(truth), Mode.sampleless(), 50)
+    assert len(records) == 50
+    assert result.validity_violations == ()
 
 
 def test_validation_catches_repeats_outside_repetition_mode():
@@ -262,9 +306,6 @@ class AlwaysAsks(FeedbackGenerator):
 
     def step_output(self, answer):
         return self.last + 1
-
-    def fresh(self):
-        return AlwaysAsks()
 
 
 @pytest.mark.parametrize("budget", [0, 1])
@@ -348,15 +389,14 @@ def test_transcript_keeps_int64_values_and_refuses_wider_ones():
 class Stutter:
     """A sampleless strategy that outputs every value twice."""
 
+    needs_samples = False
+
     def __init__(self):
         self.t = -1
 
     def step(self, revealed=None):
         self.t += 1
         return self.t // 2
-
-    def fresh(self):
-        return Stutter()
 
 
 class AskEveryOther(FeedbackGenerator):
@@ -372,9 +412,6 @@ class AskEveryOther(FeedbackGenerator):
 
     def step_output(self, answer):
         return self.last + 2 if answer else -abs(self.last) - 1
-
-    def fresh(self):
-        return AskEveryOther()
 
 
 def _plays(truth, budget):

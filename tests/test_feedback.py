@@ -1,3 +1,4 @@
+import copy
 import itertools
 
 import pytest
@@ -156,9 +157,6 @@ def test_strip_queries_flags_budget_violations():
             self._absorb(revealed)
             return self.probe  # queries every step: violates budget 1
 
-        def fresh(self):
-            return Chatty(self.probe)
-
     stripped = StripQueries(Chatty())
     stripped.step(3)
     with pytest.raises(BudgetViolation):
@@ -203,9 +201,6 @@ class TwoProbes(FeedbackGenerator):
         self.top += 1 + code
         return self.top
 
-    def fresh(self):
-        return TwoProbes(self.first, self.second)
-
 
 class AsksAgainOnYes(OneShotProbeGenerator):
     """Declares budget 1 but asks again every step once its probe came back
@@ -215,9 +210,6 @@ class AsksAgainOnYes(OneShotProbeGenerator):
         self.t += 1
         self._absorb(revealed)
         return self.probe if self.t == 0 or self.answer is YES else None
-
-    def fresh(self):
-        return AsksAgainOnYes(self.probe)
 
 
 PROBES = st.integers(-6, 6)
@@ -252,13 +244,17 @@ def test_strip_queries_restarts_on_each_flipped_answer():
     # -1 flips the first answer (so the second query moves from -2 to -3),
     # then -3 flips the second
     reveals = [5, 6, 7, -1, 8, -3, 9]
-    fast = _strip_play(StripQueries(TwoProbes(-1, -3)), reveals)
+    base = TwoProbes(-1, -3)
+    fast = _strip_play(StripQueries(base), reveals)
+    assert base.t == -1 and base.answers == []  # every restart copies the unplayed base
     assert fast == _strip_play(NaiveStripQueries(TwoProbes(-1, -3)), reveals)
     assert [r.preorder_index for r in fast[1]] == [1, 1, 2, 5, 5, 6, 6]
     assert fast[1][-1].queries == (-1, -3)
 
 
 class _CountingProbe(OneShotProbeGenerator):
+    """Counts its `step_query` calls into `calls`, which every copy shares."""
+
     def __init__(self, probe, calls):
         super().__init__(probe)
         self.calls = calls
@@ -267,8 +263,11 @@ class _CountingProbe(OneShotProbeGenerator):
         self.calls[0] += 1
         return super().step_query(revealed)
 
-    def fresh(self):
-        return _CountingProbe(self.probe, self.calls)
+    def __deepcopy__(self, memo):
+        memo[id(self.calls)] = self.calls
+        clone = object.__new__(type(self))
+        clone.__dict__.update(copy.deepcopy(vars(self), memo))
+        return clone
 
 
 ALG5_TRUTHS = [
@@ -283,12 +282,14 @@ ALG5_TRUTHS = [
 def test_strip_queries_replay_work_is_linear(truth):
     steps = 2_000
     calls = [0]
-    stripped = StripQueries(_CountingProbe(-1, calls))
+    base = _CountingProbe(-1, calls)
+    stripped = StripQueries(base)
     reveals = ScriptedSource(ScriptedSpec(truth)).reveals()
     for x in itertools.islice(reveals, steps):
         stripped.step(x)
     # one pass, plus one restart when the probe -1 is revealed
-    assert calls[0] <= 2 * steps
+    assert steps <= calls[0] <= 2 * steps
+    assert base.t == -1  # the replays step copies; the base as given is never stepped
 
 
 def test_preorder_index_full_depth_two_tree():

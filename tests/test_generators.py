@@ -1,3 +1,4 @@
+import copy
 import itertools
 from unittest import mock
 
@@ -26,7 +27,7 @@ from limitgen.generators import (
     noisy_from_sampleless,
     reduce_by_prefix,
 )
-from limitgen.feedback import OneShotProbeGenerator
+from limitgen.feedback import FeedbackGenerator, OneShotProbeGenerator, PlainAsFeedback
 from limitgen.langs import suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 from oracles import (
@@ -97,9 +98,6 @@ def test_stream_recovery_rejects_constant(monkeypatch):
     class Constant(Generator):
         def step(self, revealed=None):
             return 7
-
-        def fresh(self):
-            return Constant()
 
     monkeypatch.setattr(generators, "PROBE_CAP", 50)
     gen = SamplelessFromNoisy(Constant())
@@ -391,6 +389,8 @@ def test_intersection_generator_with_required_part():
 
 
 def test_fresh_replays_identically():
+    # StripQueries restarts each replay from a deep copy of its unplayed
+    # base: every such fresh copy must replay what the original plays
     gens = [
         baseline("max_plus_one"),
         baseline("follow_suffix"),
@@ -398,9 +398,15 @@ def test_fresh_replays_identically():
         make(level)
         for make in (OmissionTolerantGenerator, NoiseTolerantGenerator, SensitivityGenerator)
         for level in range(3)
-    ]
+    ] + [OneShotProbeGenerator(-1), PlainAsFeedback(FollowSuffix())]
     reveals = [3, -1, 3, 8, 0, -7, 11]
+
+    def outputs(gen):
+        if isinstance(gen, FeedbackGenerator):
+            return [gen.play(lambda y: y in reveals, x) for x in reveals]
+        return feed(gen, reveals)
+
     for gen in gens:
-        first = feed(gen.fresh(), reveals)
-        second = feed(gen.fresh(), reveals)
-        assert first == second == feed(gen, reveals)
+        first = outputs(copy.deepcopy(gen))
+        second = outputs(copy.deepcopy(gen))
+        assert first == second == outputs(gen)

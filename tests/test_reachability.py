@@ -25,11 +25,9 @@ ALLOWED = {
     "families.CollectionSpec.closure": "abstract stub",
     "families.CollectionSpec.closure_dimension": "abstract stub",
     "generators.Generator.step": "abstract stub",
-    "generators.Generator.fresh": "abstract stub",
     "generators._MarkerBranchGenerator._goes_high": "abstract stub",
     "feedback.FeedbackGenerator.step_query": "abstract stub",
     "feedback.FeedbackGenerator.step_output": "abstract stub",
-    "feedback.FeedbackGenerator.fresh": "abstract stub",
     "sources.Source.emit": "abstract stub",
     "sources.Source.truth_view": "abstract stub",
     # cli config and error paths; test_cli.py covers them
@@ -54,14 +52,10 @@ ALLOWED = {
     "families.RayFamily.closure_dimension": "test_feedback.py plays the ray family as a union part",
     # thm4.8-adv's strategy never leaves stage 0; test_sources.py drives it with max_plus_one
     "sources.omission_adversary.<lambda next_stage>": "thm4.8-adv's strategy never leaves stage 0",
-    # replay bases whose fresh() only tests' StripQueries replays reach
-    "generators._PoolGenerator.fresh": "only a StripQueries replay restarts a pool strategy, as the PlainAsFeedback base of the budget-0 tests",
-    "generators._MarkerBranchGenerator.fresh": "only a StripQueries replay restarts a marker strategy, as the PlainAsFeedback base of the budget-0 tests",
     # the budget-0 wrapper no experiment plays
     "feedback.PlainAsFeedback.__init__": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
     "feedback.PlainAsFeedback.step_query": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
     "feedback.PlainAsFeedback.step_output": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
-    "feedback.PlainAsFeedback.fresh": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
     # no suite row enumerates a truth with both a tail and the negatives
     "langs._both_rays": "no suite row enumerates a truth with both rays; test_langs.py's examples do",
 }
