@@ -14,7 +14,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetViolation, SearchExhausted
 from .families import CollectionSpec, ExplicitCountable
-from .generators import PROBE_CAP, Generator, _PoolGenerator
+from .generators import PROBE_CAP, Generator, MaxPlusOne, MinMinusOne
 from .langs import ClosedFormLanguage
 
 YES = True
@@ -263,30 +263,30 @@ class PlainAsFeedback(FeedbackGenerator):
         return self.base.step(self._pending)
 
 
-class OneShotProbeGenerator(FeedbackGenerator, _PoolGenerator):
+class OneShotProbeGenerator(FeedbackGenerator):
     """Budget-1 fixture: asks once (at the first step) whether `probe` is in
-    the target, then plays low if Yes and high if No forever. Takes the step
-    count and the max/min pools from `_PoolGenerator`; it plays through its
-    two phases, so the inherited `step` is unused."""
+    the target, and the answer picks a plain strategy that makes every
+    output, from the first on: `MinMinusOne` on Yes, `MaxPlusOne` on No. So
+    its one query only selects which of two plain strategies plays, the
+    shape behind the result that finitely many queries add no power."""
 
     budget = 1
 
     def __init__(self, probe: int = -1) -> None:
-        super().__init__()
         self.probe = probe
-        self.answer: bool | None = None
+        self.t = -1
+        self._pending: int | None = None
+        self._strategy: Generator | None = None  # chosen at the first output
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
-        self._absorb(revealed)
+        self._pending = revealed
         return self.probe if self.t == 0 else None
 
     def step_output(self, answer: bool | None) -> int:
         if self.t == 0:
-            self.answer = answer
-        z = self.min_candidate() if self.answer is YES else self.max_candidate()
-        self._absorb(z)
-        return z
+            self._strategy = MinMinusOne() if answer is YES else MaxPlusOne()
+        return self._strategy.step(self._pending)
 
 
 class IndexIdentifier(FeedbackGenerator):

@@ -3,6 +3,13 @@
 Every strategy is a deterministic state machine whose state is a pure
 function of the prefix it has observed, so replays from the same prefix are
 reproducible. The game loop calls a strategy's own `step` once a round.
+
+The pool strategies output one past a running max, or one below a running
+min, of what they have seen and produced. `MaxPlusOne` (and `FollowSuffix`,
+the same rule under its own name) keeps only its last output, which tops
+the reveals and the step number; `MinMinusOne` keeps the mirror value. The
+marker strategies switch between the two directions, so they keep both
+extremes and the step number.
 """
 
 from __future__ import annotations
@@ -30,101 +37,61 @@ class Generator:
         raise NotImplementedError
 
 
-class _PoolGenerator(Generator):
-    """Shared bookkeeping for strategies built from running max/min pools.
-
-    The max pool is {t} u revealed u own outputs; the min pool is
-    {0} u revealed u own outputs. Only the pools' extremes are kept, not the
-    reveals themselves, and they are updated by plain comparisons: a step
-    makes no builtin call. Each strategy's `step` absorbs the reveal and its
-    output in its own frame; the max candidate always tops the max pool and
-    the min candidate always undercuts the min pool.
-    """
+class MaxPlusOne(Generator):
+    """Outputs one past its last output and the reveal:
+    z_t = max(z_{t-1}, x_t) + 1 with z_{-1} = 0. The last output already
+    tops every earlier reveal and output, and the step number t, since the
+    outputs climb by at least one a step from 0, so it is the only state."""
 
     def __init__(self) -> None:
-        self.t = -1
-        self._max = None  # max of revealed + outputs
-        self._min = None
-
-    def _absorb(self, value: int) -> None:
-        if self._max is None:
-            self._max = self._min = value
-        elif value > self._max:
-            self._max = value
-        elif value < self._min:
-            self._min = value
-
-    def max_candidate(self) -> int:
-        t, m = self.t, self._max
-        return (t if t > m else m) + 1
-
-    def min_candidate(self) -> int:
-        m = self._min
-        return (m if m < 0 else 0) - 1
-
-
-class MaxPlusOne(_PoolGenerator):
-    """Always outputs one past everything seen or produced."""
+        self._last = 0
 
     def step(self, revealed: int) -> int:
-        self.t = t = self.t + 1
-        hi = self._max
-        if hi is None:
-            self._min = hi = revealed
-        elif revealed > hi:
-            hi = revealed
-        elif revealed < self._min:
-            self._min = revealed
-        self._max = z = (t if t > hi else hi) + 1
+        z = self._last
+        if revealed > z:
+            z = revealed
+        self._last = z = z + 1
         return z
 
 
-class MinMinusOne(_PoolGenerator):
-    """Always outputs one below everything seen or produced (and below 0)."""
+class MinMinusOne(Generator):
+    """Outputs one below its last output and the reveal:
+    z_t = min(z_{t-1}, x_t) - 1 with z_{-1} = 0, so below everything seen
+    or produced and below 0."""
+
+    def __init__(self) -> None:
+        self._last = 0
 
     def step(self, revealed: int) -> int:
-        self.t += 1
-        lo = self._min
-        if lo is None:
-            self._max = lo = revealed
-        elif revealed < lo:
-            lo = revealed
-        elif revealed > self._max:
-            self._max = revealed
-        self._min = z = (lo if lo < 0 else 0) - 1
+        z = self._last
+        if revealed < z:
+            z = revealed
+        self._last = z = z - 1
         return z
 
 
-class FollowSuffix(_PoolGenerator):
+class FollowSuffix(MaxPlusOne):
     """Outputs fresh integers above every nonnegative sample: correct in the
-    limit for any language containing an upward ray. Reads neither pool, so
-    it keeps its own two maxima instead."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._nat_max = 0  # t >= 0 dominates an empty pool anyway
-        self._out_max = 0
-
-    def step(self, revealed: int) -> int:
-        self.t = t = self.t + 1
-        if revealed > self._nat_max:
-            self._nat_max = revealed
-        z = self._nat_max if self._nat_max > t else t
-        if self._out_max > z:
-            z = self._out_max
-        self._out_max = z = z + 1
-        return z
+    limit for any language containing an upward ray. Its rule is
+    `MaxPlusOne`'s: skipping the negative samples changes no output, since
+    the last output tops the step number t >= 0 and so every negative. It
+    stays a class of its own so that a tracer wrapping methods by class
+    name counts its steps apart from `MaxPlusOne`'s."""
 
 
-class _MarkerBranchGenerator(_PoolGenerator):
-    """Two-branch strategies: pick the max or min candidate depending on
-    which of the level+1 markers have been revealed. Only the markers
-    revealed so far are kept, at most level+1 values. The branch depends on
-    them alone, so it is kept in `_high` and recomputed by `_goes_high` only
-    when a marker is revealed: a step without one makes no call."""
+class _MarkerBranchGenerator(Generator):
+    """Two-branch strategies: output one past the step number and the max of
+    everything seen or produced, or one below the min of it and 0, depending
+    on which of the level+1 markers have been revealed. Both extremes start
+    at 0, which t >= 0 tops and which the low branch undercuts anyway. Only
+    the markers revealed so far are kept, at most level+1 values. The branch
+    depends on them alone, so it is kept in `_high` and recomputed by
+    `_goes_high` only when a marker is revealed: a step without one makes no
+    call."""
 
     def __init__(self, level: int) -> None:
-        super().__init__()
+        self.t = -1
+        self._max = self._min = 0
         self.level = level
         self.markers = range(level + 1)
         self.hits: set[int] = set()  # the markers revealed so far
@@ -133,9 +100,7 @@ class _MarkerBranchGenerator(_PoolGenerator):
     def step(self, revealed: int) -> int:
         self.t = t = self.t + 1
         hi = self._max
-        if hi is None:
-            self._max = self._min = hi = revealed
-        elif revealed > hi:
+        if revealed > hi:
             self._max = hi = revealed
         elif revealed < self._min:
             self._min = revealed
@@ -145,8 +110,7 @@ class _MarkerBranchGenerator(_PoolGenerator):
         if self._high:
             self._max = z = (t if t > hi else hi) + 1
         else:
-            lo = self._min
-            self._min = z = (lo if lo < 0 else 0) - 1
+            self._min = z = self._min - 1
         return z
 
     def _goes_high(self) -> bool:

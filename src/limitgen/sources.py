@@ -229,7 +229,9 @@ class StagedAdversary(Source):
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
         self._pending_negative: int | None = None
         self._negative_step: int | None = None
-        self._running_max: int | None = None
+        # read only after a trigger, whose output is >= 0, so -1 stands for
+        # "nothing yet" without a None test
+        self._running_max = -1
 
     # -- emission ----------------------------------------------------------
     def emit(self, t: int) -> int:
@@ -247,8 +249,7 @@ class StagedAdversary(Source):
         if v in self._excluded:  # a certified output is never played
             raise ValueError(f"{v} was committed as never-enumerated")
         self._seen.add(v)
-        m = self._running_max
-        if m is None or v > m:
+        if v > self._running_max:
             self._running_max = v
         return v
 
@@ -256,8 +257,7 @@ class StagedAdversary(Source):
         if v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
         self._prefix_shown.add(v)
-        m = self._running_max
-        if m is None or v > m:
+        if v > self._running_max:
             self._running_max = v
         return v
 
@@ -272,8 +272,7 @@ class StagedAdversary(Source):
         seen set: the verdict's code, 0 Correct, 1 Mistake or 2 Unknown."""
         played = output in self._seen or output in self._prefix_shown
         if t >= self._play_from:  # before it, the prefix is noise
-            m = self._running_max
-            if m is None or output > m:
+            if output > self._running_max:
                 self._running_max = output
             if t == self._negative_step:
                 # the step after a trigger: rebuild the stage, no trigger check

@@ -18,7 +18,7 @@ from limitgen.feedback import (
     UnionFeedbackGenerator,
     preorder_index,
 )
-from limitgen.generators import FollowSuffix, baseline
+from limitgen.generators import FollowSuffix, MinMinusOne, baseline
 from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 
@@ -153,8 +153,7 @@ def test_strip_queries_budget_zero_is_identity():
 def test_strip_queries_flags_budget_violations():
     class Chatty(OneShotProbeGenerator):
         def step_query(self, revealed):
-            self.t += 1
-            self._absorb(revealed)
+            super().step_query(revealed)
             return self.probe  # queries every step: violates budget 1
 
     stripped = StripQueries(Chatty())
@@ -207,9 +206,8 @@ class AsksAgainOnYes(OneShotProbeGenerator):
     Yes, so a replay breaks the budget once the probe has been revealed."""
 
     def step_query(self, revealed):
-        self.t += 1
-        self._absorb(revealed)
-        return self.probe if self.t == 0 or self.answer is YES else None
+        y = super().step_query(revealed)
+        return self.probe if y is not None or isinstance(self._strategy, MinMinusOne) else None
 
 
 PROBES = st.integers(-6, 6)

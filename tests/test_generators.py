@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 from unittest import mock
 
@@ -317,13 +318,22 @@ def test_baseline_traces():
 
 @given(reveals=st.lists(st.integers(-50, 50), min_size=1, max_size=40, unique=True))
 def test_pool_strategies_never_repeat_or_collide(reveals):
-    for make in (MaxPlusOne, MinMinusOne, FollowSuffix):
-        gen = make()
+    steps = [make().step for make in (MaxPlusOne, MinMinusOne, FollowSuffix)]
+    steps += [
+        make(level).step
+        for make in (OmissionTolerantGenerator, NoiseTolerantGenerator, SensitivityGenerator)
+        for level in range(3)
+    ]
+    steps += [
+        functools.partial(OneShotProbeGenerator(-1).play, lambda y, a=answer: a)
+        for answer in (True, False)
+    ]
+    for step in steps:
         outputs = []
         seen = set()
         for x in reveals:
             seen.add(x)
-            z = gen.step(x)
+            z = step(x)
             assert z not in seen
             assert z not in outputs
             outputs.append(z)

@@ -32,7 +32,6 @@ ALLOWED = {
     "sources.Source.truth_view": "abstract stub",
     # cli config and error paths; test_cli.py covers them
     "cli._load_configs": "--config files only; test_cli.py covers them",
-    "generators.MinMinusOne.step": "thm3.1 plays it only when a config names min_minus_one",
     # the string-valued verdict rule: the reference each run's bound judge
     # is tested against; the game loop itself reads the judge's codes
     "engine.verdict": "the reference rule test_engine.py checks every bound judge against",
