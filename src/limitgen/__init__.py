@@ -33,7 +33,6 @@ from .families import (
     uniform_without_samples_check,
 )
 from .feedback import (
-    DecisionTreeMonitor,
     FeedbackGenerator,
     IndexIdentifier,
     OneShotProbeGenerator,

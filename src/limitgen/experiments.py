@@ -528,7 +528,7 @@ def _query_elimination_cases(horizon: int, seed: int, params: dict):
         }
         if diverged:
             yield f"alg5[{idx}]: tail verdicts diverge at offset {min(diverged) - tail}"
-        if not stripped.monitor.non_decreasing():
+        if any(a > b for a, b in itertools.pairwise(stripped.positions)):
             yield f"alg5[{idx}]: decision-tree position regressed"
 
 

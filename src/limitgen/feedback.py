@@ -9,7 +9,7 @@ are exact.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from array import array
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetViolation, SearchExhausted
@@ -127,17 +127,6 @@ class UnionFeedbackGenerator(FeedbackGenerator):
         return z
 
 
-@dataclass
-class ReplayNode:
-    """Per-replay query record projected onto the full binary decision tree."""
-
-    t: int
-    query_times: tuple[int, ...]
-    queries: tuple[int, ...]
-    answers: tuple[bool, ...]
-    preorder_index: int
-
-
 def preorder_index(answers: Sequence[bool], depth: int) -> int:
     """Preorder position of the node reached in a full binary tree of the
     given depth by walking No=left / Yes=right along the answers.
@@ -153,32 +142,6 @@ def preorder_index(answers: Sequence[bool], depth: int) -> int:
     return idx
 
 
-@dataclass
-class DecisionTreeMonitor:
-    """Tracks where each replay lands in the query decision tree."""
-
-    depth: int
-    records: list[ReplayNode] = field(default_factory=list)
-
-    def record(self, t: int, query_times: Sequence[int], queries: Sequence[int], answers: Sequence[bool]) -> None:
-        self.records.append(
-            ReplayNode(
-                t,
-                tuple(query_times),
-                tuple(queries),
-                tuple(answers),
-                preorder_index(answers, self.depth),
-            )
-        )
-
-    def indices(self) -> list[int]:
-        return [r.preorder_index for r in self.records]
-
-    def non_decreasing(self) -> bool:
-        idx = self.indices()
-        return all(a <= b for a, b in zip(idx, idx[1:]))
-
-
 class StripQueries(Generator):
     """Simulates a query-budgeted strategy without an oracle.
 
@@ -189,57 +152,53 @@ class StripQueries(Generator):
     the step that reveals the queried element. Exactly then the replay
     restarts on the whole prefix, from a copy of the base as given, which
     must be unplayed and is itself never stepped. A strategy's state is a
-    pure function of its transcript, so every output and decision-tree
-    record equals that of a from-scratch replay of the prefix. Each restart
-    strictly raises the replay's preorder position in the decision tree, so
-    the number of restarts is bounded by the tree's size, not by the
-    horizon; a budget-1 strategy restarts at most once.
+    pure function of its transcript, so every output, and the replay's
+    decision-tree position that `positions` keeps after each step, equals
+    that of a from-scratch replay of the prefix. Each restart strictly
+    raises the replay's preorder position in the decision tree, so the
+    number of restarts is bounded by the tree's size, not by the horizon; a
+    budget-1 strategy restarts at most once.
     """
 
     def __init__(self, base: FeedbackGenerator) -> None:
-        if base.budget is None:
-            raise ValueError("base strategy must declare a finite query budget")
+        if base.budget is None or base.budget > 62:
+            # a depth-d tree's positions reach 2**(d + 1) - 2, and `positions` holds int64
+            raise ValueError("base strategy must declare a finite query budget of at most 62")
         self.base = base
-        self.monitor = DecisionTreeMonitor(depth=base.budget)
-        self.revealed: list[int] = []
+        self.positions = array("q")
+        self.revealed = array("q")
         self.seen: set[int] = set()
-        self.t = -1
         self._start_replay()
 
     def _start_replay(self) -> None:
         self._replay = copy.deepcopy(self.base)
-        self._query_times: list[int] = []
-        self._queries: list[int] = []
         self._answers: list[bool] = []
         self._refused: set[int] = set()  # queries the live replay heard "No" to
 
-    def _feed(self, j: int, xj: int) -> int:
+    def _feed(self, xj: int) -> int:
         y = self._replay.step_query(xj)
         if y is None:
             a = None
         else:
             a = y in self.seen
-            self._query_times.append(j)
-            self._queries.append(y)
             self._answers.append(a)
             if not a:
                 self._refused.add(y)
-            if len(self._queries) > self.base.budget:
+            if len(self._answers) > self.base.budget:
                 raise BudgetViolation(
-                    f"replay asked {len(self._queries)} queries, budget {self.base.budget}"
+                    f"replay asked {len(self._answers)} queries, budget {self.base.budget}"
                 )
         return self._replay.step_output(a)
 
     def step(self, revealed: int) -> int:
-        self.t += 1
         self.revealed.append(revealed)
         self.seen.add(revealed)
         if revealed in self._refused:
             self._start_replay()
-            for j in range(self.t):
-                self._feed(j, self.revealed[j])
-        z = self._feed(self.t, revealed)
-        self.monitor.record(self.t, self._query_times, self._queries, self._answers)
+            for xj in self.revealed[:-1]:
+                self._feed(xj)
+        z = self._feed(revealed)
+        self.positions.append(preorder_index(self._answers, self.base.budget))
         return z
 
 

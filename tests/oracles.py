@@ -75,7 +75,7 @@ from limitgen.families import (
     SuffixFamily,
     UnionSpec,
 )
-from limitgen.feedback import YES, DecisionTreeMonitor, IndexIdentifier, UnionFeedbackGenerator
+from limitgen.feedback import YES, IndexIdentifier, UnionFeedbackGenerator, preorder_index
 from limitgen.langs import (
     NEGATIVES,
     ClosedFormLanguage,
@@ -298,41 +298,36 @@ def brute_closure_window(spec, sample, lo: int, hi: int):
 
 class NaiveStripQueries:
     """Query elimination by replaying a copy of the unplayed base on the
-    whole revealed prefix at every step (quadratic in the horizon)."""
+    whole revealed prefix at every step (quadratic in the horizon).
+    `positions` keeps that replay's decision-tree position after each step."""
 
     def __init__(self, base) -> None:
         if base.budget is None:
             raise ValueError("base strategy must declare a finite query budget")
         self.base = base
-        self.monitor = DecisionTreeMonitor(depth=base.budget)
+        self.positions: list[int] = []
         self.revealed: list[int] = []
         self.seen: set[int] = set()
-        self.t = -1
 
     def step(self, revealed: int) -> int:
-        self.t += 1
         self.revealed.append(revealed)
         self.seen.add(revealed)
         replay = copy.deepcopy(self.base)
-        query_times: list[int] = []
-        queries: list[int] = []
         answers: list[bool] = []
         z = 0
-        for j, xj in enumerate(self.revealed):
+        for xj in self.revealed:
             y = replay.step_query(xj)
             if y is None:
                 a = None
             else:
                 a = y in self.seen
-                query_times.append(j)
-                queries.append(y)
                 answers.append(a)
-                if len(queries) > self.base.budget:
+                if len(answers) > self.base.budget:
                     raise BudgetViolation(
-                        f"replay asked {len(queries)} queries, budget {self.base.budget}"
+                        f"replay asked {len(answers)} queries, budget {self.base.budget}"
                     )
             z = replay.step_output(a)
-        self.monitor.record(self.t, query_times, queries, answers)
+        self.positions.append(preorder_index(answers, self.base.budget))
         return z
 
 

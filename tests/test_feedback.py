@@ -22,7 +22,7 @@ from limitgen.generators import FollowSuffix, MinMinusOne, baseline
 from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 
-from oracles import NaiveIndexIdentifier, NaiveStripQueries, replayed_last_part_move
+from oracles import NaiveIndexIdentifier, NaiveStripQueries, replayed_last_part_move, retained_per_step
 
 
 def drive(gen, reveals, truth):
@@ -162,13 +162,25 @@ def test_strip_queries_flags_budget_violations():
         stripped.step(4)
 
 
+def test_strip_queries_takes_budgets_whose_positions_fit_int64():
+    deepest = OneShotProbeGenerator(probe=5)
+    deepest.budget = 62
+    stripped = StripQueries(deepest)
+    stripped.step(5)
+    assert list(stripped.positions) == [2**62]
+    for budget in (None, 63):
+        base = OneShotProbeGenerator(probe=5)
+        base.budget = budget
+        with pytest.raises(ValueError):
+            StripQueries(base)
+
+
 def test_monitor_moves_no_to_yes_once():
     truth = ClosedFormLanguage(frozenset({5}), None, True)
     stripped = StripQueries(OneShotProbeGenerator(probe=-1))
     for x in [5, -1, -3, -4]:
         stripped.step(x)
-    assert stripped.monitor.indices() == [1, 2, 2, 2]
-    assert stripped.monitor.non_decreasing()
+    assert list(stripped.positions) == [1, 2, 2, 2]
 
 
 class TwoProbes(FeedbackGenerator):
@@ -228,7 +240,7 @@ def _strip_play(stripped, reveals):
         except BudgetViolation:
             outputs.append("budget violation")
             break
-    return outputs, stripped.monitor.records
+    return outputs, list(stripped.positions)
 
 
 @given(make=BASES, reveals=st.lists(st.integers(-6, 6), max_size=30))
@@ -236,6 +248,7 @@ def test_strip_queries_matches_from_scratch_replay(make, reveals):
     fast = _strip_play(StripQueries(make()), reveals)
     naive = _strip_play(NaiveStripQueries(make()), reveals)
     assert fast == naive
+    assert all(a <= b for a, b in itertools.pairwise(fast[1]))
 
 
 def test_strip_queries_restarts_on_each_flipped_answer():
@@ -246,8 +259,9 @@ def test_strip_queries_restarts_on_each_flipped_answer():
     fast = _strip_play(StripQueries(base), reveals)
     assert base.t == -1 and base.answers == []  # every restart copies the unplayed base
     assert fast == _strip_play(NaiveStripQueries(TwoProbes(-1, -3)), reveals)
-    assert [r.preorder_index for r in fast[1]] == [1, 1, 2, 5, 5, 6, 6]
-    assert fast[1][-1].queries == (-1, -3)
+    # 6 is reached only if the second query moved to -3 and heard Yes;
+    # asking -2 would end at 5
+    assert fast[1] == [1, 1, 2, 5, 5, 6, 6]
 
 
 class _CountingProbe(OneShotProbeGenerator):
@@ -288,6 +302,21 @@ def test_strip_queries_replay_work_is_linear(truth):
     # one pass, plus one restart when the probe -1 is revealed
     assert steps <= calls[0] <= 2 * steps
     assert base.t == -1  # the replays step copies; the base as given is never stepped
+
+
+@pytest.mark.parametrize("truth", ALG5_TRUTHS[:2])
+def test_strip_queries_retains_under_120_bytes_per_step(truth):
+    steps = 12_800
+
+    def play():
+        stripped = StripQueries(OneShotProbeGenerator(probe=-1))
+        for x in itertools.islice(ScriptedSource(ScriptedSpec(truth)).reveals(), steps):
+            stripped.step(x)
+        return stripped
+
+    per_step, stripped = retained_per_step(steps, play)
+    assert len(stripped.positions) == steps
+    assert per_step < 120, f"{per_step:.0f} B per step"
 
 
 def test_preorder_index_full_depth_two_tree():
