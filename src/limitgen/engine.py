@@ -26,12 +26,18 @@ the budget, answers it inline from the truth's parts and records it.
 
 A run keeps its steps in a columnar `Transcript` of about 17 bytes a step:
 reveals and outputs as int64 columns, the asked queries, and one byte for
-the answer and the verdict. Values live in the int64 domain, which no CLI
-input can leave: they grow with the horizon and the level `i`, far short of
-2**63 in any run that can finish. A value outside it raises OverflowError
-rather than being stored truncated. `Transcript.asked()` decodes the steps
-that asked a query; `write_trace` formats every step straight from the
-columns, one template per code byte.
+the answer and the verdict. The reveal iterator appends each value to its
+column as it is pulled. Only for a source that does not judge does it also
+add the value to a seen set, which the closed-form judge and the stream
+checks read; an adaptive source's own sets hold every value it played, so
+the run keeps no second copy. A `RunResult`'s step times, and an adaptive
+truth's sorted sets in `truth_record`, are int64 columns as well, so no int
+object of a finished run outlives its source. Values live in the int64
+domain, which no CLI input can leave: they grow with the horizon and the
+level `i`, far short of 2**63 in any run that can finish. A value outside it
+raises OverflowError rather than being stored truncated.
+`Transcript.asked()` decodes the steps that asked a query; `write_trace`
+formats every step straight from the columns, one template per code byte.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ import json
 import math
 import operator
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Callable, Iterator
 
 from .errors import BudgetViolation, ModeMismatch, StreamEnded
@@ -156,12 +162,14 @@ class Transcript:
 
 @dataclass(frozen=True)
 class RunResult:
-    mistake_times: tuple[int, ...]
+    """A finished run's facts. Its step times are sorted int64 columns."""
+
+    mistake_times: array
     observed_convergence: int
     unknown_count: int
     validity_violations: tuple[str, ...]
     no_trigger: bool = False
-    certified_mistake_times: tuple[int, ...] = ()
+    certified_mistake_times: array = field(default_factory=functools.partial(array, "q"))
     final_stage_mistakes: int = 0
     distinct_at_convergence: int | None = None
 
@@ -170,13 +178,14 @@ class RunResult:
         return len(self.mistake_times)
 
     def to_record(self) -> dict:
+        """The trace's summary; `_dump` writes the columns as JSON lists."""
         return {
-            "mistake_times": list(self.mistake_times),
+            "mistake_times": self.mistake_times,
             "observed_convergence": self.observed_convergence,
             "unknown_count": self.unknown_count,
             "validity_violations": list(self.validity_violations),
             "no_trigger": self.no_trigger,
-            "certified_mistake_times": list(self.certified_mistake_times),
+            "certified_mistake_times": self.certified_mistake_times,
             "final_stage_mistakes": self.final_stage_mistakes,
             "distinct_at_convergence": self.distinct_at_convergence,
         }
@@ -305,8 +314,15 @@ def run(
         step = functools.partial(generator.play, _asker(truth, budget, records))
     else:
         step = generator.step
-    reveals = itertools.repeat(None) if mode.kind == SAMPLELESS else source.reveals()
-    seen: set[int] = set()
+    seen: set[int] = set()  # the reveals, for a source that does not judge
+    if mode.kind == SAMPLELESS:
+        reveals = itertools.repeat(None)
+    else:
+        # `append` and `add` return None, so each reveal passes through once
+        # it is recorded; an adaptive source keeps its own seen set
+        reveals = itertools.filterfalse(records.reveals.append, source.reveals())
+        if not source.adaptive:
+            reveals = itertools.filterfalse(seen.add, reveals)
     if source.adaptive:
         judge = source.observe
     else:
@@ -314,13 +330,9 @@ def run(
         if mode.kind == IDENTIFICATION:
             target = _identification_target(generator, truth)
         judge = _judge(truth, seen, target)
-    put_x, see = records.reveals.append, seen.add
     put_z, codes = records.outputs.append, records.codes
     # range comes first, so that zip never pulls a reveal past the horizon
     for t, x in zip(range(horizon), reveals):
-        if x is not None:
-            put_x(x)
-            see(x)
         z = step(x)
         put_z(z)
         code = judge(t, z)
@@ -330,7 +342,7 @@ def run(
         raise StreamEnded(
             f"the source stopped revealing at step {len(records.outputs)} of {horizon}"
         )
-    mistakes = tuple(itertools.compress(range(horizon), codes.translate(_MISTAKE_CODES)))
+    mistakes = array("q", itertools.compress(range(horizon), codes.translate(_MISTAKE_CODES)))
     convergence = mistakes[-1] + 1 if mistakes else 0
     staged = isinstance(source, StagedAdversary)
     return records, RunResult(
@@ -339,7 +351,7 @@ def run(
         unknown_count=sum(map(codes.count, _UNKNOWN_CODES)),
         validity_violations=tuple(validate_stream(source, mode, horizon, records, seen)),
         no_trigger=staged and source.no_trigger,
-        certified_mistake_times=source.certified_mistake_times if staged else (),
+        certified_mistake_times=source.certified_mistake_times if staged else array("q"),
         final_stage_mistakes=source.final_stage_mistakes(horizon) if staged else 0,
         distinct_at_convergence=(
             len(set(records.reveals[:convergence])) if mode.kind == REPETITION else None
@@ -351,18 +363,22 @@ def validate_stream(
     source: Source, mode: Mode, horizon: int, records: Transcript, seen: set[int]
 ) -> list[str]:
     """Whole-stream checks of a finished run, `seen` being the set of its
-    reveals. Outside repetition mode no sample comes twice, and in
-    sampleless play no output does. A scripted enumeration must also keep
+    reveals for a source that does not judge. An adaptive source keeps each
+    value it played once in its own sets, so `seen` is not read for it.
+    Outside repetition mode no sample comes twice, and in sampleless play no
+    output does; the column is scanned for repeats only when its distinct
+    count falls short of its length. A scripted enumeration must also keep
     its noise budgets (distinct reveals outside the truth, so a repeated
     noise string counts once) and its omission budget, and cover its early
     elements when samples are revealed."""
     sampleless = mode.kind == SAMPLELESS
     if sampleless:  # nothing is revealed; the outputs must not repeat
-        label, values, distinct = "output-repeat", records.outputs, set(records.outputs)
+        label, values, distinct = "output-repeat", records.outputs, len(set(records.outputs))
     else:
-        label, values, distinct = "repeat", records.reveals, seen
+        label, values = "repeat", records.reveals
+        distinct = source.played_count() if source.adaptive else len(seen)
     violations: list[str] = []
-    if mode.kind != REPETITION and len(distinct) < len(values):
+    if mode.kind != REPETITION and distinct < len(values):
         once: set[int] = set()  # `once.add` returns None: a first sighting is no repeat
         violations = [f"{label}@{t}:{v}" for t, v in enumerate(values) if v in once or once.add(v)]
     if not isinstance(source, ScriptedSource):
@@ -396,7 +412,8 @@ def validate_stream(
 
 
 def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    # int64 columns are written as the lists they hold
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), default=list)
 
 
 # One line template per step code: the answer and the verdict are fixed by
@@ -440,8 +457,8 @@ def truth_record(truth) -> dict:
     if isinstance(truth, TranscriptLimitLanguage):
         return {
             "kind": "transcript_limit",
-            "seen": sorted(truth.seen),
-            "excluded": sorted(truth.excluded),
+            "seen": array("q", sorted(truth.seen)),
+            "excluded": array("q", sorted(truth.excluded)),
             "promised": truth.promised.to_record() if truth.promised else None,
         }
     raise TypeError(f"unknown truth type {type(truth)!r}")

@@ -12,6 +12,7 @@ at a time. Experiment ids are stable config keys.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import time
 from dataclasses import dataclass
@@ -170,8 +171,9 @@ def _check_zero_mistakes_from(
     step to check, so it fails too."""
     if t_star >= horizon:
         return [f"{label}: t*={t_star} is not below the horizon {horizon}"]
-    bad = [t for t in result.mistake_times if t >= t_star]
-    return [f"{label}: mistakes at {bad[:5]} despite t*={t_star}"] if bad else []
+    first = bisect.bisect_left(result.mistake_times, t_star)  # the times are sorted
+    bad = list(result.mistake_times[first : first + 5])
+    return [f"{label}: mistakes at {bad} despite t*={t_star}"] if bad else []
 
 
 def _check_valid(result: RunResult, label: str) -> list[str]:
@@ -207,14 +209,16 @@ def _union_defeat_cases(horizon: int, seed: int, params: dict):
     name = params["generators"]
     adversary = staged_union_adversary()
     sub = yield Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
-    # trigger k's negative -(k + 1) is owed on the step after the trigger
-    owed = min(MIN_CERTIFIED, sum(t + 1 < horizon for t in sub.result.certified_mistake_times))
+    # trigger k's negative -(k + 1) is owed on the step after the trigger,
+    # so for each of the sorted trigger times below horizon - 1
+    certified = sub.result.certified_mistake_times
+    owed = min(MIN_CERTIFIED, bisect.bisect_left(certified, horizon - 1))
     missing = [-k for k in range(1, owed + 1) if not adversary.emitted(-k)]
     if missing:
         yield f"negatives not all emitted: {missing}"
     if name == "max_plus_one":
         expect = tuple(range(0, 2 * MIN_CERTIFIED, 2))
-        got = sub.result.certified_mistake_times[: len(expect)]
+        got = tuple(certified[: len(expect)])
         if got != expect:
             yield f"mistake prefix {got} != {expect}"
 

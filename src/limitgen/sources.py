@@ -34,7 +34,8 @@ PERMUTATION_BLOCK = 16
 class Source:
     """One value per step; adaptive subclasses react to generator outputs
     and judge them, with `observe(t, output)` returning the output's verdict
-    code."""
+    code, and keep their own seen set, with `played_count()` the number of
+    distinct values played."""
 
     adaptive = False
 
@@ -305,8 +306,14 @@ class StagedAdversary(Source):
         return self.limit
 
     @property
-    def certified_mistake_times(self) -> tuple[int, ...]:
-        return tuple(self.trigger_times)
+    def certified_mistake_times(self) -> array:
+        """A copy of the trigger times, a sorted int64 column."""
+        return self.trigger_times[:]
+
+    def played_count(self) -> int:
+        """How many distinct values have been played: the truth values and
+        the noise prefix values, which `emit` keeps in two disjoint sets."""
+        return len(self._seen) + len(self._prefix_shown)
 
     @property
     def no_trigger(self) -> bool:

@@ -49,6 +49,7 @@ import itertools
 import json
 import random
 import tracemalloc
+from array import array
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -162,6 +163,21 @@ def retained_per_step(steps: int, play):
     finally:
         tracemalloc.stop()
     return retained / steps, kept
+
+
+def peak_per_step(steps: int, play):
+    """(bytes per step, what `play()` returned): the most that tracemalloc
+    saw allocated while `play()` ran, above what was allocated before it,
+    divided by `steps`."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = play()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return peak / steps, kept
 
 
 def _suffix_traces(fam: SuffixFamily, lo: int, hi: int) -> list[frozenset[int]]:
@@ -434,7 +450,9 @@ def transcript_of(records) -> Transcript:
 
 
 def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    # an int64 column, in a header's truth or the summary, is written as the
+    # list of its values
+    return json.dumps(record, sort_keys=True, separators=(",", ":"), default=array.tolist)
 
 
 def naive_write_trace(fp, header: dict, records: Transcript, result) -> None:
@@ -504,14 +522,14 @@ def naive_run(generator, source, mode, horizon):
     if mode.kind == REPETITION:
         distinct = len({r.x for r in records[:convergence] if r.x is not None})
     no_trigger = False
-    certified = ()
+    certified = array("q")
     stage_mistakes = 0
     if isinstance(source, StagedAdversary):
         no_trigger = source.no_trigger
         certified = source.certified_mistake_times
         stage_mistakes = source.final_stage_mistakes(horizon)
     return records, RunResult(
-        mistake_times=tuple(mistakes),
+        mistake_times=array("q", mistakes),
         observed_convergence=convergence,
         unknown_count=unknown,
         validity_violations=tuple(violations),
@@ -868,8 +886,8 @@ class NaiveStagedAdversary:
             self._pending_negative = -(current.index + 1)
 
     @property
-    def certified_mistake_times(self) -> tuple[int, ...]:
-        return tuple(s.trigger_time for s in self.stages if s.trigger_time is not None)
+    def certified_mistake_times(self) -> array:
+        return array("q", [s.trigger_time for s in self.stages if s.trigger_time is not None])
 
     def final_stage_mistakes(self, horizon: int) -> int:
         last = self.stages[-1]

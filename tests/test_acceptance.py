@@ -70,7 +70,7 @@ def test_criterion_02_staged_union_defeats_baselines():
         if len(sub.result.certified_mistake_times) < 10:
             failures.append(f"{sub.name}: fewer than 10 certified mistakes")
     prefix = next(
-        sub.result.certified_mistake_times[:10]
+        tuple(sub.result.certified_mistake_times[:10])
         for sub in subs
         if "max_plus_one" in sub.name
     )

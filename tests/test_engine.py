@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 from limitgen import engine
 from limitgen.engine import Mode, oracle_answer, run, verdict, write_trace
 from limitgen.errors import BudgetViolation, LimitGenError, ModeMismatch, StreamEnded
-from limitgen.experiments import _feedback_parts
+from limitgen.experiments import _feedback_parts, run_experiment
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_prefix_chain
 from limitgen.feedback import (
     FeedbackGenerator,
@@ -41,12 +41,13 @@ from limitgen.sources import (
     ScriptedSource,
     ScriptedSpec,
     Source,
+    StagedAdversary,
     noise_prefix_adversary,
     omission_adversary,
     sensitivity_adversary,
     staged_union_adversary,
 )
-from oracles import TRUTHS, naive_run, retained_per_step, scripted_specs, steps
+from oracles import TRUTHS, naive_run, peak_per_step, retained_per_step, scripted_specs, steps
 
 
 def scripted(truth, **kwargs):
@@ -155,7 +156,7 @@ def test_staged_run_mistake_prefix():
     _, result = run(
         baseline("max_plus_one"), staged_union_adversary(), Mode.standard(), 1_000
     )
-    assert result.mistake_times[:3] == (0, 2, 4)
+    assert tuple(result.mistake_times[:3]) == (0, 2, 4)
     assert len(result.certified_mistake_times) >= 10
     assert result.certified_mistake_times == result.mistake_times
     assert result.unknown_count > 0  # off-trigger outputs stay undetermined
@@ -340,6 +341,48 @@ def test_transcript_retains_at_most_24_bytes_per_step():
     assert len(records) == 2 * horizon
     assert result.mistakes == 0
     assert per_step <= 24, f"{per_step:.1f} B per step with the source alive"
+
+
+def test_staged_union_run_peaks_under_210_bytes_per_step():
+    # the adversary's own sets are the run's only seen set; a second copy in
+    # the loop would add about 80 B per step
+    steps = 40_000
+    per_step, (records, result) = peak_per_step(
+        steps, lambda: run(MaxPlusOne(), staged_union_adversary(), Mode.standard(), steps)
+    )
+    assert len(result.certified_mistake_times) == steps // 2
+    assert per_step <= 210, f"{per_step:.0f} B per step at the peak"
+
+
+def test_finished_defeat_row_retains_under_48_bytes_per_step():
+    # the transcript, the step-time columns and the header's sorted truth
+    # sets, all int64 columns: no int object outlives the adversary
+    steps = 40_000
+    per_step, (rows, subs) = retained_per_step(
+        steps,
+        lambda: run_experiment("thm3.1", steps, params={"generators": ["max_plus_one"]}),
+    )
+    assert [row.passed for row in rows] == [True]
+    assert len(subs[0].header["truth"]["seen"]) == steps
+    assert per_step <= 48, f"{per_step:.1f} B per step held"
+
+
+class ReplaysZero(StagedAdversary):
+    """The staged union construction, except that step 3 plays step 0's
+    value again without passing `emit`'s own repeat check."""
+
+    def emit(self, t):
+        return 0 if t == 3 else super().emit(t)
+
+
+def test_repeat_check_covers_adaptive_sources():
+    def adversary():
+        return ReplaysZero((0, frozenset()), lambda z, _m: (z + 2, frozenset()))
+
+    records, result = run(MaxPlusOne(), adversary(), Mode.standard(), 8)
+    assert list(records.reveals[:4]) == [0, -1, 3, 0]
+    assert result.validity_violations == ("repeat@3:0",)
+    assert result == naive_run(MaxPlusOne(), adversary(), Mode.standard(), 8)[1]
 
 
 class Reveals(Source):
