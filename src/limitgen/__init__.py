@@ -54,7 +54,6 @@ from .generators import (
     SamplelessFromNoisy,
     SensitivityGenerator,
     StreamGenerator,
-    baseline,
     intersection_generator,
     noisy_from_sampleless,
     reduce_by_prefix,

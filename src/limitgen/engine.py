@@ -3,8 +3,10 @@
 Per step: the source reveals x_t (skipped in sampleless play), the strategy
 may query y_t and receive a_t, it outputs z_t, and the verdict is computed
 against the source's declared truth. The loop only plays and records these;
-every run fact (mistake times, convergence, the unknown count, repeats and
-noise) is read from the finished columns. The reveals come from one iterator,
+every run fact (mistake times, convergence, the unknown count, repeats, and
+noise against the source's own spec) is read from the finished columns. A
+case's level promise (at most i omissions or noise strings) is checked before
+the run, when `experiments` draws the case. The reveals come from one iterator,
 `source.reveals()`, zipped behind the horizon's range, so the source is
 never pulled past the last step; an iterator that stops early is an
 invariant breach. Each run binds one `step(x)`: a plain strategy's own
@@ -72,9 +74,8 @@ REPETITION = "repetition"
 @dataclass(frozen=True)
 class Mode:
     kind: str = STANDARD
-    omissions: int | str | None = None  # an int budget or "infinite"
-    noise: int | None = None
-    noise_known: bool = True
+    omissions: int | str | None = None  # header data: an int count or "infinite"
+    noise: int | None = None  # header data: no check reads either count
     query_budget: int | None = None
 
     def __post_init__(self) -> None:
@@ -118,7 +119,7 @@ class Mode:
             "kind": self.kind,
             "omissions": self.omissions,
             "noise": self.noise,
-            "noise_known": self.noise_known,
+            "noise_known": True,  # a constant the trace format still carries
             "query_budget": self.query_budget,
         }
 
@@ -349,8 +350,8 @@ def run(
         mistake_times=mistakes,
         observed_convergence=convergence,
         unknown_count=sum(map(codes.count, _UNKNOWN_CODES)),
-        validity_violations=tuple(validate_stream(source, mode, horizon, records, seen)),
-        no_trigger=staged and source.no_trigger,
+        validity_violations=tuple(validate_stream(source, mode, records, seen)),
+        no_trigger=staged and not source.trigger_times,
         certified_mistake_times=source.certified_mistake_times if staged else array("q"),
         final_stage_mistakes=source.final_stage_mistakes(horizon) if staged else 0,
         distinct_at_convergence=(
@@ -359,18 +360,16 @@ def run(
     )
 
 
-def validate_stream(
-    source: Source, mode: Mode, horizon: int, records: Transcript, seen: set[int]
-) -> list[str]:
+def validate_stream(source: Source, mode: Mode, records: Transcript, seen: set[int]) -> list[str]:
     """Whole-stream checks of a finished run, `seen` being the set of its
     reveals for a source that does not judge. An adaptive source keeps each
     value it played once in its own sets, so `seen` is not read for it.
     Outside repetition mode no sample comes twice, and in sampleless play no
     output does; the column is scanned for repeats only when its distinct
     count falls short of its length. A scripted enumeration must also keep
-    its noise budgets (distinct reveals outside the truth, so a repeated
-    noise string counts once) and its omission budget, and cover its early
-    elements when samples are revealed."""
+    its own spec's noise (distinct reveals outside the truth, so a repeated
+    noise string counts once), and cover its early elements when samples are
+    revealed. The mode's omission and noise counts are not read."""
     sampleless = mode.kind == SAMPLELESS
     if sampleless:  # nothing is revealed; the outputs must not repeat
         label, values, distinct = "output-repeat", records.outputs, len(set(records.outputs))
@@ -389,22 +388,15 @@ def validate_stream(
     declared_noise = spec.noise_count
     if noise > declared_noise:
         violations.append(f"noise-budget:{noise}>{declared_noise}")
-    if mode.kind == NOISY and mode.noise is not None and noise > mode.noise:
-        violations.append(f"noise-mode-budget:{noise}>{mode.noise}")
-    if isinstance(spec.omissions, frozenset):
-        if mode.kind == LOSSY and isinstance(mode.omissions, int):
-            if len(spec.omissions) > mode.omissions:
-                violations.append(
-                    f"omission-budget:{len(spec.omissions)}>{mode.omissions}"
-                )
-        if spec.order == "canonical" and spec.repeat_seed is None and not sampleless:
-            # coverage: early canonical elements must show up unless omitted
-            must_show = min(horizon // 2, max(horizon - declared_noise - 1, 0))
-            for k, v in enumerate(spec.truth.elements()):
-                if k >= must_show:
-                    break
-                if v not in seen and v not in spec.omissions:
-                    violations.append(f"coverage-miss:{v}")
+    canonical = spec.order == "canonical" and spec.repeat_seed is None
+    if canonical and isinstance(spec.omissions, frozenset) and not sampleless:
+        # coverage: early canonical elements must show up unless omitted
+        must_show = min(len(records) // 2, max(len(records) - declared_noise - 1, 0))
+        for k, v in enumerate(spec.truth.elements()):
+            if k >= must_show:
+                break
+            if v not in seen and v not in spec.omissions:
+                violations.append(f"coverage-miss:{v}")
     return violations
 
 

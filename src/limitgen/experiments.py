@@ -2,7 +2,7 @@
 
 Each registered id reproduces one separation or construction at desk scale
 and asserts its finite-horizon witness. A case is one engine run: no case
-may break its stream's declared mode, a positive case asserts zero mistakes
+may break its own spec or its level i, a positive case asserts zero mistakes
 from an analytic step t* (below its horizon) on, a defeat case (one against
 an adaptive adversary) asserts enough certified (or final-stage) mistakes,
 and the row may add its own checks of the finished run.
@@ -21,7 +21,7 @@ from typing import Callable, Generator, Iterator, NamedTuple
 
 from . import engine
 from .engine import Mode, RunResult, Transcript
-from .errors import DuplicateSubRun
+from .errors import DuplicateSubRun, ModeMismatch
 from .families import (
     ExplicitCountable,
     marked_neg_union,
@@ -45,10 +45,11 @@ from .generators import (
     ChainGenerator,
     DedupWrapper,
     FollowSuffix,
+    MaxPlusOne,
+    MinMinusOne,
     NoiseTolerantGenerator,
     OmissionTolerantGenerator,
     SensitivityGenerator,
-    baseline,
     intersection_generator,
     noisy_from_sampleless,
     SamplelessFromNoisy,
@@ -177,10 +178,18 @@ def _check_zero_mistakes_from(
 
 
 def _check_valid(result: RunResult, label: str) -> list[str]:
-    """A run whose stream broke its declared mode shows nothing."""
+    """A run whose stream broke its spec or its mode's rules shows nothing."""
     if result.validity_violations:
         return [f"{label}: stream violations: {result.validity_violations[:3]}"]
     return []
+
+
+def _check_level(name: str, count: int, budget: str, level: int) -> None:
+    """A level row's promise to its strategy, at most `level` omissions
+    (thm4.8) or noise strings (thm5.2, thm5.4), checked as a case is drawn:
+    one outside it is a defect of the table."""
+    if count > level:
+        raise ModeMismatch(f"{name} breaks its level's {budget} budget: {count} > i={level}")
 
 
 def _check_defeat(result: RunResult, label: str) -> list[str]:
@@ -194,6 +203,13 @@ def _check_defeat(result: RunResult, label: str) -> list[str]:
 # --- cases of each experiment ----------------------------------------------
 
 
+_BASELINES = {
+    "max_plus_one": MaxPlusOne,
+    "min_minus_one": MinMinusOne,
+    "follow_suffix": FollowSuffix,
+}
+
+
 def union_generator(name: str):
     """The strategy `thm3.1` plays for one of its `generators` names: a
     baseline name or `omission:<level>`. Raises ValueError on any other."""
@@ -202,7 +218,9 @@ def union_generator(name: str):
         if not (level.isascii() and level.isdecimal()):
             raise ValueError(f"omission level must be a non-negative integer, got {name!r}")
         return OmissionTolerantGenerator(int(level))
-    return baseline(name)
+    if name not in _BASELINES:
+        raise ValueError(f"unknown baseline {name!r}")
+    return _BASELINES[name]()
 
 
 def _union_defeat_cases(horizon: int, seed: int, params: dict):
@@ -384,8 +402,9 @@ def _omission_hierarchy_cases(horizon: int, seed: int, params: dict):
     scripted = min(horizon, SCRIPTED_HORIZON)
     for idx, (src, t_star) in enumerate(_omission_sources(level, scripted)):
         gen = OmissionTolerantGenerator(level)
-        n_omit = len(src.spec.omissions)
-        yield Case(f"thm4.8[i={level},src{idx}]", gen, src, Mode.lossy(n_omit), scripted, t_star)
+        name, n_omit = f"thm4.8[i={level},src{idx}]", len(src.spec.omissions)
+        _check_level(name, n_omit, "omission", level)
+        yield Case(name, gen, src, Mode.lossy(n_omit), scripted, t_star)
     adversary = omission_adversary(level)
     gen = OmissionTolerantGenerator(level)
     yield Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
@@ -430,9 +449,9 @@ def _noise_hierarchy_cases(horizon: int, seed: int, params: dict):
     scripted = min(horizon, SCRIPTED_HORIZON)
     for idx, (src, t_star) in enumerate(_noise_sources(level, scripted)):
         gen = NoiseTolerantGenerator(level)
-        yield Case(
-            f"thm5.2[i={level},src{idx}]", gen, src, Mode.noisy(src.spec.noise_count), scripted, t_star
-        )
+        name, noise = f"thm5.2[i={level},src{idx}]", src.spec.noise_count
+        _check_level(name, noise, "noise", level)
+        yield Case(name, gen, src, Mode.noisy(noise), scripted, t_star)
     adversary = noise_prefix_adversary(level)
     gen = NoiseTolerantGenerator(level)
     yield Case(f"thm5.2-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
@@ -455,7 +474,9 @@ def _sensitivity_cases(horizon: int, seed: int, params: dict):
     ):
         src = _scripted(suffix_from(j), noise=noise)
         gen = SensitivityGenerator(level)
-        yield Case(f"thm5.4[i={level},ray{idx}]", gen, src, Mode.noisy(len(noise)), scripted, j)
+        name = f"thm5.4[i={level},ray{idx}]"
+        _check_level(name, src.spec.noise_count, "noise", level)
+        yield Case(name, gen, src, Mode.noisy(len(noise)), scripted, j)
     # negative-side targets: correct once all the probe negatives have shown up
     probes = frozenset(range(-1, -(level + 2), -1))
     for idx, a_part in enumerate([frozenset(), frozenset({4}), frozenset({11, 6})]):

@@ -271,16 +271,3 @@ def reduce_by_prefix(base: Generator, removed: tuple[int, ...]) -> Generator:
         return base
     return PrefixedGenerator(base, tuple(removed))
 
-
-_BASELINES = {
-    "max_plus_one": MaxPlusOne,
-    "min_minus_one": MinMinusOne,
-    "follow_suffix": FollowSuffix,
-}
-
-
-def baseline(name: str) -> Generator:
-    try:
-        return _BASELINES[name]()
-    except KeyError:
-        raise ValueError(f"unknown baseline {name!r}") from None

@@ -224,12 +224,12 @@ class StagedAdversary(Source):
         self._play_from = len(self.prefix)  # the first step of stage 0
         # the current stage's language, less the values played: the ray from
         # the tail start and the extras; its ramp plays `_ramp_next` next
-        self.stage_start = self._play_from  # first step judged against it
         self._tail_start, self._extras = first_stage
         self._ramp_next = self._tail_start
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
-        self._pending_negative: int | None = None
-        self._negative_step: int | None = None
+        # the step after the last trigger: it plays the trigger's negative and
+        # rebuilds the stage; -1, which no step equals, before any trigger
+        self._rebuild_at = -1
         # read only after a trigger, whose output is >= 0, so -1 stands for
         # "nothing yet" without a None test
         self._running_max = -1
@@ -238,10 +238,8 @@ class StagedAdversary(Source):
     def emit(self, t: int) -> int:
         if t < self._play_from:
             return self._emit_noise(self.prefix[t])
-        v = self._pending_negative
-        if v is not None:
-            self._pending_negative = None
-            self._negative_step = t
+        if t == self._rebuild_at:  # trigger k owes the negative -(k + 1)
+            v = -len(self.trigger_times)
         else:
             v = self._ramp_next
             self._ramp_next = v + 1
@@ -275,15 +273,13 @@ class StagedAdversary(Source):
         if t >= self._play_from:  # before it, the prefix is noise
             if output > self._running_max:
                 self._running_max = output
-            if t == self._negative_step:
+            if t == self._rebuild_at:
                 # the step after a trigger: rebuild the stage, no trigger check
                 tail_start, self._extras = self._next_stage(
                     self.trigger_outputs[-1], self._running_max
                 )
-                self.stage_start = t + 1
                 self._tail_start = self._ramp_next = tail_start
                 self.tail_starts.append(tail_start)
-                self._negative_step = None
             elif not played and (output >= self._tail_start or output in self._extras):
                 # a trigger: an unseen member of the stage language
                 self.trigger_times.append(t)
@@ -292,8 +288,7 @@ class StagedAdversary(Source):
                 if output < 0:
                     raise ValueError(f"{output} lies in the promised part")
                 self._excluded.add(output)
-                # trigger k owes the negative -(k + 1)
-                self._pending_negative = -len(self.trigger_times)
+                self._rebuild_at = t + 1
                 return 1
         if played:
             return 1
@@ -316,8 +311,11 @@ class StagedAdversary(Source):
         return len(self._seen) + len(self._prefix_shown)
 
     @property
-    def no_trigger(self) -> bool:
-        return not self.trigger_times
+    def stage_start(self) -> int:
+        """The first step judged against the current stage, stage k: two
+        after trigger k - 1, whose negative comes between."""
+        k = len(self.tail_starts)
+        return self.trigger_times[k - 1] + 2 if k else self._play_from
 
     def final_stage_mistakes(self, horizon: int) -> int:
         """Steps judged against the last (never-triggered) stage language.

@@ -59,9 +59,7 @@ from limitgen import engine, generators
 from limitgen.engine import (
     CORRECT,
     IDENTIFICATION,
-    LOSSY,
     MISTAKE,
-    NOISY,
     REPETITION,
     SAMPLELESS,
     UNKNOWN_VERDICT,
@@ -525,7 +523,7 @@ def naive_run(generator, source, mode, horizon):
     certified = array("q")
     stage_mistakes = 0
     if isinstance(source, StagedAdversary):
-        no_trigger = source.no_trigger
+        no_trigger = not source.trigger_times
         certified = source.certified_mistake_times
         stage_mistakes = source.final_stage_mistakes(horizon)
     return records, RunResult(
@@ -565,12 +563,7 @@ def naive_validate_stream(records, source, mode, horizon):
     declared_noise = spec.noise_count
     if len(noise_emitted) > declared_noise:
         violations.append(f"noise-budget:{len(noise_emitted)}>{declared_noise}")
-    if mode.kind == NOISY and mode.noise is not None and len(noise_emitted) > mode.noise:
-        violations.append(f"noise-mode-budget:{len(noise_emitted)}>{mode.noise}")
     if isinstance(spec.omissions, frozenset):
-        if mode.kind == LOSSY and isinstance(mode.omissions, int):
-            if len(spec.omissions) > mode.omissions:
-                violations.append(f"omission-budget:{len(spec.omissions)}>{mode.omissions}")
         if spec.order == "canonical" and spec.repeat_seed is None and mode.kind != SAMPLELESS:
             must_show = min(horizon // 2, max(horizon - declared_noise - 1, 0))
             for k, v in enumerate(truth.elements()):

@@ -420,3 +420,19 @@ def test_duplicate_subrun_name_exits_3(monkeypatch, capsys):
         experiments.run_experiment("alg3-chain")
     assert main(["--experiment", "alg3-chain"]) == 3
     assert "two sub-runs named 'alg3[P7]'" in capsys.readouterr().err
+
+
+def test_case_over_its_level_budget_exits_3(monkeypatch, capsys):
+    noise_sources = experiments._noise_sources
+
+    def one_noise_string_past_the_level(level, horizon):
+        sources = noise_sources(level, horizon)
+        src, t_star = next(sources)  # a marked suffix: every negative is noise
+        noise = tuple((2 * k, -40 - k) for k in range(level + 1))
+        yield ScriptedSource(dataclasses.replace(src.spec, noise=noise)), t_star
+        yield from sources
+
+    monkeypatch.setattr(experiments, "_noise_sources", one_noise_string_past_the_level)
+    assert main(["--experiment", "thm5.2-noise-i"]) == 3
+    err = capsys.readouterr().err
+    assert "thm5.2[i=0,src0] breaks its level's noise budget: 1 > i=0" in err

@@ -26,7 +26,6 @@ from limitgen.generators import (
     OmissionTolerantGenerator,
     SamplelessFromNoisy,
     SensitivityGenerator,
-    baseline,
     intersection_generator,
     noisy_from_sampleless,
     reduce_by_prefix,
@@ -154,7 +153,7 @@ def test_noise_tolerant_run_converges_quickly():
 
 def test_staged_run_mistake_prefix():
     _, result = run(
-        baseline("max_plus_one"), staged_union_adversary(), Mode.standard(), 1_000
+        MaxPlusOne(), staged_union_adversary(), Mode.standard(), 1_000
     )
     assert tuple(result.mistake_times[:3]) == (0, 2, 4)
     assert len(result.certified_mistake_times) >= 10
@@ -173,7 +172,7 @@ def test_feedback_run_answers_match_truth():
 
 def test_mode_mismatch_combinations():
     with pytest.raises(ModeMismatch):
-        run(baseline("max_plus_one"), scripted(NEGATIVES), Mode.feedback(), 5)
+        run(MaxPlusOne(), scripted(NEGATIVES), Mode.feedback(), 5)
     with pytest.raises(ModeMismatch):
         run(
             UnionFeedbackGenerator([neg_union()]),
@@ -189,7 +188,7 @@ def test_mode_mismatch_combinations():
             5,
         )
     with pytest.raises(ModeMismatch):
-        run(baseline("max_plus_one"), staged_union_adversary(), Mode.sampleless(), 5)
+        run(MaxPlusOne(), staged_union_adversary(), Mode.sampleless(), 5)
 
 
 SAMPLE_READERS = {
@@ -236,33 +235,21 @@ def test_sampleless_play_takes_a_strategy_that_reads_no_samples(make, truth):
 
 def test_validation_catches_repeats_outside_repetition_mode():
     src = scripted(suffix_from(0), repeat_seed=1)
-    _, result = run(baseline("max_plus_one"), src, Mode.standard(), 50)
+    _, result = run(MaxPlusOne(), src, Mode.standard(), 50)
     assert any(v.startswith("repeat@") for v in result.validity_violations)
 
 
 def test_repetition_mode_allows_repeats_and_reports_distinct_count():
     src = scripted(suffix_from(5), repeat_seed=1)
-    gen = DedupWrapper(baseline("follow_suffix"))
+    gen = DedupWrapper(FollowSuffix())
     _, result = run(gen, src, Mode.repetition(), 100)
     assert not any(v.startswith("repeat@") for v in result.validity_violations)
     assert result.distinct_at_convergence is not None
 
 
-def test_validation_flags_noise_over_mode_budget():
-    src = scripted(suffix_from(0), noise=((0, -1), (1, -2)))
-    _, result = run(baseline("max_plus_one"), src, Mode.noisy(1), 50)
-    assert any(v.startswith("noise-mode-budget") for v in result.validity_violations)
-
-
-def test_validation_flags_omissions_over_mode_budget():
-    src = scripted(suffix_from(0), omissions=frozenset({4}))
-    _, result = run(baseline("max_plus_one"), src, Mode.lossy(0), 50)
-    assert any(v.startswith("omission-budget") for v in result.validity_violations)
-
-
 def test_validation_coverage_passes_for_canonical_sources():
     src = scripted(ClosedFormLanguage(frozenset({3}), None, True))
-    _, result = run(baseline("min_minus_one"), src, Mode.standard(), 100)
+    _, result = run(MinMinusOne(), src, Mode.standard(), 100)
     assert not result.validity_violations
 
 
@@ -418,8 +405,8 @@ def test_a_stream_that_stops_before_the_horizon_is_a_breach():
 
 def test_transcript_keeps_int64_values_and_refuses_wider_ones():
     widest = [2**63 - 1, -(2**63)]
-    records, _ = run(baseline("min_minus_one"), Reveals(widest[:1]), Mode.standard(), 1)
-    records_low, _ = run(baseline("max_plus_one"), Reveals(widest[1:]), Mode.standard(), 1)
+    records, _ = run(MinMinusOne(), Reveals(widest[:1]), Mode.standard(), 1)
+    records_low, _ = run(MaxPlusOne(), Reveals(widest[1:]), Mode.standard(), 1)
     assert [r.x for r in steps(records) + steps(records_low)] == widest
     for wider in (2**63, -(2**63) - 1):
         with pytest.raises(OverflowError):
@@ -461,7 +448,7 @@ def _plays(truth, budget):
     """(strategy factory, mode) for every mode a scripted source fits."""
     listed = (NEGATIVES, truth, suffix_from(3))
     return [
-        (lambda: baseline("max_plus_one"), Mode.standard()),
+        (MaxPlusOne, Mode.standard()),
         (lambda: StripQueries(OneShotProbeGenerator(probe=-1)), Mode.standard()),
         (lambda: FollowSuffix(), Mode.lossy(budget)),
         (lambda: OmissionTolerantGenerator(1), Mode.lossy("infinite")),
@@ -472,7 +459,7 @@ def _plays(truth, budget):
         (lambda: AskEveryOther(), Mode.feedback()),
         (lambda: IndexIdentifier(ExplicitCountable(languages=listed)), Mode.identification()),
         (lambda: DedupWrapper(FollowSuffix()), Mode.repetition()),
-        (lambda: baseline("min_minus_one"), Mode.repetition()),
+        (MinMinusOne, Mode.repetition()),
     ]
 
 
@@ -498,8 +485,8 @@ CONSTRUCTIONS = {
 ADVERSARIES = st.sampled_from(list(CONSTRUCTIONS.values()))
 PLAIN = st.sampled_from(
     [
-        lambda: baseline("max_plus_one"),
-        lambda: baseline("min_minus_one"),
+        MaxPlusOne,
+        MinMinusOne,
         FollowSuffix,
         lambda: OmissionTolerantGenerator(1),
         lambda: NoiseTolerantGenerator(2),
@@ -528,7 +515,7 @@ class Plays(ScriptedSource):
 
 
 FAULTY_PLAYS = [
-    (lambda: baseline("max_plus_one"), lambda k: Mode.standard()),
+    (MaxPlusOne, lambda k: Mode.standard()),
     (FollowSuffix, Mode.lossy),
     (lambda: NoiseTolerantGenerator(1), Mode.noisy),
     (lambda: DedupWrapper(FollowSuffix()), lambda k: Mode.repetition()),

@@ -18,7 +18,7 @@ from limitgen.feedback import (
     UnionFeedbackGenerator,
     preorder_index,
 )
-from limitgen.generators import FollowSuffix, MinMinusOne, baseline
+from limitgen.generators import FollowSuffix, MaxPlusOne, MinMinusOne
 from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 
@@ -145,8 +145,8 @@ def test_strip_queries_replay_example():
 
 def test_strip_queries_budget_zero_is_identity():
     reveals = [4, -2, 9, 0, 13, -5]
-    plain = baseline("max_plus_one")
-    stripped = StripQueries(PlainAsFeedback(baseline("max_plus_one")))
+    plain = MaxPlusOne()
+    stripped = StripQueries(PlainAsFeedback(MaxPlusOne()))
     assert [stripped.step(x) for x in reveals] == [plain.step(x) for x in reveals]
 
 
@@ -225,7 +225,7 @@ class AsksAgainOnYes(OneShotProbeGenerator):
 PROBES = st.integers(-6, 6)
 BASES = st.one_of(
     PROBES.map(lambda p: lambda: OneShotProbeGenerator(probe=p)),
-    st.just(lambda: PlainAsFeedback(baseline("max_plus_one"))),
+    st.just(lambda: PlainAsFeedback(MaxPlusOne())),
     st.just(lambda: PlainAsFeedback(FollowSuffix())),
     st.tuples(PROBES, PROBES).map(lambda ps: lambda: TwoProbes(*ps)),
     PROBES.map(lambda p: lambda: AsksAgainOnYes(probe=p)),

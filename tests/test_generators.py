@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from limitgen import engine, generators
 from limitgen.engine import Mode
+from limitgen.experiments import union_generator
 from limitgen.errors import SearchExhausted
 from limitgen.families import ExplicitCountable, NegFamily, neg_union, ray_prefix_chain
 from limitgen.generators import (
@@ -23,7 +24,6 @@ from limitgen.generators import (
     SamplelessFromNoisy,
     SensitivityGenerator,
     StreamGenerator,
-    baseline,
     intersection_generator,
     noisy_from_sampleless,
     reduce_by_prefix,
@@ -308,12 +308,12 @@ def test_pool_strategies_match_builtin_references(reveals, probe, answer):
 
 
 def test_baseline_traces():
-    assert feed(baseline("max_plus_one"), [0]) == [1]
-    assert feed(baseline("min_minus_one"), [0, -1]) == [-1, -2]
-    assert feed(baseline("follow_suffix"), [0, 1, 2]) == [1, 2, 3]
-    assert feed(baseline("follow_suffix"), [-9, -8, 5]) == [1, 2, 6]
-    with pytest.raises(ValueError):
-        baseline("nope")
+    assert feed(MaxPlusOne(), [0]) == [1]
+    assert feed(MinMinusOne(), [0, -1]) == [-1, -2]
+    assert feed(FollowSuffix(), [0, 1, 2]) == [1, 2, 3]
+    assert feed(FollowSuffix(), [-9, -8, 5]) == [1, 2, 6]
+    with pytest.raises(ValueError, match="unknown baseline 'nope'"):
+        union_generator("nope")
 
 
 @given(reveals=st.lists(st.integers(-50, 50), min_size=1, max_size=40, unique=True))
@@ -343,8 +343,8 @@ def test_pool_strategies_never_repeat_or_collide(reveals):
 
 
 def test_dedup_reemits_on_repeats():
-    wrapped = DedupWrapper(baseline("max_plus_one"))
-    plain = baseline("max_plus_one")
+    wrapped = DedupWrapper(MaxPlusOne())
+    plain = MaxPlusOne()
     expect = [plain.step(5), None, None, plain.step(6)]
     got = feed(wrapped, [5, 5, 5, 6])
     assert got[0] == expect[0]
@@ -354,13 +354,13 @@ def test_dedup_reemits_on_repeats():
 
 def test_dedup_transparent_without_repeats():
     reveals = list(range(0, 2_000, 2))
-    assert feed(DedupWrapper(baseline("follow_suffix")), reveals) == feed(
-        baseline("follow_suffix"), reveals
+    assert feed(DedupWrapper(FollowSuffix()), reveals) == feed(
+        FollowSuffix(), reveals
     )
 
 
 def test_dedup_constant_on_constant_input():
-    gen = DedupWrapper(baseline("max_plus_one"))
+    gen = DedupWrapper(MaxPlusOne())
     outputs = feed(gen, [1] * 50)
     assert len(set(outputs)) == 1
 
@@ -369,7 +369,7 @@ def test_reduce_by_prefix_trace():
     gen = reduce_by_prefix(NoiseTolerantGenerator(0), (0,))
     assert gen.step(-3) == 2  # sees the prefix 0 first, then -3
 
-    base = baseline("max_plus_one")
+    base = MaxPlusOne()
     assert reduce_by_prefix(base, ()) is base
 
 
@@ -402,8 +402,8 @@ def test_fresh_replays_identically():
     # StripQueries restarts each replay from a deep copy of its unplayed
     # base: every such fresh copy must replay what the original plays
     gens = [
-        baseline("max_plus_one"),
-        baseline("follow_suffix"),
+        MaxPlusOne(),
+        FollowSuffix(),
     ] + [
         make(level)
         for make in (OmissionTolerantGenerator, NoiseTolerantGenerator, SensitivityGenerator)

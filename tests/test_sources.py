@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from limitgen import engine
 from limitgen.engine import Mode
 from limitgen.errors import AdversaryRepeat
-from limitgen.generators import baseline, intersection_generator
 from limitgen.families import neg_union
 from limitgen.generators import (
     FollowSuffix,
@@ -17,6 +16,7 @@ from limitgen.generators import (
     NoiseTolerantGenerator,
     OmissionTolerantGenerator,
     SensitivityGenerator,
+    intersection_generator,
 )
 from limitgen.langs import ClosedFormLanguage, suffix_from
 from limitgen.sources import (
@@ -157,7 +157,7 @@ def test_scripted_source_plays_its_stream_once():
 
 def test_staged_union_exact_replay_against_ascender():
     adversary = staged_union_adversary()
-    xs, zs = play(adversary, baseline("max_plus_one"), 9)
+    xs, zs = play(adversary, MaxPlusOne(), 9)
     assert xs == [0, -1, 3, -2, 6, -3, 9, -4, 12]
     assert zs == [1, 2, 4, 5, 7, 8, 10, 11, 13]
     assert tuple(adversary.certified_mistake_times) == (0, 2, 4, 6, 8)
@@ -172,14 +172,14 @@ def test_staged_union_never_triggers_on_fresh_negatives():
     adversary = staged_union_adversary()
     gen = intersection_generator(neg_union())
     play(adversary, gen, 500)
-    assert adversary.no_trigger
+    assert not adversary.trigger_times
     assert tuple(adversary.certified_mistake_times) == ()
     assert adversary.final_stage_mistakes(500) == 500
 
 
 def test_staged_union_stream_validity():
     adversary = staged_union_adversary()
-    xs, _ = play(adversary, baseline("follow_suffix"), 2_000)
+    xs, _ = play(adversary, FollowSuffix(), 2_000)
     assert len(set(xs)) == len(xs)
     stages = len(adversary.certified_mistake_times)
     assert stages >= 10
@@ -189,7 +189,7 @@ def test_staged_union_stream_validity():
 
 def test_staged_union_certificates_are_sound():
     adversary = staged_union_adversary()
-    _, zs = play(adversary, baseline("max_plus_one"), 1_000)
+    _, zs = play(adversary, MaxPlusOne(), 1_000)
     for t in adversary.certified_mistake_times:
         assert adversary.limit.status(zs[t]) == "Out"
     assert not (adversary.limit.seen & adversary.limit.excluded)
@@ -197,7 +197,7 @@ def test_staged_union_certificates_are_sound():
 
 def test_staged_union_ramps_exceed_prior_outputs():
     adversary = staged_union_adversary()
-    xs, _ = play(adversary, baseline("follow_suffix"), 500)
+    xs, _ = play(adversary, FollowSuffix(), 500)
     nonneg = [x for x in xs if x >= 0]
     assert nonneg == sorted(nonneg) and len(set(nonneg)) == len(nonneg)
     # every excluded output stayed un-emitted
@@ -213,7 +213,7 @@ def test_omission_adversary_defeats_weaker_tolerance():
     xs, zs = play(adversary, gen, 1_000)
     # stage 0 never reveals the marker, so the strategy stays low forever
     assert all(z < 0 for z in zs)
-    assert adversary.no_trigger
+    assert not adversary.trigger_times
     assert adversary.final_stage_mistakes(1_000) == 1_000
     assert not adversary.emitted(0)
 
@@ -221,7 +221,7 @@ def test_omission_adversary_defeats_weaker_tolerance():
 def test_omission_adversary_triggers_on_ascender():
     for level in (0, 1, 2):
         adversary = omission_adversary(level)
-        play(adversary, baseline("max_plus_one"), 2_000)
+        play(adversary, MaxPlusOne(), 2_000)
         assert len(adversary.certified_mistake_times) >= 10
         assert not any(adversary.emitted(v) for v in range(level + 1))
         assert adversary.noise_count() == 0
@@ -229,7 +229,7 @@ def test_omission_adversary_triggers_on_ascender():
 
 def test_omission_adversary_stage_zero_stream():
     adversary = omission_adversary(2)
-    xs, _ = play(adversary, baseline("min_minus_one"), 5)
+    xs, _ = play(adversary, MinMinusOne(), 5)
     assert xs == [3, 4, 5, 6, 7]
 
 
@@ -238,7 +238,7 @@ def test_omission_adversary_stage_zero_stream():
 
 def test_noise_prefix_emits_markers_first():
     adversary = noise_prefix_adversary(2)
-    xs, _ = play(adversary, baseline("min_minus_one"), 6)
+    xs, _ = play(adversary, MinMinusOne(), 6)
     assert xs[:3] == [0, 1, 2]
     assert xs[3:] == [3, 4, 5]  # stage 0 continues above the markers
 
@@ -277,7 +277,7 @@ def test_sensitivity_adversary_exhausts_fixed_levels():
 
 def test_sensitivity_adversary_triggers_forever_on_ascender():
     adversary = sensitivity_adversary()
-    play(adversary, baseline("max_plus_one"), 2_000)
+    play(adversary, MaxPlusOne(), 2_000)
     assert len(adversary.certified_mistake_times) >= 10
 
 
@@ -402,6 +402,7 @@ def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shi
     assert list(fast.trigger_outputs) == [s.trigger_output for s in triggered]
     assert list(fast.tail_starts) == [s.tail_start for s in naive.stages[1:]]
     assert fast.final_stage_mistakes(horizon) == naive.final_stage_mistakes(horizon)
+    assert fast.stage_start == naive.stages[-1].started_at
     assert fast.limit.seen == naive.limit.seen
     assert fast.limit.excluded == naive.limit.excluded
     if ended is None or ended[1] is AdversaryRepeat:
