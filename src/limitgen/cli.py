@@ -1,16 +1,19 @@
 """Command-line experiment runner.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
-config (a horizon too large to allocate included), 3 internal invariant
-breach (exhausted searches and the like).
+config (a horizon too large to allocate, and a trace or summary file that
+cannot be written, included), 3 internal invariant breach (exhausted
+searches and the like).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import engine
 from .errors import LimitGenError
@@ -83,10 +86,26 @@ def _check_horizon(value: object, origin: str) -> None:
         raise ValueError(f"{origin} must be at most {sys.maxsize}, got {value}")
 
 
+class _Unwritable(Exception):
+    """A trace or summary file that cannot be opened or written."""
+
+
+@contextlib.contextmanager
+def _writing(path: Path | str) -> Iterator[IO[str]]:
+    """`path` opened for writing. An OSError from opening or writing it is
+    raised as `_Unwritable`, naming the path, since a failed write names
+    no file of its own."""
+    try:
+        with open(path, "w") as fp:
+            yield fp
+    except OSError as exc:
+        raise _Unwritable(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _write_traces(root: Path, subruns: list[SubRun]) -> None:
     for sub in subruns:
         safe = sub.name.replace("/", "_").replace(" ", "")
-        with open(root / f"{safe}.trace", "w") as fp:
+        with _writing(root / f"{safe}.trace") as fp:
             engine.write_trace(fp, sub.header, sub.records, sub.result)
 
 
@@ -144,6 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     except LimitGenError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
+    except _Unwritable as exc:
+        print(f"invalid config: {exc}", file=sys.stderr)
+        return 2
     except MemoryError:  # a run's transcript is allocated up front
         msg = f"horizon {horizon} of {entry['id']} does not fit in memory"
         print(f"invalid config: {msg}", file=sys.stderr)
@@ -156,14 +178,18 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     print(table)
     if args.summary:
-        with open(args.summary, "w") as fp:
-            json.dump(
-                {"rows": [r.to_record() for r in sorted(rows, key=lambda r: r.experiment)]},
-                fp,
-                indent=2,
-                sort_keys=True,
-            )
-            fp.write("\n")
+        try:
+            with _writing(args.summary) as fp:
+                json.dump(
+                    {"rows": [r.to_record() for r in sorted(rows, key=lambda r: r.experiment)]},
+                    fp,
+                    indent=2,
+                    sort_keys=True,
+                )
+                fp.write("\n")
+        except _Unwritable as exc:
+            print(f"invalid config: {exc}", file=sys.stderr)
+            return 2
     return 0 if all(r.passed for r in rows) else 1
 
 

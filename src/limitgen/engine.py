@@ -39,16 +39,18 @@ domain, which no CLI input can leave: they grow with the horizon and the
 level `i`, far short of 2**63 in any run that can finish. A value outside it
 raises OverflowError rather than being stored truncated.
 `Transcript.asked()` decodes the steps that asked a query; `write_trace`
-formats every step straight from the columns, one template per code byte.
+formats every step straight from the columns, one template per code byte,
+and writes them in chunks of `_CHUNK` steps, so its memory does not grow
+with the horizon.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import json
 import math
-import operator
 from array import array
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterator
@@ -130,6 +132,7 @@ _YES_CODE, _NO_CODE = 3, 6
 # a `bytes.translate` table: 1 at each code whose verdict is a Mistake
 _MISTAKE_CODES = bytes(code % 3 == 1 for code in range(256))
 _UNKNOWN_CODES = bytes((2, 2 + _YES_CODE, 2 + _NO_CODE))  # an Unknown's codes
+_ASKED_CODES = bytes(code >= _YES_CODE for code in range(256))  # 1 at each answered code
 
 
 class Transcript:
@@ -155,10 +158,13 @@ class Transcript:
 
     def asked(self) -> Iterator[tuple[int, int, bool]]:
         """(t, query, answer) for each step that asked a query, in order."""
+        if not self.queries:  # a run without queries scans no codes
+            return iter(())
         codes = self.codes
-        times = (t for t, code in enumerate(codes) if code >= _YES_CODE)
-        # zip reads the queries first, so a run without any never scans codes
-        return ((t, y, codes[t] < _NO_CODE) for y, t in zip(self.queries, times))
+        mask = codes.translate(_ASKED_CODES)
+        times = itertools.compress(itertools.count(), mask)
+        answers = map(_NO_CODE.__gt__, itertools.compress(codes, mask))  # "Yes" codes are below it
+        return zip(times, self.queries, answers)
 
 
 @dataclass(frozen=True)
@@ -384,7 +390,10 @@ def validate_stream(source: Source, mode: Mode, records: Transcript, seen: set[i
         return violations
     spec = source.spec
     finite, above, below = _parts(spec.truth)
-    noise = len([x for x in seen if not (x in finite or x >= above or x < below)])
+    # the non-members are [below, above) less the finite part
+    ordered = sorted(seen)
+    noise = bisect.bisect_left(ordered, above) - bisect.bisect_left(ordered, below)
+    noise -= sum(below <= x < above and x in seen for x in finite)
     declared_noise = spec.noise_count
     if noise > declared_noise:
         violations.append(f"noise-budget:{noise}>{declared_noise}")
@@ -392,11 +401,10 @@ def validate_stream(source: Source, mode: Mode, records: Transcript, seen: set[i
     if canonical and isinstance(spec.omissions, frozenset) and not sampleless:
         # coverage: early canonical elements must show up unless omitted
         must_show = min(len(records) // 2, max(len(records) - declared_noise - 1, 0))
-        for k, v in enumerate(spec.truth.elements()):
-            if k >= must_show:
-                break
-            if v not in seen and v not in spec.omissions:
-                violations.append(f"coverage-miss:{v}")
+        early = itertools.islice(spec.truth.elements(), must_show)
+        missed = itertools.filterfalse(seen.__contains__, early)
+        missed = itertools.filterfalse(spec.omissions.__contains__, missed)
+        violations += [f"coverage-miss:{v}" for v in missed]
     return violations
 
 
@@ -408,13 +416,20 @@ def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"), default=list)
 
 
-# One line template per step code: the answer and the verdict are fixed by
-# the code, and t, x, y and z are filled in.
-_STEP_LINES = tuple(
-    f'{{"a":{a},"t":%d,"verdict":"{v}","x":%s,"y":%s,"z":%d}}\n'
-    for a in ("null", '"Yes"', '"No"')
-    for v in _VERDICTS
-)
+# The step line templates of a run, by (reveals, queries): one per step code,
+# which fixes the answer and the verdict. t and z are filled in, x when the
+# run reveals samples and y when it asked queries; a column the run lacks is
+# the literal null.
+_STEP_LINES = {
+    (reveals, queries): tuple(
+        f'{{"a":{a},"t":%d,"verdict":"{v}","x":{x},"y":{y},"z":%d}}\n'
+        for a in ("null", '"Yes"', '"No"')
+        for v in _VERDICTS
+    )
+    for reveals, x in ((False, "null"), (True, "%d"))
+    for queries, y in ((False, "null"), (True, "%s"))
+}
+_CHUNK = 1024  # steps formatted and written at a time
 
 
 def write_trace(
@@ -427,20 +442,33 @@ def write_trace(
 
     Step lines are formatted by hand from the transcript's columns, byte for
     byte what `_dump` gives for the step's dict: sorted keys, no spaces,
-    `null` for a missing sample or query, the answer as "Yes"/"No".
+    `null` for a missing sample or query, the answer as "Yes"/"No". They
+    are formatted and written `_CHUNK` steps at a time, with one `%` over
+    the chunk's templates and its columns' slices, so the writer's memory
+    does not grow with the horizon.
     """
+    fp.write(_dump({"header": header}) + "\n")
+    reveals, queries, outputs = records.reveals, records.queries, records.outputs
+    codes = records.codes
+    lines = _STEP_LINES[bool(reveals), bool(queries)]
+    width = 2 + bool(reveals) + bool(queries)  # the values of one step line
+    pending = iter(queries)  # the queries not yet written, in order
     n = len(records)
-    ys: list = ["null"] * n
-    for t, y, _ in records.asked():
-        ys[t] = y
-    lines = [_dump({"header": header}) + "\n"]
-    lines += map(
-        operator.mod,
-        map(_STEP_LINES.__getitem__, records.codes),
-        zip(range(n), records.reveals or itertools.repeat("null"), ys, records.outputs),
-    )
-    lines.append(_dump({"summary": result.to_record()}) + "\n")
-    fp.write("".join(lines))
+    for i in range(0, n, _CHUNK):
+        j = min(i + _CHUNK, n)
+        args: list = [None] * ((j - i) * width)
+        args[::width] = range(i, j)
+        if reveals:
+            args[1::width] = reveals[i:j]
+        if queries:
+            ys: list = ["null"] * (j - i)
+            asked = itertools.compress(range(j - i), codes[i:j].translate(_ASKED_CODES))
+            for k, y in zip(asked, pending):  # zip stops before pulling a later query
+                ys[k] = y
+            args[width - 2 :: width] = ys
+        args[width - 1 :: width] = outputs[i:j]
+        fp.write("".join(map(lines.__getitem__, codes[i:j])) % tuple(args))
+    fp.write(_dump({"summary": result.to_record()}) + "\n")
 
 
 def truth_record(truth) -> dict:

@@ -1,11 +1,12 @@
 import dataclasses
+import errno
 import itertools
 import json
 import re
 
 import pytest
 
-from limitgen import cli, experiments
+from limitgen import cli, engine, experiments
 from limitgen.cli import main
 from limitgen.engine import Mode
 from limitgen.errors import DuplicateSubRun
@@ -404,6 +405,29 @@ def test_summary_path_in_missing_directory_exits_2_before_running(monkeypatch, t
     assert main(["--experiment", "alg3-chain", "--summary", str(summary)]) == 2
     assert "invalid config" in capsys.readouterr().err
     assert not summary.parent.exists()
+
+
+def test_unwritable_trace_file_exits_2(tmp_path, capsys):
+    # a directory where a trace file would go: opening it fails
+    blocked = tmp_path / "traces" / "alg3[P7].trace"
+    blocked.mkdir(parents=True)
+    assert main(["--experiment", "alg3-chain", "--trace", str(blocked.parent)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid config: {blocked}: Is a directory\n"
+
+
+def test_failed_trace_or_summary_write_exits_2(monkeypatch, tmp_path, capsys):
+    def disk_full(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    trace = tmp_path / "traces" / "alg3[P7].trace"
+    monkeypatch.setattr(engine, "write_trace", disk_full)
+    assert main(["--experiment", "alg3-chain", "--trace", str(trace.parent)]) == 2
+    assert capsys.readouterr().err == f"invalid config: {trace}: No space left on device\n"
+    monkeypatch.setattr(json, "dump", disk_full)
+    summary = tmp_path / "s.json"
+    assert main(["--experiment", "alg3-chain", "--summary", str(summary)]) == 2
+    assert capsys.readouterr().err == f"invalid config: {summary}: No space left on device\n"
 
 
 def test_duplicate_subrun_name_exits_3(monkeypatch, capsys):

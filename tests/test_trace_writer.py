@@ -1,14 +1,19 @@
 """Differential tests: the trace writer, which formats the transcript's
 columns, and `Transcript.asked` against the `StepRecord` decoder and the
-dict-per-step `json.dumps` reference in `tests/oracles.py`."""
+dict-per-step `json.dumps` reference in `tests/oracles.py`. The writer's
+chunks are checked at their boundaries, and its memory against the horizon."""
 
 import io
+import os
+import tracemalloc
+from array import array
 
+import pytest
 from hypothesis import example, given, strategies as st
 from oracles import StepRecord, naive_write_trace, steps, transcript_of
 
 from limitgen import engine
-from limitgen.engine import CORRECT, MISTAKE, UNKNOWN_VERDICT, RunResult
+from limitgen.engine import _CHUNK, CORRECT, MISTAKE, UNKNOWN_VERDICT, RunResult, Transcript
 from limitgen.experiments import EXPERIMENTS, run_experiment
 
 VERDICTS = (CORRECT, MISTAKE, UNKNOWN_VERDICT)
@@ -93,3 +98,49 @@ def test_writer_matches_reference_on_every_experiment():
             ], sub.name
             compared += 1
     assert compared == 252
+
+
+@pytest.mark.parametrize("n", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+@pytest.mark.parametrize("sampleless", [False, True])
+@pytest.mark.parametrize("asks", [(), (_CHUNK - 1, _CHUNK)])
+def test_writer_matches_reference_across_chunk_boundaries(n, sampleless, asks):
+    # the queries straddle the first boundary, and every value is an int64 edge
+    records = [
+        StepRecord(
+            t,
+            None if sampleless else INT64_EDGES[t % 2],
+            INT64_EDGES[(t + 1) % 2] if t in asks else None,
+            (t == _CHUNK - 1) if t in asks else None,
+            INT64_EDGES[(t + 1) % 2],
+            VERDICTS[t % 3],
+        )
+        for t in range(n)
+    ]
+    transcript = transcript_of(records)
+    fast, naive = _both({"run": "x", "seed": 0}, transcript, _result(records))
+    assert fast == naive
+    assert fast.count("\n") == n + 2
+
+
+def _long_transcript(n: int) -> Transcript:
+    """n steps that reveal samples, asking a query at every third step."""
+    transcript = Transcript()
+    transcript.reveals = array("q", range(n))
+    transcript.outputs = array("q", range(-n, 0))
+    transcript.queries = array("q", range(0, n, 3))
+    transcript.codes = bytearray(3 + t % 6 if t % 3 == 0 else t % 3 for t in range(n))
+    return transcript
+
+
+@pytest.mark.parametrize("n", [20_000, 80_000])
+def test_writer_memory_is_flat_in_the_horizon(n):
+    transcript = _long_transcript(n)
+    result = RunResult(array("q"), 0, 0, ())
+    with open(os.devnull, "w") as fp:
+        tracemalloc.start()
+        try:
+            engine.write_trace(fp, {"run": "x", "seed": 0}, transcript, result)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1_000_000, f"{peak} B at {n} steps"
