@@ -479,6 +479,6 @@ def truth_record(truth) -> dict:
             "kind": "transcript_limit",
             "seen": array("q", sorted(truth.seen)),
             "excluded": array("q", sorted(truth.excluded)),
-            "promised": truth.promised.to_record() if truth.promised else None,
+            "promised": truth.promised.to_record(),
         }
     raise TypeError(f"unknown truth type {type(truth)!r}")

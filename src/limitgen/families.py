@@ -2,8 +2,9 @@
 
 A collection is either closed-form or listed. The closed-form families are
 intensional: an uncountable family like {A u Z_{<0} | A subset of Z} is
-represented by its parameters (required and forbidden finite sets), and the
-rays {P_k} by an optional top index, never by materializing members; their
+represented by its parameters (a suffix family's required finite set and
+optional offset, a negatives family's forbidden finite set), and the rays
+{P_k} by an optional top index, never by materializing members; their
 closure, closure dimension and common intersection are answered in closed
 form, and a sample is consistent exactly when its closure is not None. A
 listed collection is a short tuple of languages, answered by exact
@@ -74,36 +75,23 @@ class CollectionSpec:
 
 @dataclass(frozen=True)
 class SuffixFamily(CollectionSpec):
-    """Languages required u A u P_j with A avoiding the forbidden set.
+    """Languages required u A u P_j.
 
     `offset` pins j; offset=None ranges over all j >= 0.
     """
 
     required: frozenset[int] = frozenset()
-    forbidden: frozenset[int] = frozenset()
     offset: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "required", frozenset(self.required))
-        object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        if self.required & self.forbidden:
-            raise ValueError("required and forbidden sets must be disjoint")
         if self.offset is not None and self.offset < 0:
             raise ValueError("suffix offsets are natural numbers")
 
-    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int] | None:
-        sample = frozenset(sample)
-        tail = self.offset  # the largest admissible j; None when unbounded
-        blocked = sample & self.forbidden
-        if blocked:
-            # forbidden sample elements must be swept up by the tail
-            cap = min(blocked)
-            if cap < (tail or 0):
-                return None
-            if tail is None:
-                tail = cap
-        core = sample | self.required
-        return core if tail is None else ClosedFormLanguage(core, tail, False)
+    def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int]:
+        # every sample is consistent; the tail is the largest admissible j
+        core = frozenset(sample) | self.required
+        return core if self.offset is None else ClosedFormLanguage(core, self.offset, False)
 
     def closure_dimension(self) -> int:
         if self.offset is None:
@@ -115,26 +103,20 @@ class SuffixFamily(CollectionSpec):
 
 @dataclass(frozen=True)
 class NegFamily(CollectionSpec):
-    """Languages required u A u Z_{<0} with A avoiding the forbidden set."""
+    """Languages A u Z_{<0} with A avoiding the forbidden set."""
 
-    required: frozenset[int] = frozenset()
     forbidden: frozenset[int] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "required", frozenset(self.required))
         object.__setattr__(self, "forbidden", frozenset(self.forbidden))
-        if self.required & self.forbidden:
-            raise ValueError("required and forbidden sets must be disjoint")
         if any(v < 0 for v in self.forbidden):
             raise ValueError("forbidding a negative is vacuous: every member has them all")
 
     def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | None:
         sample = frozenset(sample)
-        # forbidden values are natural and never required
         if not sample.isdisjoint(self.forbidden):
             return None
-        core = frozenset(v for v in (sample | self.required) if v >= 0)
-        return ClosedFormLanguage(core, None, True)
+        return ClosedFormLanguage(frozenset(v for v in sample if v >= 0), None, True)
 
     def closure_dimension(self) -> int:
         return -1  # every closure contains the negative ray

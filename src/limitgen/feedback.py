@@ -252,45 +252,32 @@ class IndexIdentifier(FeedbackGenerator):
     """Names the target by index in an explicitly listed collection.
 
     Queries the step number itself (the collection must live over the
-    naturals), keeps positive / negative example sets, and outputs the least
-    index consistent with both.
+    naturals), fails each listed language on the first step whose evidence it
+    contradicts (the reveal is a member; the step number is one exactly when
+    the answer was "Yes"), and outputs the least index up to the step number
+    not yet failed. A failure is permanent, so no example is kept.
     """
 
     budget = None
 
     def __init__(self, collection: ExplicitCountable) -> None:
         self.languages = collection.languages
-        self.positive: set[int] = set()
-        self.negative: set[int] = set()
         self.t = -1
         self._revealed: int | None = None
         self._failed = [False] * len(self.languages)
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
-        self.positive.add(revealed)
         self._revealed = revealed
         return self.t
 
     def step_output(self, answer: bool | None) -> int:
-        t = self.t
-        yes = answer is YES
-        if yes:
-            self.positive.add(t)
-        else:
-            self.negative.add(t)
-        # a failure is permanent, so a language admitted earlier is tested
-        # only against this step's evidence; one admitted now against all
-        for i in range(min(t, len(self.languages))):
-            lang = self.languages[i]
-            if not self._failed[i] and (self._revealed not in lang or (t in lang) != yes):
-                self._failed[i] = True
-        if t < len(self.languages):
-            lang = self.languages[t]
-            self._failed[t] = any(v not in lang for v in self.positive) or any(
-                v in lang for v in self.negative
-            )
-        for i in range(min(t + 1, len(self.languages))):
-            if not self._failed[i]:
+        t, x, yes = self.t, self._revealed, answer is YES
+        failed = self._failed
+        for i, lang in enumerate(self.languages):
+            if not failed[i] and (x not in lang or (t in lang) != yes):
+                failed[i] = True
+        for i in range(min(t + 1, len(failed))):
+            if not failed[i]:
                 return i
         return 0

@@ -133,25 +133,20 @@ class TranscriptLimitLanguage:
     """The limit language of an adaptive run, known only through certificates.
 
     `seen` holds members enumerated so far, `excluded` holds elements the
-    adversary has committed never to enumerate, and `promised` is an optional
-    closed-form subset guaranteed to end up in the limit.
+    adversary has committed never to enumerate, and `promised`, the negative
+    ray, is guaranteed to end up in the limit.
     """
 
-    def __init__(
-        self,
-        promised: ClosedFormLanguage | None = None,
-        excluded: Iterable[int] = (),
-    ) -> None:
+    promised = NEGATIVES
+
+    def __init__(self, excluded: Iterable[int] = ()) -> None:
         self.seen: set[int] = set()
         self.excluded: set[int] = set(excluded)
-        self.promised = promised
-        if promised is not None:
-            for x in self.excluded:
-                if x in promised:
-                    raise ValueError("excluded element lies in the promised part")
+        if any(x in self.promised for x in self.excluded):
+            raise ValueError("excluded element lies in the promised part")
 
     def status(self, x: int) -> str:
-        if x in self.seen or (self.promised is not None and x in self.promised):
+        if x in self.seen or x in self.promised:
             return IN
         if x in self.excluded:
             return OUT

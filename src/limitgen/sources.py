@@ -22,11 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 from .errors import AdversaryRepeat
-from .langs import (
-    NEGATIVES,
-    ClosedFormLanguage,
-    TranscriptLimitLanguage,
-)
+from .langs import ClosedFormLanguage, TranscriptLimitLanguage
 
 PERMUTATION_BLOCK = 16
 
@@ -216,7 +212,7 @@ class StagedAdversary(Source):
         self.first_stage = first_stage
         self._next_stage = next_stage
         self.prefix = tuple(prefix)
-        self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
+        self.limit = TranscriptLimitLanguage(excluded=pre_excluded)
         self._seen, self._excluded = self.limit.seen, self.limit.excluded
         self.trigger_times = array("q")
         self.trigger_outputs = array("q")

@@ -76,7 +76,6 @@ from limitgen.families import (
 )
 from limitgen.feedback import YES, IndexIdentifier, UnionFeedbackGenerator, preorder_index
 from limitgen.langs import (
-    NEGATIVES,
     ClosedFormLanguage,
     TranscriptLimitLanguage,
     suffix_from,
@@ -180,15 +179,14 @@ def peak_per_step(steps: int, play):
 
 def _suffix_traces(fam: SuffixFamily, lo: int, hi: int) -> list[frozenset[int]]:
     pts = window(lo, hi)
-    pool = [v for v in pts if v not in fam.forbidden]
     if fam.offset is not None:
         offsets = [fam.offset]
     else:
         offsets = list(range(hi + 2))  # hi+1 stands in for all larger
     traces = set()
     for j in offsets:
-        for r in range(len(pool) + 1):
-            for a_part in itertools.combinations(pool, r):
+        for r in range(len(pts) + 1):
+            for a_part in itertools.combinations(pts, r):
                 lang = set(fam.required) | set(a_part) | {v for v in pts if v >= j}
                 traces.add(frozenset(v for v in lang if lo <= v <= hi))
     return sorted(traces, key=sorted)
@@ -200,7 +198,7 @@ def _neg_traces(fam: NegFamily, lo: int, hi: int) -> list[frozenset[int]]:
     traces = set()
     for r in range(len(pool) + 1):
         for a_part in itertools.combinations(pool, r):
-            lang = set(fam.required) | set(a_part) | {v for v in pts if v < 0}
+            lang = set(a_part) | {v for v in pts if v < 0}
             traces.add(frozenset(v for v in lang if lo <= v <= hi))
     return sorted(traces, key=sorted)
 
@@ -265,20 +263,16 @@ def minimal_traces(spec, sample, lo: int, hi: int) -> list[frozenset[int]] | Non
     sample = frozenset(sample)
     pts = window(lo, hi)
     if isinstance(spec, SuffixFamily):
-        blocked = sample & spec.forbidden
         lows = [spec.offset] if spec.offset is not None else list(range(hi + 2))
         traces = []
         for j in lows:
-            if any(x < j for x in blocked):
-                continue  # forbidden sample points must ride the tail
             lang = set(spec.required) | sample | {v for v in pts if v >= j}
             traces.append(frozenset(v for v in lang if lo <= v <= hi))
-        return traces or None
+        return traces
     if isinstance(spec, NegFamily):
-        bad = [x for x in sample if x >= 0 and x in spec.forbidden and x not in spec.required]
-        if bad:
+        if any(x >= 0 and x in spec.forbidden for x in sample):
             return None
-        lang = set(spec.required) | sample | {v for v in pts if v < 0}
+        lang = sample | {v for v in pts if v < 0}
         return [frozenset(v for v in lang if lo <= v <= hi)]
     if isinstance(spec, (ExplicitCountable, RayFamily)):
         live = [
@@ -348,6 +342,13 @@ class NaiveStripQueries:
 class NaiveIndexIdentifier(IndexIdentifier):
     """Index identification that re-tests every admitted, surviving language
     against all positive and negative examples at every step."""
+
+    def __init__(self, collection: ExplicitCountable) -> None:
+        self.languages = collection.languages
+        self.positive: set[int] = set()
+        self.negative: set[int] = set()
+        self.t = -1
+        self._failed = [False] * len(self.languages)
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
@@ -792,7 +793,7 @@ class NaiveStagedAdversary:
     def __init__(self, first_stage, next_stage, prefix=(), pre_excluded=()) -> None:
         self._next_stage = next_stage
         self.prefix = tuple(prefix)
-        self.limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded=pre_excluded)
+        self.limit = TranscriptLimitLanguage(excluded=pre_excluded)
         self.emitted: list[int] = []
         self.emitted_set: set[int] = set()
         tail_start, extras = first_stage

@@ -57,7 +57,7 @@ def test_verdict_cases():
     truth = ClosedFormLanguage(frozenset({5}), None, True)
     assert verdict(-4, truth, {5, -1}) == engine.CORRECT
     assert verdict(5, truth, {5, -1}) == engine.MISTAKE  # already seen
-    limit = TranscriptLimitLanguage(promised=NEGATIVES)
+    limit = TranscriptLimitLanguage()
     assert verdict(42, limit, set()) == engine.UNKNOWN_VERDICT
     limit.excluded.add(7)
     assert verdict(7, limit, set()) == engine.MISTAKE

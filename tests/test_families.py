@@ -37,7 +37,7 @@ TINY_FAMILIES = [
     marked_neg_union(1),
     marked_union(0),
     SuffixFamily(offset=2),
-    SuffixFamily(required=frozenset({-3}), forbidden=frozenset({1}), offset=None),
+    SuffixFamily(required=frozenset({-3}), offset=4),
     ExplicitCountable(languages=(suffix_from(0), suffix_from(5))),
     ExplicitCountable(
         languages=(suffix_from(0), ClosedFormLanguage(frozenset({5}), None, True))

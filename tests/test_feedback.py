@@ -425,6 +425,23 @@ def test_identifier_membership_work_is_linear():
     outputs = [z for (_, _, _, z) in drive(gen, range(9, 9 + steps), truth)]
     assert outputs[-1] == 2
     n = len(listed)
-    # two tests (reveal, step number) per admitted language and step, plus
-    # one full test of at most 2(n + 1) examples per admission
-    assert calls[0] <= 2 * n * steps + 2 * n * (n + 1)
+    # two tests (reveal, step number) per listed language and step
+    assert calls[0] <= 2 * n * steps
+
+
+def test_index_identifier_retains_no_per_step_state():
+    # alg6's collection on its last truth: every step's evidence is tested
+    # once and dropped, so nothing grows with the horizon
+    steps = 12_800
+    truth = suffix_from(9)
+
+    def play():
+        gen = make_identifier([suffix_from(0), suffix_from(5), suffix_from(9)])
+        for x in range(9, 9 + steps):
+            y = gen.step_query(x)
+            z = gen.step_output(y in truth)
+        return gen, z  # the strategy stays alive while it is measured
+
+    per_step, (_, z) = retained_per_step(steps, play)
+    assert z == 2
+    assert per_step < 8, f"{per_step:.1f} B per step"

@@ -10,7 +10,7 @@ from limitgen import engine, generators
 from limitgen.engine import Mode
 from limitgen.experiments import union_generator
 from limitgen.errors import SearchExhausted
-from limitgen.families import ExplicitCountable, NegFamily, neg_union, ray_prefix_chain
+from limitgen.families import ExplicitCountable, neg_union, ray_prefix_chain
 from limitgen.generators import (
     ChainGenerator,
     DedupWrapper,
@@ -29,7 +29,7 @@ from limitgen.generators import (
     reduce_by_prefix,
 )
 from limitgen.feedback import FeedbackGenerator, OneShotProbeGenerator, PlainAsFeedback
-from limitgen.langs import suffix_from
+from limitgen.langs import ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 from oracles import (
     NaiveFollowSuffix,
@@ -209,11 +209,8 @@ def test_chain_on_shrinking_neg_requirements():
     from limitgen.families import ChainSpec
 
     required = [frozenset({5, 6, 7}), frozenset({6, 7}), frozenset({7}), frozenset()]
-
-    def link(i):
-        return NegFamily(required=required[min(i, 3)])
-
-    gen = ChainGenerator(ChainSpec(link))
+    links = [ExplicitCountable(languages=(ClosedFormLanguage(r, None, True),)) for r in required]
+    gen = ChainGenerator(ChainSpec(lambda i: links[min(i, 3)]))
     assert [gen.step(None) for _ in range(5)] == [5, 6, 7, -1, -2]
 
 
@@ -394,7 +391,9 @@ def test_intersection_generator_requires_infinite_core():
 
 
 def test_intersection_generator_with_required_part():
-    stream = intersection_generator(NegFamily(required=frozenset({3})))
+    stream = intersection_generator(
+        ExplicitCountable(languages=(ClosedFormLanguage(frozenset({3}), None, True),))
+    )
     assert [stream.step(None) for _ in range(3)] == [3, -1, -2]
 
 

@@ -105,7 +105,7 @@ def test_normalized_absorbs_overlaps():
 
 
 def test_transcript_limit_status():
-    limit = TranscriptLimitLanguage(promised=NEGATIVES, excluded={1})
+    limit = TranscriptLimitLanguage(excluded={1})
     limit.seen.update((0, -1))
     assert limit.status(1) == "Out"
     assert limit.status(-5) == "In"
@@ -114,4 +114,4 @@ def test_transcript_limit_status():
 
 def test_transcript_limit_invariants():
     with pytest.raises(ValueError):
-        TranscriptLimitLanguage(promised=NEGATIVES, excluded={-1})
+        TranscriptLimitLanguage(excluded={-1})
