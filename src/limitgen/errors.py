@@ -21,6 +21,11 @@ class AdversaryRepeat(LimitGenError):
     """An adaptive source emitted the same element twice."""
 
 
+class CertificateBroken(LimitGenError):
+    """An adaptive source played a value it had certified never to play,
+    or certified one inside its promised part."""
+
+
 class StreamEnded(LimitGenError):
     """A source's reveals stopped before the horizon."""
 

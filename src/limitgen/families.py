@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from .errors import UnboundedClosureDimension
-from .langs import ClosedFormLanguage, suffix_from
+from .langs import NEGATIVES, ClosedFormLanguage, suffix_from
 
 
 def language_intersection(
@@ -31,23 +31,16 @@ def language_intersection(
         return frozenset(x for x in a if x in b)
     if isinstance(b, frozenset):
         return frozenset(x for x in b if x in a)
-    tail = None
-    if a.tail_start is not None and b.tail_start is not None:
-        tail = max(a.tail_start, b.tail_start)
-    negatives = a.include_negatives and b.include_negatives
-    finite = {v for v in a.finite_part if v in b}
-    finite |= {v for v in b.finite_part if v in a}
-    # a tail dipping below zero meets the other side's negative ray
-    for lo, hi in ((a, b), (b, a)):
-        if lo.tail_start is not None and lo.tail_start < 0 and hi.include_negatives:
-            finite.update(range(lo.tail_start, 0))
-    if tail is not None:
-        finite = {v for v in finite if v < tail}
-    if negatives:
-        finite = {v for v in finite if v >= 0}
-    if tail is None and not negatives:
-        return frozenset(finite)
-    return ClosedFormLanguage(frozenset(finite), tail, negatives)
+    common = {v for v in a.finite_part if v in b} | {v for v in b.finite_part if v in a}
+    if a.include_negatives != b.include_negatives:
+        # opposite rays meet only in the dip [tail, 0) of the upward one,
+        # so the common finite members and that dip are all there is
+        tail = b.tail_start if a.include_negatives else a.tail_start
+        return frozenset(common.union(range(tail, 0)))
+    # the same ray: the narrower one, plus the common members outside it
+    ray = NEGATIVES if a.include_negatives else suffix_from(max(a.tail_start, b.tail_start))
+    outside = frozenset(v for v in common if v not in ray)
+    return ClosedFormLanguage(outside, ray.tail_start, ray.include_negatives)
 
 
 class CollectionSpec:

@@ -21,7 +21,7 @@ from array import array
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import AdversaryRepeat
+from .errors import AdversaryRepeat, CertificateBroken
 from .langs import ClosedFormLanguage, TranscriptLimitLanguage
 
 PERMUTATION_BLOCK = 16
@@ -55,7 +55,8 @@ class ScriptedSpec:
     only alternate elements (an infinite-omission subsequence).
     noise: (position, value) insertions; values must lie outside the truth.
     order: "canonical" or "blocks:<seed>" (seeded shuffle inside fixed-size
-    blocks, so coverage stays horizon-checkable).
+    blocks, so coverage stays horizon-checkable); the seed is an integer as
+    `str` spells it, with no "+", space or leading zero.
     repeat_seed: when set, each element is repeated 1-5 times (seeded).
     """
 
@@ -82,8 +83,11 @@ class ScriptedSpec:
         for v in values:
             if v in self.truth:
                 raise ValueError(f"noise value {v} belongs to the truth")
-        if self.order != "canonical" and not self.order.startswith("blocks:"):
-            raise ValueError(f"unknown order {self.order!r}")
+        if self.order != "canonical":
+            # one spelling per seed, so the header names the order played
+            seed = self.order.removeprefix("blocks:")
+            if not seed.removeprefix("-").isdecimal() or self.order != f"blocks:{int(seed)}":
+                raise ValueError(f"unknown order {self.order!r}")
 
     @property
     def noise_count(self) -> int:
@@ -95,9 +99,9 @@ class ScriptedSpec:
         spec uses, in this order: the truth's canonical order, the
         omissions, the block shuffle, the noise insertions and the repeats.
         A canonical spec with no omissions, noise or repeats plays
-        `truth.elements()` itself; for a truth with one infinite part, that
-        and the finite omissions are iterators of C builtins, which the game
-        loop reads without a Python frame."""
+        `truth.elements()` itself; that and the finite omissions are
+        iterators of C builtins, which the game loop reads without a Python
+        frame."""
         stream = self.truth.elements()
         if self.omissions == "every_other":
             stream = itertools.islice(stream, 0, None, 2)
@@ -242,7 +246,7 @@ class StagedAdversary(Source):
         if v in self._seen or v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
         if v in self._excluded:  # a certified output is never played
-            raise ValueError(f"{v} was committed as never-enumerated")
+            raise CertificateBroken(f"{v} was committed as never-enumerated")
         self._seen.add(v)
         if v > self._running_max:
             self._running_max = v
@@ -282,7 +286,7 @@ class StagedAdversary(Source):
                 self.trigger_outputs.append(output)
                 # a certificate lies outside the promise; the output is unplayed
                 if output < 0:
-                    raise ValueError(f"{output} lies in the promised part")
+                    raise CertificateBroken(f"{output} lies in the promised part")
                 self._excluded.add(output)
                 self._rebuild_at = t + 1
                 return 1

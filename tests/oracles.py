@@ -66,7 +66,7 @@ from limitgen.engine import (
     RunResult,
     Transcript,
 )
-from limitgen.errors import AdversaryRepeat, BudgetViolation, SearchExhausted
+from limitgen.errors import AdversaryRepeat, BudgetViolation, CertificateBroken, SearchExhausted
 from limitgen.families import (
     ExplicitCountable,
     NegFamily,
@@ -122,10 +122,9 @@ def zigzag_decode(z: int) -> int:
 
 
 TRUTHS = st.builds(
-    lambda finite, tail, negatives: ClosedFormLanguage(finite, tail, negatives or tail is None),
+    lambda finite, tail: ClosedFormLanguage(finite, tail, tail is None),
     st.frozensets(st.integers(-8, 12), max_size=3),
     st.one_of(st.none(), st.integers(-3, 12)),
-    st.booleans(),
 )
 
 
@@ -820,7 +819,7 @@ class NaiveStagedAdversary:
     def add_seen(self, x: int) -> None:
         """Record a played truth value; a certified output is never played."""
         if x in self.limit.excluded:
-            raise ValueError(f"{x} was committed as never-enumerated")
+            raise CertificateBroken(f"{x} was committed as never-enumerated")
         self.limit.seen.add(x)
 
     def add_excluded(self, x: int) -> None:
@@ -829,7 +828,7 @@ class NaiveStagedAdversary:
         if x in self.limit.seen:
             raise ValueError(f"{x} was already enumerated")
         if x in self.limit.promised:
-            raise ValueError(f"{x} lies in the promised part")
+            raise CertificateBroken(f"{x} lies in the promised part")
         self.limit.excluded.add(x)
 
     def emit(self, t: int) -> int:

@@ -186,6 +186,23 @@ def test_adversary_repeat_exits_3(monkeypatch, capsys):
     assert "adversary repeated 4" in capsys.readouterr().err
 
 
+def test_broken_certificate_exits_3(monkeypatch, capsys):
+    # each next stage ramps up from the output that triggered it, which the
+    # trigger has just certified never to be played
+    monkeypatch.setattr(
+        experiments,
+        "staged_union_adversary",
+        lambda: StagedAdversary(
+            first_stage=(0, frozenset()),
+            next_stage=lambda z, _m: (z, frozenset()),
+        ),
+    )
+    assert main(["--experiment", "thm3.1", "--horizon", "50"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "internal invariant breach: 1 was committed as never-enumerated"
+    ]
+
+
 class _StoppingAdversary(StagedAdversary):
     """The staged union construction, revealing two values only."""
 

@@ -388,10 +388,9 @@ class _CountingLanguage:
 
 
 LANGS = st.builds(
-    lambda fin, tail, negs: ClosedFormLanguage(fin, tail, negs or tail is None),
+    lambda fin, tail: ClosedFormLanguage(fin, tail, tail is None),
     st.frozensets(st.integers(-4, 12), max_size=3),
     st.one_of(st.none(), st.integers(-2, 12)),
-    st.booleans(),
 )
 
 

@@ -1,7 +1,7 @@
 import itertools
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import given, strategies as st
 
 from limitgen.langs import (
     NEGATIVES,
@@ -19,9 +19,9 @@ SAMPLE_LANGUAGES = [
     suffix_from(-2),
     NEGATIVES,
     ClosedFormLanguage(frozenset({7}), None, True),
-    ClosedFormLanguage(frozenset({0, -1}), 3, True),
+    ClosedFormLanguage(frozenset({0, -1}), 3, False),
     ClosedFormLanguage(frozenset({0, 5}), 8, False),
-    ClosedFormLanguage(frozenset({-4, 2, 9}), 6, True),
+    ClosedFormLanguage(frozenset({-4, 2, 9}), None, True),  # -4 lies inside the ray
 ]
 
 
@@ -36,12 +36,21 @@ def test_finite_only_language_rejected():
         ClosedFormLanguage(frozenset({1, 2}), None, False)
 
 
+def test_two_ray_language_rejected():
+    with pytest.raises(ValueError, match="exactly one ray"):
+        ClosedFormLanguage(frozenset({0, -1}), 3, True)
+    with pytest.raises(ValueError, match="exactly one ray"):
+        ClosedFormLanguage.from_record({"finite_part": [], "tail_start": 3, "include_negatives": True})
+
+
 def test_enumeration_examples():
     assert next(itertools.islice(suffix_from(0).elements(), 4, None)) == 4
     lang = ClosedFormLanguage(frozenset({7}), None, True)
     assert [next(itertools.islice(lang.elements(), k, None)) for k in range(4)] == [7, -1, -2, -3]
-    lang = ClosedFormLanguage(frozenset({0, -1}), 3, True)
-    assert [next(itertools.islice(lang.elements(), k, None)) for k in range(5)] == [-1, 0, 3, -2, 4]
+    lang = ClosedFormLanguage(frozenset({-4, 2, 9}), None, True)
+    assert [next(itertools.islice(lang.elements(), k, None)) for k in range(7)] == [
+        -4, 2, 9, -1, -2, -3, -5
+    ]
 
 
 @pytest.mark.parametrize("lang", SAMPLE_LANGUAGES)
@@ -61,19 +70,14 @@ def test_enumeration_complete_on_window(lang):
 
 
 LANGUAGES = st.builds(
-    lambda finite, tail, negatives: ClosedFormLanguage(finite, tail, negatives or tail is None),
+    lambda finite, tail: ClosedFormLanguage(finite, tail, tail is None),
     st.frozensets(st.integers(-15, 15), max_size=6),
     st.one_of(st.none(), st.integers(-12, 12)),
-    st.booleans(),
 )
 
 
 @given(lang=LANGUAGES)
-@example(lang=ClosedFormLanguage(frozenset({-7, -2, 0, 4}), -5, True))
-@example(lang=ClosedFormLanguage(frozenset(), -12, True))
 def test_enumeration_matches_remember_everything_reference(lang):
-    # negative tail starts with the negatives are the languages whose two
-    # infinite parts share values
     assert list(itertools.islice(lang.elements(), 200)) == list(
         itertools.islice(naive_elements(lang), 200)
     )
@@ -99,9 +103,7 @@ def test_normalized_absorbs_overlaps():
     assert ClosedFormLanguage(frozenset({-5, 1}), None, True).normalized() == ClosedFormLanguage(
         frozenset({1}), None, True
     )
-    assert ClosedFormLanguage(frozenset(), -4, True).normalized() == ClosedFormLanguage(
-        frozenset(), 0, True
-    )
+    assert ClosedFormLanguage(frozenset({-1, 0}), 1, False).normalized() == suffix_from(-1)
 
 
 def test_transcript_limit_status():

@@ -55,8 +55,6 @@ ALLOWED = {
     "feedback.PlainAsFeedback.__init__": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
     "feedback.PlainAsFeedback.step_query": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
     "feedback.PlainAsFeedback.step_output": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
-    # no suite row enumerates a truth with both a tail and the negatives
-    "langs._both_rays": "no suite row enumerates a truth with both rays; test_langs.py's examples do",
 }
 
 

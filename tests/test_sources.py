@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from limitgen import engine
 from limitgen.engine import Mode
-from limitgen.errors import AdversaryRepeat
+from limitgen.errors import AdversaryRepeat, CertificateBroken
 from limitgen.families import neg_union
 from limitgen.generators import (
     FollowSuffix,
@@ -89,6 +89,10 @@ def test_scripted_rejects_bad_specs():
         ScriptedSpec(suffix_from(0), noise=((0, -1), (0, -2)))  # position clash
     with pytest.raises(ValueError):
         ScriptedSpec(suffix_from(0), order="sorted")
+    # a seed is an integer spelt as `str` spells it, so the header names the order played
+    for order in ["blocks:x", "blocks:", "blocks:1.5", "blocks: 3", "blocks:+3", "blocks:03"]:
+        with pytest.raises(ValueError, match="unknown order"):
+            ScriptedSpec(suffix_from(0), order=order)
 
 
 def test_scripted_block_shuffle_is_deterministic_and_complete():
@@ -363,7 +367,7 @@ def _play_until_raise(adversary, gen, horizon, judge):
             x = adversary.emit(t)
             xs.append(x)
             codes.append(judge(adversary, t, gen.step(x)))
-        except (AdversaryRepeat, ValueError) as exc:
+        except (AdversaryRepeat, CertificateBroken, ValueError) as exc:
             return xs, codes, (t, type(exc), str(exc))
     return xs, codes, None
 
@@ -417,10 +421,10 @@ def test_reference_limit_writes_are_checked():
     naive.add_seen(3)
     with pytest.raises(ValueError):
         naive.add_excluded(3)  # already enumerated
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateBroken):
         naive.add_excluded(-2)  # promised
     naive.add_excluded(9)
-    with pytest.raises(ValueError):
+    with pytest.raises(CertificateBroken):
         naive.add_seen(9)
 
 
