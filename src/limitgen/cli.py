@@ -86,20 +86,21 @@ def _check_horizon(value: object, origin: str) -> None:
         raise ValueError(f"{origin} must be at most {sys.maxsize}, got {value}")
 
 
-class _Unwritable(Exception):
-    """A trace or summary file that cannot be opened or written."""
+class _Invalid(Exception):
+    """Invalid config (exit 2): a bad input, a horizon whose transcript
+    cannot be allocated, or a trace or summary file that cannot be written."""
 
 
 @contextlib.contextmanager
 def _writing(path: Path | str) -> Iterator[IO[str]]:
     """`path` opened for writing. An OSError from opening or writing it is
-    raised as `_Unwritable`, naming the path, since a failed write names
-    no file of its own."""
+    raised as `_Invalid`, naming the path, since a failed write names no
+    file of its own."""
     try:
         with open(path, "w") as fp:
             yield fp
     except OSError as exc:
-        raise _Unwritable(f"{path}: {exc.strerror or exc}") from exc
+        raise _Invalid(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _write_traces(root: Path, subruns: list[SubRun]) -> None:
@@ -107,6 +108,61 @@ def _write_traces(root: Path, subruns: list[SubRun]) -> None:
         safe = sub.name.replace("/", "_").replace(" ", "")
         with _writing(root / f"{safe}.trace") as fp:
             engine.write_trace(fp, sub.header, sub.records, sub.result)
+
+
+def _entries(args: argparse.Namespace) -> list[dict]:
+    """The entries that `args` selects. Every input, the trace directory and
+    the summary path included, is checked before anything runs."""
+    try:
+        if args.config:
+            entries = _load_configs(args.config)
+        elif args.experiment == "all":
+            entries = [{"id": ident} for ident in sorted(EXPERIMENTS)]
+        elif args.experiment in EXPERIMENTS:
+            entries = [{"id": args.experiment}]
+        else:
+            raise ValueError(f"unknown experiment {args.experiment!r}")
+        if args.horizon is not None:
+            _check_horizon(args.horizon, "--horizon")
+        if args.trace:
+            Path(args.trace).mkdir(parents=True, exist_ok=True)
+        if args.summary:
+            open(args.summary, "a").close()  # a bad path fails before anything runs
+    except (ValueError, OSError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise _Invalid(exc) from exc
+    return entries
+
+
+def _run(args: argparse.Namespace) -> list[SummaryRow]:
+    """Run the selected entries, writing each experiment's traces as soon as
+    it finishes; print the table, write the summary and return its rows."""
+    rows: list[SummaryRow] = []
+    for entry in _entries(args):
+        horizon = entry.get("horizon", args.horizon)
+        try:
+            entry_rows, subruns = run_experiment(
+                entry["id"],
+                horizon=horizon,
+                seed=entry.get("seed", args.seed),
+                params=entry.get("params"),
+            )
+        except MemoryError:  # a run's transcript is allocated up front
+            raise _Invalid(f"horizon {horizon} of {entry['id']} does not fit in memory") from None
+        rows.extend(entry_rows)
+        if args.trace:
+            _write_traces(Path(args.trace), subruns)
+        del subruns  # free this experiment's records before the next one runs
+    print(emit_summary(rows))
+    if args.summary:
+        with _writing(args.summary) as fp:
+            json.dump(
+                {"rows": [r.to_record() for r in sorted(rows, key=lambda r: r.experiment)]},
+                fp,
+                indent=2,
+                sort_keys=True,
+            )
+            fp.write("\n")
+    return rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -120,76 +176,17 @@ def main(argv: list[str] | None = None) -> int:
         for ident in sorted(EXPERIMENTS):
             print(f"{ident.ljust(width)}  {EXPERIMENTS[ident].description}")
         return 0
-
+    if not (args.config or args.experiment):
+        print("nothing to do: pass --experiment, --config, --list, or --describe")
+        return 2
     try:
-        if args.config:
-            entries = _load_configs(args.config)
-        elif args.experiment:
-            if args.experiment == "all":
-                entries = [{"id": ident} for ident in sorted(EXPERIMENTS)]
-            elif args.experiment in EXPERIMENTS:
-                entries = [{"id": args.experiment}]
-            else:
-                raise ValueError(f"unknown experiment {args.experiment!r}")
-        else:
-            print("nothing to do: pass --experiment, --config, --list, or --describe")
-            return 2
-        if args.horizon is not None:
-            _check_horizon(args.horizon, "--horizon")
-        trace_root = None
-        if args.trace:
-            trace_root = Path(args.trace)
-            trace_root.mkdir(parents=True, exist_ok=True)
-        if args.summary:
-            open(args.summary, "a").close()  # a bad path fails before anything runs
-    except (ValueError, OSError, json.JSONDecodeError, RecursionError) as exc:
+        rows = _run(args)
+    except _Invalid as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-
-    rows: list[SummaryRow] = []
-    try:
-        for entry in entries:
-            horizon = entry.get("horizon", args.horizon)
-            entry_rows, subruns = run_experiment(
-                entry["id"],
-                horizon=horizon,
-                seed=entry.get("seed", args.seed),
-                params=entry.get("params"),
-            )
-            rows.extend(entry_rows)
-            if trace_root is not None:
-                _write_traces(trace_root, subruns)
-            del subruns  # free this experiment's records before the next one runs
     except LimitGenError as exc:
         print(f"internal invariant breach: {exc}", file=sys.stderr)
         return 3
-    except _Unwritable as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
-        return 2
-    except MemoryError:  # a run's transcript is allocated up front
-        msg = f"horizon {horizon} of {entry['id']} does not fit in memory"
-        print(f"invalid config: {msg}", file=sys.stderr)
-        return 2
-
-    try:
-        table = emit_summary(rows)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(table)
-    if args.summary:
-        try:
-            with _writing(args.summary) as fp:
-                json.dump(
-                    {"rows": [r.to_record() for r in sorted(rows, key=lambda r: r.experiment)]},
-                    fp,
-                    indent=2,
-                    sort_keys=True,
-                )
-                fp.write("\n")
-        except _Unwritable as exc:
-            print(f"invalid config: {exc}", file=sys.stderr)
-            return 2
     return 0 if all(r.passed for r in rows) else 1
 
 

@@ -1,4 +1,4 @@
-"""Named experiments: one table of rows, each a lazy list of cases.
+"""Named experiments: one table of rows, each a function that plays its cases.
 
 Each registered id reproduces one separation or construction at desk scale
 and asserts its finite-horizon witness. A case is one engine run: no case
@@ -6,8 +6,9 @@ may break its own spec or its level i, a positive case asserts zero mistakes
 from an analytic step t* (below its horizon) on, a defeat case (one against
 an adaptive adversary) asserts enough certified (or final-stage) mistakes,
 and the row may add its own checks of the finished run.
-`run_experiment` is the one loop that runs, checks and drops the cases one
-at a time. Experiment ids are stable config keys.
+`run_experiment` hands each row one `play` function, which runs a case,
+applies these shared checks and returns the finished SubRun, so the cases
+run and are dropped one at a time. Experiment ids are stable config keys.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import itertools
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Generator, Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from . import engine
 from .engine import Mode, RunResult, Transcript
@@ -127,16 +128,18 @@ class Param(NamedTuple):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One table row. `cases(horizon, seed, params)` is a generator: it yields
-    each Case lazily and is sent back the finished SubRun, so that it can
-    check that run, and it yields the message of every check that fails.
-    `param` is the row's one config parameter, if it takes one; `params`
-    then maps its name to one checked value (see `matrix_rows`)."""
+    """One table row. `cases(horizon, seed, params, play)` hands each Case,
+    as it is built, to `play`, which runs and checks it and returns the
+    finished SubRun; the row may check that run further and yields the
+    message of every such check that fails (a row with no check of its own
+    returns None). `param` is the row's one config parameter, if it takes
+    one; `params` then maps its name to one checked value (see
+    `matrix_rows`)."""
 
     ident: str
     description: str
     default_horizon: int
-    cases: Callable[[int, int, dict], Generator[Case | str, SubRun | None, None]]
+    cases: Callable[[int, int, dict, Callable[[Case], SubRun]], Iterator[str] | None]
     param: Param | None = None
 
 
@@ -177,27 +180,12 @@ def _check_zero_mistakes_from(
     return [f"{label}: mistakes at {bad} despite t*={t_star}"] if bad else []
 
 
-def _check_valid(result: RunResult, label: str) -> list[str]:
-    """A run whose stream broke its spec or its mode's rules shows nothing."""
-    if result.validity_violations:
-        return [f"{label}: stream violations: {result.validity_violations[:3]}"]
-    return []
-
-
 def _check_level(name: str, count: int, budget: str, level: int) -> None:
     """A level row's promise to its strategy, at most `level` omissions
     (thm4.8) or noise strings (thm5.2, thm5.4), checked as a case is drawn:
     one outside it is a defect of the table."""
     if count > level:
         raise ModeMismatch(f"{name} breaks its level's {budget} budget: {count} > i={level}")
-
-
-def _check_defeat(result: RunResult, label: str) -> list[str]:
-    """Certified mistakes plus every step of a never-triggered final stage."""
-    defeated = len(result.certified_mistake_times) + result.final_stage_mistakes
-    if defeated < MIN_CERTIFIED:
-        return [f"{label}: only {defeated} certified/stage mistakes (< {MIN_CERTIFIED})"]
-    return []
 
 
 # --- cases of each experiment ----------------------------------------------
@@ -223,10 +211,10 @@ def union_generator(name: str):
     return _BASELINES[name]()
 
 
-def _union_defeat_cases(horizon: int, seed: int, params: dict):
+def _union_defeat_cases(horizon: int, seed: int, params: dict, play):
     name = params["generators"]
     adversary = staged_union_adversary()
-    sub = yield Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon)
+    sub = play(Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon))
     # trigger k's negative -(k + 1) is owed on the step after the trigger,
     # so for each of the sorted trigger times below horizon - 1
     certified = sub.result.certified_mistake_times
@@ -241,7 +229,7 @@ def _union_defeat_cases(horizon: int, seed: int, params: dict):
             yield f"mistake prefix {got} != {expect}"
 
 
-def _follow_suffix_cases(horizon: int, seed: int, params: dict):
+def _follow_suffix_cases(horizon: int, seed: int, params: dict, play):
     cases = [
         (frozenset(), 0),
         (frozenset({-3}), 2),
@@ -255,12 +243,12 @@ def _follow_suffix_cases(horizon: int, seed: int, params: dict):
         bound = j + len([v for v in a_part if -20 <= v <= 20])
         for order in orders:
             src = _scripted(truth, order=order)
-            yield Case(
+            play(Case(
                 f"thm3.1-pos[j={j},{order}]", FollowSuffix(), src, Mode.standard(), horizon, bound
-            )
+            ))
 
 
-def _noisy_sampleless_cases(horizon: int, seed: int, params: dict):
+def _noisy_sampleless_cases(horizon: int, seed: int, params: dict, play):
     # skip-seen play over the negatives stream, against noisy enumerations
     neg_cases = [
         (ClosedFormLanguage(frozenset({7}), None, True), ((0, 3), (2, 12))),
@@ -272,7 +260,7 @@ def _noisy_sampleless_cases(horizon: int, seed: int, params: dict):
     for idx, (truth, noise) in enumerate(neg_cases):
         gen = noisy_from_sampleless(intersection_generator(neg_union()))
         src = _scripted(truth, noise=noise)
-        yield Case(f"alg1[C2,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon, 20)
+        play(Case(f"alg1[C2,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon, 20))
     # the same play over the chain stream, against ray targets
     chain = ray_prefix_chain()
     ray_cases = [
@@ -285,7 +273,7 @@ def _noisy_sampleless_cases(horizon: int, seed: int, params: dict):
     for idx, (truth, noise) in enumerate(ray_cases):
         gen = noisy_from_sampleless(ChainGenerator(chain))
         src = _scripted(truth, noise=noise)
-        yield Case(f"alg1[chain,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon, 20)
+        play(Case(f"alg1[chain,case{idx}]", gen, src, Mode.noisy(len(noise)), horizon, 20))
     # round trip: rebuild a sampleless stream from the skip-seen strategy
     base = noisy_from_sampleless(intersection_generator(neg_union()))
     roundtrip = SamplelessFromNoisy(base)
@@ -297,12 +285,12 @@ def _noisy_sampleless_cases(horizon: int, seed: int, params: dict):
         yield f"round-trip stream leaves the common core: {late[:5]}"
 
 
-def _chain_cases(horizon: int, seed: int, params: dict):
+def _chain_cases(horizon: int, seed: int, params: dict, play):
     target = params["target_ray"]
     gen = ChainGenerator(ray_prefix_chain())
     src = _scripted(suffix_from(target))
     # converging by the target's index is having no mistake from it on
-    yield Case(f"alg3[P{target}]", gen, src, Mode.sampleless(), horizon, target)
+    play(Case(f"alg3[P{target}]", gen, src, Mode.sampleless(), horizon, target))
 
 
 _CLASSIFIED_COLLECTIONS: list[tuple[str, Callable[[], object], bool]] = [
@@ -319,14 +307,14 @@ _CLASSIFIED_COLLECTIONS: list[tuple[str, Callable[[], object], bool]] = [
 ]
 
 
-def _core_check_cases(horizon: int, seed: int, params: dict):
+def _core_check_cases(horizon: int, seed: int, params: dict, play):
     for name, build, expected in _CLASSIFIED_COLLECTIONS:
         got = uniform_without_samples_check(build())
         if got != expected:
             yield f"{name}: infinite-core check returned {got}, expected {expected}"
 
 
-def _omission_insensitivity_cases(horizon: int, seed: int, params: dict):
+def _omission_insensitivity_cases(horizon: int, seed: int, params: dict, play):
     truths = [
         ClosedFormLanguage(frozenset({7}), None, True),
         ClosedFormLanguage(frozenset({-3, 4}), None, True),
@@ -348,10 +336,10 @@ def _omission_insensitivity_cases(horizon: int, seed: int, params: dict):
                 gen = noisy_from_sampleless(intersection_generator(neg_union()))
                 src = _scripted(truth, order=order, omissions=omissions)
                 name = f"thm4.5[stream,{variant},{order},{truth.to_record()['finite_part']}]"
-                yield Case(name, gen, src, mode, horizon, 0)
+                play(Case(name, gen, src, mode, horizon, 0))
                 fgen = UnionFeedbackGenerator([neg_union()])
                 fsrc = _scripted(truth, order=order, omissions=omissions)
-                yield Case(name.replace("stream", "union1"), fgen, fsrc, Mode.feedback(), horizon, 0)
+                play(Case(name.replace("stream", "union1"), fgen, fsrc, Mode.feedback(), horizon, 0))
 
 
 def _marked_suffix_truth(level: int, a_part: frozenset[int], j: int) -> ClosedFormLanguage:
@@ -397,17 +385,17 @@ def _omission_t_star(level: int) -> int:
     return max(level + 5, 2 * level + 4)
 
 
-def _omission_hierarchy_cases(horizon: int, seed: int, params: dict):
+def _omission_hierarchy_cases(horizon: int, seed: int, params: dict, play):
     level = params["i"]
     scripted = min(horizon, SCRIPTED_HORIZON)
     for idx, (src, t_star) in enumerate(_omission_sources(level, scripted)):
         gen = OmissionTolerantGenerator(level)
         name, n_omit = f"thm4.8[i={level},src{idx}]", len(src.spec.omissions)
         _check_level(name, n_omit, "omission", level)
-        yield Case(name, gen, src, Mode.lossy(n_omit), scripted, t_star)
+        play(Case(name, gen, src, Mode.lossy(n_omit), scripted, t_star))
     adversary = omission_adversary(level)
     gen = OmissionTolerantGenerator(level)
-    yield Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
+    play(Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon))
     if any(adversary.emitted(v) for v in range(level + 1)):
         yield f"adversary emitted an omitted marker (i={level})"
 
@@ -444,17 +432,17 @@ def _noise_t_star(level: int) -> int:
     return max(level + 4, 2 * level + 3)
 
 
-def _noise_hierarchy_cases(horizon: int, seed: int, params: dict):
+def _noise_hierarchy_cases(horizon: int, seed: int, params: dict, play):
     level = params["i"]
     scripted = min(horizon, SCRIPTED_HORIZON)
     for idx, (src, t_star) in enumerate(_noise_sources(level, scripted)):
         gen = NoiseTolerantGenerator(level)
         name, noise = f"thm5.2[i={level},src{idx}]", src.spec.noise_count
         _check_level(name, noise, "noise", level)
-        yield Case(name, gen, src, Mode.noisy(noise), scripted, t_star)
+        play(Case(name, gen, src, Mode.noisy(noise), scripted, t_star))
     adversary = noise_prefix_adversary(level)
     gen = NoiseTolerantGenerator(level)
-    yield Case(f"thm5.2-adv[i={level}]", gen, adversary, Mode.standard(), horizon)
+    play(Case(f"thm5.2-adv[i={level}]", gen, adversary, Mode.standard(), horizon))
     if adversary.noise_count() != level + 1:
         yield f"adversary emitted {adversary.noise_count()} non-members, wanted {level + 1}"
 
@@ -465,7 +453,7 @@ def _sensitivity_t_star(level: int) -> int:
     return max(9, level + 2)
 
 
-def _sensitivity_cases(horizon: int, seed: int, params: dict):
+def _sensitivity_cases(horizon: int, seed: int, params: dict, play):
     level = params["i"]
     scripted = min(horizon, SCRIPTED_HORIZON)
     # ray targets: the strategy stays on the high branch throughout
@@ -476,16 +464,16 @@ def _sensitivity_cases(horizon: int, seed: int, params: dict):
         gen = SensitivityGenerator(level)
         name = f"thm5.4[i={level},ray{idx}]"
         _check_level(name, src.spec.noise_count, "noise", level)
-        yield Case(name, gen, src, Mode.noisy(len(noise)), scripted, j)
+        play(Case(name, gen, src, Mode.noisy(len(noise)), scripted, j))
     # negative-side targets: correct once all the probe negatives have shown up
     probes = frozenset(range(-1, -(level + 2), -1))
     for idx, a_part in enumerate([frozenset(), frozenset({4}), frozenset({11, 6})]):
         src = _scripted(ClosedFormLanguage(a_part, None, True))
         t_probe = _first_reveal(src.spec, scripted, lambda s: probes <= s)
         gen = SensitivityGenerator(level)
-        yield Case(f"thm5.4[i={level},neg{idx}]", gen, src, Mode.noisy(0), scripted, t_probe)
+        play(Case(f"thm5.4[i={level},neg{idx}]", gen, src, Mode.noisy(0), scripted, t_probe))
     gen = SensitivityGenerator(level)
-    yield Case(f"thm5.4-adv[i={level}]", gen, sensitivity_adversary(), Mode.standard(), horizon)
+    play(Case(f"thm5.4-adv[i={level}]", gen, sensitivity_adversary(), Mode.standard(), horizon))
 
 
 def _feedback_parts() -> list:
@@ -499,7 +487,7 @@ def _first_part_index(truth: ClosedFormLanguage) -> int:
     return norm.tail_start + 1
 
 
-def _feedback_union_cases(horizon: int, seed: int, params: dict):
+def _feedback_union_cases(horizon: int, seed: int, params: dict, play):
     truths = [
         ClosedFormLanguage(frozenset({3}), None, True),
         NEGATIVES,
@@ -519,7 +507,7 @@ def _feedback_union_cases(horizon: int, seed: int, params: dict):
             gen = UnionFeedbackGenerator(_feedback_parts())
             src = _scripted(truth, order=order)
             name = f"alg4[case{idx},{limit}:{order}]"
-            sub = yield Case(name, gen, src, Mode.feedback(), horizon)
+            sub = play(Case(name, gen, src, Mode.feedback(), horizon))
             if gen.part_idx > limit:
                 yield f"{name}: reached part {gen.part_idx}, first fit is {limit}"
             # no mistake once the strategy has settled on its last part
@@ -530,7 +518,7 @@ def _feedback_union_cases(horizon: int, seed: int, params: dict):
                     break
 
 
-def _query_elimination_cases(horizon: int, seed: int, params: dict):
+def _query_elimination_cases(horizon: int, seed: int, params: dict, play):
     truths = [
         ClosedFormLanguage(frozenset({5}), None, True),
         suffix_from(3),
@@ -539,13 +527,13 @@ def _query_elimination_cases(horizon: int, seed: int, params: dict):
     ]
     for idx, truth in enumerate(truths):
         oracle_gen = OneShotProbeGenerator(probe=-1)
-        oracle_sub = yield Case(
+        oracle_sub = play(Case(
             f"alg5-oracle[{idx}]", oracle_gen, _scripted(truth), Mode.feedback(budget=1), horizon
-        )
+        ))
         stripped = StripQueries(OneShotProbeGenerator(probe=-1))
-        plain_sub = yield Case(
+        plain_sub = play(Case(
             f"alg5-stripped[{idx}]", stripped, _scripted(truth), Mode.standard(), horizon
-        )
+        ))
         # scripted verdicts are binary, so equal tails are equal mistake times
         tail = horizon // 2
         diverged = {t for t in oracle_sub.result.mistake_times if t >= tail} ^ {
@@ -557,7 +545,7 @@ def _query_elimination_cases(horizon: int, seed: int, params: dict):
             yield f"alg5[{idx}]: decision-tree position regressed"
 
 
-def _identification_cases(horizon: int, seed: int, params: dict):
+def _identification_cases(horizon: int, seed: int, params: dict, play):
     listed = (suffix_from(0), suffix_from(5), suffix_from(9))
     collection = ExplicitCountable(languages=listed)
     for k, truth in enumerate(listed):
@@ -575,12 +563,10 @@ def _identification_cases(horizon: int, seed: int, params: dict):
         )
         gen = IndexIdentifier(collection)
         # an identification step is a mistake exactly when z is not k
-        yield Case(
-            f"alg6[k={k}]", gen, _scripted(truth), Mode.identification(), horizon, t_bound
-        )
+        play(Case(f"alg6[k={k}]", gen, _scripted(truth), Mode.identification(), horizon, t_bound))
 
 
-def _repetition_cases(horizon: int, seed: int, params: dict):
+def _repetition_cases(horizon: int, seed: int, params: dict, play):
     # the base runs' t*: follow_suffix misses only at step 0 (its output 1);
     # every later output is above every reveal and past the tail start 4.
     # The negatives stream stays two ahead of their canonical reveals.
@@ -599,10 +585,10 @@ def _repetition_cases(horizon: int, seed: int, params: dict):
             wrapped = DedupWrapper(make())
             src = _scripted(truth, repeat_seed=rep_seed)
             name = f"appendixA[{label},seed={rep_seed}]"
-            runs.append((yield Case(name, wrapped, src, Mode.repetition(), horizon)))
+            runs.append(play(Case(name, wrapped, src, Mode.repetition(), horizon)))
         # the base run is checked against, but comes after the runs it checks
         name = f"appendixA-base[{label}]"
-        plain = yield Case(name, make(), _scripted(truth), Mode.standard(), horizon, t_star)
+        plain = play(Case(name, make(), _scripted(truth), Mode.standard(), horizon, t_star))
         for sub in runs:
             # no mistake once more distinct samples came than the base run needed
             if sub.result.distinct_at_convergence > plain.result.observed_convergence:
@@ -778,30 +764,16 @@ def matrix_rows(exp: Experiment, params: object) -> list[tuple[str, dict]]:
     return list(rows.items())
 
 
-def _run_case(case: Case, ident: str, seed: int) -> SubRun:
-    records, result = engine.run(case.generator, case.source, case.mode, case.horizon)
-    header = {
-        "run": case.name,
-        "mode": case.mode.to_record(),
-        "horizon": case.horizon,
-        "truth": engine.truth_record(case.source.truth_view()),
-        "experiment": ident,
-        "seed": seed,
-    }
-    if isinstance(case.source, ScriptedSource):
-        header["source"] = case.source.spec.to_record()
-    return SubRun(case.name, header, records, result)
-
-
 def run_experiment(
     ident: str,
     horizon: int | None = None,
     seed: int = 0,
     params: dict | None = None,
 ) -> tuple[list[SummaryRow], list[SubRun]]:
-    """Run every case of every matrix row of `ident`, one case at a time: each
-    case is run, checked and sent back to its row's generator before the next
-    one is drawn, so a case's strategy and source go once the row moves on.
+    """Run every case of every matrix row of `ident`. Each row's function
+    hands its cases one at a time to `play`, which runs the case, applies the
+    shared checks and returns the finished SubRun, so a case's strategy and
+    source go once the row moves on.
 
     Raises ValueError, before any case runs, when `params` does not fit the
     row's schema (see `matrix_rows`), and DuplicateSubRun when two sub-runs
@@ -816,29 +788,43 @@ def run_experiment(
         started = time.perf_counter()
         failures: list[str] = []
         subs: list[SubRun] = []
-        cases = exp.cases(horizon, seed, row_params)
-        reply = None
-        while True:
-            try:
-                case = cases.send(reply)
-            except StopIteration:
-                break
-            reply = None
-            if isinstance(case, str):
-                failures.append(case)
-                continue
+
+        def play(case: Case) -> SubRun:
             if case.name in names:
                 raise DuplicateSubRun(f"{ident} has two sub-runs named {case.name!r}")
             names.add(case.name)
-            reply = _run_case(case, ident, seed)
-            failures += _check_valid(reply.result, case.name)
+            records, result = engine.run(case.generator, case.source, case.mode, case.horizon)
+            header = {
+                "run": case.name,
+                "mode": case.mode.to_record(),
+                "horizon": case.horizon,
+                "truth": engine.truth_record(case.source.truth_view()),
+                "experiment": ident,
+                "seed": seed,
+            }
+            if isinstance(case.source, ScriptedSource):
+                header["source"] = case.source.spec.to_record()
+            # a run whose stream broke its spec or its mode's rules shows nothing
+            if result.validity_violations:
+                failures.append(f"{case.name}: stream violations: {result.validity_violations[:3]}")
             if case.source.adaptive:
-                failures += _check_defeat(reply.result, case.name)
+                # certified mistakes plus every step of a never-triggered final stage
+                defeated = len(result.certified_mistake_times) + result.final_stage_mistakes
+                if defeated < MIN_CERTIFIED:
+                    failures.append(
+                        f"{case.name}: only {defeated} certified/stage mistakes (< {MIN_CERTIFIED})"
+                    )
             elif case.t_star is not None:
-                failures += _check_zero_mistakes_from(
-                    reply.result, case.t_star, case.horizon, case.name
+                failures.extend(
+                    _check_zero_mistakes_from(result, case.t_star, case.horizon, case.name)
                 )
-            subs.append(reply)
+            subs.append(SubRun(case.name, header, records, result))
+            return subs[-1]
+
+        # play appends its failures while the row runs, so take the row's
+        # own messages one at a time, in the order they come
+        for message in exp.cases(horizon, seed, row_params, play) or ():
+            failures.append(message)
         rows.append(
             SummaryRow(
                 row_name,

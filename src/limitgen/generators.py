@@ -251,23 +251,9 @@ class DedupWrapper(Generator):
         return self._last
 
 
-class PrefixedGenerator(Generator):
-    """Evaluates the base strategy as if a fixed prefix had already been
-    revealed before the run started."""
-
-    def __init__(self, base: Generator, prefix: tuple[int, ...]) -> None:
-        self.base = base
-        self.prefix = tuple(prefix)
-        for v in self.prefix:
-            self.base.step(v)  # pre-feed; those outputs are discarded
-
-    def step(self, revealed: int | None) -> int:
-        return self.base.step(revealed)
-
-
 def reduce_by_prefix(base: Generator, removed: tuple[int, ...]) -> Generator:
-    """G'(x_0..x_t) = G(y_1..y_d, x_0..x_t) for the removed elements y."""
-    if not removed:
-        return base
-    return PrefixedGenerator(base, tuple(removed))
-
+    """G'(x_0..x_t) = G(y_1..y_d, x_0..x_t) for the removed elements y: `base`
+    itself, fed each y first, with those outputs discarded."""
+    for y in removed:
+        base.step(y)
+    return base

@@ -3,6 +3,7 @@ import errno
 import itertools
 import json
 import re
+import weakref
 
 import pytest
 
@@ -262,10 +263,10 @@ def test_positive_case_with_t_star_past_its_horizon_fails(tmp_path, capsys):
 def test_stream_violation_fails_a_row_other_than_thm31(monkeypatch, capsys):
     pos = EXPERIMENTS["thm3.1-pos"]
 
-    def repeating_case(horizon, seed, params):
+    def repeating_case(horizon, seed, params, play):
         # repeats break Mode.standard(); the case has no other check
         src = ScriptedSource(ScriptedSpec(suffix_from(0), repeat_seed=0))
-        yield experiments.Case("repeats", FollowSuffix(), src, Mode.standard(), horizon)
+        play(experiments.Case("repeats", FollowSuffix(), src, Mode.standard(), horizon))
 
     monkeypatch.setitem(EXPERIMENTS, "thm3.1-pos", dataclasses.replace(pos, cases=repeating_case))
     rows, subs = experiments.run_experiment("thm3.1-pos", horizon=50)
@@ -348,8 +349,10 @@ def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tm
 def _largest_t_star(ident, level):
     """The largest t* of the row's scripted cases at `level`, drawn without
     running them."""
-    cases = EXPERIMENTS[ident].cases(3000, 0, {"i": level})
-    return max(c.t_star for c in cases if isinstance(c, experiments.Case) and c.t_star is not None)
+    drawn = []
+    for _ in EXPERIMENTS[ident].cases(3000, 0, {"i": level}, drawn.append) or ():
+        pass  # the row's own checks read runs that were never played
+    return max(c.t_star for c in drawn if c.t_star is not None)
 
 
 @pytest.mark.parametrize(
@@ -389,7 +392,7 @@ def test_unknown_top_level_config_key_exits_2_before_running(monkeypatch, tmp_pa
     ],
 )
 def test_run_experiment_checks_params_before_running(ident, params, message, monkeypatch):
-    monkeypatch.setattr(experiments, "_run_case", _must_not_run)
+    monkeypatch.setattr(engine, "run", _must_not_run)
     with pytest.raises(ValueError, match=re.escape(message)):
         experiments.run_experiment(ident, params=params)
 
@@ -447,12 +450,29 @@ def test_failed_trace_or_summary_write_exits_2(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == f"invalid config: {summary}: No space left on device\n"
 
 
+def test_finished_experiments_subruns_are_freed_before_the_next_runs(monkeypatch, tmp_path, capsys):
+    inner = cli.run_experiment
+    refs = []
+    alive = []
+
+    def watched(*args, **kwargs):
+        alive.extend(ref().name for ref in refs if ref() is not None)
+        rows, subs = inner(*args, **kwargs)
+        refs.extend(weakref.ref(sub) for sub in subs)
+        return rows, subs
+
+    monkeypatch.setattr(cli, "run_experiment", watched)
+    assert main(["--experiment", "all", "--horizon", "100", "--trace", str(tmp_path)]) == 0
+    assert len(refs) == len(list(tmp_path.iterdir()))
+    assert alive == []
+
+
 def test_duplicate_subrun_name_exits_3(monkeypatch, capsys):
     chain = experiments.EXPERIMENTS["alg3-chain"]
 
     def cases_twice(*args):
-        yield from chain.cases(*args)
-        yield from chain.cases(*args)
+        chain.cases(*args)
+        chain.cases(*args)
 
     monkeypatch.setitem(
         experiments.EXPERIMENTS, "alg3-chain", dataclasses.replace(chain, cases=cases_twice)

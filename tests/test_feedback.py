@@ -107,30 +107,27 @@ def test_union_last_part_move_matches_transcript_replay(truth, order):
     assert gen.last_part_move == replayed_last_part_move(UNION_PARTS, records)
 
 
-def _alg4_first_case_messages(flip: bool) -> tuple[str, int, list[str]]:
-    """Run alg4's first case, flip the answer byte of its first asked step
-    when `flip` is set, send the sub-run back to the case generator and
-    collect what it yields before its next case."""
-    cases = experiments._feedback_union_cases(100, 0, {})
-    case = next(cases)
-    sub = experiments._run_case(case, "alg4-feedback", 0)
-    t, _, _ = next(sub.records.asked())
-    if flip:
-        code = sub.records.codes[t]
-        sub.records.codes[t] = code + 3 if code < 6 else code - 3  # "Yes" <-> "No"
-    messages = []
-    reply = cases.send(sub)
-    while isinstance(reply, str):
-        messages.append(reply)
-        reply = next(cases)
-    return case.name, t, messages
+@pytest.mark.parametrize("flip", [False, True])
+def test_alg4_flags_a_flipped_oracle_answer(flip, monkeypatch):
+    """Flip the answer byte of the first asked step of alg4's first case
+    when `flip` is set: the row's answer walk must name that step."""
+    run = engine.run
+    asked = []
 
+    def flipping_run(*args):
+        records, result = run(*args)
+        if not asked:
+            t, _, _ = next(records.asked())
+            asked.append(t)
+            if flip:
+                code = records.codes[t]
+                records.codes[t] = code + 3 if code < 6 else code - 3  # "Yes" <-> "No"
+        return records, result
 
-def test_alg4_flags_a_flipped_oracle_answer():
-    name, t, messages = _alg4_first_case_messages(flip=False)
-    assert messages == []
-    name, t, messages = _alg4_first_case_messages(flip=True)
-    assert messages == [f"{name}: oracle answer mismatch at t={t}"]
+    monkeypatch.setattr(engine, "run", flipping_run)
+    rows, subs = experiments.run_experiment("alg4-feedback", 100)
+    expected = f"{subs[0].name}: oracle answer mismatch at t={asked[0]}" if flip else ""
+    assert rows[0].detail == expected
 
 
 # --- query elimination ---------------------------------------------------------

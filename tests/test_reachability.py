@@ -44,8 +44,6 @@ ALLOWED = {
     # the inverse of to_record, kept so that a trace header's truth can be read back
     "langs.ClosedFormLanguage.from_record": "reads a trace header's truth back",
     # probed by the benchmark's scaling runs, not by any experiment
-    "generators.PrefixedGenerator.__init__": "the benchmark probes reduce_by_prefix",
-    "generators.PrefixedGenerator.step": "the benchmark probes reduce_by_prefix",
     "generators.reduce_by_prefix": "the benchmark probes it",
     # only test_feedback.py plays the ray family as a union part
     "families.RayFamily.closure_dimension": "test_feedback.py plays the ray family as a union part",
