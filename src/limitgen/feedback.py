@@ -175,20 +175,17 @@ class StripQueries(Generator):
         self._answers: list[bool] = []
         self._refused: set[int] = set()  # queries the live replay heard "No" to
 
-    def _feed(self, xj: int) -> int:
-        y = self._replay.step_query(xj)
-        if y is None:
-            a = None
-        else:
-            a = y in self.seen
-            self._answers.append(a)
-            if not a:
-                self._refused.add(y)
-            if len(self._answers) > self.base.budget:
-                raise BudgetViolation(
-                    f"replay asked {len(self._answers)} queries, budget {self.base.budget}"
-                )
-        return self._replay.step_output(a)
+    def _ask(self, y: int) -> bool:
+        """The replay's oracle: "Yes" exactly when `y` has been revealed."""
+        a = y in self.seen
+        self._answers.append(a)
+        if not a:
+            self._refused.add(y)
+        if len(self._answers) > self.base.budget:
+            raise BudgetViolation(
+                f"replay asked {len(self._answers)} queries, budget {self.base.budget}"
+            )
+        return a
 
     def step(self, revealed: int) -> int:
         self.revealed.append(revealed)
@@ -196,8 +193,8 @@ class StripQueries(Generator):
         if revealed in self._refused:
             self._start_replay()
             for xj in self.revealed[:-1]:
-                self._feed(xj)
-        z = self._feed(revealed)
+                self._replay.play(self._ask, xj)
+        z = self._replay.play(self._ask, revealed)
         self.positions.append(preorder_index(self._answers, self.base.budget))
         return z
 

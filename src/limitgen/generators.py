@@ -221,7 +221,6 @@ class SamplelessFromNoisy(Generator):
     needs_samples = False
 
     def __init__(self, base: Generator) -> None:
-        self.base = base
         self._outputs = (base.step(zigzag_encode(n)) for n in itertools.count())
         self._emitted: set[int] = set()
 

@@ -9,8 +9,8 @@ each time the generator emits an unseen member of the current stage language.
 Every stage, the first one included, is the values played before it plus
 some extras plus an upward ray, and plays the ramp up that ray. The source's
 `observe` also judges each output, since it holds the sets the verdict
-reads. It keeps only the current stage and flat int64 columns of the past
-ones, and every value it played once.
+reads. It keeps only the current stage and one flat int64 column of the
+past ones, their trigger times, and every value it played once.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ class ScriptedSpec:
         if self.omissions == "every_other":
             stream = itertools.islice(stream, 0, None, 2)
         elif self.omissions:
-            stream = _omitting(stream, self.omissions)
+            stream = itertools.filterfalse(self.omissions.__contains__, stream)
         if self.order != "canonical":
             stream = _shuffled(stream, int(self.order.split(":", 1)[1]))
         if self.noise:
@@ -153,10 +153,6 @@ class ScriptedSource(Source):
 
 # the stages of `ScriptedSpec.stream`; each refers to its input stream and
 # its own parameters only, never back to the spec or the source
-def _omitting(stream: Iterator[int], omit: frozenset[int]) -> Iterator[int]:
-    return itertools.filterfalse(omit.__contains__, stream)
-
-
 def _shuffled(stream: Iterator[int], seed: int) -> Iterator[int]:
     rng = random.Random(seed)
     while True:
@@ -196,12 +192,12 @@ class StagedAdversary(Source):
     An optional noise prefix is emitted before stage 0 and counted outside
     the limit language. The limit language promises the negative ray.
 
-    Only the current stage is kept as state; the past ones leave flat int64
-    columns: `trigger_times` and `trigger_outputs` (trigger k ends stage k),
-    and `tail_starts` (stage k + 1 is built after trigger k, so the current
-    stage is `len(tail_starts)`). Every value played is kept once, in
-    `limit.seen` or, for the noise prefix, in a set of the prefix values
-    played so far.
+    Only the current stage is kept as state; the past ones leave one flat
+    int64 column, `trigger_times` (trigger k ends stage k; stage k + 1 is
+    built on the step after it). The rest is in the transcript: trigger k's
+    output is the output at its time, and a stage's tail start is the reveal
+    at its start step. Every value played is kept once, in `limit.seen` or,
+    for the noise prefix, in a set of the prefix values played so far.
     """
 
     adaptive = True
@@ -219,19 +215,19 @@ class StagedAdversary(Source):
         self.limit = TranscriptLimitLanguage(excluded=pre_excluded)
         self._seen, self._excluded = self.limit.seen, self.limit.excluded
         self.trigger_times = array("q")
-        self.trigger_outputs = array("q")
-        self.tail_starts = array("q")
         self._play_from = len(self.prefix)  # the first step of stage 0
         # the current stage's language, less the values played: the ray from
         # the tail start and the extras; its ramp plays `_ramp_next` next
         self._tail_start, self._extras = first_stage
         self._ramp_next = self._tail_start
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
-        # the step after the last trigger: it plays the trigger's negative and
-        # rebuilds the stage; -1, which no step equals, before any trigger
+        # the step after the last trigger while its rebuild is pending: it
+        # plays the trigger's negative and rebuilds the stage; else -1, which
+        # no step equals
         self._rebuild_at = -1
         # read only after a trigger, whose output is >= 0, so -1 stands for
         # "nothing yet" without a None test
+        self._trigger_output = -1  # the last trigger's, for the next rebuild
         self._running_max = -1
 
     # -- emission ----------------------------------------------------------
@@ -276,19 +272,19 @@ class StagedAdversary(Source):
             if t == self._rebuild_at:
                 # the step after a trigger: rebuild the stage, no trigger check
                 tail_start, self._extras = self._next_stage(
-                    self.trigger_outputs[-1], self._running_max
+                    self._trigger_output, self._running_max
                 )
                 self._tail_start = self._ramp_next = tail_start
-                self.tail_starts.append(tail_start)
+                self._rebuild_at = -1
             elif not played and (output >= self._tail_start or output in self._extras):
                 # a trigger: an unseen member of the stage language
                 self.trigger_times.append(t)
-                self.trigger_outputs.append(output)
+                self._trigger_output = output
+                self._rebuild_at = t + 1
                 # a certificate lies outside the promise; the output is unplayed
                 if output < 0:
                     raise CertificateBroken(f"{output} lies in the promised part")
                 self._excluded.add(output)
-                self._rebuild_at = t + 1
                 return 1
         if played:
             return 1
@@ -313,17 +309,19 @@ class StagedAdversary(Source):
     @property
     def stage_start(self) -> int:
         """The first step judged against the current stage, stage k: two
-        after trigger k - 1, whose negative comes between."""
-        k = len(self.tail_starts)
+        after trigger k - 1, whose negative comes between. k counts the
+        triggers, less the last one while its rebuild is pending."""
+        k = len(self.trigger_times) - (self._rebuild_at >= 0)
         return self.trigger_times[k - 1] + 2 if k else self._play_from
 
     def final_stage_mistakes(self, horizon: int) -> int:
         """Steps judged against the last (never-triggered) stage language.
 
         Every such step is a mistake against that language: a correct fresh
-        output would have triggered.
+        output would have triggered. A stage whose trigger's rebuild is
+        still pending has triggered, so it has none.
         """
-        if len(self.trigger_times) > len(self.tail_starts):
+        if self._rebuild_at >= 0:
             return 0
         return max(0, horizon - self.stage_start)
 

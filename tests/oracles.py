@@ -107,13 +107,14 @@ def stage_language(
     started (the step after the negative that followed trigger index - 1),
     plus `extras` (what the construction's `next_stage` adds; none for the
     staged union and noise-prefix constructions), plus the ray from the
-    stage's tail start."""
+    stage's tail start, which is its first ramp value, the stage's first
+    reveal."""
     if index == 0:
         tail_start, first_extras = adversary.first_stage
         return ClosedFormLanguage(first_extras, tail_start, False)
     started_at = adversary.trigger_times[index - 1] + 2
     finite = frozenset(reveals[len(adversary.prefix) : started_at]) | extras
-    return ClosedFormLanguage(finite, adversary.tail_starts[index - 1], False)
+    return ClosedFormLanguage(finite, reveals[started_at], False)
 
 
 def zigzag_decode(z: int) -> int:
