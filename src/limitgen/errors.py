@@ -10,7 +10,9 @@ class UnboundedClosureDimension(LimitGenError):
 
 
 class SearchExhausted(LimitGenError):
-    """A fresh-candidate scan hit its probe cap; a precondition is violated."""
+    """A strategy found nothing to play: a base repeated past the probe cap,
+    a chain link's core was finite, or the target lay beyond a union's
+    parts. A precondition is violated."""
 
 
 class BudgetViolation(LimitGenError):

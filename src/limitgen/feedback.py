@@ -9,13 +9,13 @@ are exact.
 from __future__ import annotations
 
 import copy
+import itertools
 from array import array
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetViolation, SearchExhausted
 from .families import CollectionSpec, ExplicitCountable
-from .generators import PROBE_CAP, Generator, MaxPlusOne, MinMinusOne
-from .langs import ClosedFormLanguage
+from .generators import Generator, MaxPlusOne, MinMinusOne
 
 YES = True
 NO = False
@@ -52,10 +52,10 @@ class UnionFeedbackGenerator(FeedbackGenerator):
     the sample is no larger than the part's closure dimension, query and
     output the running candidate. Streaming (`_stream` set): once the sample
     outgrows the dimension, the part is asked for the sample's closure, once.
-    A None closure (no consistent member) skips the part; any other closure,
-    a language in canonical order or a finite set ascending, yields fresh
-    candidates until the first \"No\" answer moves on to the next part,
-    which starts gathering.
+    A None closure (no consistent member) skips the part; any other closure
+    is infinite, since the sample is past the dimension, and its canonical
+    order yields fresh candidates until the first \"No\" answer moves on to
+    the next part, which starts gathering.
     """
 
     budget = None
@@ -86,10 +86,7 @@ class UnionFeedbackGenerator(FeedbackGenerator):
             if closure is None:
                 self._next_part()
                 continue
-            if isinstance(closure, ClosedFormLanguage):
-                self._stream = closure.elements()
-            else:
-                self._stream = iter(sorted(closure))
+            self._stream = closure.elements()
             self.candidate = None  # so this reveal draws the stream's first candidate
 
     def _next_part(self) -> None:
@@ -97,27 +94,13 @@ class UnionFeedbackGenerator(FeedbackGenerator):
         self._stream = None
         self.last_part_move = self.t
 
-    def _advance_candidate(self) -> None:
-        """Move to the next fresh closure element, keeping the current
-        candidate while it remains unrevealed."""
-        if self.candidate is not None and self.candidate not in self.sample:
-            return
-        for _ in range(PROBE_CAP):
-            try:
-                v = next(self._stream)
-            except StopIteration:
-                raise SearchExhausted("finite closure exhausted while streaming") from None
-            if v not in self.sample:
-                self.candidate = v
-                return
-        raise SearchExhausted("no fresh candidate within the probe cap")
-
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
         self._settle_part()
         self.sample.add(revealed)
-        if self._stream is not None:
-            self._advance_candidate()
+        # a streamed candidate is re-offered until it has been revealed
+        if self._stream is not None and (self.candidate is None or self.candidate in self.sample):
+            self.candidate = next(itertools.filterfalse(self.sample.__contains__, self._stream))
         return self.candidate
 
     def step_output(self, answer: bool | None) -> int:

@@ -21,7 +21,9 @@ from .errors import SearchExhausted
 from .families import ChainSpec, CollectionSpec
 from .langs import ClosedFormLanguage, zigzag_encode
 
-PROBE_CAP = 1_000_000  # candidates a fresh-value scan tries before giving up
+# base outputs `SamplelessFromNoisy` reads for a fresh value before giving up:
+# the only fresh-value scan whose stream may repeat forever
+PROBE_CAP = 1_000_000
 
 
 class Generator:
@@ -182,11 +184,10 @@ class ChainGenerator(Generator):
         core = self.chain.intersection_at(self.t)
         if not isinstance(core, ClosedFormLanguage):
             raise SearchExhausted(f"chain link {self.t} has a finite common core")
-        for v in itertools.islice(core.elements(), PROBE_CAP):
-            if v not in self.emitted:
-                self.emitted.add(v)
-                return v
-        raise SearchExhausted("no unused element within the probe cap")
+        # the core is infinite and the used set finite, so the scan ends
+        v = next(itertools.filterfalse(self.emitted.__contains__, core.elements()))
+        self.emitted.add(v)
+        return v
 
 
 class NoisyFromStream(Generator):
@@ -199,12 +200,8 @@ class NoisyFromStream(Generator):
         self._seen: set[int] = set()
 
     def step(self, revealed: int) -> int:
-        seen = self._seen
-        seen.add(revealed)
-        z = next(self._iter)
-        while z in seen:
-            z = next(self._iter)
-        return z
+        self._seen.add(revealed)
+        return next(itertools.filterfalse(self._seen.__contains__, self._iter))
 
 
 def noisy_from_sampleless(stream: Generator) -> NoisyFromStream:

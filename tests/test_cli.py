@@ -12,7 +12,7 @@ from limitgen.cli import main
 from limitgen.engine import Mode
 from limitgen.errors import DuplicateSubRun
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
-from limitgen.generators import FollowSuffix
+from limitgen.generators import FollowSuffix, Generator
 from limitgen.langs import suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary
 
@@ -201,6 +201,26 @@ def test_broken_certificate_exits_3(monkeypatch, capsys):
     assert main(["--experiment", "thm3.1", "--horizon", "50"]) == 3
     assert capsys.readouterr().err.splitlines() == [
         "internal invariant breach: 1 was committed as never-enumerated"
+    ]
+
+
+class _MinusThree(Generator):
+    def step(self, revealed):
+        return -3
+
+
+def test_certificate_in_the_promised_part_exits_3(monkeypatch, capsys):
+    # the first stage's ray reaches down to -10, so the strategy's -3 is an
+    # unseen stage member: a trigger whose certificate would be a negative
+    monkeypatch.setattr(
+        experiments,
+        "staged_union_adversary",
+        lambda: StagedAdversary((-10, frozenset()), lambda z, _m: (z + 2, frozenset())),
+    )
+    monkeypatch.setattr(experiments, "union_generator", lambda _name: _MinusThree())
+    assert main(["--experiment", "thm3.1", "--horizon", "50"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "internal invariant breach: -3 lies in the promised part"
     ]
 
 

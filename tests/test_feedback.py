@@ -91,6 +91,19 @@ def test_union_candidate_repeats_until_revealed():
     assert [z for (_, _, _, z) in steps] == [4, 4, 4, 5]
 
 
+def test_union_skips_a_part_with_no_consistent_member():
+    # no ray holds -5, so once the sample outgrows the ray family's dimension
+    # its closure is None and the strategy moves on unasked
+    parts = [ray_family(), SuffixFamily(offset=0)]
+    gen = UnionFeedbackGenerator(parts)
+    source = ScriptedSource(ScriptedSpec(ClosedFormLanguage({-5}, 0, False)))
+    records, result = engine.run(gen, source, Mode.feedback(), 30)
+    assert gen.part_idx == 1
+    assert gen.last_part_move == 1 == replayed_last_part_move(parts, records)
+    assert list(records.outputs) == list(range(30))
+    assert result.mistakes == 0
+
+
 UNION_PARTS = [neg_union()] + [SuffixFamily(offset=j) for j in range(10)]
 # a finite part plus either the negatives (part 0) or a ray from 0..9
 UNION_TRUTHS = st.builds(

@@ -10,7 +10,7 @@ from limitgen import engine, generators
 from limitgen.engine import Mode
 from limitgen.experiments import union_generator
 from limitgen.errors import SearchExhausted
-from limitgen.families import ExplicitCountable, neg_union, ray_prefix_chain
+from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_prefix_chain
 from limitgen.generators import (
     ChainGenerator,
     DedupWrapper,
@@ -28,8 +28,13 @@ from limitgen.generators import (
     noisy_from_sampleless,
     reduce_by_prefix,
 )
-from limitgen.feedback import FeedbackGenerator, OneShotProbeGenerator, PlainAsFeedback
-from limitgen.langs import ClosedFormLanguage, suffix_from
+from limitgen.feedback import (
+    FeedbackGenerator,
+    OneShotProbeGenerator,
+    PlainAsFeedback,
+    UnionFeedbackGenerator,
+)
+from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 from oracles import (
     NaiveFollowSuffix,
@@ -203,6 +208,15 @@ def test_chain_on_constant_link():
     chain = ChainSpec(lambda i: ExplicitCountable(languages=(suffix_from(5),)))
     gen = ChainGenerator(chain)
     assert [gen.step(None) for _ in range(3)] == [5, 6, 7]
+
+
+def test_chain_rejects_a_finite_core():
+    # the negatives meet the ray from 0 nowhere: the only guard left on the scan
+    from limitgen.families import ChainSpec
+
+    gen = ChainGenerator(ChainSpec(lambda t: ExplicitCountable((suffix_from(0), NEGATIVES))))
+    with pytest.raises(SearchExhausted, match="^chain link 0 has a finite common core$"):
+        gen.step(None)
 
 
 def test_chain_on_shrinking_neg_requirements():
@@ -408,6 +422,9 @@ def test_fresh_replays_identically():
         for make in (OmissionTolerantGenerator, NoiseTolerantGenerator, SensitivityGenerator)
         for level in range(3)
     ] + [OneShotProbeGenerator(-1), PlainAsFeedback(FollowSuffix())]
+    # each fresh-value draw must filter against the copy's own used set, not
+    # the original's, which a filter kept from `__init__` would share
+    gens += [NoisyFromStream(itertools.count()), ChainGenerator(ray_prefix_chain())]
     reveals = [3, -1, 3, 8, 0, -7, 11]
 
     def outputs(gen):
@@ -419,3 +436,16 @@ def test_fresh_replays_identically():
         first = outputs(copy.deepcopy(gen))
         second = outputs(copy.deepcopy(gen))
         assert first == second == outputs(gen)
+
+
+def test_fresh_union_replays_identically():
+    # as above, on reveals from a truth in the union, so that it streams
+    # from both parts
+    truth = ClosedFormLanguage({-1, -7}, 2, False)
+    reveals = [3, -1, 8, 2, -7, 11, 4]
+    gen = UnionFeedbackGenerator([neg_union(), SuffixFamily(offset=2)])
+
+    def outputs(gen):
+        return [gen.play(truth.__contains__, x) for x in reveals]
+
+    assert outputs(copy.deepcopy(gen)) == outputs(copy.deepcopy(gen)) == outputs(gen)

@@ -5,32 +5,51 @@ T = max(default_horizon // 4, 50) and at 4T, and requires the total calls at
 4T to be at most 4.5 times those at T. The runs are deterministic, so the
 counts are too, unlike a timed reading.
 
-Call counts miss loops inside C iterators: an `islice` skip, a `max(list)`
-or a membership scan of a list costs one call however long it runs. So a
-superlinear loop in C passes this gate, and memory is checked by the
+Call counts miss loops inside C iterators: an `islice` skip, a `filterfalse`
+scan for a fresh value, a `max(list)` or a membership scan of a list costs
+one call however long it runs. So the same two runs also count the values
+drawn from every `ClosedFormLanguage.elements()` stream, where the strategies'
+fresh-value scans read, and hold those to the same bound. A superlinear loop
+in C over anything else still passes this gate, and memory is checked by the
 tracemalloc per-step tests, not here.
 """
 
 import cProfile
+import itertools
+import operator
 import pstats
+from unittest import mock
 
 import pytest
 
 from limitgen.experiments import EXPERIMENTS, run_experiment
+from limitgen.langs import ClosedFormLanguage
 
-GROWTH_BOUND = 4.5  # calls at 4T over calls at T; linear work reads at most 4
+GROWTH_BOUND = 4.5  # work at 4T over work at T; linear work reads at most 4
 
 
-def _calls(ident: str, horizon: int) -> int:
+def _work(ident: str, horizon: int) -> tuple[int, int]:
+    """The calls one run makes and the language elements it draws."""
+    drawn = itertools.count()  # advanced in C once per element drawn
+    elements = ClosedFormLanguage.elements
+
+    def counted(self):
+        # elements() streams are infinite, so zip never advances `drawn` in vain
+        return map(operator.itemgetter(1), zip(drawn, elements(self)))
+
     profiler = cProfile.Profile()
-    profiler.runcall(run_experiment, ident, horizon=horizon)
-    return pstats.Stats(profiler).total_calls
+    with mock.patch.object(ClosedFormLanguage, "elements", counted):
+        profiler.runcall(run_experiment, ident, horizon=horizon)
+    return pstats.Stats(profiler).total_calls, next(drawn)
 
 
 @pytest.mark.parametrize("ident", sorted(EXPERIMENTS))
 def test_calls_grow_at_most_linearly_in_the_horizon(ident):
     horizon = max(EXPERIMENTS[ident].default_horizon // 4, 50)
-    small, large = _calls(ident, horizon), _calls(ident, 4 * horizon)
-    assert large <= GROWTH_BOUND * small, (
-        f"{ident}: {large:,} calls at horizon {4 * horizon} against {small:,} at {horizon}"
+    (calls, draws), (calls_4x, draws_4x) = _work(ident, horizon), _work(ident, 4 * horizon)
+    assert calls_4x <= GROWTH_BOUND * calls, (
+        f"{ident}: {calls_4x:,} calls at horizon {4 * horizon} against {calls:,} at {horizon}"
+    )
+    assert draws_4x <= GROWTH_BOUND * draws, (
+        f"{ident}: {draws_4x:,} draws at horizon {4 * horizon} against {draws:,} at {horizon}"
     )
