@@ -24,6 +24,7 @@ from .experiments import (
     emit_summary,
     matrix_rows,
     run_experiment,
+    trace_file,
 )
 
 
@@ -105,8 +106,7 @@ def _writing(path: Path | str) -> Iterator[IO[str]]:
 
 def _write_traces(root: Path, subruns: list[SubRun]) -> None:
     for sub in subruns:
-        safe = sub.name.replace("/", "_").replace(" ", "")
-        with _writing(root / f"{safe}.trace") as fp:
+        with _writing(root / trace_file(sub.name)) as fp:
             engine.write_trace(fp, sub.header, sub.records, sub.result)
 
 

@@ -81,6 +81,11 @@ class SubRun:
     result: RunResult
 
 
+def trace_file(name: str) -> str:
+    """The file name a sub-run's trace is written to."""
+    return name.replace("/", "_").replace(" ", "") + ".trace"
+
+
 @dataclass
 class SummaryRow:
     experiment: str
@@ -777,22 +782,23 @@ def run_experiment(
 
     Raises ValueError, before any case runs, when `params` does not fit the
     row's schema (see `matrix_rows`), and DuplicateSubRun when two sub-runs
-    share a name, since the trace of one would overwrite the other's.
+    share a trace file (`trace_file`), since one would overwrite the other.
     """
     exp = EXPERIMENTS[ident]
     horizon = exp.default_horizon if horizon is None else horizon
     rows: list[SummaryRow] = []
     all_subs: list[SubRun] = []
-    names: set[str] = set()
+    files: set[str] = set()
     for row_name, row_params in matrix_rows(exp, {} if params is None else params):
         started = time.perf_counter()
         failures: list[str] = []
         subs: list[SubRun] = []
 
         def play(case: Case) -> SubRun:
-            if case.name in names:
+            file = trace_file(case.name)
+            if file in files:
                 raise DuplicateSubRun(f"{ident} has two sub-runs named {case.name!r}")
-            names.add(case.name)
+            files.add(file)
             records, result = engine.run(case.generator, case.source, case.mode, case.horizon)
             header = {
                 "run": case.name,

@@ -53,9 +53,6 @@ class CollectionSpec:
     closure is not None.
     """
 
-    def consistent(self, sample: Iterable[int]) -> bool:
-        return self.closure(sample) is not None
-
     def closure(self, sample: Iterable[int]) -> ClosedFormLanguage | frozenset[int] | None:
         raise NotImplementedError
 

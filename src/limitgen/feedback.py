@@ -24,7 +24,7 @@ NO = False
 class FeedbackGenerator:
     """Two-phase strategy: query after the reveal, output after the answer.
 
-    A strategy is written as its two phases, `step_query` and `step_output`;
+    A strategy is written as its two phases, both handed the step's reveal;
     the game loop plays a step through `play`, which runs both with the
     run's membership oracle. `budget` is the declared maximum number of
     non-pass queries over any run (None means unlimited).
@@ -36,12 +36,12 @@ class FeedbackGenerator:
         """One step: the query phase, then `ask`'s answer to the query, if
         any, for the output phase."""
         y = self.step_query(revealed)
-        return self.step_output(None if y is None else ask(y))
+        return self.step_output(revealed, None if y is None else ask(y))
 
     def step_query(self, revealed: int) -> int | None:
         raise NotImplementedError
 
-    def step_output(self, answer: bool | None) -> int:
+    def step_output(self, revealed: int, answer: bool | None) -> int:
         raise NotImplementedError
 
 
@@ -57,8 +57,6 @@ class UnionFeedbackGenerator(FeedbackGenerator):
     order yields fresh candidates until the first \"No\" answer moves on to
     the next part, which starts gathering.
     """
-
-    budget = None
 
     def __init__(self, parts: Sequence[CollectionSpec]) -> None:
         self.parts = tuple(parts)
@@ -103,7 +101,7 @@ class UnionFeedbackGenerator(FeedbackGenerator):
             self.candidate = next(itertools.filterfalse(self.sample.__contains__, self._stream))
         return self.candidate
 
-    def step_output(self, answer: bool | None) -> int:
+    def step_output(self, revealed: int, answer: bool | None) -> int:
         z = self.candidate
         if self._stream is not None and answer is NO:
             self._next_part()
@@ -192,14 +190,12 @@ class PlainAsFeedback(FeedbackGenerator):
 
     def __init__(self, base: Generator) -> None:
         self.base = base
-        self._pending: int | None = None
 
     def step_query(self, revealed: int) -> int | None:
-        self._pending = revealed
         return None
 
-    def step_output(self, answer: bool | None) -> int:
-        return self.base.step(self._pending)
+    def step_output(self, revealed: int, answer: bool | None) -> int:
+        return self.base.step(revealed)
 
 
 class OneShotProbeGenerator(FeedbackGenerator):
@@ -213,19 +209,15 @@ class OneShotProbeGenerator(FeedbackGenerator):
 
     def __init__(self, probe: int = -1) -> None:
         self.probe = probe
-        self.t = -1
-        self._pending: int | None = None
         self._strategy: Generator | None = None  # chosen at the first output
 
     def step_query(self, revealed: int) -> int | None:
-        self.t += 1
-        self._pending = revealed
-        return self.probe if self.t == 0 else None
+        return self.probe if self._strategy is None else None
 
-    def step_output(self, answer: bool | None) -> int:
-        if self.t == 0:
+    def step_output(self, revealed: int, answer: bool | None) -> int:
+        if self._strategy is None:
             self._strategy = MinMinusOne() if answer is YES else MaxPlusOne()
-        return self._strategy.step(self._pending)
+        return self._strategy.step(revealed)
 
 
 class IndexIdentifier(FeedbackGenerator):
@@ -238,24 +230,20 @@ class IndexIdentifier(FeedbackGenerator):
     not yet failed. A failure is permanent, so no example is kept.
     """
 
-    budget = None
-
     def __init__(self, collection: ExplicitCountable) -> None:
         self.languages = collection.languages
         self.t = -1
-        self._revealed: int | None = None
         self._failed = [False] * len(self.languages)
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
-        self._revealed = revealed
         return self.t
 
-    def step_output(self, answer: bool | None) -> int:
-        t, x, yes = self.t, self._revealed, answer is YES
+    def step_output(self, revealed: int, answer: bool | None) -> int:
+        t, yes = self.t, answer is YES
         failed = self._failed
         for i, lang in enumerate(self.languages):
-            if not failed[i] and (x not in lang or (t in lang) != yes):
+            if not failed[i] and (revealed not in lang or (t in lang) != yes):
                 failed[i] = True
         for i in range(min(t + 1, len(failed))):
             if not failed[i]:

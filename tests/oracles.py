@@ -334,7 +334,7 @@ class NaiveStripQueries:
                     raise BudgetViolation(
                         f"replay asked {len(answers)} queries, budget {self.base.budget}"
                     )
-            z = replay.step_output(a)
+            z = replay.step_output(xj, a)
         self.positions.append(preorder_index(answers, self.base.budget))
         return z
 
@@ -355,7 +355,7 @@ class NaiveIndexIdentifier(IndexIdentifier):
         self.positive.add(revealed)
         return self.t
 
-    def step_output(self, answer: bool | None) -> int:
+    def step_output(self, revealed: int, answer: bool | None) -> int:
         if answer is YES:
             self.positive.add(self.t)
         else:
@@ -388,7 +388,7 @@ def replayed_last_part_move(parts, records) -> int:
     for r in steps(records):
         before = probe.part_idx
         probe.step_query(r.x)
-        probe.step_output(r.a)
+        probe.step_output(r.x, r.a)
         if probe.part_idx != before:
             last = r.t
     return last
@@ -495,7 +495,7 @@ def naive_run(generator, source, mode, horizon):
             y = generator.step_query(x)
             if y is not None:
                 a = engine.oracle_answer(truth, y)
-            z = generator.step_output(a)
+            z = generator.step_output(x, a)
         else:
             z = generator.step(x)
         if x is not None:
@@ -713,7 +713,7 @@ class NaiveOneShotProbe(NaivePool):
         self._absorb(revealed)
         return self.probe if self.t == 0 else None
 
-    def step_output(self, answer: bool | None) -> int:
+    def step_output(self, revealed: int, answer: bool | None) -> int:
         if self.t == 0:
             self.answer = answer
         z = self.min_candidate() if self.answer is YES else self.max_candidate()

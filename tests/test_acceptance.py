@@ -117,7 +117,7 @@ def test_criterion_04_core_check_agrees_with_brute_force():
         for sample in samples:
             traces = minimal_traces(spec, sample, lo, hi)
             try:
-                agree = spec.consistent(sample) == (traces is not None)
+                agree = (spec.closure(sample) is not None) == (traces is not None)
             except Exception:  # rule-based unknowns would surface here
                 agree = False
             if not agree:

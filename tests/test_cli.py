@@ -354,6 +354,7 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
         ({"id": "thm4.8-omit-i", "params": {"i": 2**64}}, "i of thm4.8-omit-i must be below 998"),
         ({"id": "thm5.2-noise-i", "params": {"i": [1, 2000]}}, "i of thm5.2-noise-i must be below 999"),
         ({"id": "thm5.4-sensitivity", "params": {"i": 2**64}}, "i of thm5.4-sensitivity must be below 1998"),
+        ({"id": "thm3.1", "params": {"generators": [3]}}, "generator name must be a string, got 3"),
     ],
 )
 def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):
@@ -427,6 +428,7 @@ def test_run_experiment_checks_params_before_running(ident, params, message, mon
             [{"id": "thm3.1", "params": {"generators": ["omission:0"]}}, {"id": "thm3.1"}],
             "thm3.1[omission:0]",
         ),
+        ([], None),  # no row at all
     ],
 )
 def test_config_that_repeats_a_row_exits_2_before_running(entries, row, monkeypatch, tmp_path, capsys):
@@ -435,7 +437,11 @@ def test_config_that_repeats_a_row_exits_2_before_running(entries, row, monkeypa
     config.write_text(json.dumps({"experiments": entries}))
     trace_dir = tmp_path / "traces"
     assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
-    assert f"config runs {row} twice" in capsys.readouterr().err
+    if row is None:
+        message = "config must contain a non-empty 'experiments' list"
+    else:
+        message = f"config runs {row} twice"
+    assert message in capsys.readouterr().err
     assert not trace_dir.exists()
 
 
@@ -501,6 +507,22 @@ def test_duplicate_subrun_name_exits_3(monkeypatch, capsys):
         experiments.run_experiment("alg3-chain")
     assert main(["--experiment", "alg3-chain"]) == 3
     assert "two sub-runs named 'alg3[P7]'" in capsys.readouterr().err
+
+
+def test_subruns_sharing_a_trace_file_exit_3(monkeypatch, tmp_path, capsys):
+    # "alg3[a b]" and "alg3[ab]" are two names but one trace file
+    chain = experiments.EXPERIMENTS["alg3-chain"]
+
+    def cases_under_two_names(horizon, seed, params, play):
+        for name in ("alg3[a b]", "alg3[ab]"):
+            chain.cases(horizon, seed, params, lambda case: play(case._replace(name=name)))
+
+    monkeypatch.setitem(
+        experiments.EXPERIMENTS, "alg3-chain", dataclasses.replace(chain, cases=cases_under_two_names)
+    )
+    assert main(["--experiment", "alg3-chain", "--trace", str(tmp_path)]) == 3
+    assert "two sub-runs named 'alg3[ab]'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_case_over_its_level_budget_exits_3(monkeypatch, capsys):

@@ -191,6 +191,53 @@ def test_mode_mismatch_combinations():
         run(MaxPlusOne(), staged_union_adversary(), Mode.sampleless(), 5)
 
 
+class _LimitTruthSource(Source):
+    """A non-adaptive source that declares an adaptive run's limit truth."""
+
+    def emit(self, t):
+        return t
+
+    def truth_view(self):
+        return TranscriptLimitLanguage()
+
+
+ENGINE_GUARDS = {
+    "identification-of-a-union": (
+        lambda: run(UnionFeedbackGenerator([neg_union()]), scripted(NEGATIVES), Mode.identification(), 5),
+        ModeMismatch,
+        "identification needs an index-outputting strategy",
+    ),
+    "truth-outside-the-collection": (
+        lambda: run(
+            IndexIdentifier(ExplicitCountable(languages=(suffix_from(0),))),
+            scripted(suffix_from(3)),
+            Mode.identification(),
+            5,
+        ),
+        ModeMismatch,
+        "the truth is not in the identified collection",
+    ),
+    "limit-truth-of-a-non-adaptive-source": (
+        lambda: run(MaxPlusOne(), _LimitTruthSource(), Mode.standard(), 5),
+        ModeMismatch,
+        "only an adaptive source can judge a limit truth",
+    ),
+    "negative-omission-budget": (
+        lambda: Mode.lossy(-1), ValueError, "omission budget must be nonnegative"
+    ),
+    "negative-noise-level": (lambda: Mode.noisy(-1), ValueError, "noise level must be nonnegative"),
+    "negative-query-budget": (
+        lambda: Mode.feedback(budget=-1), ValueError, "query budget must be nonnegative"
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, message", ENGINE_GUARDS.values(), ids=ENGINE_GUARDS)
+def test_engine_guards_raise(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 SAMPLE_READERS = {
     "MaxPlusOne": MaxPlusOne,
     "MinMinusOne": MinMinusOne,
@@ -289,11 +336,10 @@ class AlwaysAsks(FeedbackGenerator):
     """Queries its reveal on every step and outputs one above it."""
 
     def step_query(self, revealed):
-        self.last = revealed
         return revealed
 
-    def step_output(self, answer):
-        return self.last + 1
+    def step_output(self, revealed, answer):
+        return revealed + 1
 
 
 @pytest.mark.parametrize("budget", [0, 1])
@@ -437,11 +483,10 @@ class AskEveryOther(FeedbackGenerator):
 
     def step_query(self, revealed):
         self.t += 1
-        self.last = revealed
         return revealed + 1 if self.t % 2 == 0 else None
 
-    def step_output(self, answer):
-        return self.last + 2 if answer else -abs(self.last) - 1
+    def step_output(self, revealed, answer):
+        return revealed + 2 if answer else -abs(revealed) - 1
 
 
 def _plays(truth, budget):

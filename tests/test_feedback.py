@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from limitgen import engine, experiments
 from limitgen.engine import Mode
-from limitgen.errors import BudgetViolation
+from limitgen.errors import BudgetViolation, SearchExhausted
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_family
 from limitgen.feedback import (
     YES,
@@ -31,7 +31,7 @@ def drive(gen, reveals, truth):
     for x in reveals:
         y = gen.step_query(x)
         a = None if y is None else (y in truth)
-        z = gen.step_output(a)
+        z = gen.step_output(x, a)
         steps.append((x, y, a, z))
     return steps
 
@@ -73,6 +73,18 @@ def test_union_gather_phase_for_positive_dimension_part():
     # dimension 0: one gathering step outputs the initial candidate 0
     assert steps[0][3] == 0
     assert [z for (_, _, _, z) in steps[1:]] == [4, 5, 6]
+
+
+def test_union_needs_a_part():
+    with pytest.raises(ValueError, match="need at least one part"):
+        UnionFeedbackGenerator([])
+
+
+def test_union_runs_out_of_parts_on_a_truth_beyond_them():
+    gen = UnionFeedbackGenerator([SuffixFamily(offset=0)])
+    source = ScriptedSource(ScriptedSpec(NEGATIVES))
+    with pytest.raises(SearchExhausted, match="ran out of parts: target beyond the declared union"):
+        engine.run(gen, source, Mode.feedback(), 5)
 
 
 def test_union_rejects_unbounded_parts():
@@ -141,6 +153,42 @@ def test_alg4_flags_a_flipped_oracle_answer(flip, monkeypatch):
     rows, subs = experiments.run_experiment("alg4-feedback", 100)
     expected = f"{subs[0].name}: oracle answer mismatch at t={asked[0]}" if flip else ""
     assert rows[0].detail == expected
+
+
+class _RegressingStrip(StripQueries):
+    """Overwrites each step's decision-tree position so that it alternates."""
+
+    def step(self, revealed):
+        z = super().step(revealed)
+        self.positions[-1] = len(self.positions) % 2
+        return z
+
+
+@pytest.mark.parametrize(
+    "name, value, ident, message",
+    [
+        (
+            "_first_part_index",
+            lambda truth: 0,
+            "alg4-feedback",
+            "alg4[case3,0:canonical]: reached part 1, first fit is 0",
+        ),
+        (
+            "StripQueries",
+            lambda base: StripQueries(OneShotProbeGenerator(probe=5)),
+            "alg5-queries",
+            "alg5[1]: tail verdicts diverge at offset 0",
+        ),
+        ("StripQueries", _RegressingStrip, "alg5-queries", "alg5[0]: decision-tree position regressed"),
+    ],
+)
+def test_feedback_row_checks_fail_their_row(name, value, ident, message, monkeypatch):
+    """A wrong first-fit bound, a stripped strategy that is not the oracle
+    strategy and a regressing position must each fail their row."""
+    monkeypatch.setattr(experiments, name, value)
+    (row,), _ = experiments.run_experiment(ident)
+    assert not row.passed
+    assert message in row.detail.split("; ")
 
 
 # --- query elimination ---------------------------------------------------------
@@ -215,7 +263,7 @@ class TwoProbes(FeedbackGenerator):
             return self.second if self.answers[0] is YES else self.second + 1
         return None
 
-    def step_output(self, answer):
+    def step_output(self, revealed, answer):
         if answer is not None:
             self.answers.append(answer)
         code = sum(2**k for k, a in enumerate(self.answers) if a)
@@ -311,7 +359,7 @@ def test_strip_queries_replay_work_is_linear(truth):
         stripped.step(x)
     # one pass, plus one restart when the probe -1 is revealed
     assert steps <= calls[0] <= 2 * steps
-    assert base.t == -1  # the replays step copies; the base as given is never stepped
+    assert base._strategy is None  # the replays step copies; the base as given is never stepped
 
 
 @pytest.mark.parametrize("truth", ALG5_TRUTHS[:2])
@@ -422,7 +470,7 @@ def test_identifier_matches_full_retest(langs, k, steps):
         y = fast.step_query(x)
         assert naive.step_query(x) == y
         answer = (y in truth) != (noise == 1)
-        assert fast.step_output(answer) == naive.step_output(answer)
+        assert fast.step_output(x, answer) == naive.step_output(x, answer)
 
 
 def test_identifier_membership_work_is_linear():
@@ -448,7 +496,7 @@ def test_index_identifier_retains_no_per_step_state():
         gen = make_identifier([suffix_from(0), suffix_from(5), suffix_from(9)])
         for x in range(9, 9 + steps):
             y = gen.step_query(x)
-            z = gen.step_output(y in truth)
+            z = gen.step_output(x, y in truth)
         return gen, z  # the strategy stays alive while it is measured
 
     per_step, (_, z) = retained_per_step(steps, play)

@@ -313,7 +313,7 @@ def test_pool_strategies_match_builtin_references(reveals, probe, answer):
         play = []
         for x in reveals:
             y = gen.step_query(x)
-            play.append((y, gen.step_output(None if y is None else answer)))
+            play.append((y, gen.step_output(x, None if y is None else answer)))
         plays.append(play)
     assert plays[0] == plays[1]
 

@@ -38,9 +38,6 @@ ALLOWED = {
     "langs.TranscriptLimitLanguage.status": "verdict's limit-language rule; StagedAdversary.observe reads its sets directly",
     # the membership rule each run's `ask` is tested against; the loop answers inline
     "engine.oracle_answer": "the reference rule test_engine.py checks every bound ask against",
-    # the oracle answer no experiment asks for; acceptance criterion 4 and
-    # test_families.py check it against brute force
-    "families.CollectionSpec.consistent": "the only consistency oracle; tests ask it, strategies ask closures",
     # the inverse of to_record, kept so that a trace header's truth can be read back
     "langs.ClosedFormLanguage.from_record": "reads a trace header's truth back",
     # probed by the benchmark's scaling runs, not by any experiment
