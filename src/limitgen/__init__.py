@@ -61,7 +61,6 @@ from .generators import (
 from .langs import (
     NEGATIVES,
     ClosedFormLanguage,
-    TranscriptLimitLanguage,
     suffix_from,
     zigzag_encode,
 )

@@ -14,13 +14,15 @@ invariant breach. Each run binds one `step(x)`: a plain strategy's own
 `ask`, which answers its queries.
 
 `verdict()` is the reference rule, in strings: a correct output is an
-unseen member of the truth. The loop does not call it. It binds one judge
-per run, `judge(t, z)`, that returns the verdict's code byte directly
-(0 Correct, 1 Mistake, 2 Unknown). An adaptive source is its own judge: its
-`observe` sees each output as soon as it is produced, reacts, and then
-judges it against its own sets, so certified mistakes show up as Mistake
-verdicts in the transcript. Otherwise the judge follows the mode: the
-identification target, or a closed-form truth's parts, bound once per run.
+unseen member of a closed-form truth. The loop does not call it. It binds
+one judge per run, `judge(t, z)`, that returns the verdict's code byte
+directly (0 Correct, 1 Mistake, 2 Unknown). An adaptive source is its own
+judge: its `observe` sees each output as soon as it is produced, reacts,
+and then judges it against its own sets, the values it played and those it
+certified never to play, so certified mistakes show up as Mistake verdicts
+in the transcript. A source that does not judge declares a truth,
+`truth_view()`, and for it the judge follows the mode: the identification
+target, or the closed-form truth's parts, bound once per run.
 
 `oracle_answer()` is the reference membership rule. The loop does not call
 it either: `ask`, bound once per run by `_asker`, counts each query against
@@ -32,9 +34,9 @@ the answer and the verdict. The reveal iterator appends each value to its
 column as it is pulled. Only for a source that does not judge does it also
 add the value to a seen set, which the closed-form judge and the stream
 checks read; an adaptive source's own sets hold every value it played, so
-the run keeps no second copy. A `RunResult`'s step times, and an adaptive
-truth's sorted sets in `truth_record`, are int64 columns as well, so no int
-object of a finished run outlives its source. Values live in the int64
+the run keeps no second copy. A `RunResult`'s step times, and a staged
+adversary's sorted sets in `truth_record`, are int64 columns as well, so no
+int object of a finished run outlives its source. Values live in the int64
 domain, which no CLI input can leave: they grow with the horizon and the
 level `i`, far short of 2**63 in any run that can finish. A value outside it
 raises OverflowError rather than being stored truncated.
@@ -57,7 +59,7 @@ from typing import IO, Callable, Iterator
 
 from .errors import BudgetViolation, ModeMismatch, StreamEnded
 from .feedback import FeedbackGenerator
-from .langs import IN, OUT, ClosedFormLanguage, TranscriptLimitLanguage
+from .langs import NEGATIVES, ClosedFormLanguage
 from .sources import ScriptedSource, Source, StagedAdversary
 
 CORRECT = "Correct"
@@ -207,21 +209,13 @@ def oracle_answer(truth: ClosedFormLanguage, query: int) -> bool:
     return query in truth
 
 
-def verdict(z: int, truth, seen: set[int]) -> str:
-    """Correct iff z is an unseen member of the truth; tri-state for
-    adaptive limit truths. The reference rule: a run's loop takes the same
-    verdict, as a code, from the judge it binds, `_judge`'s or an adaptive
-    source's `observe`."""
+def verdict(z: int, truth: ClosedFormLanguage, seen: set[int]) -> str:
+    """Correct iff z is an unseen member of the truth. The reference rule:
+    a run's loop takes the same verdict, as a code, from the judge that
+    `_judge` binds."""
     if z in seen:
         return MISTAKE
-    if isinstance(truth, ClosedFormLanguage):
-        return CORRECT if z in truth else MISTAKE
-    status = truth.status(z)
-    if status == IN:
-        return CORRECT
-    if status == OUT:
-        return MISTAKE
-    return UNKNOWN_VERDICT
+    return CORRECT if z in truth else MISTAKE
 
 
 def _identification_target(generator, truth: ClosedFormLanguage) -> int:
@@ -313,7 +307,7 @@ def run(
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_compat(generator, source, mode)
-    truth = source.truth_view()
+    truth = None if source.adaptive else source.truth_view()
     records = Transcript(horizon)
     # every mode decision is made here, once
     if isinstance(generator, FeedbackGenerator):
@@ -471,14 +465,15 @@ def write_trace(
     fp.write(_dump({"summary": result.to_record()}) + "\n")
 
 
-def truth_record(truth) -> dict:
-    if isinstance(truth, ClosedFormLanguage):
-        return {"kind": "closed_form", **truth.to_record()}
-    if isinstance(truth, TranscriptLimitLanguage):
+def truth_record(source: Source) -> dict:
+    """The header's truth: a closed-form truth's record, or a staged
+    adversary's limit language, its played and certified sets as sorted
+    int64 columns under the promised negatives."""
+    if isinstance(source, StagedAdversary):
         return {
             "kind": "transcript_limit",
-            "seen": array("q", sorted(truth.seen)),
-            "excluded": array("q", sorted(truth.excluded)),
-            "promised": truth.promised.to_record(),
+            "seen": array("q", sorted(source.seen)),
+            "excluded": array("q", sorted(source.excluded)),
+            "promised": NEGATIVES.to_record(),
         }
-    raise TypeError(f"unknown truth type {type(truth)!r}")
+    return {"kind": "closed_form", **source.truth_view().to_record()}

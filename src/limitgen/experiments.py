@@ -804,7 +804,7 @@ def run_experiment(
                 "run": case.name,
                 "mode": case.mode.to_record(),
                 "horizon": case.horizon,
-                "truth": engine.truth_record(case.source.truth_view()),
+                "truth": engine.truth_record(case.source),
                 "experiment": ident,
                 "seed": seed,
             }

@@ -12,11 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-IN = "In"
-OUT = "Out"
-UNKNOWN = "Unknown"
+from typing import Iterator
 
 
 @dataclass(frozen=True)
@@ -93,26 +89,3 @@ def zigzag_encode(n: int) -> int:
         raise ValueError("encode takes a natural number")
     return n // 2 if n % 2 == 0 else -(n + 1) // 2
 
-
-class TranscriptLimitLanguage:
-    """The limit language of an adaptive run, known only through certificates.
-
-    `seen` holds members enumerated so far, `excluded` holds elements the
-    adversary has committed never to enumerate, and `promised`, the negative
-    ray, is guaranteed to end up in the limit.
-    """
-
-    promised = NEGATIVES
-
-    def __init__(self, excluded: Iterable[int] = ()) -> None:
-        self.seen: set[int] = set()
-        self.excluded: set[int] = set(excluded)
-        if any(x in self.promised for x in self.excluded):
-            raise ValueError("excluded element lies in the promised part")
-
-    def status(self, x: int) -> str:
-        if x in self.seen or x in self.promised:
-            return IN
-        if x in self.excluded:
-            return OUT
-        return UNKNOWN

@@ -6,11 +6,13 @@ deterministic enumeration of it (with declared omissions, noise insertions,
 order shuffles, or repetitions). An adaptive source watches the generator's
 outputs and switches its intended language in stages, certifying a mistake
 each time the generator emits an unseen member of the current stage language.
-Every stage, the first one included, is the values played before it plus
-some extras plus an upward ray, and plays the ramp up that ray. The source's
-`observe` also judges each output, since it holds the sets the verdict
-reads. It keeps only the current stage and one flat int64 column of the
-past ones, their trigger times, and every value it played once.
+It is described whole by its construction and level. Every stage, the first
+one included, is the values played before it plus some extras plus an upward
+ray, and plays the ramp up that ray. The source's `observe` also judges each
+output, since it holds the sets the verdict reads: the values played and the
+values certified never to be. It keeps only the current stage and one flat
+int64 column of the past ones, their trigger times, and every value it played
+once.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .errors import AdversaryRepeat, CertificateBroken
-from .langs import ClosedFormLanguage, TranscriptLimitLanguage
+from .langs import ClosedFormLanguage
 
 PERMUTATION_BLOCK = 16
 
@@ -43,7 +45,7 @@ class Source:
         played."""
         return map(self.emit, itertools.count())
 
-    def truth_view(self) -> ClosedFormLanguage | TranscriptLimitLanguage:
+    def truth_view(self) -> ClosedFormLanguage:
         raise NotImplementedError
 
 
@@ -178,48 +180,47 @@ def _repeated(stream: Iterator[int], rng: random.Random) -> Iterator[int]:
 
 
 class StagedAdversary(Source):
-    """Shared engine for the staged constructions.
+    """One of the paper's four staged constructions at a level: "union"
+    (thm3.1), "omission" (thm4.8), "noise_prefix" (thm5.2) or "sensitivity"
+    (thm5.4).
 
     Every stage's language is the truth values played before it, plus the
     extras, plus the ray from the tail start, and the stage plays the ramp
-    from that tail start. Stage 0's `(tail_start, extras)` pair is
-    `first_stage`. Whenever the generator outputs an unseen member of the
-    current stage language, the adversary records the time, commits never to
-    emit that output (the certificate), emits the next unused negative, and
-    on the step after it builds the next stage from the pair
-    `next_stage(trigger_output, running_max)` gives.
-
-    An optional noise prefix is emitted before stage 0 and counted outside
-    the limit language. The limit language promises the negative ray.
+    from that tail start. Omission and noise prefix have the markers
+    {0..level}, which are pre-certified never to be played: omission holds
+    them as every stage's extras, and noise prefix plays them first, as
+    noise outside the limit language. Stage 0's ray starts just above the
+    markers. Whenever the generator outputs an unseen member of the current
+    stage language, the adversary records the time, commits never to emit
+    that output (the certificate), emits the next unused negative, and on
+    the step after it rebuilds the stage with its ray one above the running
+    max (omission, sensitivity) or two above the trigger output (union,
+    noise prefix). The limit language promises the negative ray.
 
     Only the current stage is kept as state; the past ones leave one flat
     int64 column, `trigger_times` (trigger k ends stage k; stage k + 1 is
     built on the step after it). The rest is in the transcript: trigger k's
     output is the output at its time, and a stage's tail start is the reveal
-    at its start step. Every value played is kept once, in `limit.seen` or,
-    for the noise prefix, in a set of the prefix values played so far.
+    at its start step. Every value played is kept once, in `seen` or, for
+    the noise prefix, in a set of the prefix values played so far; the
+    certified outputs and the markers are in `excluded`.
     """
 
     adaptive = True
 
-    def __init__(
-        self,
-        first_stage: tuple[int, frozenset[int]],
-        next_stage: Callable[[int, int], tuple[int, frozenset[int]]],
-        prefix: Sequence[int] = (),
-        pre_excluded: Sequence[int] = (),
-    ) -> None:
-        self.first_stage = first_stage
-        self._next_stage = next_stage
-        self.prefix = tuple(prefix)
-        self.limit = TranscriptLimitLanguage(excluded=pre_excluded)
-        self._seen, self._excluded = self.limit.seen, self.limit.excluded
+    def __init__(self, construction: str, level: int = 0) -> None:
+        marked, self._above_max = _CONSTRUCTIONS[construction]
+        self.construction, self.level = construction, level
+        markers = range(level + 1) if marked else range(0)
+        self.prefix = () if self._above_max else tuple(markers)
+        self._extras = frozenset(markers) if self._above_max else frozenset()
+        self.seen: set[int] = set()
+        self.excluded: set[int] = set(markers)
         self.trigger_times = array("q")
         self._play_from = len(self.prefix)  # the first step of stage 0
         # the current stage's language, less the values played: the ray from
         # the tail start and the extras; its ramp plays `_ramp_next` next
-        self._tail_start, self._extras = first_stage
-        self._ramp_next = self._tail_start
+        self._tail_start = self._ramp_next = len(markers)
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
         # the step after the last trigger while its rebuild is pending: it
         # plays the trigger's negative and rebuilds the stage; else -1, which
@@ -239,11 +240,11 @@ class StagedAdversary(Source):
         else:
             v = self._ramp_next
             self._ramp_next = v + 1
-        if v in self._seen or v in self._prefix_shown:
+        if v in self.seen or v in self._prefix_shown:
             raise AdversaryRepeat(f"adversary repeated {v}")
-        if v in self._excluded:  # a certified output is never played
+        if v in self.excluded:  # a certified output is never played
             raise CertificateBroken(f"{v} was committed as never-enumerated")
-        self._seen.add(v)
+        self.seen.add(v)
         if v > self._running_max:
             self._running_max = v
         return v
@@ -258,23 +259,23 @@ class StagedAdversary(Source):
 
     def emitted(self, v: int) -> bool:
         """Whether `v` has been played, as a truth value or as noise."""
-        return v in self._seen or v in self._prefix_shown
+        return v in self.seen or v in self._prefix_shown
 
     # -- reaction ----------------------------------------------------------
     def observe(self, t: int, output: int) -> int:
         """React to step t's output (a trigger or a stage rebuild), then
-        judge it by `engine.verdict`'s rule, with the values played as the
-        seen set: the verdict's code, 0 Correct, 1 Mistake or 2 Unknown."""
-        played = output in self._seen or output in self._prefix_shown
+        judge it against the limit language: a played or certified output is
+        a Mistake, a promised negative Correct, and any other Unknown. The
+        verdict's code, 0 Correct, 1 Mistake or 2 Unknown."""
+        played = output in self.seen or output in self._prefix_shown
         if t >= self._play_from:  # before it, the prefix is noise
             if output > self._running_max:
                 self._running_max = output
             if t == self._rebuild_at:
                 # the step after a trigger: rebuild the stage, no trigger check
-                tail_start, self._extras = self._next_stage(
-                    self._trigger_output, self._running_max
+                self._tail_start = self._ramp_next = (
+                    self._running_max + 1 if self._above_max else self._trigger_output + 2
                 )
-                self._tail_start = self._ramp_next = tail_start
                 self._rebuild_at = -1
             elif not played and (output >= self._tail_start or output in self._extras):
                 # a trigger: an unseen member of the stage language
@@ -284,18 +285,15 @@ class StagedAdversary(Source):
                 # a certificate lies outside the promise; the output is unplayed
                 if output < 0:
                     raise CertificateBroken(f"{output} lies in the promised part")
-                self._excluded.add(output)
+                self.excluded.add(output)
                 return 1
         if played:
             return 1
         if output < 0:  # the promised negatives
             return 0
-        return 1 if output in self._excluded else 2
+        return 1 if output in self.excluded else 2
 
     # -- reporting ---------------------------------------------------------
-    def truth_view(self) -> TranscriptLimitLanguage:
-        return self.limit
-
     @property
     def certified_mistake_times(self) -> array:
         """A copy of the trigger times, a sorted int64 column."""
@@ -304,7 +302,7 @@ class StagedAdversary(Source):
     def played_count(self) -> int:
         """How many distinct values have been played: the truth values and
         the noise prefix values, which `emit` keeps in two disjoint sets."""
-        return len(self._seen) + len(self._prefix_shown)
+        return len(self.seen) + len(self._prefix_shown)
 
     @property
     def stage_start(self) -> int:
@@ -331,17 +329,23 @@ class StagedAdversary(Source):
         return sum(v >= 0 for v in self._prefix_shown)
 
 
-_NO_EXTRAS: frozenset[int] = frozenset()  # a stage adding no extras
+# construction: (it has the markers {0..level}, it rebuilds one above the
+# running max rather than two above the trigger output). The max rule's
+# markers are every stage's extras, the trigger rule's a noise prefix; union
+# is noise prefix with no markers, and sensitivity is omission with none.
+_CONSTRUCTIONS = {
+    "union": (False, False),
+    "noise_prefix": (True, False),
+    "sensitivity": (False, True),
+    "omission": (True, True),
+}
 
 
 def staged_union_adversary() -> StagedAdversary:
     """Defeats generators for the union of the suffix family with the
     negatives family: stage 0 is P_0, and later stage languages are the
     revealed set plus a ramp two above the triggering output."""
-    return StagedAdversary(
-        first_stage=(0, _NO_EXTRAS),
-        next_stage=lambda trigger_z, _m: (trigger_z + 2, _NO_EXTRAS),
-    )
+    return StagedAdversary("union")
 
 
 def omission_adversary(level: int) -> StagedAdversary:
@@ -349,25 +353,14 @@ def omission_adversary(level: int) -> StagedAdversary:
     in every stage), defeating strategies that tolerate only `level`. Every
     stage holds the markers as extras under a ramp above them, so stage 0 is
     P_0."""
-    markers = frozenset(range(level + 1))
-    return StagedAdversary(
-        first_stage=(level + 1, markers),
-        next_stage=lambda _z, m: (m + 1, markers),
-        pre_excluded=sorted(markers),
-    )
+    return StagedAdversary("omission", level)
 
 
 def noise_prefix_adversary(level: int) -> StagedAdversary:
     """Emits the level+1 noise strings 0..level first, then plays the staged
     union construction transported onto the universe without them: stage 0
     is P_{level+1}."""
-    markers = frozenset(range(level + 1))
-    return StagedAdversary(
-        first_stage=(level + 1, _NO_EXTRAS),
-        next_stage=lambda trigger_z, _m: (trigger_z + 2, _NO_EXTRAS),
-        prefix=sorted(markers),
-        pre_excluded=sorted(markers),
-    )
+    return StagedAdversary("noise_prefix", level)
 
 
 def sensitivity_adversary() -> StagedAdversary:
@@ -376,7 +369,4 @@ def sensitivity_adversary() -> StagedAdversary:
     level that grows with the trigger time. Stage 0 is P_0. The noise level
     of stage k + 1 is `trigger_times[k] + 2`: the values played through its
     negative."""
-    return StagedAdversary(
-        first_stage=(0, _NO_EXTRAS),
-        next_stage=lambda _z, m: (m + 1, _NO_EXTRAS),
-    )
+    return StagedAdversary("sensitivity")

@@ -18,7 +18,8 @@ check.
 
 A few inspection helpers that only tests use live here too: the members of
 a closure on a window, a staged adversary's stage language rebuilt from its
-run's reveals and its tail-start column, the inverse of the zigzag pairing,
+run's reveals and its tail-start column, a staged adversary with faults
+injected for its guards to refuse, the inverse of the zigzag pairing,
 the drawn scripted specs that several test modules play, and the memory a
 run leaves allocated, per step.
 
@@ -35,8 +36,10 @@ stream that passed through all four stages of its pipeline whatever the
 spec used, the enumeration that remembered every value
 it produced, the max/min pools kept with the `max` and `min` builtins, the
 strategies built on them (among them the marker strategies that walked every
-marker against the set of every reveal), and the staged adversary that kept one record per
-stage and every value it played in a list and a set, and the noisy and
+marker against the set of every reveal), the limit language of an adaptive
+run with its tri-state verdict, the staged adversary that kept one record per
+stage and every value it played in a list and a set, built from its own
+table of the four constructions, and the noisy and
 sampleless converters that kept every stream entry they read in a list
 behind a cursor, as references for differential tests.
 """
@@ -76,8 +79,8 @@ from limitgen.families import (
 )
 from limitgen.feedback import YES, IndexIdentifier, UnionFeedbackGenerator, preorder_index
 from limitgen.langs import (
+    NEGATIVES,
     ClosedFormLanguage,
-    TranscriptLimitLanguage,
     suffix_from,
     zigzag_encode,
 )
@@ -102,18 +105,21 @@ def stage_language(
     adversary: StagedAdversary, reveals, index: int, extras: frozenset[int] = frozenset()
 ) -> ClosedFormLanguage:
     """Materialize a stage's intended language from the run's reveals: stage
-    0's is its `first_stage` pair, the ray from the tail start plus the
-    extras. A later stage's is the truth values revealed before the stage
-    started (the step after the negative that followed trigger index - 1),
-    plus `extras` (what the construction's `next_stage` adds; none for the
-    staged union and noise-prefix constructions), plus the ray from the
-    stage's tail start, which is its first ramp value, the stage's first
-    reveal."""
+    0's is the first stage `naive_construction` gives for the adversary's
+    construction and level, the ray from the tail start plus the extras. A
+    later stage's is the truth values revealed after the noise prefix and
+    before the stage started (the step after the negative that followed
+    trigger index - 1), plus `extras` (what the construction's `next_stage`
+    adds; none for the staged union and noise-prefix constructions), plus
+    the ray from the stage's tail start, which is its first ramp value, the
+    stage's first reveal."""
+    (tail_start, first_extras), _, prefix, _ = naive_construction(
+        adversary.construction, adversary.level
+    )
     if index == 0:
-        tail_start, first_extras = adversary.first_stage
         return ClosedFormLanguage(first_extras, tail_start, False)
     started_at = adversary.trigger_times[index - 1] + 2
-    finite = frozenset(reveals[len(adversary.prefix) : started_at]) | extras
+    finite = frozenset(reveals[len(prefix) : started_at]) | extras
     return ClosedFormLanguage(finite, reveals[started_at], False)
 
 
@@ -477,7 +483,7 @@ def naive_run(generator, source, mode, horizon):
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     engine._check_compat(generator, source, mode)
-    truth = source.truth_view()
+    truth = TranscriptLimitLanguage.of(source) if source.adaptive else source.truth_view()
     target_index = (
         engine._identification_target(generator, truth) if mode.kind == IDENTIFICATION else None
     )
@@ -505,7 +511,7 @@ def naive_run(generator, source, mode, horizon):
         if mode.kind == IDENTIFICATION:
             v = CORRECT if z == target_index else MISTAKE
         else:
-            v = engine.verdict(z, truth, seen)
+            v = naive_verdict(z, truth, seen)
         if mode.kind == SAMPLELESS:
             if z in outputs_seen:
                 violations.append(f"output-repeat@{t}:{z}")
@@ -757,7 +763,74 @@ class NaiveSensitivity(_SetWalkingMarkers):
         return self.max_candidate()
 
 
+# --- the limit language of an adaptive run, and the tri-state verdict ----------
+
+IN = "In"
+OUT = "Out"
+UNKNOWN = "Unknown"
+
+
+class TranscriptLimitLanguage:
+    """The limit language of an adaptive run, known only through certificates.
+
+    `seen` holds members enumerated so far, `excluded` holds elements the
+    adversary has committed never to enumerate, and `promised`, the negative
+    ray, is guaranteed to end up in the limit.
+    """
+
+    promised = NEGATIVES
+
+    def __init__(self, excluded=()) -> None:
+        self.seen: set[int] = set()
+        self.excluded: set[int] = set(excluded)
+        if any(x in self.promised for x in self.excluded):
+            raise ValueError("excluded element lies in the promised part")
+
+    @classmethod
+    def of(cls, adversary: StagedAdversary) -> "TranscriptLimitLanguage":
+        """A view of a staged adversary's limit language, its live sets."""
+        limit = cls()
+        limit.seen, limit.excluded = adversary.seen, adversary.excluded
+        return limit
+
+    def status(self, x: int) -> str:
+        if x in self.seen or x in self.promised:
+            return IN
+        if x in self.excluded:
+            return OUT
+        return UNKNOWN
+
+
+def naive_verdict(z: int, truth, seen: set[int]) -> str:
+    """`engine.verdict`'s rule, tri-state for an adaptive run's limit
+    language: a seen output or an excluded one is a Mistake, a promised or
+    enumerated one Correct, and any other Unknown."""
+    if z in seen:
+        return MISTAKE
+    if isinstance(truth, ClosedFormLanguage):
+        return CORRECT if z in truth else MISTAKE
+    return {IN: CORRECT, OUT: MISTAKE, UNKNOWN: UNKNOWN_VERDICT}[truth.status(z)]
+
+
 # --- one-record-per-stage staged adversary -------------------------------------
+
+
+def naive_construction(construction: str, level: int):
+    """(first stage, next_stage, noise prefix, pre-excluded) of one of the
+    four staged constructions at a level, each written out as the paper
+    gives it. A stage is a (tail start, extras) pair, and `next_stage(z, m)`
+    builds the next one from the trigger output z and the running max m."""
+    markers = frozenset(range(level + 1))
+    if construction == "union":  # P_0, then a ramp two above the trigger
+        return (0, frozenset()), lambda z, _m: (z + 2, frozenset()), (), ()
+    if construction == "omission":  # the markers in every stage, never played
+        return (level + 1, markers), lambda _z, m: (m + 1, markers), (), sorted(markers)
+    if construction == "noise_prefix":  # the markers as noise, then the union one above
+        first = (level + 1, frozenset())
+        return first, lambda z, _m: (z + 2, frozenset()), sorted(markers), sorted(markers)
+    if construction == "sensitivity":  # P_0, then a ramp above everything so far
+        return (0, frozenset()), lambda _z, m: (m + 1, frozenset()), (), ()
+    raise ValueError(f"unknown construction {construction!r}")
 
 
 @dataclass
@@ -808,14 +881,8 @@ class NaiveStagedAdversary:
 
     @classmethod
     def twin(cls, adversary: StagedAdversary) -> "NaiveStagedAdversary":
-        """The reference built from the construction arguments of an
-        adversary that has not played yet."""
-        return cls(
-            adversary.first_stage,
-            adversary._next_stage,
-            adversary.prefix,
-            sorted(adversary.limit.excluded),
-        )
+        """The reference for an adversary's construction and level."""
+        return cls(*naive_construction(adversary.construction, adversary.level))
 
     def add_seen(self, x: int) -> None:
         """Record a played truth value; a certified output is never played."""
@@ -891,6 +958,29 @@ class NaiveStagedAdversary:
 
     def noise_count(self) -> int:
         return sum(1 for v in self.emitted if self.limit.status(v) != "In")
+
+
+class FaultyStagedAdversary(StagedAdversary):
+    """The staged union construction with faults injected by state edits: the
+    given noise prefix, stage 0 the ray from `start`, and each rebuilt ray
+    `shift` above the trigger output instead of two. Its prefix and ramps may
+    then repeat a value, replay a certified output or reach into the promised
+    negatives, which the construction's own `emit`, `_emit_noise` and
+    `observe` must refuse. `NaiveStagedAdversary((start, frozenset()),
+    lambda z, _m: (z + shift, frozenset()), prefix)` is its reference."""
+
+    def __init__(self, prefix=(), start: int = 0, shift: int = 2) -> None:
+        super().__init__("union")
+        self.prefix, self._play_from = tuple(prefix), len(prefix)
+        self._tail_start = self._ramp_next = start
+        self._shift = shift
+
+    def observe(self, t: int, output: int) -> int:
+        rebuilt = t == self._rebuild_at
+        code = super().observe(t, output)
+        if rebuilt:  # the union rule put the new ray two above the trigger output
+            self._tail_start = self._ramp_next = self._tail_start + self._shift - 2
+        return code
 
 
 # --- the converters that kept every stream entry they read -------------------

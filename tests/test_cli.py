@@ -16,6 +16,8 @@ from limitgen.generators import FollowSuffix, Generator
 from limitgen.langs import suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary
 
+from oracles import FaultyStagedAdversary
+
 SPEC_IDS = [
     "thm3.1",
     "alg1-2-equiv",
@@ -174,11 +176,8 @@ def test_unallocatable_config_horizon_exits_2(horizon, message, tmp_path, capsys
 
 
 def _repeating_adversary():
-    return StagedAdversary(
-        first_stage=(0, frozenset()),
-        next_stage=lambda z, _m: (z + 2, frozenset()),
-        prefix=(4, 4),
-    )
+    # a noise prefix that plays 4 twice
+    return FaultyStagedAdversary(prefix=(4, 4))
 
 
 def test_adversary_repeat_exits_3(monkeypatch, capsys):
@@ -191,12 +190,7 @@ def test_broken_certificate_exits_3(monkeypatch, capsys):
     # each next stage ramps up from the output that triggered it, which the
     # trigger has just certified never to be played
     monkeypatch.setattr(
-        experiments,
-        "staged_union_adversary",
-        lambda: StagedAdversary(
-            first_stage=(0, frozenset()),
-            next_stage=lambda z, _m: (z, frozenset()),
-        ),
+        experiments, "staged_union_adversary", lambda: FaultyStagedAdversary(shift=0)
     )
     assert main(["--experiment", "thm3.1", "--horizon", "50"]) == 3
     assert capsys.readouterr().err.splitlines() == [
@@ -213,9 +207,7 @@ def test_certificate_in_the_promised_part_exits_3(monkeypatch, capsys):
     # the first stage's ray reaches down to -10, so the strategy's -3 is an
     # unseen stage member: a trigger whose certificate would be a negative
     monkeypatch.setattr(
-        experiments,
-        "staged_union_adversary",
-        lambda: StagedAdversary((-10, frozenset()), lambda z, _m: (z + 2, frozenset())),
+        experiments, "staged_union_adversary", lambda: FaultyStagedAdversary(start=-10)
     )
     monkeypatch.setattr(experiments, "union_generator", lambda _name: _MinusThree())
     assert main(["--experiment", "thm3.1", "--horizon", "50"]) == 3
@@ -232,14 +224,7 @@ class _StoppingAdversary(StagedAdversary):
 
 
 def test_stream_that_stops_before_the_horizon_exits_3(monkeypatch, capsys):
-    monkeypatch.setattr(
-        experiments,
-        "staged_union_adversary",
-        lambda: _StoppingAdversary(
-            first_stage=(0, frozenset()),
-            next_stage=lambda z, _m: (z + 2, frozenset()),
-        ),
-    )
+    monkeypatch.setattr(experiments, "staged_union_adversary", lambda: _StoppingAdversary("union"))
     assert main(["--experiment", "thm3.1"]) == 3
     assert "stopped revealing at step 2 of" in capsys.readouterr().err
 

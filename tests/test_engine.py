@@ -30,12 +30,7 @@ from limitgen.generators import (
     noisy_from_sampleless,
     reduce_by_prefix,
 )
-from limitgen.langs import (
-    NEGATIVES,
-    ClosedFormLanguage,
-    TranscriptLimitLanguage,
-    suffix_from,
-)
+from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 from limitgen.sources import (
     ScriptedSource,
     ScriptedSpec,
@@ -46,7 +41,16 @@ from limitgen.sources import (
     sensitivity_adversary,
     staged_union_adversary,
 )
-from oracles import TRUTHS, naive_run, peak_per_step, retained_per_step, scripted_specs, steps
+from oracles import (
+    TRUTHS,
+    TranscriptLimitLanguage,
+    naive_run,
+    naive_verdict,
+    peak_per_step,
+    retained_per_step,
+    scripted_specs,
+    steps,
+)
 
 
 def scripted(truth, **kwargs):
@@ -57,10 +61,12 @@ def test_verdict_cases():
     truth = ClosedFormLanguage(frozenset({5}), None, True)
     assert verdict(-4, truth, {5, -1}) == engine.CORRECT
     assert verdict(5, truth, {5, -1}) == engine.MISTAKE  # already seen
+    # an adaptive run's limit language, by the reference's tri-state rule
     limit = TranscriptLimitLanguage()
-    assert verdict(42, limit, set()) == engine.UNKNOWN_VERDICT
+    assert naive_verdict(42, limit, set()) == engine.UNKNOWN_VERDICT
+    assert naive_verdict(-3, limit, set()) == engine.CORRECT  # promised
     limit.excluded.add(7)
-    assert verdict(7, limit, set()) == engine.MISTAKE
+    assert naive_verdict(7, limit, set()) == engine.MISTAKE
 
 
 VALUES = st.integers(-12, 14)
@@ -312,7 +318,7 @@ def test_trace_round_is_byte_identical():
         buf = io.StringIO()
         write_trace(
             buf,
-            {"seed": 5, "truth": engine.truth_record(src.truth_view())},
+            {"seed": 5, "truth": engine.truth_record(src)},
             records,
             result,
         )
@@ -410,7 +416,7 @@ class ReplaysZero(StagedAdversary):
 
 def test_repeat_check_covers_adaptive_sources():
     def adversary():
-        return ReplaysZero((0, frozenset()), lambda z, _m: (z + 2, frozenset()))
+        return ReplaysZero("union")
 
     records, result = run(MaxPlusOne(), adversary(), Mode.standard(), 8)
     assert list(records.reveals[:4]) == [0, -1, 3, 0]
@@ -589,12 +595,12 @@ def test_one_loop_matches_naive_run_on_faulty_streams(spec, values, budget):
 @pytest.mark.parametrize("construction", sorted(CONSTRUCTIONS))
 @pytest.mark.parametrize("horizon", [1, 2, 3, 57])
 def test_run_pulls_no_reveal_past_the_horizon(construction, horizon):
-    # an extra pull would play one more value, which the limit language's
-    # seen set would then hold
+    # an extra pull would play one more value, which the adversary's seen
+    # set would then hold
     adversary = CONSTRUCTIONS[construction]()
     run(MaxPlusOne(), adversary, Mode.standard(), horizon)
     shown = sum(adversary.emitted(v) for v in adversary.prefix)
-    assert len(adversary.limit.seen) + shown == horizon
+    assert len(adversary.seen) + shown == horizon
 
 
 def test_repeated_noise_is_counted_once():

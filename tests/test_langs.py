@@ -3,15 +3,9 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
-from limitgen.langs import (
-    NEGATIVES,
-    ClosedFormLanguage,
-    TranscriptLimitLanguage,
-    suffix_from,
-    zigzag_encode,
-)
+from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from, zigzag_encode
 
-from oracles import naive_elements, zigzag_decode
+from oracles import TranscriptLimitLanguage, naive_elements, zigzag_decode
 
 SAMPLE_LANGUAGES = [
     suffix_from(0),
@@ -104,6 +98,10 @@ def test_normalized_absorbs_overlaps():
         frozenset({1}), None, True
     )
     assert ClosedFormLanguage(frozenset({-1, 0}), 1, False).normalized() == suffix_from(-1)
+
+
+# the limit language of an adaptive run: the reference `naive_run` judges
+# staged adversaries against
 
 
 def test_transcript_limit_status():

@@ -35,7 +35,6 @@ ALLOWED = {
     # the string-valued verdict rule: the reference each run's bound judge
     # is tested against; the game loop itself reads the judge's codes
     "engine.verdict": "the reference rule test_engine.py checks every bound judge against",
-    "langs.TranscriptLimitLanguage.status": "verdict's limit-language rule; StagedAdversary.observe reads its sets directly",
     # the membership rule each run's `ask` is tested against; the loop answers inline
     "engine.oracle_answer": "the reference rule test_engine.py checks every bound ask against",
     # the inverse of to_record, kept so that a trace header's truth can be read back
@@ -44,8 +43,6 @@ ALLOWED = {
     "generators.reduce_by_prefix": "the benchmark probes it",
     # only test_feedback.py plays the ray family as a union part
     "families.RayFamily.closure_dimension": "test_feedback.py plays the ray family as a union part",
-    # thm4.8-adv's strategy never leaves stage 0; test_sources.py drives it with max_plus_one
-    "sources.omission_adversary.<lambda next_stage>": "thm4.8-adv's strategy never leaves stage 0",
     # the budget-0 wrapper no experiment plays
     "feedback.PlainAsFeedback.__init__": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
     "feedback.PlainAsFeedback.step_query": "the engine no longer wraps plain strategies; `bench/child.py`'s probe and the StripQueries budget-0 tests construct it",
@@ -70,7 +67,7 @@ def _definitions():
     """(name, file name, first line) of every function and lambda in the
     package; the first line is that of the first decorator, as the profiler
     records it. A lambda is named by its enclosing function and its slot,
-    `sources.omission_adversary.<lambda next_stage>`, so that names stay
+    `cli._run.<lambda key>`, so that names stay
     stable when lines move; `#2`, `#3`, ... tell apart lambdas that would
     share a name."""
     found = []

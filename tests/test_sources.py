@@ -30,9 +30,13 @@ from limitgen.sources import (
 )
 
 from oracles import (
+    FaultyStagedAdversary,
     NaiveStagedAdversary,
+    TranscriptLimitLanguage,
     members_in,
+    naive_construction,
     naive_stream,
+    naive_verdict,
     retained_per_step,
     scripted_specs,
     stage_language,
@@ -165,7 +169,7 @@ def test_staged_union_exact_replay_against_ascender():
     assert xs == [0, -1, 3, -2, 6, -3, 9, -4, 12]
     assert zs == [1, 2, 4, 5, 7, 8, 10, 11, 13]
     assert tuple(adversary.certified_mistake_times) == (0, 2, 4, 6, 8)
-    assert adversary.limit.excluded == {1, 4, 7, 10, 13}
+    assert adversary.excluded == {1, 4, 7, 10, 13}
     assert stage_language(adversary, xs, 1) == ClosedFormLanguage(frozenset({0, -1}), 3, False)
     assert stage_language(adversary, xs, 2) == ClosedFormLanguage(
         frozenset({0, -1, 3, -2}), 6, False
@@ -194,9 +198,10 @@ def test_staged_union_stream_validity():
 def test_staged_union_certificates_are_sound():
     adversary = staged_union_adversary()
     _, zs = play(adversary, MaxPlusOne(), 1_000)
+    limit = TranscriptLimitLanguage.of(adversary)
     for t in adversary.certified_mistake_times:
-        assert adversary.limit.status(zs[t]) == "Out"
-    assert not (adversary.limit.seen & adversary.limit.excluded)
+        assert limit.status(zs[t]) == "Out"
+    assert not (adversary.seen & adversary.excluded)
 
 
 def test_staged_union_ramps_exceed_prior_outputs():
@@ -205,7 +210,7 @@ def test_staged_union_ramps_exceed_prior_outputs():
     nonneg = [x for x in xs if x >= 0]
     assert nonneg == sorted(nonneg) and len(set(nonneg)) == len(nonneg)
     # every excluded output stayed un-emitted
-    assert not any(adversary.emitted(v) for v in adversary.limit.excluded)
+    assert not any(adversary.emitted(v) for v in adversary.excluded)
 
 
 # --- the omission adversary ------------------------------------------------------
@@ -313,23 +318,19 @@ def test_first_stage_is_the_papers_ray_played_as_a_ramp(factory, expected, level
 # --- flat stage state against the one-record-per-stage reference -----------------
 
 
-def _construction(which: int, level: int, prefix: list[int], shift: int) -> StagedAdversary:
-    """The four constructions, and a plan whose ramps and noise prefix may
-    repeat a value or replay a certified output, with stage 0 playing the
-    ray from `level`."""
-    if which == 0:
-        return staged_union_adversary()
-    if which == 1:
-        return omission_adversary(level)
-    if which == 2:
-        return noise_prefix_adversary(level)
-    if which == 3:
-        return sensitivity_adversary()
-    return StagedAdversary(
-        first_stage=(level, frozenset()),
-        next_stage=lambda z, _m: (z + shift, frozenset()),
-        prefix=prefix,
+CONSTRUCTIONS = ("union", "omission", "noise_prefix", "sensitivity")
+
+
+def _construction(which: int, level: int, prefix: list[int], start: int, shift: int):
+    """A staged adversary and its reference: one of the four constructions
+    at `level`, or a faulty plan whose stage 0 plays the ray from `start`."""
+    if which < len(CONSTRUCTIONS):
+        fast = StagedAdversary(CONSTRUCTIONS[which], level)
+        return fast, NaiveStagedAdversary.twin(fast)
+    naive = NaiveStagedAdversary(
+        (start, frozenset()), lambda z, _m: (z + shift, frozenset()), prefix
     )
+    return FaultyStagedAdversary(prefix, start, shift), naive
 
 
 _OPPONENTS = [  # each built from the drawn level
@@ -374,10 +375,10 @@ def _play_until_raise(adversary, gen, horizon, judge):
 
 
 def _reference_verdict(naive, t, z):
-    """The reference's reaction, then `verdict` against its limit language,
+    """The reference's reaction, then `naive_verdict` against its limit language,
     with every value it played as the seen set."""
     naive.observe(t, z)
-    return engine._VERDICTS.index(engine.verdict(z, naive.limit, naive.emitted_set))
+    return engine._VERDICTS.index(naive_verdict(z, naive.limit, naive.emitted_set))
 
 
 @settings(max_examples=300, deadline=None)
@@ -385,6 +386,7 @@ def _reference_verdict(naive, t, z):
     which=st.integers(0, 4),
     level=st.integers(0, 2),
     prefix=st.lists(st.integers(-3, 6), max_size=4),
+    start=st.integers(-3, 3),
     shift=st.integers(-3, 3),
     choice=st.integers(0, len(_OPPONENTS) - 1)
     | st.lists(st.tuples(st.booleans(), st.integers(-6, 40)), min_size=1, max_size=60),
@@ -392,12 +394,22 @@ def _reference_verdict(naive, t, z):
 )
 # the ascender triggers on every even step, the last one included, so the run
 # stops with a rebuild pending
-@example(which=0, level=0, prefix=[], shift=0, choice=0, horizon=9)
-def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shift, choice, horizon):
-    fast = _construction(which, level, prefix, shift)
-    naive = NaiveStagedAdversary.twin(fast)
+@example(which=0, level=0, prefix=[], start=0, shift=0, choice=0, horizon=9)
+# a faulty plan reaching each guard: a ramp below zero plays -2 before the
+# second trigger owes it, the ramp replays the prefix's 0, a rebuilt ramp
+# starts on the certified 1, the prefix repeats 4, and an output of -1 would
+# certify a negative
+@example(which=4, level=0, prefix=[], start=0, shift=-3, choice=0, horizon=5)
+@example(which=4, level=0, prefix=[0], start=0, shift=2, choice=0, horizon=3)
+@example(which=4, level=0, prefix=[], start=0, shift=0, choice=0, horizon=5)
+@example(which=4, level=0, prefix=[4, 4], start=0, shift=2, choice=0, horizon=3)
+@example(which=4, level=0, prefix=[], start=-2, shift=2, choice=[(False, -1)], horizon=3)
+def test_flat_adversary_matches_stage_record_reference(
+    which, level, prefix, start, shift, choice, horizon
+):
+    fast, naive = _construction(which, level, prefix, start, shift)
     xs, zs, codes, ended = _play_until_raise(
-        fast, _opponent(choice, level), horizon, StagedAdversary.observe
+        fast, _opponent(choice, level), horizon, type(fast).observe
     )
     naive_xs, naive_zs, naive_codes, naive_ended = _play_until_raise(
         naive, _opponent(choice, level), horizon, _reference_verdict
@@ -414,8 +426,8 @@ def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shi
     assert [xs[s.started_at] for s in later] == [s.tail_start for s in later]
     assert fast.final_stage_mistakes(horizon) == naive.final_stage_mistakes(horizon)
     assert fast.stage_start == naive.stages[-1].started_at
-    assert fast.limit.seen == naive.limit.seen
-    assert fast.limit.excluded == naive.limit.excluded
+    assert fast.seen == naive.limit.seen
+    assert fast.excluded == naive.limit.excluded
     if ended is None or ended[1] is AdversaryRepeat:
         # a refused add_seen leaves the value in the reference's emitted list
         assert fast.noise_count() == naive.noise_count()
@@ -424,7 +436,7 @@ def test_flat_adversary_matches_stage_record_reference(which, level, prefix, shi
 
 
 def test_reference_limit_writes_are_checked():
-    naive = NaiveStagedAdversary((0, frozenset()), lambda z, _m: (z + 2, frozenset()))
+    naive = NaiveStagedAdversary(*naive_construction("union", 0))
     naive.add_seen(3)
     with pytest.raises(ValueError):
         naive.add_excluded(3)  # already enumerated
