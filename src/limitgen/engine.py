@@ -6,23 +6,27 @@ against the source's declared truth. The loop only plays and records these;
 every run fact (mistake times, convergence, the unknown count, repeats, and
 noise against the source's own spec) is read from the finished columns. A
 case's level promise (at most i omissions or noise strings) is checked before
-the run, when `experiments` draws the case. The reveals come from one iterator,
-`source.reveals()`, zipped behind the horizon's range, so the source is
-never pulled past the last step; an iterator that stops early is an
-invariant breach. Each run binds one `step(x)`: a plain strategy's own
-`step`, which never queries, or a feedback strategy's `play` with the run's
-`ask`, which answers its queries.
+the run, when `experiments` draws the case. A scripted source's reveals
+come from one iterator, `source.reveals()`, zipped behind the horizon's
+range, so the source is never pulled past the last step; an iterator that
+stops early is an invariant breach. Each run binds one `step(x)`: a plain
+strategy's own `step`, which never queries, or a feedback strategy's `play`
+with the run's `ask`, which answers its queries.
 
 `verdict()` is the reference rule, in strings: a correct output is an
-unseen member of a closed-form truth. The loop does not call it. It binds
-one judge per run, `judge(t, z)`, that returns the verdict's code byte
-directly (0 Correct, 1 Mistake, 2 Unknown). An adaptive source is its own
-judge: its `observe` sees each output as soon as it is produced, reacts,
-and then judges it against its own sets, the values it played and those it
+unseen member of a closed-form truth. The loop does not call it. For a
+source that does not judge, it binds one judge per run, `judge(t, z)`,
+that returns the verdict's code byte directly (0 Correct, 1 Mistake, 2
+Unknown). Such a source declares a truth, `truth_view()`, and the judge
+follows the mode: the identification target, or the closed-form truth's
+parts, bound once per run. An adaptive source is its own judge, and the
+loop has no judge call for it: it plays as one generator,
+`source.play(records.outputs, codes, horizon)`, which yields x_t and stops
+after `horizon` steps. When the loop resumes it for the next value, it
+reads z_t from the outputs column, reacts, and writes the verdict's code
+byte, judged against its own sets, the values it played and those it
 certified never to play, so certified mistakes show up as Mistake verdicts
-in the transcript. A source that does not judge declares a truth,
-`truth_view()`, and for it the judge follows the mode: the identification
-target, or the closed-form truth's parts, bound once per run.
+in the transcript.
 
 `oracle_answer()` is the reference membership rule. The loop does not call
 it either: `ask`, bound once per run by `_asker`, counts each query against
@@ -316,29 +320,33 @@ def run(
     else:
         step = generator.step
     seen: set[int] = set()  # the reveals, for a source that does not judge
-    if mode.kind == SAMPLELESS:
-        reveals = itertools.repeat(None)
-    else:
-        # `append` and `add` return None, so each reveal passes through once
-        # it is recorded; an adaptive source keeps its own seen set
-        reveals = itertools.filterfalse(records.reveals.append, source.reveals())
-        if not source.adaptive:
-            reveals = itertools.filterfalse(seen.add, reveals)
+    put_z, codes = records.outputs.append, records.codes
     if source.adaptive:
-        judge = source.observe
+        # `append` returns None, so each reveal passes through once it is
+        # recorded; the adversary keeps its own seen set, and when resumed
+        # it reads the output just put, reacts and writes its verdict's code
+        played = source.play(records.outputs, codes, horizon)
+        for x in itertools.filterfalse(records.reveals.append, played):
+            put_z(step(x))
     else:
+        if mode.kind == SAMPLELESS:
+            reveals = itertools.repeat(None)
+        else:
+            # `append` and `add` return None, so each reveal passes through once
+            # it is recorded
+            reveals = itertools.filterfalse(records.reveals.append, source.reveals())
+            reveals = itertools.filterfalse(seen.add, reveals)
         target = None
         if mode.kind == IDENTIFICATION:
             target = _identification_target(generator, truth)
         judge = _judge(truth, seen, target)
-    put_z, codes = records.outputs.append, records.codes
-    # range comes first, so that zip never pulls a reveal past the horizon
-    for t, x in zip(range(horizon), reveals):
-        z = step(x)
-        put_z(z)
-        code = judge(t, z)
-        if code:  # added to the answer's code, which `ask` set
-            codes[t] += code
+        # range comes first, so that zip never pulls a reveal past the horizon
+        for t, x in zip(range(horizon), reveals):
+            z = step(x)
+            put_z(z)
+            code = judge(t, z)
+            if code:  # added to the answer's code, which `ask` set
+                codes[t] += code
     if len(records.outputs) < horizon:  # zip stops silently at the shorter input
         raise StreamEnded(
             f"the source stopped revealing at step {len(records.outputs)} of {horizon}"

@@ -1,18 +1,19 @@
 """String sources: scripted enumerations and adaptive staged adversaries.
 
-A source hands the game loop its values as one iterator, `reveals()`.
-A scripted source commits to a target language up front and plays a
+A scripted source hands the game loop its values as one iterator,
+`reveals()`. It commits to a target language up front and plays a
 deterministic enumeration of it (with declared omissions, noise insertions,
 order shuffles, or repetitions). An adaptive source watches the generator's
 outputs and switches its intended language in stages, certifying a mistake
 each time the generator emits an unseen member of the current stage language.
-It is described whole by its construction and level. Every stage, the first
-one included, is the values played before it plus some extras plus an upward
-ray, and plays the ramp up that ray. The source's `observe` also judges each
-output, since it holds the sets the verdict reads: the values played and the
-values certified never to be. It keeps only the current stage and one flat
-int64 column of the past ones, their trigger times, and every value it played
-once.
+It is described whole by its construction and level, and plays as one
+generator, `play`, that yields each step's value and, when resumed, reads
+the step's output, reacts to it and judges it, since it holds the sets the
+verdict reads: the values played and the values certified never to be.
+Every stage, the first one included, is the values played before it plus
+some extras plus an upward ray, and plays the ramp up that ray. The current
+stage lives in `play`'s locals; the adversary keeps one flat int64 column of
+the past ones, their trigger times, and every value it played once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import AdversaryRepeat, CertificateBroken
 from .langs import ClosedFormLanguage
@@ -30,20 +31,29 @@ PERMUTATION_BLOCK = 16
 
 
 class Source:
-    """One value per step; adaptive subclasses react to generator outputs
-    and judge them, with `observe(t, output)` returning the output's verdict
-    code, and keep their own seen set, with `played_count()` the number of
-    distinct values played."""
+    """One value per step. A source that does not react hands out its values
+    as one iterator, `reveals()`, and declares its truth, `truth_view()`. An
+    adaptive source plays as a generator instead, `play(outputs, codes,
+    horizon)`, which reads each output from the run's column, reacts to it
+    and writes its verdict's code, and keeps its own seen set, with
+    `played_count()` the number of distinct values played.
+
+    `emit` and `observe` are stubs that no source defines: the benchmark's
+    tracer (`bench/tracer.py`) wraps `ScriptedSource.emit`,
+    `StagedAdversary.emit` and `StagedAdversary.observe` by name."""
 
     adaptive = False
 
     def emit(self, t: int) -> int:
         raise NotImplementedError
 
+    def observe(self, t: int, output: int) -> int:
+        raise NotImplementedError
+
     def reveals(self) -> Iterator[int]:
         """The values of steps 0, 1, 2, ..., each pulled when its step is
         played."""
-        return map(self.emit, itertools.count())
+        raise NotImplementedError
 
     def truth_view(self) -> ClosedFormLanguage:
         raise NotImplementedError
@@ -182,7 +192,7 @@ def _repeated(stream: Iterator[int], rng: random.Random) -> Iterator[int]:
 class StagedAdversary(Source):
     """One of the paper's four staged constructions at a level: "union"
     (thm3.1), "omission" (thm4.8), "noise_prefix" (thm5.2) or "sensitivity"
-    (thm5.4).
+    (thm5.4). Union and sensitivity take level 0 only.
 
     Every stage's language is the truth values played before it, plus the
     extras, plus the ray from the tail start, and the stage plays the ramp
@@ -197,101 +207,105 @@ class StagedAdversary(Source):
     max (omission, sensitivity) or two above the trigger output (union,
     noise prefix). The limit language promises the negative ray.
 
-    Only the current stage is kept as state; the past ones leave one flat
-    int64 column, `trigger_times` (trigger k ends stage k; stage k + 1 is
-    built on the step after it). The rest is in the transcript: trigger k's
-    output is the output at its time, and a stage's tail start is the reveal
-    at its start step. Every value played is kept once, in `seen` or, for
-    the noise prefix, in a set of the prefix values played so far; the
-    certified outputs and the markers are in `excluded`.
+    The adversary plays as one generator, `play`, whose locals hold the
+    current stage; the past ones leave one flat int64 column,
+    `trigger_times` (trigger k ends stage k; stage k + 1 starts two steps
+    after it, its negative coming between). The rest is in the transcript:
+    trigger k's output is the output at its time, and a stage's tail start
+    is the reveal at its start step. Every value played is kept once, in
+    `seen` or, for the noise prefix, in a set of the prefix values played so
+    far; the certified outputs and the markers are in `excluded`.
     """
 
     adaptive = True
 
     def __init__(self, construction: str, level: int = 0) -> None:
         marked, self._above_max = _CONSTRUCTIONS[construction]
+        if level < 0:
+            raise ValueError(f"level must be nonnegative, got {level}")
+        if level and not marked:
+            raise ValueError(f"the {construction} construction takes level 0 only, got {level}")
         self.construction, self.level = construction, level
         markers = range(level + 1) if marked else range(0)
         self.prefix = () if self._above_max else tuple(markers)
         self._extras = frozenset(markers) if self._above_max else frozenset()
+        self._first_tail = len(markers)  # stage 0's ray starts above the markers
+        # a rebuilt ray starts this far above the running max or the trigger output
+        self._gap = 1 if self._above_max else 2
         self.seen: set[int] = set()
         self.excluded: set[int] = set(markers)
         self.trigger_times = array("q")
-        self._play_from = len(self.prefix)  # the first step of stage 0
-        # the current stage's language, less the values played: the ray from
-        # the tail start and the extras; its ramp plays `_ramp_next` next
-        self._tail_start = self._ramp_next = len(markers)
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
-        # the step after the last trigger while its rebuild is pending: it
-        # plays the trigger's negative and rebuilds the stage; else -1, which
-        # no step equals
-        self._rebuild_at = -1
-        # read only after a trigger, whose output is >= 0, so -1 stands for
-        # "nothing yet" without a None test
-        self._trigger_output = -1  # the last trigger's, for the next rebuild
-        self._running_max = -1
 
-    # -- emission ----------------------------------------------------------
-    def emit(self, t: int) -> int:
-        if t < self._play_from:
-            return self._emit_noise(self.prefix[t])
-        if t == self._rebuild_at:  # trigger k owes the negative -(k + 1)
-            v = -len(self.trigger_times)
-        else:
-            v = self._ramp_next
-            self._ramp_next = v + 1
-        if v in self.seen or v in self._prefix_shown:
-            raise AdversaryRepeat(f"adversary repeated {v}")
-        if v in self.excluded:  # a certified output is never played
-            raise CertificateBroken(f"{v} was committed as never-enumerated")
-        self.seen.add(v)
-        if v > self._running_max:
-            self._running_max = v
-        return v
-
-    def _emit_noise(self, v: int) -> int:
-        if v in self._prefix_shown:
-            raise AdversaryRepeat(f"adversary repeated {v}")
-        self._prefix_shown.add(v)
-        if v > self._running_max:
-            self._running_max = v
-        return v
+    def play(self, outputs: Sequence[int], codes: bytearray, horizon: int) -> Iterator[int]:
+        """Play `horizon` steps: yield x_t, and when resumed read the
+        strategy's output z_t at `outputs[t]`, react to it (a trigger or a
+        stage rebuild) and judge it against the limit language. A played or
+        certified output is a Mistake, a promised negative Correct, and any
+        other Unknown; the verdict's code (1 Mistake, 2 Unknown) goes to
+        `codes[t]`, and a Correct leaves its zero byte. The generator stops
+        once step `horizon - 1` is judged. It reads each output once, after
+        yielding its step's value, so it can replay a recorded column."""
+        seen, shown, excluded = self.seen, self._prefix_shown, self.excluded
+        extras, triggers = self._extras, self.trigger_times
+        t = 0
+        for v in self.prefix[:horizon]:  # noise, judged but never reacted to
+            if v in shown:
+                raise AdversaryRepeat(f"adversary repeated {v}")
+            shown.add(v)
+            yield v
+            z = outputs[t]
+            if z in seen or z in shown:
+                codes[t] = 1
+            elif z >= 0:
+                codes[t] = 1 if z in excluded else 2
+            t += 1
+        tail = ramp = self._first_tail
+        # the running max rule's constructions play no prefix, so the max
+        # starts here
+        above_max, gap, running_max = self._above_max, self._gap, -1
+        trigger_output = None  # set on a trigger's step, while its negative is owed
+        while t < horizon:
+            if trigger_output is None:
+                v = ramp
+                ramp = v + 1
+            else:  # trigger k owes the negative -(k + 1)
+                v = -len(triggers)
+            if v in seen or v in shown:
+                raise AdversaryRepeat(f"adversary repeated {v}")
+            if v in excluded:  # a certified output is never played
+                raise CertificateBroken(f"{v} was committed as never-enumerated")
+            seen.add(v)
+            if v > running_max:
+                running_max = v
+            yield v
+            z = outputs[t]
+            if z > running_max:
+                running_max = z
+            played = z in seen or z in shown
+            if trigger_output is not None:  # the negative's step rebuilds the stage
+                tail = ramp = (running_max if above_max else trigger_output) + gap
+                trigger_output = None
+            elif not played and (z >= tail or z in extras):
+                # a trigger: an unseen member of the stage language
+                triggers.append(t)
+                # a certificate lies outside the promise; the output is unplayed
+                if z < 0:
+                    raise CertificateBroken(f"{z} lies in the promised part")
+                excluded.add(z)
+                trigger_output = z
+                codes[t] = 1
+                t += 1
+                continue
+            if played:
+                codes[t] = 1
+            elif z >= 0:  # the negatives are promised
+                codes[t] = 1 if z in excluded else 2
+            t += 1
 
     def emitted(self, v: int) -> bool:
         """Whether `v` has been played, as a truth value or as noise."""
         return v in self.seen or v in self._prefix_shown
-
-    # -- reaction ----------------------------------------------------------
-    def observe(self, t: int, output: int) -> int:
-        """React to step t's output (a trigger or a stage rebuild), then
-        judge it against the limit language: a played or certified output is
-        a Mistake, a promised negative Correct, and any other Unknown. The
-        verdict's code, 0 Correct, 1 Mistake or 2 Unknown."""
-        played = output in self.seen or output in self._prefix_shown
-        if t >= self._play_from:  # before it, the prefix is noise
-            if output > self._running_max:
-                self._running_max = output
-            if t == self._rebuild_at:
-                # the step after a trigger: rebuild the stage, no trigger check
-                self._tail_start = self._ramp_next = (
-                    self._running_max + 1 if self._above_max else self._trigger_output + 2
-                )
-                self._rebuild_at = -1
-            elif not played and (output >= self._tail_start or output in self._extras):
-                # a trigger: an unseen member of the stage language
-                self.trigger_times.append(t)
-                self._trigger_output = output
-                self._rebuild_at = t + 1
-                # a certificate lies outside the promise; the output is unplayed
-                if output < 0:
-                    raise CertificateBroken(f"{output} lies in the promised part")
-                self.excluded.add(output)
-                return 1
-        if played:
-            return 1
-        if output < 0:  # the promised negatives
-            return 0
-        return 1 if output in self.excluded else 2
 
     # -- reporting ---------------------------------------------------------
     @property
@@ -301,27 +315,20 @@ class StagedAdversary(Source):
 
     def played_count(self) -> int:
         """How many distinct values have been played: the truth values and
-        the noise prefix values, which `emit` keeps in two disjoint sets."""
+        the noise prefix values, which `play` keeps in two disjoint sets."""
         return len(self.seen) + len(self._prefix_shown)
 
-    @property
-    def stage_start(self) -> int:
-        """The first step judged against the current stage, stage k: two
-        after trigger k - 1, whose negative comes between. k counts the
-        triggers, less the last one while its rebuild is pending."""
-        k = len(self.trigger_times) - (self._rebuild_at >= 0)
-        return self.trigger_times[k - 1] + 2 if k else self._play_from
-
     def final_stage_mistakes(self, horizon: int) -> int:
-        """Steps judged against the last (never-triggered) stage language.
+        """Steps of a finished `horizon`-step play judged against its last,
+        never-triggered stage language.
 
         Every such step is a mistake against that language: a correct fresh
-        output would have triggered. A stage whose trigger's rebuild is
-        still pending has triggered, so it has none.
+        output would have triggered. The last stage starts two steps after
+        the last trigger, or after the noise prefix when nothing triggered;
+        a trigger on one of the last two steps leaves none.
         """
-        if self._rebuild_at >= 0:
-            return 0
-        return max(0, horizon - self.stage_start)
+        times = self.trigger_times
+        return max(0, horizon - (times[-1] + 2 if times else len(self.prefix)))
 
     def noise_count(self) -> int:
         """Values played outside the limit language: the noise prefix values

@@ -479,11 +479,14 @@ def naive_run(generator, source, mode, horizon):
     strategies with `step_query`/`step_output`, compares the mode on every
     step, judges with `engine.verdict`'s strings, checks sampleless output
     repeats as it goes, and keeps one `StepRecord` per step, from which it
-    validates the stream. It counts no queries."""
+    validates the stream. It counts no queries. An adaptive source is not
+    played itself: its `NaiveStagedAdversary.twin` plays in its place, and
+    the run is judged against the twin's limit language."""
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     engine._check_compat(generator, source, mode)
-    truth = TranscriptLimitLanguage.of(source) if source.adaptive else source.truth_view()
+    twin = NaiveStagedAdversary.twin(source) if source.adaptive else None
+    truth = source.truth_view() if twin is None else twin.limit
     target_index = (
         engine._identification_target(generator, truth) if mode.kind == IDENTIFICATION else None
     )
@@ -493,7 +496,10 @@ def naive_run(generator, source, mode, horizon):
     violations = []
     mistakes = []
     unknown = 0
-    reveals = None if mode.kind == SAMPLELESS else source.reveals()
+    if mode.kind == SAMPLELESS:
+        reveals = None
+    else:
+        reveals = source.reveals() if twin is None else map(twin.emit, itertools.count())
     for t in range(horizon):
         x = None if reveals is None else next(reveals)
         y = a = None
@@ -506,8 +512,8 @@ def naive_run(generator, source, mode, horizon):
             z = generator.step(x)
         if x is not None:
             seen.add(x)
-        if source.adaptive:
-            source.observe(t, z)  # the reaction only; `verdict` judges
+        if twin is not None:
+            twin.observe(t, z)  # the reaction only; `naive_verdict` judges
         if mode.kind == IDENTIFICATION:
             v = CORRECT if z == target_index else MISTAKE
         else:
@@ -529,10 +535,10 @@ def naive_run(generator, source, mode, horizon):
     no_trigger = False
     certified = array("q")
     stage_mistakes = 0
-    if isinstance(source, StagedAdversary):
-        no_trigger = not source.trigger_times
-        certified = source.certified_mistake_times
-        stage_mistakes = source.final_stage_mistakes(horizon)
+    if twin is not None:
+        certified = twin.certified_mistake_times
+        no_trigger = not certified
+        stage_mistakes = twin.final_stage_mistakes(horizon)
     return records, RunResult(
         mistake_times=array("q", mistakes),
         observed_convergence=convergence,
@@ -881,8 +887,22 @@ class NaiveStagedAdversary:
 
     @classmethod
     def twin(cls, adversary: StagedAdversary) -> "NaiveStagedAdversary":
-        """The reference for an adversary's construction and level."""
+        """The reference for an adversary's construction and level, or the
+        one a faulty adversary's `reference()` builds from its own plan."""
+        if hasattr(adversary, "reference"):
+            return adversary.reference()
         return cls(*naive_construction(adversary.construction, adversary.level))
+
+    def play(self, outputs, codes, horizon):
+        """`StagedAdversary.play`'s protocol over `emit` and `observe`: yield
+        x_t, then react to `outputs[t]` and write `naive_verdict`'s code
+        against this adversary's limit language, with every value it played
+        as the seen set."""
+        for t in range(horizon):
+            yield self.emit(t)
+            z = outputs[t]
+            self.observe(t, z)
+            codes[t] = engine._VERDICTS.index(naive_verdict(z, self.limit, self.emitted_set))
 
     def add_seen(self, x: int) -> None:
         """Record a played truth value; a certified output is never played."""
@@ -961,26 +981,23 @@ class NaiveStagedAdversary:
 
 
 class FaultyStagedAdversary(StagedAdversary):
-    """The staged union construction with faults injected by state edits: the
-    given noise prefix, stage 0 the ray from `start`, and each rebuilt ray
-    `shift` above the trigger output instead of two. Its prefix and ramps may
-    then repeat a value, replay a certified output or reach into the promised
-    negatives, which the construction's own `emit`, `_emit_noise` and
-    `observe` must refuse. `NaiveStagedAdversary((start, frozenset()),
-    lambda z, _m: (z + shift, frozenset()), prefix)` is its reference."""
+    """The staged union construction with faults injected as the data that
+    `play` reads when it starts: the given noise prefix, stage 0 the ray from
+    `start`, and each rebuilt ray `shift` above the trigger output instead of
+    two. Its prefix and ramps may then repeat a value, replay a certified
+    output or reach into the promised negatives, which the construction's
+    own `play` must refuse. `reference()` is its `NaiveStagedAdversary`."""
 
     def __init__(self, prefix=(), start: int = 0, shift: int = 2) -> None:
         super().__init__("union")
-        self.prefix, self._play_from = tuple(prefix), len(prefix)
-        self._tail_start = self._ramp_next = start
-        self._shift = shift
+        self.prefix, self._first_tail, self._gap = tuple(prefix), start, shift
+        self.plan = (tuple(prefix), start, shift)
 
-    def observe(self, t: int, output: int) -> int:
-        rebuilt = t == self._rebuild_at
-        code = super().observe(t, output)
-        if rebuilt:  # the union rule put the new ray two above the trigger output
-            self._tail_start = self._ramp_next = self._tail_start + self._shift - 2
-        return code
+    def reference(self) -> NaiveStagedAdversary:
+        prefix, start, shift = self.plan
+        return NaiveStagedAdversary(
+            (start, frozenset()), lambda z, _m: (z + shift, frozenset()), prefix
+        )
 
 
 # --- the converters that kept every stream entry they read -------------------

@@ -1,6 +1,5 @@
 import dataclasses
 import errno
-import itertools
 import json
 import re
 import weakref
@@ -217,10 +216,10 @@ def test_certificate_in_the_promised_part_exits_3(monkeypatch, capsys):
 
 
 class _StoppingAdversary(StagedAdversary):
-    """The staged union construction, revealing two values only."""
+    """The staged union construction, playing two steps only."""
 
-    def reveals(self):
-        return itertools.islice(super().reveals(), 2)
+    def play(self, outputs, codes, horizon):
+        return super().play(outputs, codes, 2)
 
 
 def test_stream_that_stops_before_the_horizon_exits_3(monkeypatch, capsys):

@@ -1,4 +1,5 @@
 import io
+import itertools
 import sys
 
 import pytest
@@ -43,7 +44,9 @@ from limitgen.sources import (
 )
 from oracles import (
     TRUTHS,
+    NaiveStagedAdversary,
     TranscriptLimitLanguage,
+    naive_construction,
     naive_run,
     naive_verdict,
     peak_per_step,
@@ -200,8 +203,8 @@ def test_mode_mismatch_combinations():
 class _LimitTruthSource(Source):
     """A non-adaptive source that declares an adaptive run's limit truth."""
 
-    def emit(self, t):
-        return t
+    def reveals(self):
+        return itertools.count()
 
     def truth_view(self):
         return TranscriptLimitLanguage()
@@ -408,10 +411,33 @@ def test_finished_defeat_row_retains_under_48_bytes_per_step():
 
 class ReplaysZero(StagedAdversary):
     """The staged union construction, except that step 3 plays step 0's
-    value again without passing `emit`'s own repeat check."""
+    value again past `play`'s own repeat check: in place of the value
+    `play` yields there, it hands out 0, and it forgets the value it
+    replaced, as if that was never played."""
+
+    def play(self, outputs, codes, horizon):
+        for t, x in enumerate(super().play(outputs, codes, horizon)):
+            if t == 3:
+                self.seen.discard(x)
+                x = 0
+            yield x
+
+    def reference(self):
+        return _NaiveReplaysZero(*naive_construction("union", 0))
+
+
+class _NaiveReplaysZero(NaiveStagedAdversary):
+    """`ReplaysZero`'s reference: the union reference, with step 3's value
+    forgotten and 0 played in its place."""
 
     def emit(self, t):
-        return 0 if t == 3 else super().emit(t)
+        x = super().emit(t)
+        if t != 3:
+            return x
+        self.emitted.remove(x)
+        self.emitted_set.discard(x)
+        self.limit.seen.discard(x)
+        return 0
 
 
 def test_repeat_check_covers_adaptive_sources():
@@ -425,13 +451,13 @@ def test_repeat_check_covers_adaptive_sources():
 
 
 class Reveals(Source):
-    """Reveals the given values, then counts up from 0."""
+    """Reveals the given values, then the number of each later step."""
 
     def __init__(self, values):
         self.values = values
 
-    def emit(self, t):
-        return self.values[t] if t < len(self.values) else t
+    def reveals(self):
+        return itertools.chain(self.values, itertools.count(len(self.values)))
 
     def truth_view(self):
         return NEGATIVES
@@ -634,7 +660,8 @@ def _calls_per_step(generator, source, mode, horizon=2_000):
     return calls / horizon
 
 
-# (strategy, source, mode, calls per step at most)
+# (strategy, source, mode, calls per step at most); an adversary's step is the
+# strategy's `step` and one resume of the adversary's `play`
 CALL_SHAPES = {
     "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 2.0),
     "omission_tolerant": (
@@ -643,12 +670,12 @@ CALL_SHAPES = {
         Mode.lossy(1),
         2.0,
     ),
-    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 3.5),
+    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 2.0),
     "sensitivity_staged": (
         lambda: SensitivityGenerator(1),
         sensitivity_adversary,
         Mode.standard(),
-        3.0,
+        2.0,
     ),
     "union_feedback": (
         lambda: UnionFeedbackGenerator(_feedback_parts()),

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import weakref
+from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -36,7 +37,6 @@ from oracles import (
     members_in,
     naive_construction,
     naive_stream,
-    naive_verdict,
     retained_per_step,
     scripted_specs,
     stage_language,
@@ -51,12 +51,9 @@ def first(source, n):
 def play(adversary, gen, horizon):
     """Minimal reveal/output loop against an adaptive source."""
     xs, zs = [], []
-    for t in range(horizon):
-        x = adversary.emit(t)
-        z = gen.step(x)
-        adversary.observe(t, z)
+    for x in adversary.play(zs, bytearray(horizon), horizon):
         xs.append(x)
-        zs.append(z)
+        zs.append(gen.step(x))
     return xs, zs
 
 
@@ -310,8 +307,8 @@ def test_first_stage_is_the_papers_ray_played_as_a_ramp(factory, expected, level
     window = range(-20, 61)
     stage0 = stage_language(adversary, [], 0)
     assert members_in(stage0, window) == members_in(suffix_from(j), window)
-    # with no output observed, stage 0 plays its ramp after the noise prefix
-    reveals = [adversary.emit(t) for t in range(len(adversary.prefix) + 8)]
+    # while no output triggers, stage 0 plays its ramp after the noise prefix
+    reveals, _ = play(adversary, MinMinusOne(), len(adversary.prefix) + 8)
     assert reveals[len(adversary.prefix) :] == list(range(first_reveal, first_reveal + 8))
 
 
@@ -319,18 +316,22 @@ def test_first_stage_is_the_papers_ray_played_as_a_ramp(factory, expected, level
 
 
 CONSTRUCTIONS = ("union", "omission", "noise_prefix", "sensitivity")
+MARKED = ("omission", "noise_prefix")  # the constructions that take a level
+
+
+def _adversary(construction: str, level: int) -> StagedAdversary:
+    """The construction at `level` if it takes one, else at level 0."""
+    return StagedAdversary(construction, level if construction in MARKED else 0)
 
 
 def _construction(which: int, level: int, prefix: list[int], start: int, shift: int):
     """A staged adversary and its reference: one of the four constructions
     at `level`, or a faulty plan whose stage 0 plays the ray from `start`."""
     if which < len(CONSTRUCTIONS):
-        fast = StagedAdversary(CONSTRUCTIONS[which], level)
-        return fast, NaiveStagedAdversary.twin(fast)
-    naive = NaiveStagedAdversary(
-        (start, frozenset()), lambda z, _m: (z + shift, frozenset()), prefix
-    )
-    return FaultyStagedAdversary(prefix, start, shift), naive
+        fast = _adversary(CONSTRUCTIONS[which], level)
+    else:
+        fast = FaultyStagedAdversary(prefix, start, shift)
+    return fast, NaiveStagedAdversary.twin(fast)
 
 
 _OPPONENTS = [  # each built from the drawn level
@@ -358,27 +359,18 @@ def _opponent(choice, level: int):
     return Drawn()
 
 
-def _play_until_raise(adversary, gen, horizon, judge):
-    """Reveals, outputs, the verdict code `judge(adversary, t, output)` gives
-    each step after its reaction, and the step and exception that ended play
-    early, if any."""
-    xs, zs, codes = [], [], []
-    for t in range(horizon):
-        try:
-            x = adversary.emit(t)
+def _play_until_raise(adversary, gen, horizon):
+    """Reveals, outputs and the verdict codes `adversary.play` writes, and
+    the number of reveals played, the exception type and its message that
+    ended play early, if any."""
+    xs, zs, codes = [], [], bytearray(horizon)
+    try:
+        for x in adversary.play(zs, codes, horizon):
             xs.append(x)
             zs.append(gen.step(x))
-            codes.append(judge(adversary, t, zs[-1]))
-        except (AdversaryRepeat, CertificateBroken, ValueError) as exc:
-            return xs, zs, codes, (t, type(exc), str(exc))
+    except (AdversaryRepeat, CertificateBroken, ValueError) as exc:
+        return xs, zs, codes, (len(xs), type(exc), str(exc))
     return xs, zs, codes, None
-
-
-def _reference_verdict(naive, t, z):
-    """The reference's reaction, then `naive_verdict` against its limit language,
-    with every value it played as the seen set."""
-    naive.observe(t, z)
-    return engine._VERDICTS.index(naive_verdict(z, naive.limit, naive.emitted_set))
 
 
 @settings(max_examples=300, deadline=None)
@@ -408,11 +400,9 @@ def test_flat_adversary_matches_stage_record_reference(
     which, level, prefix, start, shift, choice, horizon
 ):
     fast, naive = _construction(which, level, prefix, start, shift)
-    xs, zs, codes, ended = _play_until_raise(
-        fast, _opponent(choice, level), horizon, type(fast).observe
-    )
+    xs, zs, codes, ended = _play_until_raise(fast, _opponent(choice, level), horizon)
     naive_xs, naive_zs, naive_codes, naive_ended = _play_until_raise(
-        naive, _opponent(choice, level), horizon, _reference_verdict
+        naive, _opponent(choice, level), horizon
     )
     assert xs == naive_xs
     assert zs == naive_zs
@@ -424,8 +414,11 @@ def test_flat_adversary_matches_stage_record_reference(
     # a later stage's tail start is its first ramp value, played at its start
     later = [s for s in naive.stages[1:] if s.started_at < len(xs)]
     assert [xs[s.started_at] for s in later] == [s.tail_start for s in later]
-    assert fast.final_stage_mistakes(horizon) == naive.final_stage_mistakes(horizon)
-    assert fast.stage_start == naive.stages[-1].started_at
+    # each later stage starts two steps after the trigger that ended the one before
+    started = [s.started_at for s in naive.stages[1:]]
+    assert started == [t + 2 for t in fast.trigger_times[: len(started)]]
+    if ended is None:  # `final_stage_mistakes` reads a finished play's trigger times
+        assert fast.final_stage_mistakes(horizon) == naive.final_stage_mistakes(horizon)
     assert fast.seen == naive.limit.seen
     assert fast.excluded == naive.limit.excluded
     if ended is None or ended[1] is AdversaryRepeat:
@@ -433,6 +426,67 @@ def test_flat_adversary_matches_stage_record_reference(
         assert fast.noise_count() == naive.noise_count()
         assert all(fast.emitted(v) == (v in naive.emitted_set) for v in range(-12, 60))
         assert all(fast.emitted(v) for v in naive.emitted)
+
+
+# faulty plans, each reaching one guard of `play`: (prefix, start, shift,
+# outputs, horizon), then the reveals played, the trigger times, and the
+# exception and message that ended play
+_GUARDS = {
+    # a ramp below zero plays -2 before the second trigger owes it
+    "negative-replayed": (
+        ((), 0, -3, 0, 5), [0, -1, -2], [0, 2], AdversaryRepeat, "adversary repeated -2"
+    ),
+    # the ramp replays the prefix's 0
+    "prefix-replayed": (((0,), 0, 2, 0, 3), [0], [], AdversaryRepeat, "adversary repeated 0"),
+    # a rebuilt ramp starts on the certified 1
+    "certified-played": (
+        ((), 0, 0, 0, 5), [0, -1], [0], CertificateBroken, "1 was committed as never-enumerated"
+    ),
+    # the prefix repeats 4
+    "prefix-repeats": (((4, 4), 0, 2, 0, 3), [4], [], AdversaryRepeat, "adversary repeated 4"),
+    # an output of -1 triggers, and would certify a negative
+    "negative-certified": (
+        ((), -2, 2, [(False, -1)], 3), [-2], [0], CertificateBroken, "-1 lies in the promised part"
+    ),
+}
+
+
+@pytest.mark.parametrize("guard", sorted(_GUARDS))
+def test_each_guard_ends_play_at_its_step(guard):
+    # a value's guard ends play before the value is played, and the trigger
+    # guard on the step of its trigger
+    (prefix, start, shift, choice, horizon), xs, triggers, kind, message = _GUARDS[guard]
+    fast = FaultyStagedAdversary(prefix, start, shift)
+    played, _, _, ended = _play_until_raise(fast, _opponent(choice, 0), horizon)
+    assert played == xs
+    assert list(fast.trigger_times) == triggers
+    assert ended == (len(xs), kind, message)
+
+
+@pytest.mark.parametrize(
+    "construction, level",
+    [("union", 5), ("sensitivity", 1), ("omission", -1), ("noise_prefix", -1), ("union", -1)],
+)
+def test_a_level_the_construction_would_not_play_is_refused(construction, level):
+    with pytest.raises(ValueError, match="level"):
+        StagedAdversary(construction, level)
+
+
+@pytest.mark.parametrize("level", range(3))
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_a_fresh_adversary_replays_a_run_from_its_outputs(construction, level):
+    # `play` reads each output after yielding its step's value, so a
+    # finished run's output column drives a fresh adversary through the
+    # same play, and judges every step the same way
+    horizon = 300
+    for make in _OPPONENTS:
+        adversary = _adversary(construction, level)
+        records, result = engine.run(make(level), adversary, Mode.standard(), horizon)
+        fresh, codes = _adversary(construction, level), bytearray(horizon)
+        assert array("q", fresh.play(records.outputs, codes, horizon)) == records.reveals
+        assert codes == records.codes
+        assert fresh.trigger_times == adversary.trigger_times
+        assert fresh.final_stage_mistakes(horizon) == result.final_stage_mistakes
 
 
 def test_reference_limit_writes_are_checked():
