@@ -11,22 +11,23 @@ come from one iterator, `source.reveals()`, zipped behind the horizon's
 range, so the source is never pulled past the last step; an iterator that
 stops early is an invariant breach. Each run binds one `step(x)`: a plain
 strategy's own `step`, which never queries, or a feedback strategy's `play`
-with the run's `ask`, which answers its queries.
+with the run's `ask`, which answers its queries. That `step` is the only
+Python call a step of the loop makes.
 
 `verdict()` is the reference rule, in strings: a correct output is an
 unseen member of a closed-form truth. The loop does not call it. For a
-source that does not judge, it binds one judge per run, `judge(t, z)`,
-that returns the verdict's code byte directly (0 Correct, 1 Mistake, 2
-Unknown). Such a source declares a truth, `truth_view()`, and the judge
-follows the mode: the identification target, or the closed-form truth's
-parts, bound once per run. An adaptive source is its own judge, and the
-loop has no judge call for it: it plays as one generator,
-`source.play(records.outputs, codes, horizon)`, which yields x_t and stops
-after `horizon` steps. When the loop resumes it for the next value, it
-reads z_t from the outputs column, reacts, and writes the verdict's code
-byte, judged against its own sets, the values it played and those it
-certified never to play, so certified mistakes show up as Mistake verdicts
-in the transcript.
+source that does not judge, it binds the rule once per run, as four
+values, `(repeats, finite, above, below)` from `_rule`, and tests each
+output against them inline, adding 1 (Mistake) to the step's code byte
+(0 Correct, 1 Mistake, 2 Unknown). Such a source declares a truth,
+`truth_view()`, and the rule follows the mode: the identification
+target, or the seen set and the closed-form truth's parts. An adaptive
+source is its own judge and plays the whole game in one call,
+`source.play(step, records, horizon)`: for each of `horizon` steps it
+records x_t, calls `step(x_t)`, records z_t, reacts, and writes the
+verdict's code byte, judged against its own sets, the values it played
+and those it certified never to play, so certified mistakes show up as
+Mistake verdicts in the transcript.
 
 `oracle_answer()` is the reference membership rule. The loop does not call
 it either: `ask`, bound once per run by `_asker`, counts each query against
@@ -34,16 +35,17 @@ the budget, answers it inline from the truth's parts and records it.
 
 A run keeps its steps in a columnar `Transcript` of about 17 bytes a step:
 reveals and outputs as int64 columns, the asked queries, and one byte for
-the answer and the verdict. The reveal iterator appends each value to its
-column as it is pulled. Only for a source that does not judge does it also
-add the value to a seen set, which the closed-form judge and the stream
-checks read; an adaptive source's own sets hold every value it played, so
-the run keeps no second copy. A `RunResult`'s step times, and a staged
-adversary's sorted sets in `truth_record`, are int64 columns as well, so no
-int object of a finished run outlives its source. Values live in the int64
-domain, which no CLI input can leave: they grow with the horizon and the
-level `i`, far short of 2**63 in any run that can finish. A value outside it
-raises OverflowError rather than being stored truncated.
+the answer and the verdict. For a source that does not judge, the reveal
+iterator appends each value to its column as it is pulled and adds it to
+a seen set, which the closed-form rule and the stream checks read; an
+adaptive source appends its own reveals, and its own sets hold every
+value it played, so the run keeps no second copy. A `RunResult`'s step
+times, and a staged adversary's sorted sets in `truth_record`, are int64
+columns as well, so no int object of a finished run outlives its source.
+Values live in the int64 domain, which no CLI input can leave: they grow
+with the horizon and the level `i`, far short of 2**63 in any run that can
+finish. A value outside it raises OverflowError rather than being stored
+truncated.
 `Transcript.asked()` decodes the steps that asked a query; `write_trace`
 formats every step straight from the columns, one template per code byte,
 and writes them in chunks of `_CHUNK` steps, so its memory does not grow
@@ -59,7 +61,7 @@ import json
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import IO, Callable, Iterator
+from typing import IO, Callable, Collection, Iterator
 
 from .errors import BudgetViolation, ModeMismatch, StreamEnded
 from .feedback import FeedbackGenerator
@@ -215,8 +217,8 @@ def oracle_answer(truth: ClosedFormLanguage, query: int) -> bool:
 
 def verdict(z: int, truth: ClosedFormLanguage, seen: set[int]) -> str:
     """Correct iff z is an unseen member of the truth. The reference rule:
-    a run's loop takes the same verdict, as a code, from the judge that
-    `_judge` binds."""
+    a run's loop takes the same verdict, as a code, by the rule that
+    `_rule` binds."""
     if z in seen:
         return MISTAKE
     return CORRECT if z in truth else MISTAKE
@@ -259,18 +261,19 @@ def _parts(truth: ClosedFormLanguage) -> tuple[frozenset[int], float, float]:
     )
 
 
-def _judge(
+def _rule(
     truth: ClosedFormLanguage, seen: set[int], target: int | None = None
-) -> Callable[[int, int], int]:
-    """The run's verdict rule for a source that does not judge: `judge(t, z)`
-    returns the verdict's code, its index in `_VERDICTS`. `seen` is the set
-    of reveals the loop keeps growing. With a `target`, identification's
-    rule: correct iff the output names it. Otherwise `verdict`'s rule for a
-    closed-form truth, its membership test inlined from `_parts`."""
+) -> tuple[Collection[int], Collection[int], float, float]:
+    """The verdict rule a run binds for a source that does not judge, as
+    (repeats, finite, above, below): an output z is a Mistake iff
+    `z in repeats or not (z in finite or z >= above or z < below)`, and
+    Correct otherwise. `seen` is the set of reveals the loop keeps growing.
+    With a `target`, identification's rule, ((), {target}, inf, -inf):
+    correct iff the output names it. Otherwise `verdict`'s rule for a
+    closed-form truth, (seen, *_parts(truth))."""
     if target is not None:
-        return lambda t, z: 0 if z == target else 1
-    finite, above, below = _parts(truth)
-    return lambda t, z: 1 if z in seen or not (z in finite or z >= above or z < below) else 0
+        return (), {target}, math.inf, -math.inf
+    return (seen, *_parts(truth))
 
 
 def _asker(truth: ClosedFormLanguage, budget: int, records: Transcript) -> Callable[[int], bool]:
@@ -304,7 +307,9 @@ def run(
 
     Every round calls the one `step(x)` bound here: a plain strategy's
     `step`, or a feedback strategy's `play` with the run's `ask`, which
-    takes the query phase and records the query and its answer. The loop
+    takes the query phase and records the query and its answer. An
+    adaptive source's `play` is handed that `step` and plays every round
+    itself. The loop
     only plays and records; every run fact (mistakes, convergence, unknown
     verdicts, stream checks) is read from the finished transcript.
     """
@@ -320,14 +325,12 @@ def run(
     else:
         step = generator.step
     seen: set[int] = set()  # the reveals, for a source that does not judge
-    put_z, codes = records.outputs.append, records.codes
+    codes = records.codes
     if source.adaptive:
-        # `append` returns None, so each reveal passes through once it is
-        # recorded; the adversary keeps its own seen set, and when resumed
-        # it reads the output just put, reacts and writes its verdict's code
-        played = source.play(records.outputs, codes, horizon)
-        for x in itertools.filterfalse(records.reveals.append, played):
-            put_z(step(x))
+        # the adversary plays the whole game: it records each reveal, steps
+        # the strategy, records the output, reacts and writes its verdict's
+        # code, judged against its own seen set
+        source.play(step, records, horizon)
     else:
         if mode.kind == SAMPLELESS:
             reveals = itertools.repeat(None)
@@ -339,14 +342,14 @@ def run(
         target = None
         if mode.kind == IDENTIFICATION:
             target = _identification_target(generator, truth)
-        judge = _judge(truth, seen, target)
+        repeats, finite, above, below = _rule(truth, seen, target)
+        put_z = records.outputs.append
         # range comes first, so that zip never pulls a reveal past the horizon
         for t, x in zip(range(horizon), reveals):
             z = step(x)
             put_z(z)
-            code = judge(t, z)
-            if code:  # added to the answer's code, which `ask` set
-                codes[t] += code
+            if z in repeats or not (z in finite or z >= above or z < below):
+                codes[t] += 1  # a Mistake, added to the answer's code, which `ask` set
     if len(records.outputs) < horizon:  # zip stops silently at the shorter input
         raise StreamEnded(
             f"the source stopped revealing at step {len(records.outputs)} of {horizon}"

@@ -6,10 +6,11 @@ deterministic enumeration of it (with declared omissions, noise insertions,
 order shuffles, or repetitions). An adaptive source watches the generator's
 outputs and switches its intended language in stages, certifying a mistake
 each time the generator emits an unseen member of the current stage language.
-It is described whole by its construction and level, and plays as one
-generator, `play`, that yields each step's value and, when resumed, reads
-the step's output, reacts to it and judges it, since it holds the sets the
-verdict reads: the values played and the values certified never to be.
+It is described whole by its construction and level, and plays the whole
+game in one call, `play(step, records, horizon)`: each step it records
+its value, calls the strategy's `step` on it, records the output, reacts
+to it and judges it, since it holds the sets the verdict reads: the values
+played and the values certified never to be.
 Every stage, the first one included, is the values played before it plus
 some extras plus an upward ray, and plays the ramp up that ray. The current
 stage lives in `play`'s locals; the adversary keeps one flat int64 column of
@@ -22,10 +23,13 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import AdversaryRepeat, CertificateBroken
 from .langs import ClosedFormLanguage
+
+if TYPE_CHECKING:
+    from .engine import Transcript
 
 PERMUTATION_BLOCK = 16
 
@@ -33,9 +37,10 @@ PERMUTATION_BLOCK = 16
 class Source:
     """One value per step. A source that does not react hands out its values
     as one iterator, `reveals()`, and declares its truth, `truth_view()`. An
-    adaptive source plays as a generator instead, `play(outputs, codes,
-    horizon)`, which reads each output from the run's column, reacts to it
-    and writes its verdict's code, and keeps its own seen set, with
+    adaptive source plays the game itself instead, `play(step, records,
+    horizon)`: it hands each value to the strategy's `step`, records the
+    value and the output in the run's columns, reacts to the output and
+    writes its verdict's code. It keeps its own seen set, with
     `played_count()` the number of distinct values played.
 
     `emit` and `observe` are stubs that no source defines: the benchmark's
@@ -192,7 +197,9 @@ def _repeated(stream: Iterator[int], rng: random.Random) -> Iterator[int]:
 class StagedAdversary(Source):
     """One of the paper's four staged constructions at a level: "union"
     (thm3.1), "omission" (thm4.8), "noise_prefix" (thm5.2) or "sensitivity"
-    (thm5.4). Union and sensitivity take level 0 only.
+    (thm5.4). Union and sensitivity take level 0 only, and no level is
+    negative; any other construction is a ValueError, and a level that is
+    not an int (a bool included) a TypeError.
 
     Every stage's language is the truth values played before it, plus the
     extras, plus the ray from the tail start, and the stage plays the ramp
@@ -207,8 +214,8 @@ class StagedAdversary(Source):
     max (omission, sensitivity) or two above the trigger output (union,
     noise prefix). The limit language promises the negative ray.
 
-    The adversary plays as one generator, `play`, whose locals hold the
-    current stage; the past ones leave one flat int64 column,
+    The adversary plays the game in one call, `play`, whose locals hold
+    the current stage; the past ones leave one flat int64 column,
     `trigger_times` (trigger k ends stage k; stage k + 1 starts two steps
     after it, its negative coming between). The rest is in the transcript:
     trigger k's output is the output at its time, and a stage's tail start
@@ -220,6 +227,11 @@ class StagedAdversary(Source):
     adaptive = True
 
     def __init__(self, construction: str, level: int = 0) -> None:
+        if construction not in _CONSTRUCTIONS:
+            names = ", ".join(map(repr, _CONSTRUCTIONS))
+            raise ValueError(f"unknown construction {construction!r}, not one of {names}")
+        if not isinstance(level, int) or isinstance(level, bool):
+            raise TypeError(f"level must be an int, got {level!r}")
         marked, self._above_max = _CONSTRUCTIONS[construction]
         if level < 0:
             raise ValueError(f"level must be nonnegative, got {level}")
@@ -237,24 +249,29 @@ class StagedAdversary(Source):
         self.trigger_times = array("q")
         self._prefix_shown: set[int] = set()  # noise prefix values played so far
 
-    def play(self, outputs: Sequence[int], codes: bytearray, horizon: int) -> Iterator[int]:
-        """Play `horizon` steps: yield x_t, and when resumed read the
-        strategy's output z_t at `outputs[t]`, react to it (a trigger or a
-        stage rebuild) and judge it against the limit language. A played or
-        certified output is a Mistake, a promised negative Correct, and any
-        other Unknown; the verdict's code (1 Mistake, 2 Unknown) goes to
-        `codes[t]`, and a Correct leaves its zero byte. The generator stops
-        once step `horizon - 1` is judged. It reads each output once, after
-        yielding its step's value, so it can replay a recorded column."""
+    def play(self, step: Callable[[int], int], records: Transcript, horizon: int) -> None:
+        """Play `horizon` steps against `step`, the strategy's per-step
+        call. Each step appends x_t to `records.reveals`, calls
+        `z_t = step(x_t)` and appends z_t to `records.outputs`, then reacts
+        to it (a trigger or a stage rebuild) and judges it against the
+        limit language. A played or certified output is a Mistake, a
+        promised negative Correct, and any other Unknown; the verdict's
+        code (1 Mistake, 2 Unknown) goes to `records.codes[t]`, and a
+        Correct leaves its zero byte. A guard refuses a value before it is
+        recorded. The adversary reads each output only from what `step`
+        returns, so a `step` that returns a recorded output column replays
+        that run."""
         seen, shown, excluded = self.seen, self._prefix_shown, self.excluded
         extras, triggers = self._extras, self.trigger_times
+        reveal, put_z, codes = records.reveals.append, records.outputs.append, records.codes
         t = 0
         for v in self.prefix[:horizon]:  # noise, judged but never reacted to
             if v in shown:
                 raise AdversaryRepeat(f"adversary repeated {v}")
             shown.add(v)
-            yield v
-            z = outputs[t]
+            reveal(v)
+            z = step(v)
+            put_z(z)
             if z in seen or z in shown:
                 codes[t] = 1
             elif z >= 0:
@@ -278,8 +295,9 @@ class StagedAdversary(Source):
             seen.add(v)
             if v > running_max:
                 running_max = v
-            yield v
-            z = outputs[t]
+            reveal(v)
+            z = step(v)
+            put_z(z)
             if z > running_max:
                 running_max = z
             played = z in seen or z in shown

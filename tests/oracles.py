@@ -893,16 +893,20 @@ class NaiveStagedAdversary:
             return adversary.reference()
         return cls(*naive_construction(adversary.construction, adversary.level))
 
-    def play(self, outputs, codes, horizon):
-        """`StagedAdversary.play`'s protocol over `emit` and `observe`: yield
-        x_t, then react to `outputs[t]` and write `naive_verdict`'s code
-        against this adversary's limit language, with every value it played
-        as the seen set."""
+    def play(self, step, records, horizon):
+        """`StagedAdversary.play`'s protocol over `emit` and `observe`: record
+        x_t, step the strategy on it and record z_t, then react to z_t and
+        write `naive_verdict`'s code against this adversary's limit
+        language, with every value it played as the seen set."""
         for t in range(horizon):
-            yield self.emit(t)
-            z = outputs[t]
+            x = self.emit(t)
+            records.reveals.append(x)
+            z = step(x)
+            records.outputs.append(z)
             self.observe(t, z)
-            codes[t] = engine._VERDICTS.index(naive_verdict(z, self.limit, self.emitted_set))
+            records.codes[t] = engine._VERDICTS.index(
+                naive_verdict(z, self.limit, self.emitted_set)
+            )
 
     def add_seen(self, x: int) -> None:
         """Record a played truth value; a certified output is never played."""

@@ -218,8 +218,8 @@ def test_certificate_in_the_promised_part_exits_3(monkeypatch, capsys):
 class _StoppingAdversary(StagedAdversary):
     """The staged union construction, playing two steps only."""
 
-    def play(self, outputs, codes, horizon):
-        return super().play(outputs, codes, 2)
+    def play(self, step, records, horizon):
+        super().play(step, records, 2)
 
 
 def test_stream_that_stops_before_the_horizon_exits_3(monkeypatch, capsys):

@@ -1,12 +1,13 @@
 import io
 import itertools
 import sys
+import types
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from limitgen import engine
-from limitgen.engine import Mode, oracle_answer, run, verdict, write_trace
+from limitgen.engine import Mode, Transcript, oracle_answer, run, verdict, write_trace
 from limitgen.errors import BudgetViolation, LimitGenError, ModeMismatch, StreamEnded
 from limitgen.experiments import _feedback_parts, run_experiment
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_prefix_chain
@@ -76,19 +77,27 @@ VALUES = st.integers(-12, 14)
 VALUE_SETS = st.sets(VALUES, max_size=8)
 
 
+def _judged(rule, z):
+    """The verdict code the scripted loop writes for output z under the
+    rule `engine._rule` binds, by the loop's own inline test."""
+    repeats, finite, above, below = rule
+    return 1 if z in repeats or not (z in finite or z >= above or z < below) else 0
+
+
 @given(truth=TRUTHS, seen=VALUE_SETS, z=VALUES)
 def test_closed_form_judge_matches_verdict(truth, seen, z):
-    # the judge's inlined membership test against `verdict`, which asks the
-    # truth's own __contains__; the step does not matter
-    code = engine._judge(truth, seen)(0, z)
-    assert code == engine._VERDICTS.index(verdict(z, truth, seen))
+    # the loop's inlined membership test against `verdict`, which asks the
+    # truth's own __contains__; the rule reads the live seen set
+    rule = engine._rule(truth, seen)
+    assert rule[0] is seen
+    assert _judged(rule, z) == engine._VERDICTS.index(verdict(z, truth, seen))
 
 
 @given(truth=TRUTHS, target=st.integers(0, 5), seen=VALUE_SETS, z=st.integers(-1, 7))
 def test_identification_judge_names_the_target(truth, target, seen, z):
     # identification judges an index, so a seen value or the truth's members
     # do not matter
-    code = engine._judge(truth, seen, target)(0, z)
+    code = _judged(engine._rule(truth, seen, target), z)
     assert engine._VERDICTS[code] == (engine.CORRECT if z == target else engine.MISTAKE)
 
 
@@ -412,15 +421,25 @@ def test_finished_defeat_row_retains_under_48_bytes_per_step():
 class ReplaysZero(StagedAdversary):
     """The staged union construction, except that step 3 plays step 0's
     value again past `play`'s own repeat check: in place of the value
-    `play` yields there, it hands out 0, and it forgets the value it
-    replaced, as if that was never played."""
+    `play` records there, it records 0 and hands 0 to the strategy, and it
+    forgets the value it replaced, as if that was never played."""
 
-    def play(self, outputs, codes, horizon):
-        for t, x in enumerate(super().play(outputs, codes, horizon)):
-            if t == 3:
+    def play(self, step, records, horizon):
+        reveals = records.reveals
+
+        def reveal(x):
+            if len(reveals) == 3:
                 self.seen.discard(x)
                 x = 0
-            yield x
+            reveals.append(x)
+
+        # the strategy is handed the value just recorded, 0 at step 3
+        replaced = types.SimpleNamespace(
+            reveals=types.SimpleNamespace(append=reveal),
+            outputs=records.outputs,
+            codes=records.codes,
+        )
+        super().play(lambda x: step(reveals[-1]), replaced, horizon)
 
     def reference(self):
         return _NaiveReplaysZero(*naive_construction("union", 0))
@@ -629,6 +648,60 @@ def test_run_pulls_no_reveal_past_the_horizon(construction, horizon):
     assert len(adversary.seen) + shown == horizon
 
 
+class _Stopped(Exception):
+    pass
+
+
+class RaisesAt:
+    """`MaxPlusOne`, except that its `step` raises at step k."""
+
+    def __init__(self, k):
+        self.k, self.t, self.inner = k, 0, MaxPlusOne()
+
+    def step(self, x):
+        if self.t == self.k:
+            raise _Stopped
+        self.t += 1
+        return self.inner.step(x)
+
+
+ORDERED_SOURCES = {
+    **CONSTRUCTIONS,
+    "scripted": lambda: scripted(ClosedFormLanguage(frozenset({-4}), 3), noise=((1, 0),)),
+}
+
+
+@pytest.mark.parametrize("source", sorted(ORDERED_SOURCES))
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 8])
+def test_a_step_records_its_reveal_before_the_strategy_and_judges_after(
+    monkeypatch, source, k
+):
+    # within a step: the reveal is recorded, the strategy is stepped, its
+    # output is recorded, and only then come the reaction and the verdict
+    # code; a strategy that raises at step k leaves k + 1 reveals, k
+    # outputs, the first k steps judged as in a full run, and no reaction
+    # to step k
+    horizon = 12
+    full, _ = run(MaxPlusOne(), ORDERED_SOURCES[source](), Mode.standard(), horizon)
+    made = []
+
+    def transcript(steps):  # the run's transcript, kept past the raise
+        made.append(Transcript(steps))
+        return made[-1]
+
+    monkeypatch.setattr(engine, "Transcript", transcript)
+    played = ORDERED_SOURCES[source]()
+    with pytest.raises(_Stopped):
+        run(RaisesAt(k), played, Mode.standard(), horizon)
+    (records,) = made
+    assert list(records.reveals) == list(full.reveals[: k + 1])
+    assert list(records.outputs) == list(full.outputs[:k])
+    assert records.codes[:k] == full.codes[:k]
+    assert not any(records.codes[k:])
+    if source in CONSTRUCTIONS:
+        assert all(t < k for t in played.trigger_times)
+
+
 def test_repeated_noise_is_counted_once():
     # under repetition the one declared noise string comes out several times,
     # and it is still one noise string
@@ -660,28 +733,29 @@ def _calls_per_step(generator, source, mode, horizon=2_000):
     return calls / horizon
 
 
-# (strategy, source, mode, calls per step at most); an adversary's step is the
-# strategy's `step` and one resume of the adversary's `play`
+# (strategy, source, mode, calls per step at most); a step of a plain strategy
+# is its `step` alone: the scripted loop judges inline, and an adversary's
+# `play` calls `step` itself, with no resume of its own
 CALL_SHAPES = {
-    "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 2.0),
+    "follow_suffix": (FollowSuffix, lambda: scripted(suffix_from(0)), Mode.standard(), 1.0),
     "omission_tolerant": (
         lambda: OmissionTolerantGenerator(1),
         lambda: scripted(ClosedFormLanguage(frozenset({0, 1}), 3)),
         Mode.lossy(1),
-        2.0,
+        1.0,
     ),
-    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 2.0),
+    "max_plus_one_staged": (MaxPlusOne, staged_union_adversary, Mode.standard(), 1.0),
     "sensitivity_staged": (
         lambda: SensitivityGenerator(1),
         sensitivity_adversary,
         Mode.standard(),
-        2.0,
+        1.0,
     ),
     "union_feedback": (
         lambda: UnionFeedbackGenerator(_feedback_parts()),
         lambda: scripted(ClosedFormLanguage(frozenset({-30}), 5)),
         Mode.feedback(),
-        7.0,
+        5.0,
     ),
     "index_identifier": (
         lambda: IndexIdentifier(
@@ -689,13 +763,13 @@ CALL_SHAPES = {
         ),
         lambda: scripted(suffix_from(5)),
         Mode.identification(),
-        7.0,
+        6.0,
     ),
     "intersection_sampleless": (
         lambda: intersection_generator(neg_union()),
         lambda: scripted(NEGATIVES),
         Mode.sampleless(),
-        2.0,
+        1.0,
     ),
 }
 

@@ -1,7 +1,6 @@
 import gc
 import itertools
 import weakref
-from array import array
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -49,12 +48,11 @@ def first(source, n):
 
 
 def play(adversary, gen, horizon):
-    """Minimal reveal/output loop against an adaptive source."""
-    xs, zs = [], []
-    for x in adversary.play(zs, bytearray(horizon), horizon):
-        xs.append(x)
-        zs.append(gen.step(x))
-    return xs, zs
+    """The reveals and outputs of an adaptive source's `play` against a
+    strategy's `step`."""
+    records = engine.Transcript(horizon)
+    adversary.play(gen.step, records, horizon)
+    return list(records.reveals), list(records.outputs)
 
 
 # --- scripted sources ---------------------------------------------------------
@@ -360,17 +358,16 @@ def _opponent(choice, level: int):
 
 
 def _play_until_raise(adversary, gen, horizon):
-    """Reveals, outputs and the verdict codes `adversary.play` writes, and
+    """Reveals, outputs and the verdict codes `adversary.play` records, and
     the number of reveals played, the exception type and its message that
     ended play early, if any."""
-    xs, zs, codes = [], [], bytearray(horizon)
+    records = engine.Transcript(horizon)
+    ended = None
     try:
-        for x in adversary.play(zs, codes, horizon):
-            xs.append(x)
-            zs.append(gen.step(x))
+        adversary.play(gen.step, records, horizon)
     except (AdversaryRepeat, CertificateBroken, ValueError) as exc:
-        return xs, zs, codes, (len(xs), type(exc), str(exc))
-    return xs, zs, codes, None
+        ended = (len(records.reveals), type(exc), str(exc))
+    return list(records.reveals), list(records.outputs), records.codes, ended
 
 
 @settings(max_examples=300, deadline=None)
@@ -472,19 +469,44 @@ def test_a_level_the_construction_would_not_play_is_refused(construction, level)
         StagedAdversary(construction, level)
 
 
+@pytest.mark.parametrize("level", [True, False, 1.0, "1", None])
+def test_a_level_that_is_not_an_int_is_refused(level):
+    # a bool is an int to Python, and would play the level-0 or level-1 game
+    # with `level` a bool
+    with pytest.raises(TypeError, match="level must be an int"):
+        StagedAdversary("omission", level)
+
+
+@pytest.mark.parametrize("construction", ["bogus", "Union", "", "noise-prefix"])
+def test_an_unknown_construction_is_refused_by_name(construction):
+    with pytest.raises(ValueError) as refused:
+        StagedAdversary(construction)
+    assert f"unknown construction {construction!r}" in str(refused.value)
+    assert all(repr(name) in str(refused.value) for name in CONSTRUCTIONS)
+
+
 @pytest.mark.parametrize("level", range(3))
 @pytest.mark.parametrize("construction", CONSTRUCTIONS)
 def test_a_fresh_adversary_replays_a_run_from_its_outputs(construction, level):
-    # `play` reads each output after yielding its step's value, so a
-    # finished run's output column drives a fresh adversary through the
-    # same play, and judges every step the same way
+    # `play` reads each output only from what `step` returns, so a `step`
+    # that returns a finished run's outputs in order drives a fresh
+    # adversary through the same play, handing `step` the run's reveals,
+    # and judges every step the same way
     horizon = 300
     for make in _OPPONENTS:
         adversary = _adversary(construction, level)
         records, result = engine.run(make(level), adversary, Mode.standard(), horizon)
-        fresh, codes = _adversary(construction, level), bytearray(horizon)
-        assert array("q", fresh.play(records.outputs, codes, horizon)) == records.reveals
-        assert codes == records.codes
+        fresh, replayed = _adversary(construction, level), engine.Transcript(horizon)
+
+        def recorded(x):
+            t = len(replayed.outputs)
+            assert x == records.reveals[t]
+            return records.outputs[t]
+
+        fresh.play(recorded, replayed, horizon)
+        assert replayed.reveals == records.reveals
+        assert replayed.outputs == records.outputs
+        assert replayed.codes == records.codes
         assert fresh.trigger_times == adversary.trigger_times
         assert fresh.final_stage_mistakes(horizon) == result.final_stage_mistakes
 
