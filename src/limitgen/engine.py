@@ -40,8 +40,7 @@ iterator appends each value to its column as it is pulled and adds it to
 a seen set, which the closed-form rule and the stream checks read; an
 adaptive source appends its own reveals, and its own sets hold every
 value it played, so the run keeps no second copy. A `RunResult`'s step
-times, and a staged adversary's sorted sets in `truth_record`, are int64
-columns as well, so no int object of a finished run outlives its source.
+times are int64 columns too: no int object of a run outlives its source.
 Values live in the int64 domain, which no CLI input can leave: they grow
 with the horizon and the level `i`, far short of 2**63 in any run that can
 finish. A value outside it raises OverflowError rather than being stored
@@ -65,7 +64,7 @@ from typing import IO, Callable, Collection, Iterator
 
 from .errors import BudgetViolation, ModeMismatch, StreamEnded
 from .feedback import FeedbackGenerator
-from .langs import NEGATIVES, ClosedFormLanguage
+from .langs import ClosedFormLanguage
 from .sources import ScriptedSource, Source, StagedAdversary
 
 CORRECT = "Correct"
@@ -475,16 +474,3 @@ def write_trace(
         fp.write("".join(map(lines.__getitem__, codes[i:j])) % tuple(args))
     fp.write(_dump({"summary": result.to_record()}) + "\n")
 
-
-def truth_record(source: Source) -> dict:
-    """The header's truth: a closed-form truth's record, or a staged
-    adversary's limit language, its played and certified sets as sorted
-    int64 columns under the promised negatives."""
-    if isinstance(source, StagedAdversary):
-        return {
-            "kind": "transcript_limit",
-            "seen": array("q", sorted(source.seen)),
-            "excluded": array("q", sorted(source.excluded)),
-            "promised": NEGATIVES.to_record(),
-        }
-    return {"kind": "closed_form", **source.truth_view().to_record()}

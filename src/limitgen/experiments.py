@@ -208,7 +208,8 @@ def union_generator(name: str):
     baseline name or `omission:<level>`. Raises ValueError on any other."""
     if name.startswith("omission:"):
         level = name.removeprefix("omission:")
-        if not (level.isascii() and level.isdecimal()):
+        # one spelling per level, so that no two names play one game
+        if not (level.isascii() and level.isdecimal()) or level != str(int(level)):
             raise ValueError(f"omission level must be a non-negative integer, got {name!r}")
         return OmissionTolerantGenerator(int(level))
     if name not in _BASELINES:
@@ -804,12 +805,10 @@ def run_experiment(
                 "run": case.name,
                 "mode": case.mode.to_record(),
                 "horizon": case.horizon,
-                "truth": engine.truth_record(case.source),
+                **case.source.header(),
                 "experiment": ident,
                 "seed": seed,
             }
-            if isinstance(case.source, ScriptedSource):
-                header["source"] = case.source.spec.to_record()
             # a run whose stream broke its spec or its mode's rules shows nothing
             if result.validity_violations:
                 failures.append(f"{case.name}: stream violations: {result.validity_violations[:3]}")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import AdversaryRepeat, CertificateBroken
-from .langs import ClosedFormLanguage
+from .langs import NEGATIVES, ClosedFormLanguage
 
 if TYPE_CHECKING:
     from .engine import Transcript
@@ -41,7 +41,8 @@ class Source:
     horizon)`: it hands each value to the strategy's `step`, records the
     value and the output in the run's columns, reacts to the output and
     writes its verdict's code. It keeps its own seen set, with
-    `played_count()` the number of distinct values played.
+    `played_count()` the number of distinct values played. Both kinds give
+    their trace header's `truth` and `source` records as `header()`.
 
     `emit` and `observe` are stubs that no source defines: the benchmark's
     tracer (`bench/tracer.py`) wraps `ScriptedSource.emit`,
@@ -167,6 +168,10 @@ class ScriptedSource(Source):
     def truth_view(self) -> ClosedFormLanguage:
         return self.spec.truth
 
+    def header(self) -> dict:
+        truth = {"kind": "closed_form", **self.spec.truth.to_record()}
+        return {"truth": truth, "source": self.spec.to_record()}
+
 
 # the stages of `ScriptedSpec.stream`; each refers to its input stream and
 # its own parameters only, never back to the spec or the source
@@ -222,6 +227,9 @@ class StagedAdversary(Source):
     is the reveal at its start step. Every value played is kept once, in
     `seen` or, for the noise prefix, in a set of the prefix values played so
     far; the certified outputs and the markers are in `excluded`.
+    It plays one game, and is deterministic given the outputs: its header
+    names its construction and level, and a fresh one's `play` fed a trace's
+    outputs gives back the trace's reveals, verdicts and trigger times.
     """
 
     adaptive = True
@@ -260,8 +268,10 @@ class StagedAdversary(Source):
         Correct leaves its zero byte. A guard refuses a value before it is
         recorded. The adversary reads each output only from what `step`
         returns, so a `step` that returns a recorded output column replays
-        that run."""
+        that run. A played adversary is refused before anything is recorded."""
         seen, shown, excluded = self.seen, self._prefix_shown, self.excluded
+        if seen or shown:
+            raise ValueError("a staged adversary plays its game once")
         extras, triggers = self._extras, self.trigger_times
         reveal, put_z, codes = records.reveals.append, records.outputs.append, records.codes
         t = 0
@@ -320,6 +330,11 @@ class StagedAdversary(Source):
             elif z >= 0:  # the negatives are promised
                 codes[t] = 1 if z in excluded else 2
             t += 1
+
+    def header(self) -> dict:
+        truth = {"kind": "transcript_limit", "promised": NEGATIVES.to_record()}
+        source = {"kind": "staged", "construction": self.construction, "level": self.level}
+        return {"truth": truth, "source": source}
 
     def emitted(self, v: int) -> bool:
         """Whether `v` has been played, as a truth value or as noise."""

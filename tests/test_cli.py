@@ -339,6 +339,11 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
         ({"id": "thm5.2-noise-i", "params": {"i": [1, 2000]}}, "i of thm5.2-noise-i must be below 999"),
         ({"id": "thm5.4-sensitivity", "params": {"i": 2**64}}, "i of thm5.4-sensitivity must be below 1998"),
         ({"id": "thm3.1", "params": {"generators": [3]}}, "generator name must be a string, got 3"),
+        # one spelling per level: "omission:01" would play "omission:1"'s game again
+        (
+            {"id": "thm3.1", "params": {"generators": ["omission:1", "omission:01"]}},
+            "omission level must be a non-negative integer, got 'omission:01'",
+        ),
     ],
 )
 def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):

@@ -330,7 +330,7 @@ def test_trace_round_is_byte_identical():
         buf = io.StringIO()
         write_trace(
             buf,
-            {"seed": 5, "truth": engine.truth_record(src)},
+            {"seed": 5, **src.header()},
             records,
             result,
         )
@@ -405,17 +405,18 @@ def test_staged_union_run_peaks_under_210_bytes_per_step():
     assert per_step <= 210, f"{per_step:.0f} B per step at the peak"
 
 
-def test_finished_defeat_row_retains_under_48_bytes_per_step():
-    # the transcript, the step-time columns and the header's sorted truth
-    # sets, all int64 columns: no int object outlives the adversary
+def test_finished_defeat_row_retains_under_32_bytes_per_step():
+    # the transcript and the step-time columns, all int64 columns: no int
+    # object outlives the adversary, and the header names the adversary
+    # rather than copying its played and certified sets
     steps = 40_000
     per_step, (rows, subs) = retained_per_step(
         steps,
         lambda: run_experiment("thm3.1", steps, params={"generators": ["max_plus_one"]}),
     )
     assert [row.passed for row in rows] == [True]
-    assert len(subs[0].header["truth"]["seen"]) == steps
-    assert per_step <= 48, f"{per_step:.1f} B per step held"
+    assert subs[0].header["source"] == {"kind": "staged", "construction": "union", "level": 0}
+    assert per_step <= 32, f"{per_step:.1f} B per step held"
 
 
 class ReplaysZero(StagedAdversary):

@@ -511,6 +511,26 @@ def test_a_fresh_adversary_replays_a_run_from_its_outputs(construction, level):
         assert fresh.final_stage_mistakes(horizon) == result.final_stage_mistakes
 
 
+@pytest.mark.parametrize("construction", CONSTRUCTIONS)
+def test_a_played_adversary_is_refused_before_it_records_anything(construction):
+    # a second game would replay the first one's values, and read as a
+    # broken construction (AdversaryRepeat) rather than a misused one
+    adversary = _adversary(construction, 1)
+    _, result = engine.run(MaxPlusOne(), adversary, Mode.standard(), 50)
+    played, times = adversary.played_count(), adversary.certified_mistake_times
+    for horizon in (1, 50):
+        records = engine.Transcript(horizon)
+        with pytest.raises(ValueError, match="plays its game once"):
+            adversary.play(MaxPlusOne().step, records, horizon)
+        assert not records.reveals and not records.outputs
+        assert records.codes == bytes(horizon)
+    with pytest.raises(ValueError, match="plays its game once"):
+        engine.run(MaxPlusOne(), adversary, Mode.standard(), 50)
+    assert adversary.played_count() == played
+    assert adversary.certified_mistake_times == times
+    assert adversary.final_stage_mistakes(50) == result.final_stage_mistakes
+
+
 def test_reference_limit_writes_are_checked():
     naive = NaiveStagedAdversary(*naive_construction("union", 0))
     naive.add_seen(3)

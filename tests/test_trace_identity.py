@@ -18,6 +18,14 @@ reporting coverage misses: only the summary line of `alg3[P7]` changed
 (its `validity_violations` list is now empty); its header and step lines
 are as before.
 
+The `thm3.1`, `thm4.8-omit-i`, `thm5.2-noise-i` and `thm5.4-sensitivity`
+suite digests were retaken when an adversary trace's header stopped copying
+the adversary's played and certified sets: its `truth` record keeps only
+the kind and the promise, and its new `source` record names the construction
+and the level, from which `tests/test_trace_replay.py` replays the trace.
+Only the header lines of the 14 adversary traces changed; their step and
+summary lines, and every scripted trace, are as before.
+
 A faster or simpler path must leave every byte as it was; a deliberate trace
 format change updates these and says so.
 """
@@ -52,13 +60,13 @@ SUITE_DIGESTS = {
     "alg5-queries": "a5d7cc8eb6d8e738106c19775920ba4bf21d95f15e3b6dc1e41e89cd6bae5e9f",
     "alg6-identify": "80fbadfc4399e4134a49988a4557e86403186f3f5ac15a6ca12a01c5c34b099d",
     "appendixA-repetition": "30e6fd87ecafadd8a33df4cddcecf6b66a93bada30a28ea9d1a1142085b24e1a",
-    "thm3.1": "b6f6cd35a446861165f9d94a6e5033466078c01d3d1c7dbc6ee06268e0e9fc38",
+    "thm3.1": "56f02b5008ca169f6449af3ebddb0fd6de84204e473601896f70217f61897373",
     "thm3.1-pos": "62435b6f7b4cecd36220cef163605051852e1bae9f2c75decaedc1bfb6965cf0",
     "thm4.3-check": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "thm4.5-omissions": "eba35d5259690f05b684bdef4e56a288a92fbd59ee5f68bd402886021798f4f8",
-    "thm4.8-omit-i": "d7578ceea70415efc7788745dbe20c5398779594d4b7b664ae1440bbf44a6c5e",
-    "thm5.2-noise-i": "0154fe9be1160ee468cc17316b62d8332625649ae8b72ba047810132e5171d9c",
-    "thm5.4-sensitivity": "d0052d429ae6326edcc26d22198192fba175f1d8b7de57da259618d4f0638a8e",
+    "thm4.8-omit-i": "7e6fe6484f758869ebb58d8454bc20abbd221a5acafcce52dee353c3886148bb",
+    "thm5.2-noise-i": "17e103fdf6ad3bd271904cd10f2a56b6d5018036f1013af3ceabb00bb5febfb6",
+    "thm5.4-sensitivity": "82583afeabca4db538263287eb82eb2f86d01a4ae274cf4616049f051ab163db",
 }
 
 # (experiment, passed, mistakes, convergence, detail) per summary row
