@@ -38,8 +38,8 @@ reveals and outputs as int64 columns, the asked queries, and one byte for
 the answer and the verdict. For a source that does not judge, the reveal
 iterator appends each value to its column as it is pulled and adds it to
 a seen set, which the closed-form rule and the stream checks read; an
-adaptive source appends its own reveals, and its own sets hold every
-value it played, so the run keeps no second copy. A `RunResult`'s step
+adaptive source appends its own reveals, and its `seen`, which holds
+every value it played once, is the run's seen set. A `RunResult`'s step
 times are int64 columns too: no int object of a run outlives its source.
 Values live in the int64 domain, which no CLI input can leave: they grow
 with the horizon and the level `i`, far short of 2**63 in any run that can
@@ -65,7 +65,7 @@ from typing import IO, Callable, Collection, Iterator
 from .errors import BudgetViolation, ModeMismatch, StreamEnded
 from .feedback import FeedbackGenerator
 from .langs import ClosedFormLanguage
-from .sources import ScriptedSource, Source, StagedAdversary
+from .sources import ScriptedSource, Source
 
 CORRECT = "Correct"
 MISTAKE = "Mistake"
@@ -78,6 +78,7 @@ SAMPLELESS = "sampleless"
 FEEDBACK = "feedback"
 IDENTIFICATION = "identification"
 REPETITION = "repetition"
+_KINDS = (STANDARD, LOSSY, NOISY, SAMPLELESS, FEEDBACK, IDENTIFICATION, REPETITION)
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,23 @@ class Mode:
     query_budget: int | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.omissions, int) and self.omissions < 0:
-            raise ValueError("omission budget must be nonnegative")
-        if self.noise is not None and self.noise < 0:
-            raise ValueError("noise level must be nonnegative")
-        if self.query_budget is not None and self.query_budget < 0:
-            raise ValueError("query budget must be nonnegative")
+        # the header writes the mode as given, so a kind the game would
+        # play as another, or a bool written as `true`, is refused
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown mode kind {self.kind!r}")
+        counts = {"noise level": self.noise, "query budget": self.query_budget}
+        if isinstance(self.omissions, str):
+            if self.omissions != "infinite":
+                raise ValueError(f"unknown omission marker {self.omissions!r}")
+        else:
+            counts["omission budget"] = self.omissions
+        for label, count in counts.items():
+            if count is None:
+                continue
+            if not isinstance(count, int) or isinstance(count, bool):
+                raise TypeError(f"{label} must be an int, got {count!r}")
+            if count < 0:
+                raise ValueError(f"{label} must be nonnegative")
 
     @classmethod
     def standard(cls) -> "Mode":
@@ -308,14 +320,15 @@ def run(
     `step`, or a feedback strategy's `play` with the run's `ask`, which
     takes the query phase and records the query and its answer. An
     adaptive source's `play` is handed that `step` and plays every round
-    itself. The loop
-    only plays and records; every run fact (mistakes, convergence, unknown
-    verdicts, stream checks) is read from the finished transcript.
+    itself. The loop only plays and records; every run fact (mistakes,
+    convergence, unknown verdicts, stream checks) is read from the finished
+    transcript and the run's seen set.
     """
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_compat(generator, source, mode)
-    truth = None if source.adaptive else source.truth_view()
+    adaptive = source.adaptive
+    truth = None if adaptive else source.truth_view()
     records = Transcript(horizon)
     # every mode decision is made here, once
     if isinstance(generator, FeedbackGenerator):
@@ -323,14 +336,15 @@ def run(
         step = functools.partial(generator.play, _asker(truth, budget, records))
     else:
         step = generator.step
-    seen: set[int] = set()  # the reveals, for a source that does not judge
     codes = records.codes
-    if source.adaptive:
+    if adaptive:
         # the adversary plays the whole game: it records each reveal, steps
         # the strategy, records the output, reacts and writes its verdict's
-        # code, judged against its own seen set
+        # code, judged against its own seen set, which is the run's
         source.play(step, records, horizon)
+        seen = source.seen
     else:
+        seen = set()
         if mode.kind == SAMPLELESS:
             reveals = itertools.repeat(None)
         else:
@@ -355,15 +369,14 @@ def run(
         )
     mistakes = array("q", itertools.compress(range(horizon), codes.translate(_MISTAKE_CODES)))
     convergence = mistakes[-1] + 1 if mistakes else 0
-    staged = isinstance(source, StagedAdversary)
     return records, RunResult(
         mistake_times=mistakes,
         observed_convergence=convergence,
         unknown_count=sum(map(codes.count, _UNKNOWN_CODES)),
         validity_violations=tuple(validate_stream(source, mode, records, seen)),
-        no_trigger=staged and not source.trigger_times,
-        certified_mistake_times=source.certified_mistake_times if staged else array("q"),
-        final_stage_mistakes=source.final_stage_mistakes(horizon) if staged else 0,
+        no_trigger=adaptive and not source.trigger_times,
+        certified_mistake_times=source.certified_mistake_times if adaptive else array("q"),
+        final_stage_mistakes=source.final_stage_mistakes(horizon) if adaptive else 0,
         distinct_at_convergence=(
             len(set(records.reveals[:convergence])) if mode.kind == REPETITION else None
         ),
@@ -372,11 +385,10 @@ def run(
 
 def validate_stream(source: Source, mode: Mode, records: Transcript, seen: set[int]) -> list[str]:
     """Whole-stream checks of a finished run, `seen` being the set of its
-    reveals for a source that does not judge. An adaptive source keeps each
-    value it played once in its own sets, so `seen` is not read for it.
-    Outside repetition mode no sample comes twice, and in sampleless play no
-    output does; the column is scanned for repeats only when its distinct
-    count falls short of its length. A scripted enumeration must also keep
+    reveals: the loop's set, or an adaptive source's own `seen`. Outside
+    repetition mode no sample comes twice, and in sampleless play no output
+    does; the column is scanned for repeats only when its distinct count
+    falls short of its length. A scripted enumeration must also keep
     its own spec's noise (distinct reveals outside the truth, so a repeated
     noise string counts once), and cover its early elements when samples are
     revealed. The mode's omission and noise counts are not read."""
@@ -384,8 +396,7 @@ def validate_stream(source: Source, mode: Mode, records: Transcript, seen: set[i
     if sampleless:  # nothing is revealed; the outputs must not repeat
         label, values, distinct = "output-repeat", records.outputs, len(set(records.outputs))
     else:
-        label, values = "repeat", records.reveals
-        distinct = source.played_count() if source.adaptive else len(seen)
+        label, values, distinct = "repeat", records.reveals, len(seen)
     violations: list[str] = []
     if mode.kind != REPETITION and distinct < len(values):
         once: set[int] = set()  # `once.add` returns None: a first sighting is no repeat

@@ -225,7 +225,7 @@ def _union_defeat_cases(horizon: int, seed: int, params: dict, play):
     # so for each of the sorted trigger times below horizon - 1
     certified = sub.result.certified_mistake_times
     owed = min(MIN_CERTIFIED, bisect.bisect_left(certified, horizon - 1))
-    missing = [-k for k in range(1, owed + 1) if not adversary.emitted(-k)]
+    missing = [-k for k in range(1, owed + 1) if -k not in adversary.seen]
     if missing:
         yield f"negatives not all emitted: {missing}"
     if name == "max_plus_one":
@@ -402,7 +402,7 @@ def _omission_hierarchy_cases(horizon: int, seed: int, params: dict, play):
     adversary = omission_adversary(level)
     gen = OmissionTolerantGenerator(level)
     play(Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon))
-    if any(adversary.emitted(v) for v in range(level + 1)):
+    if not adversary.seen.isdisjoint(range(level + 1)):
         yield f"adversary emitted an omitted marker (i={level})"
 
 

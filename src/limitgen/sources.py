@@ -40,9 +40,11 @@ class Source:
     adaptive source plays the game itself instead, `play(step, records,
     horizon)`: it hands each value to the strategy's `step`, records the
     value and the output in the run's columns, reacts to the output and
-    writes its verdict's code. It keeps its own seen set, with
-    `played_count()` the number of distinct values played. Both kinds give
-    their trace header's `truth` and `source` records as `header()`.
+    writes its verdict's code. It keeps every value it played once, in
+    `seen`, and its certified mistakes as `trigger_times`,
+    `certified_mistake_times` and `final_stage_mistakes(horizon)`. Both
+    kinds give their trace header's `truth` and `source` records as
+    `header()`.
 
     `emit` and `observe` are stubs that no source defines: the benchmark's
     tracer (`bench/tracer.py`) wraps `ScriptedSource.emit`,
@@ -71,11 +73,13 @@ class ScriptedSpec:
 
     omissions: finite subset of the truth to skip, or "every_other" to keep
     only alternate elements (an infinite-omission subsequence).
-    noise: (position, value) insertions; values must lie outside the truth.
+    noise: (position, value) insertions; a position is a non-negative int,
+    and values must lie outside the truth.
     order: "canonical" or "blocks:<seed>" (seeded shuffle inside fixed-size
     blocks, so coverage stays horizon-checkable); the seed is an integer as
     `str` spells it, with no "+", space or leading zero.
-    repeat_seed: when set, each element is repeated 1-5 times (seeded).
+    repeat_seed: when set, an int: each element is repeated 1-5 times
+    (seeded).
     """
 
     truth: ClosedFormLanguage
@@ -85,6 +89,11 @@ class ScriptedSpec:
     repeat_seed: int | None = None
 
     def __post_init__(self) -> None:
+        # the header writes the spec as given, so a bool written as `true`
+        # or a noise position never played is refused
+        seed = self.repeat_seed
+        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+            raise TypeError(f"repeat_seed must be an int or None, got {seed!r}")
         if isinstance(self.omissions, str):
             if self.omissions != "every_other":
                 raise ValueError(f"unknown omission marker {self.omissions!r}")
@@ -95,6 +104,9 @@ class ScriptedSpec:
                     raise ValueError(f"omission {v} is not in the truth")
         object.__setattr__(self, "noise", tuple(self.noise))
         positions = [p for p, _ in self.noise]
+        for p in positions:
+            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+                raise ValueError(f"noise position must be a non-negative int, got {p!r}")
         values = [v for _, v in self.noise]
         if len(set(positions)) != len(positions) or len(set(values)) != len(values):
             raise ValueError("noise positions and values must be unique")
@@ -224,9 +236,9 @@ class StagedAdversary(Source):
     `trigger_times` (trigger k ends stage k; stage k + 1 starts two steps
     after it, its negative coming between). The rest is in the transcript:
     trigger k's output is the output at its time, and a stage's tail start
-    is the reveal at its start step. Every value played is kept once, in
-    `seen` or, for the noise prefix, in a set of the prefix values played so
-    far; the certified outputs and the markers are in `excluded`.
+    is the reveal at its start step. Every value played, the noise prefix
+    included, is kept once in `seen`, where `prefix` tells noise from truth;
+    the certified outputs and the markers are in `excluded`.
     It plays one game, and is deterministic given the outputs: its header
     names its construction and level, and a fresh one's `play` fed a trace's
     outputs gives back the trace's reveals, verdicts and trigger times.
@@ -255,7 +267,6 @@ class StagedAdversary(Source):
         self.seen: set[int] = set()
         self.excluded: set[int] = set(markers)
         self.trigger_times = array("q")
-        self._prefix_shown: set[int] = set()  # noise prefix values played so far
 
     def play(self, step: Callable[[int], int], records: Transcript, horizon: int) -> None:
         """Play `horizon` steps against `step`, the strategy's per-step
@@ -269,20 +280,20 @@ class StagedAdversary(Source):
         recorded. The adversary reads each output only from what `step`
         returns, so a `step` that returns a recorded output column replays
         that run. A played adversary is refused before anything is recorded."""
-        seen, shown, excluded = self.seen, self._prefix_shown, self.excluded
-        if seen or shown:
+        seen, excluded = self.seen, self.excluded
+        if seen:
             raise ValueError("a staged adversary plays its game once")
         extras, triggers = self._extras, self.trigger_times
         reveal, put_z, codes = records.reveals.append, records.outputs.append, records.codes
         t = 0
         for v in self.prefix[:horizon]:  # noise, judged but never reacted to
-            if v in shown:
+            if v in seen:
                 raise AdversaryRepeat(f"adversary repeated {v}")
-            shown.add(v)
+            seen.add(v)
             reveal(v)
             z = step(v)
             put_z(z)
-            if z in seen or z in shown:
+            if z in seen:
                 codes[t] = 1
             elif z >= 0:
                 codes[t] = 1 if z in excluded else 2
@@ -298,7 +309,7 @@ class StagedAdversary(Source):
                 ramp = v + 1
             else:  # trigger k owes the negative -(k + 1)
                 v = -len(triggers)
-            if v in seen or v in shown:
+            if v in seen:
                 raise AdversaryRepeat(f"adversary repeated {v}")
             if v in excluded:  # a certified output is never played
                 raise CertificateBroken(f"{v} was committed as never-enumerated")
@@ -310,7 +321,7 @@ class StagedAdversary(Source):
             put_z(z)
             if z > running_max:
                 running_max = z
-            played = z in seen or z in shown
+            played = z in seen
             if trigger_output is not None:  # the negative's step rebuilds the stage
                 tail = ramp = (running_max if above_max else trigger_output) + gap
                 trigger_output = None
@@ -336,20 +347,11 @@ class StagedAdversary(Source):
         source = {"kind": "staged", "construction": self.construction, "level": self.level}
         return {"truth": truth, "source": source}
 
-    def emitted(self, v: int) -> bool:
-        """Whether `v` has been played, as a truth value or as noise."""
-        return v in self.seen or v in self._prefix_shown
-
     # -- reporting ---------------------------------------------------------
     @property
     def certified_mistake_times(self) -> array:
         """A copy of the trigger times, a sorted int64 column."""
         return self.trigger_times[:]
-
-    def played_count(self) -> int:
-        """How many distinct values have been played: the truth values and
-        the noise prefix values, which `play` keeps in two disjoint sets."""
-        return len(self.seen) + len(self._prefix_shown)
 
     def final_stage_mistakes(self, horizon: int) -> int:
         """Steps of a finished `horizon`-step play judged against its last,
@@ -365,8 +367,8 @@ class StagedAdversary(Source):
 
     def noise_count(self) -> int:
         """Values played outside the limit language: the noise prefix values
-        that the promised part does not hold."""
-        return sum(v >= 0 for v in self._prefix_shown)
+        played that the promised part does not hold."""
+        return sum(v >= 0 for v in self.seen.intersection(self.prefix))
 
 
 # construction: (it has the markers {0..level}, it rebuilds one above the

@@ -794,9 +794,12 @@ class TranscriptLimitLanguage:
 
     @classmethod
     def of(cls, adversary: StagedAdversary) -> "TranscriptLimitLanguage":
-        """A view of a staged adversary's limit language, its live sets."""
+        """A view of a staged adversary's limit language: the truth values
+        it has played, which are its `seen` less its noise prefix (whose
+        markers are also in `excluded`), and its live `excluded` set."""
         limit = cls()
-        limit.seen, limit.excluded = adversary.seen, adversary.excluded
+        limit.seen = adversary.seen - set(adversary.prefix)
+        limit.excluded = adversary.excluded
         return limit
 
     def status(self, x: int) -> str:

@@ -247,6 +247,20 @@ ENGINE_GUARDS = {
     "negative-query-budget": (
         lambda: Mode.feedback(budget=-1), ValueError, "query budget must be nonnegative"
     ),
+    # each would be written to the header as something the run did not play
+    "unknown-mode-kind": (lambda: Mode("bogus"), ValueError, "unknown mode kind 'bogus'"),
+    "unknown-omission-marker": (
+        lambda: Mode.lossy("finite"), ValueError, "unknown omission marker 'finite'"
+    ),
+    "bool-omission-budget": (
+        lambda: Mode.lossy(True), TypeError, "omission budget must be an int, got True"
+    ),
+    "bool-noise-level": (
+        lambda: Mode.noisy(True), TypeError, "noise level must be an int, got True"
+    ),
+    "bool-query-budget": (
+        lambda: Mode.feedback(budget=True), TypeError, "query budget must be an int, got True"
+    ),
 }
 
 
@@ -642,11 +656,10 @@ def test_one_loop_matches_naive_run_on_faulty_streams(spec, values, budget):
 @pytest.mark.parametrize("horizon", [1, 2, 3, 57])
 def test_run_pulls_no_reveal_past_the_horizon(construction, horizon):
     # an extra pull would play one more value, which the adversary's seen
-    # set would then hold
+    # set, its noise prefix included, would then hold
     adversary = CONSTRUCTIONS[construction]()
     run(MaxPlusOne(), adversary, Mode.standard(), horizon)
-    shown = sum(adversary.emitted(v) for v in adversary.prefix)
-    assert len(adversary.seen) + shown == horizon
+    assert len(adversary.seen) == horizon
 
 
 class _Stopped(Exception):

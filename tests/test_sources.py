@@ -1,5 +1,6 @@
 import gc
 import itertools
+import re
 import weakref
 
 import pytest
@@ -92,6 +93,23 @@ def test_scripted_rejects_bad_specs():
     for order in ["blocks:x", "blocks:", "blocks:1.5", "blocks: 3", "blocks:+3", "blocks:03"]:
         with pytest.raises(ValueError, match="unknown order"):
             ScriptedSpec(suffix_from(0), order=order)
+
+
+@pytest.mark.parametrize(
+    "spec, error, message",
+    [
+        # a position the stream never reaches, or a bool played at 1 but written `true`
+        ({"noise": ((-1, -5),)}, ValueError, "position must be a non-negative int, got -1"),
+        ({"noise": ((1.5, -5),)}, ValueError, "position must be a non-negative int, got 1.5"),
+        ({"noise": ((True, -5),)}, ValueError, "position must be a non-negative int, got True"),
+        ({"repeat_seed": True}, TypeError, "repeat_seed must be an int or None, got True"),
+        ({"repeat_seed": 1.0}, TypeError, "repeat_seed must be an int or None, got 1.0"),
+    ],
+    ids=["negative-position", "float-position", "bool-position", "bool-seed", "float-seed"],
+)
+def test_scripted_spec_refuses_what_its_header_would_misstate(spec, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        ScriptedSpec(suffix_from(3), **spec)
 
 
 def test_scripted_block_shuffle_is_deterministic_and_complete():
@@ -187,7 +205,7 @@ def test_staged_union_stream_validity():
     stages = len(adversary.certified_mistake_times)
     assert stages >= 10
     for k in range(1, min(stages, 10) + 1):
-        assert adversary.emitted(-k)
+        assert -k in adversary.seen
 
 
 def test_staged_union_certificates_are_sound():
@@ -205,7 +223,7 @@ def test_staged_union_ramps_exceed_prior_outputs():
     nonneg = [x for x in xs if x >= 0]
     assert nonneg == sorted(nonneg) and len(set(nonneg)) == len(nonneg)
     # every excluded output stayed un-emitted
-    assert not any(adversary.emitted(v) for v in adversary.excluded)
+    assert adversary.seen.isdisjoint(adversary.excluded)
 
 
 # --- the omission adversary ------------------------------------------------------
@@ -219,7 +237,7 @@ def test_omission_adversary_defeats_weaker_tolerance():
     assert all(z < 0 for z in zs)
     assert not adversary.trigger_times
     assert adversary.final_stage_mistakes(1_000) == 1_000
-    assert not adversary.emitted(0)
+    assert 0 not in adversary.seen
 
 
 def test_omission_adversary_triggers_on_ascender():
@@ -227,7 +245,7 @@ def test_omission_adversary_triggers_on_ascender():
         adversary = omission_adversary(level)
         play(adversary, MaxPlusOne(), 2_000)
         assert len(adversary.certified_mistake_times) >= 10
-        assert not any(adversary.emitted(v) for v in range(level + 1))
+        assert adversary.seen.isdisjoint(range(level + 1))
         assert adversary.noise_count() == 0
 
 
@@ -416,13 +434,13 @@ def test_flat_adversary_matches_stage_record_reference(
     assert started == [t + 2 for t in fast.trigger_times[: len(started)]]
     if ended is None:  # `final_stage_mistakes` reads a finished play's trigger times
         assert fast.final_stage_mistakes(horizon) == naive.final_stage_mistakes(horizon)
-    assert fast.seen == naive.limit.seen
+    # the reference keeps its noise prefix out of `limit.seen`
+    assert fast.seen - set(fast.prefix) == naive.limit.seen
     assert fast.excluded == naive.limit.excluded
     if ended is None or ended[1] is AdversaryRepeat:
         # a refused add_seen leaves the value in the reference's emitted list
         assert fast.noise_count() == naive.noise_count()
-        assert all(fast.emitted(v) == (v in naive.emitted_set) for v in range(-12, 60))
-        assert all(fast.emitted(v) for v in naive.emitted)
+        assert fast.seen == naive.emitted_set
 
 
 # faulty plans, each reaching one guard of `play`: (prefix, start, shift,
@@ -511,13 +529,19 @@ def test_a_fresh_adversary_replays_a_run_from_its_outputs(construction, level):
         assert fresh.final_stage_mistakes(horizon) == result.final_stage_mistakes
 
 
-@pytest.mark.parametrize("construction", CONSTRUCTIONS)
-def test_a_played_adversary_is_refused_before_it_records_anything(construction):
+@pytest.mark.parametrize(
+    "construction, first",
+    # a noise-prefix adversary played for fewer steps than its prefix has
+    # played noise values only
+    [pytest.param(c, 50, id=c) for c in CONSTRUCTIONS]
+    + [pytest.param("noise_prefix", 1, id="noise_prefix-inside-its-prefix")],
+)
+def test_a_played_adversary_is_refused_before_it_records_anything(construction, first):
     # a second game would replay the first one's values, and read as a
     # broken construction (AdversaryRepeat) rather than a misused one
     adversary = _adversary(construction, 1)
-    _, result = engine.run(MaxPlusOne(), adversary, Mode.standard(), 50)
-    played, times = adversary.played_count(), adversary.certified_mistake_times
+    _, result = engine.run(MaxPlusOne(), adversary, Mode.standard(), first)
+    played, times = set(adversary.seen), adversary.certified_mistake_times
     for horizon in (1, 50):
         records = engine.Transcript(horizon)
         with pytest.raises(ValueError, match="plays its game once"):
@@ -526,9 +550,9 @@ def test_a_played_adversary_is_refused_before_it_records_anything(construction):
         assert records.codes == bytes(horizon)
     with pytest.raises(ValueError, match="plays its game once"):
         engine.run(MaxPlusOne(), adversary, Mode.standard(), 50)
-    assert adversary.played_count() == played
+    assert adversary.seen == played
     assert adversary.certified_mistake_times == times
-    assert adversary.final_stage_mistakes(50) == result.final_stage_mistakes
+    assert adversary.final_stage_mistakes(first) == result.final_stage_mistakes
 
 
 def test_reference_limit_writes_are_checked():
