@@ -1,9 +1,9 @@
 """Command-line experiment runner.
 
 Exit codes: 0 all assertions passed, 1 an assertion failed, 2 invalid
-config (a horizon too large to allocate, and a trace or summary file that
-cannot be written, included), 3 internal invariant breach (exhausted
-searches and the like).
+config (a horizon too large to allocate, an empty trace or summary path, and
+a trace or summary file that cannot be written, included), 3 internal
+invariant breach (exhausted searches and the like).
 """
 
 from __future__ import annotations
@@ -112,7 +112,8 @@ def _write_traces(root: Path, subruns: list[SubRun]) -> None:
 
 def _entries(args: argparse.Namespace) -> list[dict]:
     """The entries that `args` selects. Every input, the trace directory and
-    the summary path included, is checked before anything runs."""
+    the summary path included, is checked before anything runs, and the
+    summary file is left empty until the run that fills it finishes."""
     try:
         if args.config:
             entries = _load_configs(args.config)
@@ -124,10 +125,15 @@ def _entries(args: argparse.Namespace) -> list[dict]:
             raise ValueError(f"unknown experiment {args.experiment!r}")
         if args.horizon is not None:
             _check_horizon(args.horizon, "--horizon")
+        for flag, path in (("--trace", args.trace), ("--summary", args.summary)):
+            if path == "":
+                raise ValueError(f"{flag} must name a path, got ''")
         if args.trace:
             Path(args.trace).mkdir(parents=True, exist_ok=True)
         if args.summary:
-            open(args.summary, "a").close()  # a bad path fails before anything runs
+            # a bad path fails before anything runs, and a run that fails
+            # leaves no earlier run's rows behind
+            open(args.summary, "w").close()
     except (ValueError, OSError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise _Invalid(exc) from exc
     return entries

@@ -375,7 +375,7 @@ def run(
         unknown_count=sum(map(codes.count, _UNKNOWN_CODES)),
         validity_violations=tuple(validate_stream(source, mode, records, seen)),
         no_trigger=adaptive and not source.trigger_times,
-        certified_mistake_times=source.certified_mistake_times if adaptive else array("q"),
+        certified_mistake_times=source.trigger_times if adaptive else array("q"),
         final_stage_mistakes=source.final_stage_mistakes(horizon) if adaptive else 0,
         distinct_at_convergence=(
             len(set(records.reveals[:convergence])) if mode.kind == REPETITION else None

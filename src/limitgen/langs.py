@@ -15,6 +15,11 @@ from dataclasses import dataclass
 from typing import Iterator
 
 
+def is_int(v: object) -> bool:
+    """An int and not a bool, which is an int to Python but `true` to JSON."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class ClosedFormLanguage:
     """finite_part | [tail_start, inf), or finite_part | Z_{<0} when
@@ -25,7 +30,16 @@ class ClosedFormLanguage:
     include_negatives: bool = False
 
     def __post_init__(self) -> None:
+        # the header writes a language as given, so a bool (written `true`)
+        # or a float is refused rather than recorded
         object.__setattr__(self, "finite_part", frozenset(self.finite_part))
+        for v in self.finite_part:
+            if not is_int(v):
+                raise TypeError(f"a finite part member must be an int, got {v!r}")
+        if not (self.tail_start is None or is_int(self.tail_start)):
+            raise TypeError(f"tail_start must be an int or None, got {self.tail_start!r}")
+        if type(self.include_negatives) is not bool:
+            raise TypeError(f"include_negatives must be a bool, got {self.include_negatives!r}")
         if (self.tail_start is None) != self.include_negatives:
             raise ValueError("a language has exactly one ray: a tail or the negatives")
 

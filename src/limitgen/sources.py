@@ -7,14 +7,15 @@ order shuffles, or repetitions). An adaptive source watches the generator's
 outputs and switches its intended language in stages, certifying a mistake
 each time the generator emits an unseen member of the current stage language.
 It is described whole by its construction and level, and plays the whole
-game in one call, `play(step, records, horizon)`: each step it records
+game in one loop, `play(step, records, horizon)`: each step it records
 its value, calls the strategy's `step` on it, records the output, reacts
 to it and judges it, since it holds the sets the verdict reads: the values
 played and the values certified never to be.
 Every stage, the first one included, is the values played before it plus
-some extras plus an upward ray, and plays the ramp up that ray. The current
-stage lives in `play`'s locals; the adversary keeps one flat int64 column of
-the past ones, their trigger times, and every value it played once.
+some extras plus an upward ray, and plays the ramp up that ray; a noise
+prefix is the ramp just below stage 0's ray. The current stage lives in
+`play`'s locals; the adversary keeps one flat int64 column of the past
+ones, their trigger times, and every value it played once.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
 from .errors import AdversaryRepeat, CertificateBroken
-from .langs import NEGATIVES, ClosedFormLanguage
+from .langs import NEGATIVES, ClosedFormLanguage, is_int
 
 if TYPE_CHECKING:
     from .engine import Transcript
@@ -41,10 +42,9 @@ class Source:
     horizon)`: it hands each value to the strategy's `step`, records the
     value and the output in the run's columns, reacts to the output and
     writes its verdict's code. It keeps every value it played once, in
-    `seen`, and its certified mistakes as `trigger_times`,
-    `certified_mistake_times` and `final_stage_mistakes(horizon)`. Both
-    kinds give their trace header's `truth` and `source` records as
-    `header()`.
+    `seen`, and reports its certified mistakes as `trigger_times` and
+    `final_stage_mistakes(horizon)`. Both kinds give their trace header's
+    `truth` and `source` records as `header()`.
 
     `emit` and `observe` are stubs that no source defines: the benchmark's
     tracer (`bench/tracer.py`) wraps `ScriptedSource.emit`,
@@ -71,10 +71,11 @@ class Source:
 class ScriptedSpec:
     """Declarative description of a scripted enumeration.
 
-    omissions: finite subset of the truth to skip, or "every_other" to keep
-    only alternate elements (an infinite-omission subsequence).
+    omissions: finite subset of the truth to skip, each an int, or
+    "every_other" to keep only alternate elements (an infinite-omission
+    subsequence).
     noise: (position, value) insertions; a position is a non-negative int,
-    and values must lie outside the truth.
+    and a value an int outside the truth.
     order: "canonical" or "blocks:<seed>" (seeded shuffle inside fixed-size
     blocks, so coverage stays horizon-checkable); the seed is an integer as
     `str` spells it, with no "+", space or leading zero.
@@ -89,10 +90,10 @@ class ScriptedSpec:
     repeat_seed: int | None = None
 
     def __post_init__(self) -> None:
-        # the header writes the spec as given, so a bool written as `true`
-        # or a noise position never played is refused
+        # the header writes the spec as given, so a bool written as `true`,
+        # a float or a noise position never played is refused
         seed = self.repeat_seed
-        if seed is not None and (not isinstance(seed, int) or isinstance(seed, bool)):
+        if seed is not None and not is_int(seed):
             raise TypeError(f"repeat_seed must be an int or None, got {seed!r}")
         if isinstance(self.omissions, str):
             if self.omissions != "every_other":
@@ -100,14 +101,19 @@ class ScriptedSpec:
         else:
             object.__setattr__(self, "omissions", frozenset(self.omissions))
             for v in self.omissions:
+                if not is_int(v):
+                    raise TypeError(f"an omission must be an int, got {v!r}")
                 if v not in self.truth:
                     raise ValueError(f"omission {v} is not in the truth")
         object.__setattr__(self, "noise", tuple(self.noise))
         positions = [p for p, _ in self.noise]
         for p in positions:
-            if not isinstance(p, int) or isinstance(p, bool) or p < 0:
+            if not is_int(p) or p < 0:
                 raise ValueError(f"noise position must be a non-negative int, got {p!r}")
         values = [v for _, v in self.noise]
+        for v in values:
+            if not is_int(v):
+                raise TypeError(f"a noise value must be an int, got {v!r}")
         if len(set(positions)) != len(positions) or len(set(values)) != len(values):
             raise ValueError("noise positions and values must be unique")
         for v in values:
@@ -224,17 +230,20 @@ class StagedAdversary(Source):
     {0..level}, which are pre-certified never to be played: omission holds
     them as every stage's extras, and noise prefix plays them first, as
     noise outside the limit language. Stage 0's ray starts just above the
-    markers. Whenever the generator outputs an unseen member of the current
-    stage language, the adversary records the time, commits never to emit
-    that output (the certificate), emits the next unused negative, and on
-    the step after it rebuilds the stage with its ray one above the running
-    max (omission, sensitivity) or two above the trigger output (union,
-    noise prefix). The limit language promises the negative ray.
+    markers, so the noise prefix is the ramp just below it: one loop plays
+    both, and only a ramp step at or above the tail can trigger. Whenever
+    the generator outputs an unseen member of the current stage language,
+    the adversary records the time, commits never to emit that output (the
+    certificate), emits the next unused negative, and on the step after it
+    rebuilds the stage with its ray one above the running max (omission,
+    sensitivity) or two above the trigger output (union, noise prefix). The
+    limit language promises the negative ray.
 
     The adversary plays the game in one call, `play`, whose locals hold
     the current stage; the past ones leave one flat int64 column,
     `trigger_times` (trigger k ends stage k; stage k + 1 starts two steps
-    after it, its negative coming between). The rest is in the transcript:
+    after it, its negative coming between), which is also the run's report
+    of its certified mistakes. The rest is in the transcript:
     trigger k's output is the output at its time, and a stage's tail start
     is the reveal at its start step. Every value played, the noise prefix
     included, is kept once in `seen`, where `prefix` tells noise from truth;
@@ -250,7 +259,7 @@ class StagedAdversary(Source):
         if construction not in _CONSTRUCTIONS:
             names = ", ".join(map(repr, _CONSTRUCTIONS))
             raise ValueError(f"unknown construction {construction!r}, not one of {names}")
-        if not isinstance(level, int) or isinstance(level, bool):
+        if not is_int(level):
             raise TypeError(f"level must be an int, got {level!r}")
         marked, self._above_max = _CONSTRUCTIONS[construction]
         if level < 0:
@@ -270,40 +279,29 @@ class StagedAdversary(Source):
 
     def play(self, step: Callable[[int], int], records: Transcript, horizon: int) -> None:
         """Play `horizon` steps against `step`, the strategy's per-step
-        call. Each step appends x_t to `records.reveals`, calls
-        `z_t = step(x_t)` and appends z_t to `records.outputs`, then reacts
-        to it (a trigger or a stage rebuild) and judges it against the
-        limit language. A played or certified output is a Mistake, a
-        promised negative Correct, and any other Unknown; the verdict's
-        code (1 Mistake, 2 Unknown) goes to `records.codes[t]`, and a
-        Correct leaves its zero byte. A guard refuses a value before it is
-        recorded. The adversary reads each output only from what `step`
-        returns, so a `step` that returns a recorded output column replays
-        that run. A played adversary is refused before anything is recorded."""
+        call, in one loop. Each step appends x_t to `records.reveals` (the
+        next ramp value, the noise prefix's values first, or an owed
+        negative), calls `z_t = step(x_t)` and appends z_t to
+        `records.outputs`, then reacts to it (a trigger or a stage rebuild)
+        and judges it against the limit language. A played or certified
+        output is a Mistake, a promised negative Correct, and any other
+        Unknown; a trigger's output is judged by the same rule, just
+        certified. The verdict's code (1 Mistake, 2 Unknown) goes to
+        `records.codes[t]`, and a Correct leaves its zero byte. A guard
+        refuses a value before it is recorded. The adversary reads each
+        output only from what `step` returns, so a `step` that returns a
+        recorded output column replays that run. A played adversary is
+        refused before anything is recorded."""
         seen, excluded = self.seen, self.excluded
         if seen:
             raise ValueError("a staged adversary plays its game once")
         extras, triggers = self._extras, self.trigger_times
         reveal, put_z, codes = records.reveals.append, records.outputs.append, records.codes
-        t = 0
-        for v in self.prefix[:horizon]:  # noise, judged but never reacted to
-            if v in seen:
-                raise AdversaryRepeat(f"adversary repeated {v}")
-            seen.add(v)
-            reveal(v)
-            z = step(v)
-            put_z(z)
-            if z in seen:
-                codes[t] = 1
-            elif z >= 0:
-                codes[t] = 1 if z in excluded else 2
-            t += 1
-        tail = ramp = self._first_tail
-        # the running max rule's constructions play no prefix, so the max
-        # starts here
         above_max, gap, running_max = self._above_max, self._gap, -1
+        tail = self._first_tail
+        ramp = tail - len(self.prefix)  # the noise prefix is the ramp just below the tail
         trigger_output = None  # set on a trigger's step, while its negative is owed
-        while t < horizon:
+        for t in range(horizon):
             if trigger_output is None:
                 v = ramp
                 ramp = v + 1
@@ -311,7 +309,9 @@ class StagedAdversary(Source):
                 v = -len(triggers)
             if v in seen:
                 raise AdversaryRepeat(f"adversary repeated {v}")
-            if v in excluded:  # a certified output is never played
+            # a certified output is never played; the prefix's markers are
+            # certified before they are played, and no certificate is negative
+            if v >= tail and v in excluded:
                 raise CertificateBroken(f"{v} was committed as never-enumerated")
             seen.add(v)
             if v > running_max:
@@ -325,22 +325,18 @@ class StagedAdversary(Source):
             if trigger_output is not None:  # the negative's step rebuilds the stage
                 tail = ramp = (running_max if above_max else trigger_output) + gap
                 trigger_output = None
-            elif not played and (z >= tail or z in extras):
-                # a trigger: an unseen member of the stage language
+            elif v >= tail and not played and (z >= tail or z in extras):
+                # a trigger on a ramp step: an unseen member of the stage language
                 triggers.append(t)
                 # a certificate lies outside the promise; the output is unplayed
                 if z < 0:
                     raise CertificateBroken(f"{z} lies in the promised part")
                 excluded.add(z)
                 trigger_output = z
-                codes[t] = 1
-                t += 1
-                continue
             if played:
                 codes[t] = 1
             elif z >= 0:  # the negatives are promised
                 codes[t] = 1 if z in excluded else 2
-            t += 1
 
     def header(self) -> dict:
         truth = {"kind": "transcript_limit", "promised": NEGATIVES.to_record()}
@@ -348,11 +344,6 @@ class StagedAdversary(Source):
         return {"truth": truth, "source": source}
 
     # -- reporting ---------------------------------------------------------
-    @property
-    def certified_mistake_times(self) -> array:
-        """A copy of the trigger times, a sorted int64 column."""
-        return self.trigger_times[:]
-
     def final_stage_mistakes(self, horizon: int) -> int:
         """Steps of a finished `horizon`-step play judged against its last,
         never-triggered stage language.

@@ -18,8 +18,9 @@ check.
 
 A few inspection helpers that only tests use live here too: the members of
 a closure on a window, a staged adversary's stage language rebuilt from its
-run's reveals and its tail-start column, a staged adversary with faults
-injected for its guards to refuse, the inverse of the zigzag pairing,
+run's reveals and its tail-start column, every short game a staged
+adversary can play, a staged adversary with faults injected for its guards
+to refuse, the inverse of the zigzag pairing,
 the drawn scripted specs that several test modules play, and the memory a
 run leaves allocated, per step.
 
@@ -121,6 +122,18 @@ def stage_language(
     started_at = adversary.trigger_times[index - 1] + 2
     finite = frozenset(reveals[len(prefix) : started_at]) | extras
     return ClosedFormLanguage(finite, reveals[started_at], False)
+
+
+def short_games(construction: str, level: int, horizon: int, window):
+    """Every game of `horizon` steps that a fresh `StagedAdversary` at this
+    construction and level plays against outputs drawn from `window`: one
+    (outputs, transcript, adversary) per output sequence, each played from
+    scratch."""
+    for outputs in itertools.product(window, repeat=horizon):
+        adversary, records = StagedAdversary(construction, level), Transcript(horizon)
+        step = iter(outputs).__next__
+        adversary.play(lambda _x: step(), records, horizon)
+        yield outputs, records, adversary
 
 
 def zigzag_decode(z: int) -> int:
@@ -989,16 +1002,19 @@ class NaiveStagedAdversary:
 
 class FaultyStagedAdversary(StagedAdversary):
     """The staged union construction with faults injected as the data that
-    `play` reads when it starts: the given noise prefix, stage 0 the ray from
-    `start`, and each rebuilt ray `shift` above the trigger output instead of
-    two. Its prefix and ramps may then repeat a value, replay a certified
-    output or reach into the promised negatives, which the construction's
-    own `play` must refuse. `reference()` is its `NaiveStagedAdversary`."""
+    `play` reads when it starts: a noise prefix of `k` values, stage 0 the
+    ray from `start`, and each rebuilt ray `shift` above the trigger output
+    instead of two. Like every noise prefix, the prefix is the ramp just
+    below stage 0's ray, `range(start - k, start)`. Its prefix and ramps may
+    then reach into the promised negatives, repeat a value or replay a
+    certified output, which the construction's own `play` must refuse.
+    `reference()` is its `NaiveStagedAdversary`."""
 
-    def __init__(self, prefix=(), start: int = 0, shift: int = 2) -> None:
+    def __init__(self, k: int = 0, start: int = 0, shift: int = 2) -> None:
         super().__init__("union")
-        self.prefix, self._first_tail, self._gap = tuple(prefix), start, shift
-        self.plan = (tuple(prefix), start, shift)
+        self.prefix = tuple(range(start - k, start))
+        self._first_tail, self._gap = start, shift
+        self.plan = (self.prefix, start, shift)
 
     def reference(self) -> NaiveStagedAdversary:
         prefix, start, shift = self.plan

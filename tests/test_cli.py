@@ -175,14 +175,14 @@ def test_unallocatable_config_horizon_exits_2(horizon, message, tmp_path, capsys
 
 
 def _repeating_adversary():
-    # a noise prefix that plays 4 twice
-    return FaultyStagedAdversary(prefix=(4, 4))
+    # stage 0's ramp from -1 plays -1, which the first trigger then owes
+    return FaultyStagedAdversary(start=-1)
 
 
 def test_adversary_repeat_exits_3(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "staged_union_adversary", _repeating_adversary)
     assert main(["--experiment", "thm3.1"]) == 3
-    assert "adversary repeated 4" in capsys.readouterr().err
+    assert "adversary repeated -1" in capsys.readouterr().err
 
 
 def test_broken_certificate_exits_3(monkeypatch, capsys):
@@ -440,6 +440,37 @@ def test_summary_path_in_missing_directory_exits_2_before_running(monkeypatch, t
     assert main(["--experiment", "alg3-chain", "--summary", str(summary)]) == 2
     assert "invalid config" in capsys.readouterr().err
     assert not summary.parent.exists()
+
+
+@pytest.mark.parametrize("flag", ["--trace", "--summary"])
+def test_empty_output_path_exits_2_before_running(flag, monkeypatch, tmp_path, capsys):
+    # an empty path would be read as no path, and the run would write nothing
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    monkeypatch.chdir(tmp_path)
+    assert main(["--experiment", "alg3-chain", flag, ""]) == 2
+    assert capsys.readouterr().err == f"invalid config: {flag} must name a path, got ''\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # a rebuilt ramp starts on a certified output
+        (["--experiment", "thm3.1", "--horizon", "50"], 3),
+        (["--experiment", "alg3-chain", "--horizon", str(2**62)], 2),
+    ],
+    ids=["breach", "unallocatable"],
+)
+def test_failed_run_leaves_no_earlier_summary_rows(argv, code, monkeypatch, tmp_path, capsys):
+    summary = tmp_path / "s.json"
+    assert main(["--experiment", "alg3-chain", "--summary", str(summary)]) == 0
+    assert json.loads(summary.read_text())["rows"]
+    monkeypatch.setattr(
+        experiments, "staged_union_adversary", lambda: FaultyStagedAdversary(shift=0)
+    )
+    assert main([*argv, "--summary", str(summary)]) == code
+    # the pre-check truncates the summary, and the failed run writes none
+    assert summary.read_text() == ""
 
 
 def test_unwritable_trace_file_exits_2(tmp_path, capsys):

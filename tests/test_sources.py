@@ -39,6 +39,7 @@ from oracles import (
     naive_stream,
     retained_per_step,
     scripted_specs,
+    short_games,
     stage_language,
 )
 
@@ -112,6 +113,32 @@ def test_scripted_spec_refuses_what_its_header_would_misstate(spec, error, messa
         ScriptedSpec(suffix_from(3), **spec)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ScriptedSpec(suffix_from(3), noise=((0, True),)), "noise value must be an int, got True"),
+        (lambda: ScriptedSpec(suffix_from(3), noise=((0, 1.5),)), "noise value must be an int, got 1.5"),
+        (lambda: ScriptedSpec(suffix_from(3), noise=((0, "a"),)), "noise value must be an int, got 'a'"),
+        (lambda: ScriptedSpec(suffix_from(0), omissions={True}), "omission must be an int, got True"),
+        (lambda: ClosedFormLanguage({True}, 5, False), "member must be an int, got True"),
+        (lambda: ClosedFormLanguage({1.5}, 5, False), "member must be an int, got 1.5"),
+        (lambda: ClosedFormLanguage(tail_start=True), "tail_start must be an int or None, got True"),
+        (lambda: ClosedFormLanguage(tail_start=2.5), "tail_start must be an int or None, got 2.5"),
+        (lambda: ClosedFormLanguage(include_negatives=1), "include_negatives must be a bool, got 1"),
+    ],
+    ids=[
+        "bool-noise", "float-noise", "str-noise", "bool-omission", "bool-member",
+        "float-member", "bool-tail", "float-tail", "int-negatives",
+    ],
+)
+def test_a_record_that_would_misstate_a_value_is_refused(build, message):
+    # a header writes a bool as `true` and keeps a float, while the game
+    # plays the bool as 1 and cannot store the float, so each is refused
+    # before the spec or language exists
+    with pytest.raises(TypeError, match=re.escape(message)):
+        build()
+
+
 def test_scripted_block_shuffle_is_deterministic_and_complete():
     spec = ScriptedSpec(suffix_from(0), order="blocks:7")
     played = first(ScriptedSource(spec), 96)
@@ -181,7 +208,7 @@ def test_staged_union_exact_replay_against_ascender():
     xs, zs = play(adversary, MaxPlusOne(), 9)
     assert xs == [0, -1, 3, -2, 6, -3, 9, -4, 12]
     assert zs == [1, 2, 4, 5, 7, 8, 10, 11, 13]
-    assert tuple(adversary.certified_mistake_times) == (0, 2, 4, 6, 8)
+    assert tuple(adversary.trigger_times) == (0, 2, 4, 6, 8)
     assert adversary.excluded == {1, 4, 7, 10, 13}
     assert stage_language(adversary, xs, 1) == ClosedFormLanguage(frozenset({0, -1}), 3, False)
     assert stage_language(adversary, xs, 2) == ClosedFormLanguage(
@@ -194,7 +221,7 @@ def test_staged_union_never_triggers_on_fresh_negatives():
     gen = intersection_generator(neg_union())
     play(adversary, gen, 500)
     assert not adversary.trigger_times
-    assert tuple(adversary.certified_mistake_times) == ()
+    assert tuple(adversary.trigger_times) == ()
     assert adversary.final_stage_mistakes(500) == 500
 
 
@@ -202,7 +229,7 @@ def test_staged_union_stream_validity():
     adversary = staged_union_adversary()
     xs, _ = play(adversary, FollowSuffix(), 2_000)
     assert len(set(xs)) == len(xs)
-    stages = len(adversary.certified_mistake_times)
+    stages = len(adversary.trigger_times)
     assert stages >= 10
     for k in range(1, min(stages, 10) + 1):
         assert -k in adversary.seen
@@ -212,7 +239,7 @@ def test_staged_union_certificates_are_sound():
     adversary = staged_union_adversary()
     _, zs = play(adversary, MaxPlusOne(), 1_000)
     limit = TranscriptLimitLanguage.of(adversary)
-    for t in adversary.certified_mistake_times:
+    for t in adversary.trigger_times:
         assert limit.status(zs[t]) == "Out"
     assert not (adversary.seen & adversary.excluded)
 
@@ -244,7 +271,7 @@ def test_omission_adversary_triggers_on_ascender():
     for level in (0, 1, 2):
         adversary = omission_adversary(level)
         play(adversary, MaxPlusOne(), 2_000)
-        assert len(adversary.certified_mistake_times) >= 10
+        assert len(adversary.trigger_times) >= 10
         assert adversary.seen.isdisjoint(range(level + 1))
         assert adversary.noise_count() == 0
 
@@ -270,7 +297,7 @@ def test_noise_prefix_defeats_matching_tolerance():
         adversary = noise_prefix_adversary(level)
         gen = NoiseTolerantGenerator(level)
         play(adversary, gen, 2_000)
-        assert len(adversary.certified_mistake_times) >= 10
+        assert len(adversary.trigger_times) >= 10
         assert adversary.noise_count() == level + 1
 
 
@@ -290,7 +317,7 @@ def test_sensitivity_adversary_exhausts_fixed_levels():
         adversary = sensitivity_adversary()
         gen = SensitivityGenerator(level)
         _, zs = play(adversary, gen, 2_000)
-        certified = adversary.certified_mistake_times
+        certified = adversary.trigger_times
         # one trigger per probe negative, then permanently quiet and wrong
         assert len(certified) == level + 1
         assert adversary.final_stage_mistakes(2_000) > 0
@@ -300,7 +327,7 @@ def test_sensitivity_adversary_exhausts_fixed_levels():
 def test_sensitivity_adversary_triggers_forever_on_ascender():
     adversary = sensitivity_adversary()
     play(adversary, MaxPlusOne(), 2_000)
-    assert len(adversary.certified_mistake_times) >= 10
+    assert len(adversary.trigger_times) >= 10
 
 
 # --- every construction's stage 0 ---------------------------------------------------
@@ -340,13 +367,14 @@ def _adversary(construction: str, level: int) -> StagedAdversary:
     return StagedAdversary(construction, level if construction in MARKED else 0)
 
 
-def _construction(which: int, level: int, prefix: list[int], start: int, shift: int):
+def _construction(which: int, level: int, k: int, start: int, shift: int):
     """A staged adversary and its reference: one of the four constructions
-    at `level`, or a faulty plan whose stage 0 plays the ray from `start`."""
+    at `level`, or a faulty plan whose stage 0 plays the ray from `start`
+    after a noise prefix of `k` values."""
     if which < len(CONSTRUCTIONS):
         fast = _adversary(CONSTRUCTIONS[which], level)
     else:
-        fast = FaultyStagedAdversary(prefix, start, shift)
+        fast = FaultyStagedAdversary(k, start, shift)
     return fast, NaiveStagedAdversary.twin(fast)
 
 
@@ -392,7 +420,7 @@ def _play_until_raise(adversary, gen, horizon):
 @given(
     which=st.integers(0, 4),
     level=st.integers(0, 2),
-    prefix=st.lists(st.integers(-3, 6), max_size=4),
+    k=st.integers(0, 4),
     start=st.integers(-3, 3),
     shift=st.integers(-3, 3),
     choice=st.integers(0, len(_OPPONENTS) - 1)
@@ -401,20 +429,19 @@ def _play_until_raise(adversary, gen, horizon):
 )
 # the ascender triggers on every even step, the last one included, so the run
 # stops with a rebuild pending
-@example(which=0, level=0, prefix=[], start=0, shift=0, choice=0, horizon=9)
+@example(which=0, level=0, k=0, start=0, shift=0, choice=0, horizon=9)
 # a faulty plan reaching each guard: a ramp below zero plays -2 before the
-# second trigger owes it, the ramp replays the prefix's 0, a rebuilt ramp
-# starts on the certified 1, the prefix repeats 4, and an output of -1 would
-# certify a negative
-@example(which=4, level=0, prefix=[], start=0, shift=-3, choice=0, horizon=5)
-@example(which=4, level=0, prefix=[0], start=0, shift=2, choice=0, horizon=3)
-@example(which=4, level=0, prefix=[], start=0, shift=0, choice=0, horizon=5)
-@example(which=4, level=0, prefix=[4, 4], start=0, shift=2, choice=0, horizon=3)
-@example(which=4, level=0, prefix=[], start=-2, shift=2, choice=[(False, -1)], horizon=3)
+# second trigger owes it, the first owed negative repeats the prefix's -1, a
+# rebuilt ramp starts on the certified 1, and an output of -1 would certify
+# a negative
+@example(which=4, level=0, k=0, start=0, shift=-3, choice=0, horizon=5)
+@example(which=4, level=0, k=1, start=0, shift=2, choice=0, horizon=3)
+@example(which=4, level=0, k=0, start=0, shift=0, choice=0, horizon=5)
+@example(which=4, level=0, k=0, start=-2, shift=2, choice=[(False, -1)], horizon=3)
 def test_flat_adversary_matches_stage_record_reference(
-    which, level, prefix, start, shift, choice, horizon
+    which, level, k, start, shift, choice, horizon
 ):
-    fast, naive = _construction(which, level, prefix, start, shift)
+    fast, naive = _construction(which, level, k, start, shift)
     xs, zs, codes, ended = _play_until_raise(fast, _opponent(choice, level), horizon)
     naive_xs, naive_zs, naive_codes, naive_ended = _play_until_raise(
         naive, _opponent(choice, level), horizon
@@ -423,7 +450,7 @@ def test_flat_adversary_matches_stage_record_reference(
     assert zs == naive_zs
     assert codes == naive_codes
     assert ended == naive_ended
-    assert fast.certified_mistake_times == naive.certified_mistake_times
+    assert fast.trigger_times == naive.certified_mistake_times
     triggered = [s for s in naive.stages if s.trigger_time is not None]
     assert [zs[t] for t in fast.trigger_times] == [s.trigger_output for s in triggered]
     # a later stage's tail start is its first ramp value, played at its start
@@ -443,25 +470,23 @@ def test_flat_adversary_matches_stage_record_reference(
         assert fast.seen == naive.emitted_set
 
 
-# faulty plans, each reaching one guard of `play`: (prefix, start, shift,
-# outputs, horizon), then the reveals played, the trigger times, and the
-# exception and message that ended play
+# faulty plans, each reaching one guard of `play`: (prefix length, start,
+# shift, outputs, horizon), then the reveals played, the trigger times, and
+# the exception and message that ended play
 _GUARDS = {
     # a ramp below zero plays -2 before the second trigger owes it
     "negative-replayed": (
-        ((), 0, -3, 0, 5), [0, -1, -2], [0, 2], AdversaryRepeat, "adversary repeated -2"
+        (0, 0, -3, 0, 5), [0, -1, -2], [0, 2], AdversaryRepeat, "adversary repeated -2"
     ),
-    # the ramp replays the prefix's 0
-    "prefix-replayed": (((0,), 0, 2, 0, 3), [0], [], AdversaryRepeat, "adversary repeated 0"),
+    # the prefix below a ray from 0 plays -1 before the first trigger owes it
+    "prefix-owed": ((1, 0, 2, 0, 3), [-1, 0], [1], AdversaryRepeat, "adversary repeated -1"),
     # a rebuilt ramp starts on the certified 1
     "certified-played": (
-        ((), 0, 0, 0, 5), [0, -1], [0], CertificateBroken, "1 was committed as never-enumerated"
+        (0, 0, 0, 0, 5), [0, -1], [0], CertificateBroken, "1 was committed as never-enumerated"
     ),
-    # the prefix repeats 4
-    "prefix-repeats": (((4, 4), 0, 2, 0, 3), [4], [], AdversaryRepeat, "adversary repeated 4"),
     # an output of -1 triggers, and would certify a negative
     "negative-certified": (
-        ((), -2, 2, [(False, -1)], 3), [-2], [0], CertificateBroken, "-1 lies in the promised part"
+        (0, -2, 2, [(False, -1)], 3), [-2], [0], CertificateBroken, "-1 lies in the promised part"
     ),
 }
 
@@ -470,8 +495,8 @@ _GUARDS = {
 def test_each_guard_ends_play_at_its_step(guard):
     # a value's guard ends play before the value is played, and the trigger
     # guard on the step of its trigger
-    (prefix, start, shift, choice, horizon), xs, triggers, kind, message = _GUARDS[guard]
-    fast = FaultyStagedAdversary(prefix, start, shift)
+    (k, start, shift, choice, horizon), xs, triggers, kind, message = _GUARDS[guard]
+    fast = FaultyStagedAdversary(k, start, shift)
     played, _, _, ended = _play_until_raise(fast, _opponent(choice, 0), horizon)
     assert played == xs
     assert list(fast.trigger_times) == triggers
@@ -541,7 +566,7 @@ def test_a_played_adversary_is_refused_before_it_records_anything(construction, 
     # broken construction (AdversaryRepeat) rather than a misused one
     adversary = _adversary(construction, 1)
     _, result = engine.run(MaxPlusOne(), adversary, Mode.standard(), first)
-    played, times = set(adversary.seen), adversary.certified_mistake_times
+    played, times = set(adversary.seen), adversary.trigger_times[:]
     for horizon in (1, 50):
         records = engine.Transcript(horizon)
         with pytest.raises(ValueError, match="plays its game once"):
@@ -551,8 +576,50 @@ def test_a_played_adversary_is_refused_before_it_records_anything(construction, 
     with pytest.raises(ValueError, match="plays its game once"):
         engine.run(MaxPlusOne(), adversary, Mode.standard(), 50)
     assert adversary.seen == played
-    assert adversary.certified_mistake_times == times
+    assert adversary.trigger_times == times
     assert adversary.final_stage_mistakes(first) == result.final_stage_mistakes
+
+
+@pytest.mark.parametrize(
+    "construction, level",
+    [("union", 0), ("sensitivity", 0)] + [(c, level) for c in MARKED for level in range(3)],
+)
+def test_every_short_game_keeps_the_constructions_promises(construction, level):
+    # all 12**4 output sequences over -3..8 at horizon 4; no guard may fire,
+    # and each game that breaks a promise is listed under it
+    horizon = 4
+    (_, extras), _, prefix, _ = naive_construction(construction, level)
+    markers = range(level + 1) if construction in MARKED else ()
+    broken = {"prefix": [], "order": [], "verdict": [], "final stage": []}
+    for outputs, records, adversary in short_games(construction, level, horizon, range(-3, 9)):
+        xs, times = records.reveals.tolist(), adversary.trigger_times
+        if xs[: len(prefix)] != list(prefix[:horizon]):
+            broken["prefix"].append(outputs)
+        truth = [x for x in xs[len(prefix) :] if x >= 0]
+        if truth != sorted(set(truth)):
+            broken["order"].append(outputs)
+        # a played, certified or marker output is a Mistake, a negative
+        # Correct, any other Unknown
+        played, certified, codes = set(), set(markers), bytearray(horizon)
+        for t, z in enumerate(outputs):
+            played.add(xs[t])
+            if t in times:
+                certified.add(z)
+            codes[t] = 1 if z in played or z in certified else 0 if z < 0 else 2
+        if codes != records.codes:
+            broken["verdict"].append(outputs)
+        # the last stage starts after the last trigger's owed negative, or
+        # after the noise prefix; no output from there on is an unseen member
+        # of its language
+        k = len(times)
+        start = (xs.index(-k) + 1 if -k in xs else horizon) if k else len(prefix)
+        if start < horizon:
+            last = stage_language(adversary, xs, k, extras)
+            if any(z not in xs[: t + 1] and z in last for t, z in enumerate(outputs) if t >= start):
+                broken["final stage"].append(outputs)
+        if adversary.final_stage_mistakes(horizon) != max(0, horizon - start):
+            broken["final stage"].append(outputs)
+    assert broken == {promise: [] for promise in broken}
 
 
 def test_reference_limit_writes_are_checked():
@@ -576,5 +643,5 @@ def test_staged_union_retains_under_200_bytes_per_step():
         return adversary
 
     per_step, adversary = retained_per_step(steps, play)
-    assert len(adversary.certified_mistake_times) == steps // 2
+    assert len(adversary.trigger_times) == steps // 2
     assert per_step < 200, f"{per_step:.0f} B per step"

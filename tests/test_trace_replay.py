@@ -57,7 +57,7 @@ def replay(header: dict, outputs: list[int]) -> tuple:
     records, zs = engine.Transcript(horizon), iter(outputs)
     adversary.play(lambda x: next(zs), records, horizon)
     verdicts = [VERDICTS[code] for code in records.codes]
-    times = list(adversary.certified_mistake_times)
+    times = list(adversary.trigger_times)
     return list(records.reveals), verdicts, times, adversary.final_stage_mistakes(horizon)
 
 
