@@ -26,6 +26,7 @@ from .experiments import (
     run_experiment,
     trace_file,
 )
+from .langs import is_int
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -71,7 +72,7 @@ def _load_configs(path: str) -> list[dict]:
         if "horizon" in entry:
             _check_horizon(entry["horizon"], f"horizon of {ident}")
         seed = entry.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int):
+        if not is_int(seed):
             raise ValueError(f"seed of {ident} must be an integer, got {seed!r}")
         for row, _ in matrix_rows(EXPERIMENTS[ident], entry.get("params", {})):
             if row in rows:
@@ -81,7 +82,7 @@ def _load_configs(path: str) -> list[dict]:
 
 
 def _check_horizon(value: object, origin: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+    if not is_int(value) or value < 1:
         raise ValueError(f"{origin} must be a positive integer, got {value!r}")
     if value > sys.maxsize:  # a run's transcript could not even be indexed
         raise ValueError(f"{origin} must be at most {sys.maxsize}, got {value}")

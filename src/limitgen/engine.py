@@ -64,7 +64,7 @@ from typing import IO, Callable, Collection, Iterator
 
 from .errors import BudgetViolation, ModeMismatch, StreamEnded
 from .feedback import FeedbackGenerator
-from .langs import ClosedFormLanguage
+from .langs import ClosedFormLanguage, is_int
 from .sources import ScriptedSource, Source
 
 CORRECT = "Correct"
@@ -83,6 +83,9 @@ _KINDS = (STANDARD, LOSSY, NOISY, SAMPLELESS, FEEDBACK, IDENTIFICATION, REPETITI
 
 @dataclass(frozen=True)
 class Mode:
+    """A run's mode, which its header records as these four fields: the kind
+    and three counts, of which the game plays only the query budget."""
+
     kind: str = STANDARD
     omissions: int | str | None = None  # header data: an int count or "infinite"
     noise: int | None = None  # header data: no check reads either count
@@ -102,7 +105,7 @@ class Mode:
         for label, count in counts.items():
             if count is None:
                 continue
-            if not isinstance(count, int) or isinstance(count, bool):
+            if not is_int(count):
                 raise TypeError(f"{label} must be an int, got {count!r}")
             if count < 0:
                 raise ValueError(f"{label} must be nonnegative")
@@ -140,7 +143,6 @@ class Mode:
             "kind": self.kind,
             "omissions": self.omissions,
             "noise": self.noise,
-            "noise_known": True,  # a constant the trace format still carries
             "query_budget": self.query_budget,
         }
 
@@ -188,13 +190,16 @@ class Transcript:
 
 @dataclass(frozen=True)
 class RunResult:
-    """A finished run's facts. Its step times are sorted int64 columns."""
+    """A finished run's facts, each stated once. Its step times are sorted
+    int64 columns. Against an adaptive source, `certified_mistake_times` are
+    the trigger times, empty when nothing triggered, and
+    `final_stage_mistakes` counts the steps of the never-triggered last
+    stage."""
 
     mistake_times: array
     observed_convergence: int
     unknown_count: int
     validity_violations: tuple[str, ...]
-    no_trigger: bool = False
     certified_mistake_times: array = field(default_factory=functools.partial(array, "q"))
     final_stage_mistakes: int = 0
     distinct_at_convergence: int | None = None
@@ -210,7 +215,6 @@ class RunResult:
             "observed_convergence": self.observed_convergence,
             "unknown_count": self.unknown_count,
             "validity_violations": list(self.validity_violations),
-            "no_trigger": self.no_trigger,
             "certified_mistake_times": self.certified_mistake_times,
             "final_stage_mistakes": self.final_stage_mistakes,
             "distinct_at_convergence": self.distinct_at_convergence,
@@ -324,6 +328,8 @@ def run(
     convergence, unknown verdicts, stream checks) is read from the finished
     transcript and the run's seen set.
     """
+    if not is_int(horizon):
+        raise TypeError(f"horizon must be an int, got {horizon!r}")
     if horizon < 1:
         raise ValueError("horizon must be at least 1")
     _check_compat(generator, source, mode)
@@ -374,7 +380,6 @@ def run(
         observed_convergence=convergence,
         unknown_count=sum(map(codes.count, _UNKNOWN_CODES)),
         validity_violations=tuple(validate_stream(source, mode, records, seen)),
-        no_trigger=adaptive and not source.trigger_times,
         certified_mistake_times=source.trigger_times if adaptive else array("q"),
         final_stage_mistakes=source.final_stage_mistakes(horizon) if adaptive else 0,
         distinct_at_convergence=(
@@ -409,7 +414,7 @@ def validate_stream(source: Source, mode: Mode, records: Transcript, seen: set[i
     ordered = sorted(seen)
     noise = bisect.bisect_left(ordered, above) - bisect.bisect_left(ordered, below)
     noise -= sum(below <= x < above and x in seen for x in finite)
-    declared_noise = spec.noise_count
+    declared_noise = len(spec.noise)
     if noise > declared_noise:
         violations.append(f"noise-budget:{noise}>{declared_noise}")
     canonical = spec.order == "canonical" and spec.repeat_seed is None

@@ -55,7 +55,7 @@ from .generators import (
     noisy_from_sampleless,
     SamplelessFromNoisy,
 )
-from .langs import NEGATIVES, ClosedFormLanguage, suffix_from
+from .langs import NEGATIVES, ClosedFormLanguage, is_int, suffix_from
 from .sources import ScriptedSource, ScriptedSpec, Source
 from .sources import (
     noise_prefix_adversary,
@@ -219,13 +219,13 @@ def union_generator(name: str):
 
 def _union_defeat_cases(horizon: int, seed: int, params: dict, play):
     name = params["generators"]
-    adversary = staged_union_adversary()
-    sub = play(Case(f"thm3.1[{name}]", union_generator(name), adversary, Mode.standard(), horizon))
-    # trigger k's negative -(k + 1) is owed on the step after the trigger,
-    # so for each of the sorted trigger times below horizon - 1
-    certified = sub.result.certified_mistake_times
+    gen, adversary = union_generator(name), staged_union_adversary()
+    sub = play(Case(f"thm3.1[{name}]", gen, adversary, Mode.standard(), horizon))
+    # trigger k owes the negative -(k + 1), revealed on the step after it,
+    # for each of the sorted trigger times below horizon - 1
+    certified, reveals = sub.result.certified_mistake_times, sub.records.reveals
     owed = min(MIN_CERTIFIED, bisect.bisect_left(certified, horizon - 1))
-    missing = [-k for k in range(1, owed + 1) if -k not in adversary.seen]
+    missing = [-(k + 1) for k in range(owed) if reveals[certified[k] + 1] != -(k + 1)]
     if missing:
         yield f"negatives not all emitted: {missing}"
     if name == "max_plus_one":
@@ -399,10 +399,9 @@ def _omission_hierarchy_cases(horizon: int, seed: int, params: dict, play):
         name, n_omit = f"thm4.8[i={level},src{idx}]", len(src.spec.omissions)
         _check_level(name, n_omit, "omission", level)
         play(Case(name, gen, src, Mode.lossy(n_omit), scripted, t_star))
-    adversary = omission_adversary(level)
-    gen = OmissionTolerantGenerator(level)
-    play(Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon))
-    if not adversary.seen.isdisjoint(range(level + 1)):
+    gen, adversary = OmissionTolerantGenerator(level), omission_adversary(level)
+    sub = play(Case(f"thm4.8-adv[i={level}]", gen, adversary, Mode.standard(), horizon))
+    if not set(range(level + 1)).isdisjoint(sub.records.reveals):
         yield f"adversary emitted an omitted marker (i={level})"
 
 
@@ -443,14 +442,14 @@ def _noise_hierarchy_cases(horizon: int, seed: int, params: dict, play):
     scripted = min(horizon, SCRIPTED_HORIZON)
     for idx, (src, t_star) in enumerate(_noise_sources(level, scripted)):
         gen = NoiseTolerantGenerator(level)
-        name, noise = f"thm5.2[i={level},src{idx}]", src.spec.noise_count
+        name, noise = f"thm5.2[i={level},src{idx}]", len(src.spec.noise)
         _check_level(name, noise, "noise", level)
         play(Case(name, gen, src, Mode.noisy(noise), scripted, t_star))
-    adversary = noise_prefix_adversary(level)
-    gen = NoiseTolerantGenerator(level)
-    play(Case(f"thm5.2-adv[i={level}]", gen, adversary, Mode.standard(), horizon))
-    if adversary.noise_count() != level + 1:
-        yield f"adversary emitted {adversary.noise_count()} non-members, wanted {level + 1}"
+    gen, adversary = NoiseTolerantGenerator(level), noise_prefix_adversary(level)
+    sub = play(Case(f"thm5.2-adv[i={level}]", gen, adversary, Mode.standard(), horizon))
+    # the noise strings 0..level are the first level + 1 reveals
+    if list(sub.records.reveals[: level + 1]) != list(range(level + 1)):
+        yield f"adversary did not reveal its noise strings 0..{level} first"
 
 
 def _sensitivity_t_star(level: int) -> int:
@@ -469,7 +468,7 @@ def _sensitivity_cases(horizon: int, seed: int, params: dict, play):
         src = _scripted(suffix_from(j), noise=noise)
         gen = SensitivityGenerator(level)
         name = f"thm5.4[i={level},ray{idx}]"
-        _check_level(name, src.spec.noise_count, "noise", level)
+        _check_level(name, len(noise), "noise", level)
         play(Case(name, gen, src, Mode.noisy(len(noise)), scripted, j))
     # negative-side targets: correct once all the probe negatives have shown up
     probes = frozenset(range(-1, -(level + 2), -1))
@@ -609,7 +608,7 @@ def _repetition_cases(horizon: int, seed: int, params: dict, play):
 
 def _count(value: object, origin: str) -> tuple[int]:
     """One non-negative integer."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+    if not is_int(value) or value < 0:
         raise ValueError(f"{origin} must be a non-negative integer, got {value!r}")
     return (value,)
 
@@ -781,12 +780,17 @@ def run_experiment(
     shared checks and returns the finished SubRun, so a case's strategy and
     source go once the row moves on.
 
-    Raises ValueError, before any case runs, when `params` does not fit the
-    row's schema (see `matrix_rows`), and DuplicateSubRun when two sub-runs
-    share a trace file (`trace_file`), since one would overwrite the other.
+    Raises, before any case runs, TypeError when the horizon or the seed is
+    not an int (a bool included, which the header would write as `true`),
+    and ValueError when `params` does not fit the row's schema (see
+    `matrix_rows`). Raises DuplicateSubRun when two sub-runs share a trace
+    file (`trace_file`), since one would overwrite the other.
     """
     exp = EXPERIMENTS[ident]
     horizon = exp.default_horizon if horizon is None else horizon
+    for label, value in (("horizon", horizon), ("seed", seed)):
+        if not is_int(value):
+            raise TypeError(f"{label} must be an int, got {value!r}")
     rows: list[SummaryRow] = []
     all_subs: list[SubRun] = []
     files: set[str] = set()

@@ -82,11 +82,10 @@ class ClosedFormLanguage:
 
     @classmethod
     def from_record(cls, rec: dict) -> "ClosedFormLanguage":
-        return cls(
-            frozenset(rec.get("finite_part", ())),
-            rec.get("tail_start"),
-            bool(rec.get("include_negatives", False)),
-        )
+        """The language `to_record` wrote: each of the three keys is read as
+        given, so a missing one is a KeyError and a bad value is refused as
+        `__post_init__` refuses it."""
+        return cls(rec["finite_part"], rec["tail_start"], rec["include_negatives"])
 
 
 def suffix_from(j: int) -> ClosedFormLanguage:

@@ -15,7 +15,9 @@ Every stage, the first one included, is the values played before it plus
 some extras plus an upward ray, and plays the ramp up that ray; a noise
 prefix is the ramp just below stage 0's ray. The current stage lives in
 `play`'s locals; the adversary keeps one flat int64 column of the past
-ones, their trigger times, and every value it played once.
+ones, their trigger times, and every value it played once. What a played
+game shows, such as its noise prefix or its owed negatives, is read from
+the transcript's columns, not from the adversary.
 """
 
 from __future__ import annotations
@@ -124,10 +126,6 @@ class ScriptedSpec:
             seed = self.order.removeprefix("blocks:")
             if not seed.removeprefix("-").isdecimal() or self.order != f"blocks:{int(seed)}":
                 raise ValueError(f"unknown order {self.order!r}")
-
-    @property
-    def noise_count(self) -> int:
-        return len(self.noise)
 
     def stream(self) -> Iterator[int]:
         """A fresh iterator over the enumeration from its first step. Every
@@ -245,9 +243,10 @@ class StagedAdversary(Source):
     after it, its negative coming between), which is also the run's report
     of its certified mistakes. The rest is in the transcript:
     trigger k's output is the output at its time, and a stage's tail start
-    is the reveal at its start step. Every value played, the noise prefix
-    included, is kept once in `seen`, where `prefix` tells noise from truth;
-    the certified outputs and the markers are in `excluded`.
+    is the reveal at its start step, and the noise prefix is the first
+    `len(prefix)` reveals. Every value played, the noise prefix included,
+    is kept once in `seen`, which the guards and the verdict read; the
+    certified outputs and the markers are in `excluded`.
     It plays one game, and is deterministic given the outputs: its header
     names its construction and level, and a fresh one's `play` fed a trace's
     outputs gives back the trace's reveals, verdicts and trigger times.
@@ -355,11 +354,6 @@ class StagedAdversary(Source):
         """
         times = self.trigger_times
         return max(0, horizon - (times[-1] + 2 if times else len(self.prefix)))
-
-    def noise_count(self) -> int:
-        """Values played outside the limit language: the noise prefix values
-        played that the promised part does not hold."""
-        return sum(v >= 0 for v in self.seen.intersection(self.prefix))
 
 
 # construction: (it has the markers {0..level}, it rebuilds one above the

@@ -545,19 +545,16 @@ def naive_run(generator, source, mode, horizon):
     distinct = None
     if mode.kind == REPETITION:
         distinct = len({r.x for r in records[:convergence] if r.x is not None})
-    no_trigger = False
     certified = array("q")
     stage_mistakes = 0
     if twin is not None:
         certified = twin.certified_mistake_times
-        no_trigger = not certified
         stage_mistakes = twin.final_stage_mistakes(horizon)
     return records, RunResult(
         mistake_times=array("q", mistakes),
         observed_convergence=convergence,
         unknown_count=unknown,
         validity_violations=tuple(violations),
-        no_trigger=no_trigger,
         certified_mistake_times=certified,
         final_stage_mistakes=stage_mistakes,
         distinct_at_convergence=distinct,
@@ -586,7 +583,7 @@ def naive_validate_stream(records, source, mode, horizon):
     truth = spec.truth
     emitted = set(xs)
     noise_emitted = {v for v in xs if v not in truth}
-    declared_noise = spec.noise_count
+    declared_noise = len(spec.noise)
     if len(noise_emitted) > declared_noise:
         violations.append(f"noise-budget:{len(noise_emitted)}>{declared_noise}")
     if isinstance(spec.omissions, frozenset):

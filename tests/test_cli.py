@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+from array import array
 import json
 import re
 import weakref
@@ -11,9 +12,15 @@ from limitgen.cli import main
 from limitgen.engine import Mode
 from limitgen.errors import DuplicateSubRun
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
-from limitgen.generators import FollowSuffix, Generator
+from limitgen.generators import FollowSuffix, Generator, MinMinusOne
 from limitgen.langs import suffix_from
-from limitgen.sources import ScriptedSource, ScriptedSpec, StagedAdversary
+from limitgen.sources import (
+    ScriptedSource,
+    ScriptedSpec,
+    StagedAdversary,
+    noise_prefix_adversary,
+    omission_adversary,
+)
 
 from oracles import FaultyStagedAdversary
 
@@ -251,6 +258,59 @@ def test_quiet_strategy_needs_no_negatives_it_never_triggered(tmp_path, capsys):
     assert "PASS" in out and "negatives not all emitted" not in out
 
 
+# each adversary row's own check, made to fail: the row judges the run it
+# recorded, so a run whose reveals or trigger times break the construction
+# fails it with the check's message
+
+
+class _UnpaidAdversary(StagedAdversary):
+    """The staged union construction, its first owed negative overwritten in
+    the recorded reveals once the game is played."""
+
+    def play(self, step, records, horizon):
+        super().play(step, records, horizon)
+        records.reveals[self.trigger_times[0] + 1] = 10**6
+
+
+def test_union_row_fails_a_run_whose_owed_negative_is_not_revealed(monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "staged_union_adversary", lambda: _UnpaidAdversary("union"))
+    assert main(["--experiment", "thm3.1", "--horizon", "300"]) == 1
+    out = capsys.readouterr().out
+    assert out.count("FAIL  ") == 3 and out.count("negatives not all emitted: [-1]") == 3
+
+
+def test_union_row_fails_a_max_plus_one_run_with_another_mistake_prefix(
+    monkeypatch, tmp_path, capsys
+):
+    # a strategy that never triggers, played under the max_plus_one name:
+    # its final stage defeats it, but its certified mistakes are not 0, 2, 4, ...
+    monkeypatch.setattr(experiments, "union_generator", lambda _name: MinMinusOne())
+    config = tmp_path / "config.json"
+    entry = {"id": "thm3.1", "horizon": 300, "params": {"generators": ["max_plus_one"]}}
+    config.write_text(json.dumps({"experiments": [entry]}))
+    assert main(["--config", str(config)]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL  " in out and "mistake prefix () != (0, 2, 4, 6, 8, 10, 12, 14, 16, 18)" in out
+
+
+def test_omission_row_fails_an_adversary_that_reveals_a_marker(monkeypatch, capsys):
+    # the noise prefix adversary reveals the markers 0..i first
+    monkeypatch.setattr(experiments, "omission_adversary", noise_prefix_adversary)
+    assert main(["--experiment", "thm4.8-omit-i", "--horizon", "300"]) == 1
+    out = capsys.readouterr().out
+    for level in (0, 1, 2):
+        assert f"adversary emitted an omitted marker (i={level})" in out
+
+
+def test_noise_row_fails_an_adversary_without_its_noise_prefix(monkeypatch, capsys):
+    # the omission adversary starts on the ray above the markers
+    monkeypatch.setattr(experiments, "noise_prefix_adversary", omission_adversary)
+    assert main(["--experiment", "thm5.2-noise-i", "--horizon", "300"]) == 1
+    out = capsys.readouterr().out
+    for level in (0, 1, 2):
+        assert f"adversary did not reveal its noise strings 0..{level} first" in out
+
+
 def test_positive_case_with_t_star_past_its_horizon_fails(tmp_path, capsys):
     # no step is left to check, so the case must not pass
     assert main(["--experiment", "alg3-chain", "--horizon", "5"]) == 1
@@ -314,6 +374,22 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
 
 
 @pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"horizon": True}, "horizon must be an int, got True"),
+        ({"horizon": 50.0}, "horizon must be an int, got 50.0"),
+        ({"seed": True}, "seed must be an int, got True"),
+        ({"seed": "0"}, "seed must be an int, got '0'"),
+    ],
+)
+def test_run_experiment_refuses_a_horizon_or_seed_that_is_not_an_int(kwargs, message, monkeypatch):
+    # a bool would be written to the header as `true`, and run as 1 or 0
+    monkeypatch.setattr(engine, "run", _must_not_run)
+    with pytest.raises(TypeError, match=re.escape(message)):
+        experiments.run_experiment("alg3-chain", **kwargs)
+
+
+@pytest.mark.parametrize(
     "entry, message",
     [
         ("thm3.1", "config entry must be an object"),
@@ -360,8 +436,15 @@ def _largest_t_star(ident, level):
     """The largest t* of the row's scripted cases at `level`, drawn without
     running them."""
     drawn = []
-    for _ in EXPERIMENTS[ident].cases(3000, 0, {"i": level}, drawn.append) or ():
-        pass  # the row's own checks read runs that were never played
+
+    def draw(case):
+        # the row's own checks read a stand-in run of no steps
+        drawn.append(case)
+        result = engine.RunResult(array("q"), 0, 0, ())
+        return experiments.SubRun(case.name, {}, engine.Transcript(), result)
+
+    for _ in EXPERIMENTS[ident].cases(3000, 0, {"i": level}, draw) or ():
+        pass
     return max(c.t_star for c in drawn if c.t_star is not None)
 
 

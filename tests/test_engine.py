@@ -515,6 +515,13 @@ def test_a_stream_that_stops_before_the_horizon_is_a_breach():
     assert [r.x for r in steps(records)] == [3, 4]
 
 
+@pytest.mark.parametrize("horizon", [True, 5.0, "5"])
+def test_run_refuses_a_horizon_that_is_not_an_int(horizon):
+    # a bool would run as 1 step and be written to the header as `true`
+    with pytest.raises(TypeError, match="horizon must be an int, got"):
+        run(FollowSuffix(), Reveals([]), Mode.standard(), horizon)
+
+
 def test_transcript_keeps_int64_values_and_refuses_wider_ones():
     widest = [2**63 - 1, -(2**63)]
     records, _ = run(MinMinusOne(), Reveals(widest[:1]), Mode.standard(), 1)

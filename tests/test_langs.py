@@ -1,11 +1,12 @@
 import itertools
+import json
 
 import pytest
 from hypothesis import given, strategies as st
 
 from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from, zigzag_encode
 
-from oracles import TranscriptLimitLanguage, naive_elements, zigzag_decode
+from oracles import TRUTHS, TranscriptLimitLanguage, naive_elements, zigzag_decode
 
 SAMPLE_LANGUAGES = [
     suffix_from(0),
@@ -75,6 +76,29 @@ def test_enumeration_matches_remember_everything_reference(lang):
     assert list(itertools.islice(lang.elements(), 200)) == list(
         itertools.islice(naive_elements(lang), 200)
     )
+
+
+@given(lang=TRUTHS)
+def test_record_round_trips_through_json(lang):
+    assert ClosedFormLanguage.from_record(json.loads(json.dumps(lang.to_record()))) == lang
+
+
+@pytest.mark.parametrize(
+    "record, error",
+    [
+        # no key gets a default, and no value is coerced
+        ({"finite_part": [1], "include_negatives": 1}, KeyError),
+        ({"tail_start": 3, "include_negatives": False}, KeyError),
+        ({"finite_part": [1], "tail_start": 3}, KeyError),
+        ({"finite_part": [1], "tail_start": None, "include_negatives": 1}, TypeError),
+        ({"finite_part": [], "tail_start": 3, "include_negatives": 0}, TypeError),
+        ({"finite_part": [True], "tail_start": 3, "include_negatives": False}, TypeError),
+        ({"finite_part": [], "tail_start": 3.0, "include_negatives": False}, TypeError),
+    ],
+)
+def test_from_record_refuses_a_record_that_to_record_never_writes(record, error):
+    with pytest.raises(error):
+        ClosedFormLanguage.from_record(record)
 
 
 def test_zigzag_examples():

@@ -26,6 +26,13 @@ and the level, from which `tests/test_trace_replay.py` replays the trace.
 Only the header lines of the 14 adversary traces changed; their step and
 summary lines, and every scripted trace, are as before.
 
+Every digest was retaken again when the trace format dropped two keys that
+no check read: the header's `mode` record lost its constant `noise_known`,
+and the summary line lost `no_trigger`, which restated an empty
+`certified_mistake_times`. With those two keys removed from the old traces
+and each line written again as `engine._dump` writes it, every trace is as
+before, byte for byte; no step line changed.
+
 A faster or simpler path must leave every byte as it was; a deliberate trace
 format change updates these and says so.
 """
@@ -39,34 +46,34 @@ from limitgen import engine
 from limitgen.experiments import EXPERIMENTS, run_experiment
 
 DIGESTS = [
-    ("alg3-chain", "alg3[P7]", "7e9fefea29a3fff05e8934c2c2b7b71ba5c1df49e656c009804abb69f3605aa9"),
-    ("alg5-queries", "alg5-oracle[0]", "e031021bc0003205723390cf8443d4c2056606d04d74e1b44085ce21f784e36f"),
-    ("alg5-queries", "alg5-stripped[0]", "1a6ec4efe228db0b89c4658c43160e03fc964c003d61323801dc59a7678874ed"),
-    ("alg5-queries", "alg5-oracle[1]", "bf6c6411f8efedd11a390b0cf51a479f5ffe92606bc39167d029d3515f44c148"),
-    ("alg5-queries", "alg5-stripped[1]", "cdf729994644572ddab0034561c68708fe5ca58476f151ca533761bef11b2fdf"),
-    ("alg5-queries", "alg5-oracle[2]", "5b5c49caf2a04a29ada9ee0dd365d99036bca8b2f0917ede5280b234a1a466e4"),
-    ("alg5-queries", "alg5-stripped[2]", "ad5abd5bb00c1c5b46c67e808f79f52fdb3c76bb6c32f0a8a3ed51787ee72907"),
-    ("alg5-queries", "alg5-oracle[3]", "65a679f98d56a4e606b9849b0ce527633cbba75b56f1f8df0c8dd43d3c5d2d69"),
-    ("alg5-queries", "alg5-stripped[3]", "586186fd3e0e32bf7cbfae9a35791194921a193e4d2ac43a57a7b16ea202f357"),
-    ("alg6-identify", "alg6[k=0]", "68b3bca02b660f25be735a543b353666e8167289e7edfe015494e929dd50705b"),
-    ("alg6-identify", "alg6[k=1]", "637f1aae740ddd08bf11f4f87b37cca3b4d85dcfd7a9f9ac2306cb67c96b6632"),
-    ("alg6-identify", "alg6[k=2]", "eeafa05096a6cacdb6945617e4d2e468aef353ca55c333712c7a6b10e23967a0"),
+    ("alg3-chain", "alg3[P7]", "0f0f3a087e1e344357c940ffff8c436d42b3f4513ccec27775f46750277f31f8"),
+    ("alg5-queries", "alg5-oracle[0]", "4a468d90f5ef701db1329915406a1c5dd5df9fda9d520a924607214331ee5ebc"),
+    ("alg5-queries", "alg5-stripped[0]", "a484dc53a43adcddb52bf181db6ed14f39365607d1ae3ae4bfdc3308052a4e63"),
+    ("alg5-queries", "alg5-oracle[1]", "879dbb737489eca4ca2ee4022e5348c759ebbc5907b3b4710926a4ce72f58d63"),
+    ("alg5-queries", "alg5-stripped[1]", "2b5b94fe1ade0723a17915d3c9d06f2d1e2cdb741b08efa9a43366398b09da4c"),
+    ("alg5-queries", "alg5-oracle[2]", "2798ed0c2c19d01b1def75a970c5fb13124209cb5b0415ebbee745d0dc48cb1f"),
+    ("alg5-queries", "alg5-stripped[2]", "4a17dfbaf4570673e24f19a9342cb5f8ee2f8723329371c6a205892f9b3b3d02"),
+    ("alg5-queries", "alg5-oracle[3]", "d0b2fe186b60a969aa2a0ff8c02427b226627a0459b467c82b896acd7260883c"),
+    ("alg5-queries", "alg5-stripped[3]", "0123486a0c5cb1146dc96c8d536a497b5badec0a3f01600ba6379c0f7ae706d9"),
+    ("alg6-identify", "alg6[k=0]", "311008557bff4b6139a24a9eaa4c4b225b59bcf98c24c70f8b8276fde0cba83d"),
+    ("alg6-identify", "alg6[k=1]", "6a1176114188ea5f0ed8fdead4ef46998c2f40fd101718636f5b12dccdfccb28"),
+    ("alg6-identify", "alg6[k=2]", "ccb485ba4aa32fb1a4cfde0279d11aa95eb833effdd68cd4dd2c3570ce4a6407"),
 ]
 
 SUITE_DIGESTS = {
-    "alg1-2-equiv": "e8c9c1b5ba8823cbf066811b9e8f07a6d5f2b8bbedf9d2766d21c97d1375e993",
-    "alg3-chain": "a0b49b8200cfd6f35feeda68bdf66c6b31a910d2b0c3687bc3750e7a635f5b2b",
-    "alg4-feedback": "319448019cbdbc3f3ff354d7d180fb7451fad30cbd480f24fd513618884b4432",
-    "alg5-queries": "a5d7cc8eb6d8e738106c19775920ba4bf21d95f15e3b6dc1e41e89cd6bae5e9f",
-    "alg6-identify": "80fbadfc4399e4134a49988a4557e86403186f3f5ac15a6ca12a01c5c34b099d",
-    "appendixA-repetition": "30e6fd87ecafadd8a33df4cddcecf6b66a93bada30a28ea9d1a1142085b24e1a",
-    "thm3.1": "56f02b5008ca169f6449af3ebddb0fd6de84204e473601896f70217f61897373",
-    "thm3.1-pos": "62435b6f7b4cecd36220cef163605051852e1bae9f2c75decaedc1bfb6965cf0",
+    "alg1-2-equiv": "7a09b42b83876ab37e40b449fa826912f31461659280a32c73cf79ccd2955e63",
+    "alg3-chain": "81320024dc5ead0921be918456a6fded21adc15f8bc4ac0a902f7b918f17bf05",
+    "alg4-feedback": "ee4dcea98addc4803d3cfdff1f7be8bc81dec45f395a00c63d3049a16876c3f6",
+    "alg5-queries": "38dadaa7e04c3a22cbe756fb465a0d7ad74927363c8b5bf184342905eb725c3e",
+    "alg6-identify": "83d65c8895ffb8a975dafca123367bb4d78b20c2864e5a9b1204def6b95bcf54",
+    "appendixA-repetition": "e0488d669bb5bbe34f3d8fa4c902ed0e8cf1063ffc395686513f3b6b1434229e",
+    "thm3.1": "235b2001ecea7af34119134497d47d551bfe059ed7f64e7a95277a932e985a1d",
+    "thm3.1-pos": "3823378c89625973e2e307433ac516e5bac7449cd162d6bb8287ed23e3b76b83",
     "thm4.3-check": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-    "thm4.5-omissions": "eba35d5259690f05b684bdef4e56a288a92fbd59ee5f68bd402886021798f4f8",
-    "thm4.8-omit-i": "7e6fe6484f758869ebb58d8454bc20abbd221a5acafcce52dee353c3886148bb",
-    "thm5.2-noise-i": "17e103fdf6ad3bd271904cd10f2a56b6d5018036f1013af3ceabb00bb5febfb6",
-    "thm5.4-sensitivity": "82583afeabca4db538263287eb82eb2f86d01a4ae274cf4616049f051ab163db",
+    "thm4.5-omissions": "9f6d0f909f59a42b298db2157ffd6c18ff2aae8c4dd5a1d65e1bfe606958f860",
+    "thm4.8-omit-i": "a9b18ec3276a72decc2512ac1423d1bda0add16a9d0c9d36c7f5a33219b2d494",
+    "thm5.2-noise-i": "56722118bfec805bb2dab248f861819860a855b4e753eb3eb00ed6bb97d03083",
+    "thm5.4-sensitivity": "e1bf57c800382e999729b6154b6cb660a0f150955b6b786a07db11fd1bcb3046",
 }
 
 # (experiment, passed, mistakes, convergence, detail) per summary row
