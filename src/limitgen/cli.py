@@ -71,9 +71,8 @@ def _load_configs(path: str) -> list[dict]:
             raise ValueError(f"unknown keys {unknown} in the config entry of {ident}")
         if "horizon" in entry:
             _check_horizon(entry["horizon"], f"horizon of {ident}")
-        seed = entry.get("seed", 0)
-        if not is_int(seed):
-            raise ValueError(f"seed of {ident} must be an integer, got {seed!r}")
+        if "seed" in entry:
+            _check_seed(entry["seed"], f"seed of {ident}")
         for row, _ in matrix_rows(EXPERIMENTS[ident], entry.get("params", {})):
             if row in rows:
                 raise ValueError(f"config runs {row} twice, so its traces would overwrite each other")
@@ -86,6 +85,13 @@ def _check_horizon(value: object, origin: str) -> None:
         raise ValueError(f"{origin} must be a positive integer, got {value!r}")
     if value > sys.maxsize:  # a run's transcript could not even be indexed
         raise ValueError(f"{origin} must be at most {sys.maxsize}, got {value}")
+
+
+def _check_seed(value: object, origin: str) -> None:
+    if not is_int(value):
+        raise ValueError(f"{origin} must be an integer, got {value!r}")
+    if value < 0:  # random.Random seeds with abs(n), so -n would replay n's orders
+        raise ValueError(f"{origin} must be non-negative, got {value}")
 
 
 class _Invalid(Exception):
@@ -126,6 +132,7 @@ def _entries(args: argparse.Namespace) -> list[dict]:
             raise ValueError(f"unknown experiment {args.experiment!r}")
         if args.horizon is not None:
             _check_horizon(args.horizon, "--horizon")
+        _check_seed(args.seed, "--seed")
         for flag, path in (("--trace", args.trace), ("--summary", args.summary)):
             if path == "":
                 raise ValueError(f"{flag} must name a path, got ''")

@@ -782,7 +782,9 @@ def run_experiment(
 
     Raises, before any case runs, TypeError when the horizon or the seed is
     not an int (a bool included, which the header would write as `true`),
-    and ValueError when `params` does not fit the row's schema (see
+    and ValueError when the horizon is below 1, when the seed is negative
+    (`random.Random` seeds with its absolute value, so seeds -n and n would
+    play one order) or when `params` does not fit the row's schema (see
     `matrix_rows`). Raises DuplicateSubRun when two sub-runs share a trace
     file (`trace_file`), since one would overwrite the other.
     """
@@ -791,6 +793,10 @@ def run_experiment(
     for label, value in (("horizon", horizon), ("seed", seed)):
         if not is_int(value):
             raise TypeError(f"{label} must be an int, got {value!r}")
+    if horizon < 1:
+        raise ValueError("horizon must be at least 1")
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rows: list[SummaryRow] = []
     all_subs: list[SubRun] = []
     files: set[str] = set()

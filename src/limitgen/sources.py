@@ -26,7 +26,7 @@ import itertools
 import random
 from array import array
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import AdversaryRepeat, CertificateBroken
 from .langs import NEGATIVES, ClosedFormLanguage, is_int
@@ -79,10 +79,13 @@ class ScriptedSpec:
     noise: (position, value) insertions; a position is a non-negative int,
     and a value an int outside the truth.
     order: "canonical" or "blocks:<seed>" (seeded shuffle inside fixed-size
-    blocks, so coverage stays horizon-checkable); the seed is an integer as
-    `str` spells it, with no "+", space or leading zero.
-    repeat_seed: when set, an int: each element is repeated 1-5 times
-    (seeded).
+    blocks, so coverage stays horizon-checkable); the seed is a non-negative
+    integer as `str` spells it, with no "+", space or leading zero.
+    repeat_seed: when set, a non-negative int: each element is repeated 1-5
+    times (seeded).
+
+    A seed is never negative: `random.Random(n)` seeds with `abs(n)`, so
+    seeds -n and n would play one order under two names.
     """
 
     truth: ClosedFormLanguage
@@ -97,6 +100,8 @@ class ScriptedSpec:
         seed = self.repeat_seed
         if seed is not None and not is_int(seed):
             raise TypeError(f"repeat_seed must be an int or None, got {seed!r}")
+        if seed is not None and seed < 0:
+            raise ValueError(f"repeat_seed must be non-negative, got {seed}")
         if isinstance(self.omissions, str):
             if self.omissions != "every_other":
                 raise ValueError(f"unknown omission marker {self.omissions!r}")
@@ -124,8 +129,10 @@ class ScriptedSpec:
         if self.order != "canonical":
             # one spelling per seed, so the header names the order played
             seed = self.order.removeprefix("blocks:")
-            if not seed.removeprefix("-").isdecimal() or self.order != f"blocks:{int(seed)}":
-                raise ValueError(f"unknown order {self.order!r}")
+            if not seed.isdecimal() or self.order != f"blocks:{int(seed)}":
+                raise ValueError(
+                    f"unknown order {self.order!r}: its seed is a non-negative int as str spells it"
+                )
 
     def stream(self) -> Iterator[int]:
         """A fresh iterator over the enumeration from its first step. Every
@@ -133,9 +140,9 @@ class ScriptedSpec:
         spec uses, in this order: the truth's canonical order, the
         omissions, the block shuffle, the noise insertions and the repeats.
         A canonical spec with no omissions, noise or repeats plays
-        `truth.elements()` itself; that and the finite omissions are
-        iterators of C builtins, which the game loop reads without a Python
-        frame."""
+        `truth.elements()` itself. Every stage is an iterator of C builtins,
+        so the game loop reads a value without a Python frame; only the
+        shuffle calls one Python function, once per block."""
         stream = self.truth.elements()
         if self.omissions == "every_other":
             stream = itertools.islice(stream, 0, None, 2)
@@ -144,9 +151,9 @@ class ScriptedSpec:
         if self.order != "canonical":
             stream = _shuffled(stream, int(self.order.split(":", 1)[1]))
         if self.noise:
-            stream = _with_noise(stream, dict(self.noise))
+            stream = _with_noise(stream, self.noise)
         if self.repeat_seed is not None:
-            stream = _repeated(stream, random.Random(self.repeat_seed))
+            stream = _repeated(stream, self.repeat_seed)
         return stream
 
     def to_record(self) -> dict:
@@ -190,29 +197,45 @@ class ScriptedSource(Source):
 
 
 # the stages of `ScriptedSpec.stream`; each refers to its input stream and
-# its own parameters only, never back to the spec or the source
+# its own parameters only, never back to the spec or the source. They draw
+# from `getrandbits` as `random.shuffle` and `randint(1, 5)` do today, since
+# the `random` docs allow those algorithms to change across versions.
+
+# random.shuffle's swaps over a block: (i, bits of i + 1), i from last to 1
+_SWAPS = tuple((i, (i + 1).bit_length()) for i in range(PERMUTATION_BLOCK - 1, 0, -1))
+
+
 def _shuffled(stream: Iterator[int], seed: int) -> Iterator[int]:
-    rng = random.Random(seed)
-    while True:
-        block = list(itertools.islice(stream, PERMUTATION_BLOCK))
-        if not block:
-            return
-        rng.shuffle(block)
-        yield from block
+    getrandbits = random.Random(seed).getrandbits
+
+    def shuffle(block: tuple[int, ...]) -> list[int]:
+        out = list(block)
+        for i, bits in _SWAPS:
+            j = getrandbits(bits)  # drawn again until it is in 0..i
+            while j > i:
+                j = getrandbits(bits)
+            out[i], out[j] = out[j], out[i]
+        return out
+
+    # every truth is infinite, so every block is full
+    blocks = zip(*(stream,) * PERMUTATION_BLOCK)
+    return itertools.chain.from_iterable(map(shuffle, blocks))
 
 
-def _with_noise(stream: Iterator[int], schedule: dict[int, int]) -> Iterator[int]:
-    for pos in itertools.count():
-        if pos in schedule:
-            yield schedule[pos]
-        else:
-            yield next(stream)
+def _with_noise(stream: Iterator[int], noise: tuple[tuple[int, int], ...]) -> Iterator[int]:
+    parts: list[Iterable[int]] = []
+    start = 0  # the stream's values fill the positions from here to the next noise
+    for pos, value in sorted(noise):
+        parts += itertools.islice(stream, pos - start), (value,)
+        start = pos + 1
+    return itertools.chain(*parts, stream)
 
 
-def _repeated(stream: Iterator[int], rng: random.Random) -> Iterator[int]:
-    for v in stream:
-        for _ in range(rng.randint(1, 5)):
-            yield v
+def _repeated(stream: Iterator[int], seed: int) -> Iterator[int]:
+    # a count is 1 plus the first 3-bit draw below 5, as randint(1, 5) draws it
+    draws = map(random.Random(seed).getrandbits, itertools.repeat(3))
+    counts = map((1).__add__, filter((5).__gt__, draws))
+    return itertools.chain.from_iterable(map(itertools.repeat, stream, counts))
 
 
 class StagedAdversary(Source):

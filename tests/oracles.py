@@ -160,8 +160,10 @@ def scripted_specs(draw):
     n = draw(st.integers(0, min(3, len(outside))))
     values = draw(st.lists(st.sampled_from(outside), min_size=n, max_size=n, unique=True)) if n else []
     positions = draw(st.lists(st.integers(0, 20), min_size=n, max_size=n, unique=True))
-    order = draw(st.sampled_from(["canonical", "blocks:0", "blocks:3"]))
-    repeat_seed = draw(st.one_of(st.none(), st.integers(0, 5)))
+    # seeds from the whole non-negative range, each its own shuffle and repeat draws
+    seeds = st.integers(0, 2**80)
+    order = draw(st.one_of(st.just("canonical"), seeds.map("blocks:{}".format)))
+    repeat_seed = draw(st.one_of(st.none(), seeds))
     return ScriptedSpec(truth, order, omissions, tuple(zip(positions, values)), repeat_seed)
 
 

@@ -380,13 +380,22 @@ def test_trace_path_that_is_a_file_exits_2_before_running(monkeypatch, tmp_path,
         ({"horizon": 50.0}, "horizon must be an int, got 50.0"),
         ({"seed": True}, "seed must be an int, got True"),
         ({"seed": "0"}, "seed must be an int, got '0'"),
+        # a row that plays no step would pass, and one that does would fail
+        # inside its first case
+        ({"ident": "thm4.3-check", "horizon": 0}, "horizon must be at least 1"),
+        ({"ident": "thm4.5-omissions", "horizon": -3}, "horizon must be at least 1"),
+        # random.Random(-1) plays random.Random(1)'s draws
+        ({"ident": "thm3.1-pos", "seed": -1}, "seed must be non-negative, got -1"),
     ],
 )
 def test_run_experiment_refuses_a_horizon_or_seed_that_is_not_an_int(kwargs, message, monkeypatch):
     # a bool would be written to the header as `true`, and run as 1 or 0
-    monkeypatch.setattr(engine, "run", _must_not_run)
-    with pytest.raises(TypeError, match=re.escape(message)):
-        experiments.run_experiment("alg3-chain", **kwargs)
+    calls = []
+    monkeypatch.setattr(engine, "run", lambda *args: calls.append(args))
+    error = TypeError if "must be an int" in message else ValueError
+    with pytest.raises(error, match=re.escape(message)):
+        experiments.run_experiment(**{"ident": "alg3-chain", **kwargs})
+    assert calls == []
 
 
 @pytest.mark.parametrize(
@@ -420,6 +429,8 @@ def test_run_experiment_refuses_a_horizon_or_seed_that_is_not_an_int(kwargs, mes
             {"id": "thm3.1", "params": {"generators": ["omission:1", "omission:01"]}},
             "omission level must be a non-negative integer, got 'omission:01'",
         ),
+        # seed -2 would play seed 2's orders under another name
+        ({"id": "thm3.1-pos", "seed": -2}, "seed of thm3.1-pos must be non-negative, got -2"),
     ],
 )
 def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tmp_path, capsys):
@@ -430,6 +441,31 @@ def test_bad_config_entry_exits_2_before_running(entry, message, monkeypatch, tm
     assert main(["--config", str(config), "--trace", str(trace_dir)]) == 2
     assert message in capsys.readouterr().err
     assert not trace_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--experiment", "thm3.1-pos", "--seed", "-2"],
+        ["--experiment", "all", "--seed", "-4"],
+        ["--config", "CONFIG", "--seed", "-1"],
+    ],
+)
+def test_negative_seed_exits_2_before_running(args, monkeypatch, tmp_path, capsys):
+    # random.Random seeds with abs(n), so seed -2 would replay seed 2's
+    # orders under another name; a config entry without a seed takes --seed
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiments": [{"id": "appendixA-repetition"}]}))
+    summary = tmp_path / "summary.json"
+    summary.write_text("kept")
+    args = [str(config) if a == "CONFIG" else a for a in args]
+    assert main([*args, "--trace", str(tmp_path / "traces"), "--summary", str(summary)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [f"invalid config: --seed must be non-negative, got {args[-1]}"]
+    assert not (tmp_path / "traces").exists()
+    assert summary.read_text() == "kept"
 
 
 def _largest_t_star(ident, level):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import random
 import re
 import weakref
 
@@ -105,8 +106,14 @@ def test_scripted_rejects_bad_specs():
         ({"noise": ((True, -5),)}, ValueError, "position must be a non-negative int, got True"),
         ({"repeat_seed": True}, TypeError, "repeat_seed must be an int or None, got True"),
         ({"repeat_seed": 1.0}, TypeError, "repeat_seed must be an int or None, got 1.0"),
+        # random.Random(-n) plays random.Random(n)'s draws, so -n would replay n
+        ({"repeat_seed": -1}, ValueError, "repeat_seed must be non-negative, got -1"),
+        ({"order": "blocks:-1"}, ValueError, "unknown order 'blocks:-1'"),
     ],
-    ids=["negative-position", "float-position", "bool-position", "bool-seed", "float-seed"],
+    ids=[
+        "negative-position", "float-position", "bool-position", "bool-seed", "float-seed",
+        "negative-seed", "negative-order-seed",
+    ],
 )
 def test_scripted_spec_refuses_what_its_header_would_misstate(spec, error, message):
     with pytest.raises(error, match=re.escape(message)):
@@ -190,6 +197,24 @@ def test_stream_stages_match_the_four_stage_pipeline(spec):
     assert list(itertools.islice(spec.stream(), 200)) == list(
         itertools.islice(naive_stream(spec), 200)
     )
+
+
+def _no_python_level_draw(*args, **kwargs):
+    raise AssertionError("a stream stage drew through random.shuffle or randint")
+
+
+def test_stream_draws_only_through_getrandbits(monkeypatch):
+    # the `random` docs allow shuffle's and randint's algorithms to change
+    # across Python versions, so the played orders rest on the seeding and
+    # getrandbits alone
+    seeds = [0, 1, 3, 7, 255, 2**32 + 1, 10**20]
+    specs = [ScriptedSpec(suffix_from(0), f"blocks:{n}") for n in seeds]
+    specs += [ScriptedSpec(suffix_from(-2), repeat_seed=n) for n in seeds]
+    specs += [ScriptedSpec(suffix_from(0), f"blocks:{n}", noise=((5, -1),), repeat_seed=n + 1) for n in seeds]
+    expected = [list(itertools.islice(naive_stream(spec), 200)) for spec in specs]
+    for name in ("shuffle", "randint", "randrange"):
+        monkeypatch.setattr(random.Random, name, _no_python_level_draw)
+    assert [list(itertools.islice(spec.stream(), 200)) for spec in specs] == expected
 
 
 def test_scripted_source_plays_its_stream_once():
