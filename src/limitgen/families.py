@@ -6,7 +6,9 @@ represented by its parameters (a suffix family's required finite set and
 optional offset, a negatives family's forbidden finite set), and the rays
 {P_k} by an optional top index, never by materializing members; their
 closure, closure dimension and common intersection are answered in closed
-form, and a sample is consistent exactly when its closure is not None. A
+form (a family's common intersection is the closure of the empty sample,
+and the rays answer it without building that closure), and a sample is
+consistent exactly when its closure is not None. A
 listed collection is a short tuple of languages, answered by exact
 intersection. Tests cross-check both against brute-force enumeration on
 bounded windows.
@@ -114,7 +116,11 @@ class NegFamily(CollectionSpec):
 
 @dataclass(frozen=True)
 class RayFamily(CollectionSpec):
-    """The rays P_k for 0 <= k <= top, or for every k when top is None."""
+    """The rays P_k for 0 <= k <= top, or for every k when top is None.
+
+    The common intersection is the top ray P_top (empty without a top),
+    given directly: it is what the closure of the empty sample returns.
+    """
 
     top: int | None = None
 
@@ -131,6 +137,9 @@ class RayFamily(CollectionSpec):
             return frozenset()
         low = min(lows)
         return None if low < 0 else suffix_from(low)
+
+    def intersection(self) -> ClosedFormLanguage | frozenset[int]:
+        return frozenset() if self.top is None else suffix_from(self.top)
 
     def closure_dimension(self) -> int:
         # without a top the empty sample has an empty closure; with one,
@@ -176,7 +185,9 @@ class ChainSpec:
     """A monotone chain C_0 within C_1 within ..., given by a rule i -> C_i.
 
     Chain play reads each link once, in order, and asks it only for its
-    common intersection, so links are built when asked for and not kept.
+    common intersection, so links are built when asked for and not kept; a
+    link that answers its intersection in closed form (a `RayFamily`) costs
+    the same at every index.
     """
 
     rule: Callable[[int], CollectionSpec]

@@ -56,6 +56,13 @@ class UnionFeedbackGenerator(FeedbackGenerator):
     is infinite, since the sample is past the dimension, and its canonical
     order yields fresh candidates until the first \"No\" answer moves on to
     the next part, which starts gathering.
+
+    A streamed part's candidates come from one iterator, built when the part
+    starts streaming: the closure's canonical order less the live sample,
+    read through the sample's own `__contains__`, so each draw skips exactly
+    what has been revealed by then. A deep copy would share that sample
+    through the bound method, so only an unplayed strategy may be copied,
+    as `StripQueries` requires of its base.
     """
 
     def __init__(self, parts: Sequence[CollectionSpec]) -> None:
@@ -74,7 +81,7 @@ class UnionFeedbackGenerator(FeedbackGenerator):
     def _settle_part(self) -> None:
         """Start streaming once the sample outgrows the current part's
         dimension, skipping parts with no consistent member; runs before
-        each reveal."""
+        each reveal while no part streams."""
         while self._stream is None:
             if self.part_idx >= len(self.parts):
                 raise SearchExhausted("ran out of parts: target beyond the declared union")
@@ -84,7 +91,7 @@ class UnionFeedbackGenerator(FeedbackGenerator):
             if closure is None:
                 self._next_part()
                 continue
-            self._stream = closure.elements()
+            self._stream = itertools.filterfalse(self.sample.__contains__, closure.elements())
             self.candidate = None  # so this reveal draws the stream's first candidate
 
     def _next_part(self) -> None:
@@ -94,11 +101,12 @@ class UnionFeedbackGenerator(FeedbackGenerator):
 
     def step_query(self, revealed: int) -> int | None:
         self.t += 1
-        self._settle_part()
+        if self._stream is None:
+            self._settle_part()
         self.sample.add(revealed)
         # a streamed candidate is re-offered until it has been revealed
         if self._stream is not None and (self.candidate is None or self.candidate in self.sample):
-            self.candidate = next(itertools.filterfalse(self.sample.__contains__, self._stream))
+            self.candidate = next(self._stream)
         return self.candidate
 
     def step_output(self, revealed: int, answer: bool | None) -> int:

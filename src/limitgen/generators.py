@@ -170,7 +170,9 @@ def intersection_generator(spec: CollectionSpec) -> StreamGenerator:
 class ChainGenerator(Generator):
     """Sampleless strategy for a growing chain of collections: at step t,
     emit the first unused element (canonical order) of the common
-    intersection of link t."""
+    intersection of link t. The chain builds each link when asked and the
+    link answers its intersection itself, so a ray-prefix link costs the
+    same at every step."""
 
     needs_samples = False
 

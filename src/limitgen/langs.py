@@ -31,16 +31,21 @@ class ClosedFormLanguage:
 
     def __post_init__(self) -> None:
         # the header writes a language as given, so a bool (written `true`)
-        # or a float is refused rather than recorded
-        object.__setattr__(self, "finite_part", frozenset(self.finite_part))
-        for v in self.finite_part:
-            if not is_int(v):
+        # or a float is refused rather than recorded; a plain int passes
+        # the cheap `type` test, and anything else takes the full one
+        finite = self.finite_part
+        if type(finite) is not frozenset:
+            finite = frozenset(finite)
+            object.__setattr__(self, "finite_part", finite)
+        for v in finite:
+            if type(v) is not int and not is_int(v):
                 raise TypeError(f"a finite part member must be an int, got {v!r}")
-        if not (self.tail_start is None or is_int(self.tail_start)):
-            raise TypeError(f"tail_start must be an int or None, got {self.tail_start!r}")
+        tail = self.tail_start
+        if not (tail is None or type(tail) is int or is_int(tail)):
+            raise TypeError(f"tail_start must be an int or None, got {tail!r}")
         if type(self.include_negatives) is not bool:
             raise TypeError(f"include_negatives must be a bool, got {self.include_negatives!r}")
-        if (self.tail_start is None) != self.include_negatives:
+        if (tail is None) != self.include_negatives:
             raise ValueError("a language has exactly one ray: a tail or the negatives")
 
     def __contains__(self, x: int) -> bool:
@@ -50,12 +55,15 @@ class ClosedFormLanguage:
 
     def elements(self) -> Iterator[int]:
         """Canonical order: the finite part ascending, then the ray less the
-        finite part, an iterator of C builtins only."""
+        finite part, an iterator of C builtins only; with no finite part,
+        the bare ray."""
         finite = self.finite_part
         if self.include_negatives:
             ray = itertools.count(-1, -1)
         else:
             ray = itertools.count(self.tail_start)
+        if not finite:
+            return ray
         return itertools.chain(sorted(finite), itertools.filterfalse(finite.__contains__, ray))
 
     def normalized(self) -> "ClosedFormLanguage":

@@ -26,8 +26,9 @@ run leaves allocated, per step.
 
 The later sections keep the straightforward, superlinear versions of three
 incremental paths (query elimination, index identification and the
-ray-prefix chain links), the transcript replay that located the union
-strategy's last part move, the decoding of a transcript into one
+ray-prefix chain links), the union strategy that settled its part and
+built a fresh candidate filter on every step, the transcript replay that
+located the union strategy's last part move, the decoding of a transcript into one
 `StepRecord` per step (with its inverse, `transcript_of`) that the trace
 writer and `Transcript.asked` are checked against, the dict-per-step trace
 writer built on it, the game loop that branched on the mode every step,
@@ -398,6 +399,33 @@ def naive_ray_prefix_link(t: int) -> ExplicitCountable:
     """Link t of the ray-prefix chain as the plain list of rays P_0..P_t,
     answered by intersecting the listed rays."""
     return ExplicitCountable(languages=tuple(suffix_from(k) for k in range(t + 1)))
+
+
+class NaiveUnionFeedback(UnionFeedbackGenerator):
+    """The union strategy that settles its part before every reveal and
+    draws each fresh candidate through a new filter over the streamed
+    part's remember-everything enumeration."""
+
+    def _settle_part(self) -> None:
+        while self._stream is None:
+            if self.part_idx >= len(self.parts):
+                raise SearchExhausted("ran out of parts: target beyond the declared union")
+            if len(self.sample) <= self.dims[self.part_idx]:
+                return
+            closure = self.parts[self.part_idx].closure(self.sample)
+            if closure is None:
+                self._next_part()
+                continue
+            self._stream = naive_elements(closure)
+            self.candidate = None
+
+    def step_query(self, revealed: int) -> int | None:
+        self.t += 1
+        self._settle_part()
+        self.sample.add(revealed)
+        if self._stream is not None and (self.candidate is None or self.candidate in self.sample):
+            self.candidate = next(itertools.filterfalse(self.sample.__contains__, self._stream))
+        return self.candidate
 
 
 def replayed_last_part_move(parts, records) -> int:

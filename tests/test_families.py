@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from limitgen.errors import UnboundedClosureDimension
 from limitgen.families import (
     ExplicitCountable,
+    RayFamily,
     SuffixFamily,
     language_intersection,
     marked_neg_union,
@@ -159,11 +160,11 @@ def test_chain_links_shrink_and_stay_infinite():
         previous = members
 
 
-LINK_LO, LINK_HI = -3, 15
+LINK_LO, LINK_HI = -3, 42
 
 
 @given(
-    t=st.integers(0, 11),
+    t=st.integers(0, 40),
     sample=st.frozensets(st.integers(LINK_LO, LINK_HI), max_size=3),
 )
 def test_chain_links_match_materialized_rays(t, sample):
@@ -179,6 +180,31 @@ def test_chain_links_match_materialized_rays(t, sample):
         assert members_in(got, pts) == brute_closure(traces, sample)
     assert link.intersection() == naive.intersection()
     assert literal_traces(link, LINK_LO, LINK_HI) == traces
+
+
+BUILT_COLLECTIONS = (
+    [RayFamily(top=k) for k in range(41)]
+    + [ray_family(), neg_union(), suffix_union(), sensitivity_collection()]
+    + [make(i) for make in (marked_suffix_union, marked_neg_union, marked_union) for i in range(4)]
+    + [
+        SuffixFamily(offset=0),
+        SuffixFamily(offset=9),
+        ExplicitCountable(languages=(suffix_from(5),)),
+        ExplicitCountable(languages=(suffix_from(0), suffix_from(5))),
+        ExplicitCountable(
+            languages=(suffix_from(0), ClosedFormLanguage(frozenset({5}), None, True))
+        ),
+    ]
+)
+
+
+@pytest.mark.parametrize("family", BUILT_COLLECTIONS, ids=repr)
+def test_intersection_is_the_closure_of_no_sample(family):
+    # a family that answers its common intersection directly must give what
+    # the closure of the empty sample gives
+    got, want = family.intersection(), family.closure(())
+    assert type(got) is type(want)
+    assert got == want
 
 
 def test_language_intersection_shapes():

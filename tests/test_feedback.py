@@ -22,7 +22,13 @@ from limitgen.generators import FollowSuffix, MaxPlusOne, MinMinusOne
 from limitgen.langs import NEGATIVES, ClosedFormLanguage, suffix_from
 from limitgen.sources import ScriptedSource, ScriptedSpec
 
-from oracles import NaiveIndexIdentifier, NaiveStripQueries, replayed_last_part_move, retained_per_step
+from oracles import (
+    NaiveIndexIdentifier,
+    NaiveStripQueries,
+    NaiveUnionFeedback,
+    replayed_last_part_move,
+    retained_per_step,
+)
 
 
 def drive(gen, reveals, truth):
@@ -130,6 +136,40 @@ def test_union_last_part_move_matches_transcript_replay(truth, order):
     gen = UnionFeedbackGenerator(UNION_PARTS)
     records, _ = engine.run(gen, ScriptedSource(ScriptedSpec(truth, order)), Mode.feedback(), 80)
     assert gen.last_part_move == replayed_last_part_move(UNION_PARTS, records)
+
+
+def _play_union(gen, truth, order, horizon):
+    """The run's transcript columns, or the message it stopped with when the
+    truth lies beyond the parts."""
+    try:
+        records, _ = engine.run(gen, ScriptedSource(ScriptedSpec(truth, order)), Mode.feedback(), horizon)
+    except SearchExhausted as exc:
+        return ("exhausted", str(exc), gen.t)
+    return (records.reveals, records.queries, records.outputs, records.codes)
+
+
+@given(
+    truth=st.builds(
+        lambda finite, j: ClosedFormLanguage(finite, j, j is None),
+        st.frozensets(st.integers(-12, 12), max_size=4),
+        # rays from 10 up start beyond every part, so most such runs exhaust
+        st.one_of(st.none(), st.integers(0, 16)),
+    ),
+    order=st.one_of(st.just("canonical"), st.integers(0, 2**20).map("blocks:{}".format)),
+)
+def test_union_matches_the_settle_every_step_reference(truth, order):
+    fast, naive = UnionFeedbackGenerator(UNION_PARTS), NaiveUnionFeedback(UNION_PARTS)
+    assert _play_union(fast, truth, order, 60) == _play_union(naive, truth, order, 60)
+    assert (fast.part_idx, fast.last_part_move) == (naive.part_idx, naive.last_part_move)
+
+
+def test_union_reference_sees_an_exhausting_truth():
+    # the drawn truths above reach the exhaustion branch; pin one that does
+    truth = suffix_from(15)
+    fast, naive = UnionFeedbackGenerator(UNION_PARTS), NaiveUnionFeedback(UNION_PARTS)
+    got = _play_union(fast, truth, "canonical", 60)
+    assert got[:2] == ("exhausted", "ran out of parts: target beyond the declared union")
+    assert got == _play_union(naive, truth, "canonical", 60)
 
 
 @pytest.mark.parametrize("flip", [False, True])

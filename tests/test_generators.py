@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from limitgen import engine, generators
 from limitgen.engine import Mode
-from limitgen.experiments import union_generator
+from limitgen.experiments import _feedback_parts, union_generator
 from limitgen.errors import SearchExhausted
 from limitgen.families import ExplicitCountable, SuffixFamily, neg_union, ray_prefix_chain
 from limitgen.generators import (
@@ -425,6 +425,9 @@ def test_fresh_replays_identically():
     # each fresh-value draw must filter against the copy's own used set, not
     # the original's, which a filter kept from `__init__` would share
     gens += [NoisyFromStream(itertools.count()), ChainGenerator(ray_prefix_chain())]
+    # the union strategy keeps a filter over its live sample once a part
+    # streams, so it too is copied only unplayed
+    gens += [UnionFeedbackGenerator(_feedback_parts())]
     reveals = [3, -1, 3, 8, 0, -7, 11]
 
     def outputs(gen):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +100,47 @@ def test_record_round_trips_through_json(lang):
 def test_from_record_refuses_a_record_that_to_record_never_writes(record, error):
     with pytest.raises(error):
         ClosedFormLanguage.from_record(record)
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("make", [set, list, tuple, frozenset])
+def test_finite_part_is_frozen_once(make):
+    given_part = make([3, -1, 3])
+    lang = ClosedFormLanguage(given_part, 5, False)
+    assert type(lang.finite_part) is frozenset
+    assert lang.finite_part == frozenset({3, -1})
+    # a frozenset is kept as the same object, anything else is frozen
+    assert (lang.finite_part is given_part) == (make is frozenset)
+
+
+def test_int_subclasses_are_members_and_tails():
+    lang = ClosedFormLanguage(frozenset({_Int(2)}), _Int(7), False)
+    assert 2 in lang and 7 in lang and 6 not in lang
+
+
+@pytest.mark.parametrize(
+    "finite, tail, negatives, message",
+    [
+        (frozenset({True}), 5, False, "a finite part member must be an int, got True"),
+        ({1.5}, 5, False, "a finite part member must be an int, got 1.5"),
+        ([None], 5, False, "a finite part member must be an int, got None"),
+        (frozenset(), True, False, "tail_start must be an int or None, got True"),
+        (frozenset(), 2.0, False, "tail_start must be an int or None, got 2.0"),
+    ],
+)
+def test_refused_members_and_tails_keep_their_messages(finite, tail, negatives, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        ClosedFormLanguage(finite, tail, negatives)
+
+
+@pytest.mark.parametrize("lang", [suffix_from(0), suffix_from(-3), NEGATIVES])
+def test_bare_ray_enumeration_matches_reference(lang):
+    assert list(itertools.islice(lang.elements(), 200)) == list(
+        itertools.islice(naive_elements(lang), 200)
+    )
 
 
 def test_zigzag_examples():
