@@ -19,7 +19,6 @@ from . import engine
 from .errors import LimitGenError
 from .experiments import (
     EXPERIMENTS,
-    SubRun,
     SummaryRow,
     emit_summary,
     matrix_rows,
@@ -111,12 +110,6 @@ def _writing(path: Path | str) -> Iterator[IO[str]]:
         raise _Invalid(f"{path}: {exc.strerror or exc}") from exc
 
 
-def _write_traces(root: Path, subruns: list[SubRun]) -> None:
-    for sub in subruns:
-        with _writing(root / trace_file(sub.name)) as fp:
-            engine.write_trace(fp, sub.header, sub.records, sub.result)
-
-
 def _entries(args: argparse.Namespace) -> list[dict]:
     """The entries that `args` selects. Every input, the trace directory and
     the summary path included, is checked before anything runs, and the
@@ -136,6 +129,11 @@ def _entries(args: argparse.Namespace) -> list[dict]:
         for flag, path in (("--trace", args.trace), ("--summary", args.summary)):
             if path == "":
                 raise ValueError(f"{flag} must name a path, got ''")
+        for flag, path in (("--summary", args.summary), ("--config", args.config)):
+            # a trace written over the file, or the summary over a trace, is lost unsaid
+            if args.trace and path and Path(path).suffix == ".trace":
+                if Path(path).resolve().parent == Path(args.trace).resolve():
+                    raise ValueError(f"{flag} {path} is a trace file in the --trace directory")
         if args.trace:
             Path(args.trace).mkdir(parents=True, exist_ok=True)
         if args.summary:
@@ -147,25 +145,35 @@ def _entries(args: argparse.Namespace) -> list[dict]:
     return entries
 
 
-def _run(args: argparse.Namespace) -> list[SummaryRow]:
+def _run(args: argparse.Namespace, unfinished: list[str]) -> list[SummaryRow]:
     """Run the selected entries, writing each experiment's traces as soon as
-    it finishes; print the table, write the summary and return its rows."""
+    it finishes; print the table, write the summary and return its rows. An
+    experiment that stops the run says in `unfinished` how many traces it wrote."""
     rows: list[SummaryRow] = []
     for entry in _entries(args):
         horizon = entry.get("horizon", args.horizon)
+        written = 0
         try:
-            entry_rows, subruns = run_experiment(
-                entry["id"],
-                horizon=horizon,
-                seed=entry.get("seed", args.seed),
-                params=entry.get("params"),
-            )
-        except MemoryError:  # a run's transcript is allocated up front
-            raise _Invalid(f"horizon {horizon} of {entry['id']} does not fit in memory") from None
+            try:
+                entry_rows, subruns = run_experiment(
+                    entry["id"],
+                    horizon=horizon,
+                    seed=entry.get("seed", args.seed),
+                    params=entry.get("params"),
+                )
+            except MemoryError:  # a run's transcript is allocated up front
+                raise _Invalid(f"horizon {horizon} of {entry['id']} does not fit in memory") from None
+            # on a failed write, `written` is the count of the traces before it
+            for written, sub in enumerate(subruns if args.trace else ()):
+                with _writing(Path(args.trace) / trace_file(sub.name)) as fp:
+                    engine.write_trace(fp, sub.header, sub.records, sub.result)
+        except (_Invalid, LimitGenError):
+            if args.trace:
+                wrote = f"{entry['id']} did not finish: this run wrote {written or 'none'}"
+                unfinished.append(f"{wrote} of its traces in {args.trace}")
+            raise
         rows.extend(entry_rows)
-        if args.trace:
-            _write_traces(Path(args.trace), subruns)
-        del subruns  # free this experiment's records before the next one runs
+        subruns = sub = None  # free this experiment's records before the next one runs
     print(emit_summary(rows))
     if args.summary:
         with _writing(args.summary) as fp:
@@ -193,13 +201,14 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.config or args.experiment):
         print("nothing to do: pass --experiment, --config, --list, or --describe")
         return 2
+    unfinished: list[str] = []
     try:
-        rows = _run(args)
+        rows = _run(args, unfinished)
     except _Invalid as exc:
-        print(f"invalid config: {exc}", file=sys.stderr)
+        print(f"invalid config: {exc}", *unfinished, sep="\n", file=sys.stderr)
         return 2
     except LimitGenError as exc:
-        print(f"internal invariant breach: {exc}", file=sys.stderr)
+        print(f"internal invariant breach: {exc}", *unfinished, sep="\n", file=sys.stderr)
         return 3
     return 0 if all(r.passed for r in rows) else 1
 

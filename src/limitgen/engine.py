@@ -154,6 +154,7 @@ _YES_CODE, _NO_CODE = 3, 6
 _MISTAKE_CODES = bytes(code % 3 == 1 for code in range(256))
 _UNKNOWN_CODES = bytes((2, 2 + _YES_CODE, 2 + _NO_CODE))  # an Unknown's codes
 _ASKED_CODES = bytes(code >= _YES_CODE for code in range(256))  # 1 at each answered code
+_REFUSED_CODES = bytes(code >= _NO_CODE for code in range(256))  # 1 at each "No" code
 
 
 class Transcript:
@@ -163,7 +164,7 @@ class Transcript:
     sampleless play), `queries` holds the asked queries only, in order, and
     `codes` one byte per step for the answer and the verdict. A run sets
     `codes` to one zero byte per step up front and fills them in place.
-    `len()` is the step count; `asked()` yields the steps that asked a query.
+    `len()` is the step count, `asked()` yields the asking steps, `refused()` marks the "No"s.
     """
 
     __slots__ = ("reveals", "queries", "outputs", "codes")
@@ -187,6 +188,10 @@ class Transcript:
         answers = map(_NO_CODE.__gt__, itertools.compress(codes, mask))  # "Yes" codes are below it
         return zip(times, self.queries, answers)
 
+    def refused(self) -> bytes:
+        """One byte per step: 1 where the step's query was answered "No", else 0."""
+        return self.codes.translate(_REFUSED_CODES)
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -202,7 +207,6 @@ class RunResult:
     validity_violations: tuple[str, ...]
     certified_mistake_times: array = field(default_factory=functools.partial(array, "q"))
     final_stage_mistakes: int = 0
-    distinct_at_convergence: int | None = None
 
     @property
     def mistakes(self) -> int:
@@ -217,7 +221,6 @@ class RunResult:
             "validity_violations": list(self.validity_violations),
             "certified_mistake_times": self.certified_mistake_times,
             "final_stage_mistakes": self.final_stage_mistakes,
-            "distinct_at_convergence": self.distinct_at_convergence,
         }
 
 
@@ -374,17 +377,13 @@ def run(
             f"the source stopped revealing at step {len(records.outputs)} of {horizon}"
         )
     mistakes = array("q", itertools.compress(range(horizon), codes.translate(_MISTAKE_CODES)))
-    convergence = mistakes[-1] + 1 if mistakes else 0
     return records, RunResult(
         mistake_times=mistakes,
-        observed_convergence=convergence,
+        observed_convergence=mistakes[-1] + 1 if mistakes else 0,
         unknown_count=sum(map(codes.count, _UNKNOWN_CODES)),
         validity_violations=tuple(validate_stream(source, mode, records, seen)),
         certified_mistake_times=source.trigger_times if adaptive else array("q"),
         final_stage_mistakes=source.final_stage_mistakes(horizon) if adaptive else 0,
-        distinct_at_convergence=(
-            len(set(records.reveals[:convergence])) if mode.kind == REPETITION else None
-        ),
     )
 
 

@@ -510,13 +510,13 @@ def _feedback_union_cases(horizon: int, seed: int, params: dict, play):
         limit = _first_part_index(truth)
         for order in orders:
             gen = UnionFeedbackGenerator(_feedback_parts())
-            src = _scripted(truth, order=order)
             name = f"alg4[case{idx},{limit}:{order}]"
-            sub = play(Case(name, gen, src, Mode.feedback(), horizon))
-            if gen.part_idx > limit:
-                yield f"{name}: reached part {gen.part_idx}, first fit is {limit}"
-            # no mistake once the strategy has settled on its last part
-            yield from _check_zero_mistakes_from(sub.result, gen.last_part_move + 1, horizon, name)
+            sub = play(Case(name, gen, _scripted(truth, order=order), Mode.feedback(), horizon))
+            refused = sub.records.refused()  # one part move per "No": no part gathers or skips
+            if refused.count(1) > limit:
+                yield f"{name}: reached part {refused.count(1)}, first fit is {limit}"
+            # no mistake once the strategy has settled on its last part, after its last "No"
+            yield from _check_zero_mistakes_from(sub.result, refused.rfind(1) + 1, horizon, name)
             for t, y, a in sub.records.asked():
                 if a != (y in truth):
                     yield f"{name}: oracle answer mismatch at t={t}"
@@ -596,11 +596,9 @@ def _repetition_cases(horizon: int, seed: int, params: dict, play):
         plain = play(Case(name, make(), _scripted(truth), Mode.standard(), horizon, t_star))
         for sub in runs:
             # no mistake once more distinct samples came than the base run needed
-            if sub.result.distinct_at_convergence > plain.result.observed_convergence:
-                yield (
-                    f"{sub.name}: mistake at t={sub.result.observed_convergence - 1} "
-                    "after convergence length"
-                )
+            convergence = sub.result.observed_convergence
+            if len(set(sub.records.reveals[:convergence])) > plain.result.observed_convergence:
+                yield f"{sub.name}: mistake at t={convergence - 1} after convergence length"
 
 
 # --- the table --------------------------------------------------------------

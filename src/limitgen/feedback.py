@@ -75,8 +75,6 @@ class UnionFeedbackGenerator(FeedbackGenerator):
         self.sample: set[int] = set()
         self.candidate: int | None = 0
         self._stream: Iterator[int] | None = None
-        self.t = -1
-        self.last_part_move = -1  # last step on which part_idx moved
 
     def _settle_part(self) -> None:
         """Start streaming once the sample outgrows the current part's
@@ -97,10 +95,8 @@ class UnionFeedbackGenerator(FeedbackGenerator):
     def _next_part(self) -> None:
         self.part_idx += 1
         self._stream = None
-        self.last_part_move = self.t
 
     def step_query(self, revealed: int) -> int | None:
-        self.t += 1
         if self._stream is None:
             self._settle_part()
         self.sample.add(revealed)

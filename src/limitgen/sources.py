@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 from .errors import AdversaryRepeat, CertificateBroken
-from .langs import NEGATIVES, ClosedFormLanguage, is_int
+from .langs import ClosedFormLanguage, is_int
 
 if TYPE_CHECKING:
     from .engine import Transcript
@@ -46,7 +46,7 @@ class Source:
     writes its verdict's code. It keeps every value it played once, in
     `seen`, and reports its certified mistakes as `trigger_times` and
     `final_stage_mistakes(horizon)`. Both kinds give their trace header's
-    `truth` and `source` records as `header()`.
+    `source` record as `header()`; a scripted one holds the truth.
 
     `emit` and `observe` are stubs that no source defines: the benchmark's
     tracer (`bench/tracer.py`) wraps `ScriptedSource.emit`,
@@ -192,8 +192,7 @@ class ScriptedSource(Source):
         return self.spec.truth
 
     def header(self) -> dict:
-        truth = {"kind": "closed_form", **self.spec.truth.to_record()}
-        return {"truth": truth, "source": self.spec.to_record()}
+        return {"source": self.spec.to_record()}
 
 
 # the stages of `ScriptedSpec.stream`; each refers to its input stream and
@@ -361,9 +360,7 @@ class StagedAdversary(Source):
                 codes[t] = 1 if z in excluded else 2
 
     def header(self) -> dict:
-        truth = {"kind": "transcript_limit", "promised": NEGATIVES.to_record()}
-        source = {"kind": "staged", "construction": self.construction, "level": self.level}
-        return {"truth": truth, "source": source}
+        return {"source": {"kind": "staged", "construction": self.construction, "level": self.level}}
 
     # -- reporting ---------------------------------------------------------
     def final_stage_mistakes(self, horizon: int) -> int:

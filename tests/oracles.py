@@ -404,7 +404,18 @@ def naive_ray_prefix_link(t: int) -> ExplicitCountable:
 class NaiveUnionFeedback(UnionFeedbackGenerator):
     """The union strategy that settles its part before every reveal and
     draws each fresh candidate through a new filter over the streamed
-    part's remember-everything enumeration."""
+    part's remember-everything enumeration. It counts its steps, `t`, and
+    keeps the last step on which its part moved, `last_part_move` (-1 if
+    none), which the fast strategy leaves to its transcript's answers."""
+
+    def __init__(self, parts) -> None:
+        super().__init__(parts)
+        self.t = -1
+        self.last_part_move = -1
+
+    def _next_part(self) -> None:
+        super()._next_part()
+        self.last_part_move = self.t
 
     def _settle_part(self) -> None:
         while self._stream is None:
@@ -426,21 +437,6 @@ class NaiveUnionFeedback(UnionFeedbackGenerator):
         if self._stream is not None and (self.candidate is None or self.candidate in self.sample):
             self.candidate = next(itertools.filterfalse(self.sample.__contains__, self._stream))
         return self.candidate
-
-
-def replayed_last_part_move(parts, records) -> int:
-    """The last step on which the union strategy moved to another part, found
-    by replaying the transcript through a fresh strategy (-1 if it never
-    moved)."""
-    probe = UnionFeedbackGenerator(parts)
-    last = -1
-    for r in steps(records):
-        before = probe.part_idx
-        probe.step_query(r.x)
-        probe.step_output(r.x, r.a)
-        if probe.part_idx != before:
-            last = r.t
-    return last
 
 
 # --- step records and the dict-per-step reference for the trace writer -----
@@ -572,9 +568,6 @@ def naive_run(generator, source, mode, horizon):
         records.append(StepRecord(t, x, y, a, z, v))
     violations.extend(naive_validate_stream(records, source, mode, horizon))
     convergence = mistakes[-1] + 1 if mistakes else 0
-    distinct = None
-    if mode.kind == REPETITION:
-        distinct = len({r.x for r in records[:convergence] if r.x is not None})
     certified = array("q")
     stage_mistakes = 0
     if twin is not None:
@@ -587,7 +580,6 @@ def naive_run(generator, source, mode, horizon):
         validity_violations=tuple(violations),
         certified_mistake_times=certified,
         final_stage_mistakes=stage_mistakes,
-        distinct_at_convergence=distinct,
     )
 
 

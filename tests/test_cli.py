@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import itertools
 from array import array
 import json
 import re
@@ -12,7 +13,7 @@ from limitgen.cli import main
 from limitgen.engine import Mode
 from limitgen.errors import DuplicateSubRun
 from limitgen.experiments import EXPERIMENTS, SummaryRow, emit_summary
-from limitgen.generators import FollowSuffix, Generator, MinMinusOne
+from limitgen.generators import DedupWrapper, FollowSuffix, Generator, MinMinusOne
 from limitgen.langs import suffix_from
 from limitgen.sources import (
     ScriptedSource,
@@ -311,6 +312,70 @@ def test_noise_row_fails_an_adversary_without_its_noise_prefix(monkeypatch, caps
         assert f"adversary did not reveal its noise strings 0..{level} first" in out
 
 
+class _Outputs(Generator):
+    """A stand-in for the round trip's sampleless stream: `values` in order."""
+
+    needs_samples = False
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def step(self, revealed=None):
+        return next(self._values)
+
+
+class _RepeatsAtStep100(DedupWrapper):
+    """Outputs the reveal of step 100, a value already seen."""
+
+    def __init__(self, base):
+        super().__init__(base)
+        self._t = -1
+
+    def step(self, revealed):
+        self._t += 1
+        z = super().step(revealed)
+        return revealed if self._t == 100 else z
+
+
+@pytest.mark.parametrize(
+    "name, value, ident, message",
+    [
+        (
+            "SamplelessFromNoisy",
+            lambda base: _Outputs(itertools.repeat(-1)),
+            "alg1-2-equiv",
+            "round-trip stream is not injective",
+        ),
+        (
+            "SamplelessFromNoisy",
+            lambda base: _Outputs(itertools.count()),
+            "alg1-2-equiv",
+            "round-trip stream leaves the common core: [21, 22, 23, 24, 25]",
+        ),
+        (
+            "uniform_without_samples_check",
+            lambda collection: True,
+            "thm4.3-check",
+            "C1: infinite-core check returned True, expected False",
+        ),
+        (
+            "DedupWrapper",
+            _RepeatsAtStep100,
+            "appendixA-repetition",
+            "appendixA[follow_suffix,seed=0]: mistake at t=100 after convergence length",
+        ),
+    ],
+)
+def test_row_checks_fail_their_row(name, value, ident, message, monkeypatch):
+    """A round trip that repeats or leaves the core, a core check that
+    misclassifies and a repetition run that errs late must each fail their
+    row."""
+    monkeypatch.setattr(experiments, name, value)
+    (row,), _ = experiments.run_experiment(ident)
+    assert not row.passed
+    assert message in row.detail.split("; ")
+
+
 def test_positive_case_with_t_star_past_its_horizon_fails(tmp_path, capsys):
     # no step is left to check, so the case must not pass
     assert main(["--experiment", "alg3-chain", "--horizon", "5"]) == 1
@@ -597,8 +662,10 @@ def test_unwritable_trace_file_exits_2(tmp_path, capsys):
     blocked = tmp_path / "traces" / "alg3[P7].trace"
     blocked.mkdir(parents=True)
     assert main(["--experiment", "alg3-chain", "--trace", str(blocked.parent)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"invalid config: {blocked}: Is a directory\n"
+    assert capsys.readouterr().err == (
+        f"invalid config: {blocked}: Is a directory\n"
+        f"alg3-chain did not finish: this run wrote none of its traces in {blocked.parent}\n"
+    )
 
 
 def test_failed_trace_or_summary_write_exits_2(monkeypatch, tmp_path, capsys):
@@ -608,11 +675,72 @@ def test_failed_trace_or_summary_write_exits_2(monkeypatch, tmp_path, capsys):
     trace = tmp_path / "traces" / "alg3[P7].trace"
     monkeypatch.setattr(engine, "write_trace", disk_full)
     assert main(["--experiment", "alg3-chain", "--trace", str(trace.parent)]) == 2
-    assert capsys.readouterr().err == f"invalid config: {trace}: No space left on device\n"
+    assert capsys.readouterr().err == (
+        f"invalid config: {trace}: No space left on device\n"
+        f"alg3-chain did not finish: this run wrote none of its traces in {trace.parent}\n"
+    )
     monkeypatch.setattr(json, "dump", disk_full)
     summary = tmp_path / "s.json"
     assert main(["--experiment", "alg3-chain", "--summary", str(summary)]) == 2
     assert capsys.readouterr().err == f"invalid config: {summary}: No space left on device\n"
+
+
+def test_trace_write_failing_midway_says_how_many_traces_it_wrote(monkeypatch, tmp_path, capsys):
+    write, opened = engine.write_trace, []
+
+    def second_write_fails(fp, *args):
+        opened.append(fp.name)
+        if len(opened) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(fp, *args)
+
+    monkeypatch.setattr(engine, "write_trace", second_write_fails)
+    trace_dir = tmp_path / "traces"
+    assert main(["--experiment", "thm3.1", "--horizon", "50", "--trace", str(trace_dir)]) == 2
+    assert capsys.readouterr().err == (
+        f"invalid config: {opened[1]}: No space left on device\n"
+        f"thm3.1 did not finish: this run wrote 1 of its traces in {trace_dir}\n"
+    )
+
+
+def test_failed_run_names_the_experiment_whose_traces_it_did_not_write(
+    monkeypatch, tmp_path, capsys
+):
+    # the directory keeps the earlier run's traces of the unfinished experiment
+    trace_dir = tmp_path / "traces"
+    argv = ["--experiment", "thm3.1", "--horizon", "50", "--trace", str(trace_dir)]
+    assert main(argv) == 0
+    before = {p.name: p.stat().st_mtime_ns for p in trace_dir.iterdir()}
+    assert len(before) == 3
+    capsys.readouterr()
+    monkeypatch.setattr(experiments, "staged_union_adversary", _repeating_adversary)
+    assert main(argv) == 3
+    breach, note = capsys.readouterr().err.splitlines()
+    assert breach.startswith("internal invariant breach: ")
+    assert note == f"thm3.1 did not finish: this run wrote none of its traces in {trace_dir}"
+    assert {p.name: p.stat().st_mtime_ns for p in trace_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("flag", ["--summary", "--config"])
+def test_summary_or_config_among_the_traces_exits_2_before_running(
+    flag, monkeypatch, tmp_path, capsys
+):
+    # a trace written over the file, or the summary over a trace, would be lost
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    trace_dir = tmp_path / "traces"
+    path = trace_dir / "alg3[P7].trace"
+    if flag == "--config":
+        trace_dir.mkdir()
+        path.write_text(json.dumps({"experiments": [{"id": "alg3-chain"}]}))
+        argv = ["--config", str(path)]
+    else:
+        argv = ["--experiment", "alg3-chain", "--summary", str(path)]
+    before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert main([*argv, "--trace", str(trace_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"invalid config: {flag} {path} is a trace file in the --trace directory\n"
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+    assert trace_dir.exists() == (flag == "--config")
 
 
 def test_finished_experiments_subruns_are_freed_before_the_next_runs(monkeypatch, tmp_path, capsys):

@@ -26,7 +26,6 @@ from oracles import (
     NaiveIndexIdentifier,
     NaiveStripQueries,
     NaiveUnionFeedback,
-    replayed_last_part_move,
     retained_per_step,
 )
 
@@ -117,7 +116,7 @@ def test_union_skips_a_part_with_no_consistent_member():
     source = ScriptedSource(ScriptedSpec(ClosedFormLanguage({-5}, 0, False)))
     records, result = engine.run(gen, source, Mode.feedback(), 30)
     assert gen.part_idx == 1
-    assert gen.last_part_move == 1 == replayed_last_part_move(parts, records)
+    assert all(a for _, _, a in records.asked())  # no "No" answer shows the skip
     assert list(records.outputs) == list(range(30))
     assert result.mistakes == 0
 
@@ -132,10 +131,14 @@ UNION_TRUTHS = st.builds(
 
 
 @given(truth=UNION_TRUTHS, order=st.sampled_from(["canonical", "blocks:0", "blocks:1", "blocks:7"]))
-def test_union_last_part_move_matches_transcript_replay(truth, order):
-    gen = UnionFeedbackGenerator(UNION_PARTS)
+def test_alg4_reads_each_part_move_from_a_no_answer(truth, order):
+    # alg4 takes its part bound and its t* from the "No" answers: over its
+    # parts, the strategy moves once per "No", on the step of the "No"
+    gen = NaiveUnionFeedback(UNION_PARTS)
     records, _ = engine.run(gen, ScriptedSource(ScriptedSpec(truth, order)), Mode.feedback(), 80)
-    assert gen.last_part_move == replayed_last_part_move(UNION_PARTS, records)
+    refused = records.refused()
+    assert gen.part_idx == refused.count(1)
+    assert gen.last_part_move == refused.rfind(1)
 
 
 def _play_union(gen, truth, order, horizon):
@@ -144,7 +147,7 @@ def _play_union(gen, truth, order, horizon):
     try:
         records, _ = engine.run(gen, ScriptedSource(ScriptedSpec(truth, order)), Mode.feedback(), horizon)
     except SearchExhausted as exc:
-        return ("exhausted", str(exc), gen.t)
+        return ("exhausted", str(exc), len(gen.sample))
     return (records.reveals, records.queries, records.outputs, records.codes)
 
 
@@ -160,7 +163,7 @@ def _play_union(gen, truth, order, horizon):
 def test_union_matches_the_settle_every_step_reference(truth, order):
     fast, naive = UnionFeedbackGenerator(UNION_PARTS), NaiveUnionFeedback(UNION_PARTS)
     assert _play_union(fast, truth, order, 60) == _play_union(naive, truth, order, 60)
-    assert (fast.part_idx, fast.last_part_move) == (naive.part_idx, naive.last_part_move)
+    assert fast.part_idx == naive.part_idx
 
 
 def test_union_reference_sees_an_exhausting_truth():
@@ -175,7 +178,8 @@ def test_union_reference_sees_an_exhausting_truth():
 @pytest.mark.parametrize("flip", [False, True])
 def test_alg4_flags_a_flipped_oracle_answer(flip, monkeypatch):
     """Flip the answer byte of the first asked step of alg4's first case
-    when `flip` is set: the row's answer walk must name that step."""
+    when `flip` is set: the row's answer walk must name that step. (The
+    flip's "No" also counts as a part move, so the row says more.)"""
     run = engine.run
     asked = []
 
@@ -191,8 +195,8 @@ def test_alg4_flags_a_flipped_oracle_answer(flip, monkeypatch):
 
     monkeypatch.setattr(engine, "run", flipping_run)
     rows, subs = experiments.run_experiment("alg4-feedback", 100)
-    expected = f"{subs[0].name}: oracle answer mismatch at t={asked[0]}" if flip else ""
-    assert rows[0].detail == expected
+    mismatch = f"{subs[0].name}: oracle answer mismatch at t={asked[0]}"
+    assert (mismatch in rows[0].detail.split("; ")) if flip else rows[0].detail == ""
 
 
 class _RegressingStrip(StripQueries):
@@ -204,9 +208,31 @@ class _RegressingStrip(StripQueries):
         return z
 
 
+class _RepeatsAfterAPartMove(UnionFeedbackGenerator):
+    """Outputs the step's reveal, a value already seen, on the step after
+    each part move, which is its t* after its last "No"."""
+
+    _moved = False
+
+    def _next_part(self):
+        super()._next_part()
+        self._moved = True
+
+    def step_output(self, revealed, answer):
+        moved, self._moved = self._moved, False
+        z = super().step_output(revealed, answer)
+        return revealed if moved else z
+
+
 @pytest.mark.parametrize(
     "name, value, ident, message",
     [
+        (
+            "UnionFeedbackGenerator",
+            _RepeatsAfterAPartMove,
+            "alg4-feedback",
+            "alg4[case3,1:canonical]: mistakes at [1] despite t*=1",
+        ),
         (
             "_first_part_index",
             lambda truth: 0,
@@ -223,8 +249,9 @@ class _RegressingStrip(StripQueries):
     ],
 )
 def test_feedback_row_checks_fail_their_row(name, value, ident, message, monkeypatch):
-    """A wrong first-fit bound, a stripped strategy that is not the oracle
-    strategy and a regressing position must each fail their row."""
+    """A union strategy that errs from its t* on, a wrong first-fit bound, a
+    stripped strategy that is not the oracle strategy and a regressing
+    position must each fail their row."""
     monkeypatch.setattr(experiments, name, value)
     (row,), _ = experiments.run_experiment(ident)
     assert not row.passed

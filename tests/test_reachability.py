@@ -40,8 +40,8 @@ ALLOWED = {
     "engine.verdict": "the reference rule test_engine.py checks every bound judge against",
     # the membership rule each run's `ask` is tested against; the loop answers inline
     "engine.oracle_answer": "the reference rule test_engine.py checks every bound ask against",
-    # the inverse of to_record, kept so that a trace header's truth can be read back
-    "langs.ClosedFormLanguage.from_record": "reads a trace header's truth back",
+    # the inverse of to_record, kept so that a scripted trace's truth can be read back
+    "langs.ClosedFormLanguage.from_record": "reads a trace header's source.truth back",
     # probed by the benchmark's scaling runs, not by any experiment
     "generators.reduce_by_prefix": "the benchmark probes it",
     # only test_feedback.py plays the ray family as a union part
